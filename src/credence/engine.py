@@ -1,8 +1,8 @@
 """Per-message update loop and the audit trace.
 
 For every incoming message the engine extracts candidates, scores them,
-runs conflict resolution, stores the records, recomputes the belief
-state from the active set, and (for its own turns) composes a response
+runs conflict resolution, stores the records, brings the belief state up
+to date with the active set, and (for its own turns) composes a response
 from a stance instruction plus retrieved memory.  Every sub-step emits a
 trace event; the trace alone reconstructs the final belief state.
 """
@@ -21,6 +21,7 @@ from .core import (
     compute_log_odds,
     record_contribution,
     stance_from_log_odds,
+    update_incremental,
 )
 from .exceptions import ContractError, TraceVerificationError
 from .extraction import ExtractorPort, Message
@@ -28,7 +29,6 @@ from .judgement import (
     ArgumentRecord,
     CandidateArgument,
     ScorerPort,
-    embed_claim,
     ingest_record,
     score_strength,
 )
@@ -104,6 +104,8 @@ class AgentState:
     history: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     last_order: int = -1
+    # (store, records folded, store revision) as of the last belief update.
+    folded: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def next_order(self) -> int:
         return self.last_order + 1
@@ -140,7 +142,7 @@ def ingest_candidate(agent: AgentState, candidate: CandidateArgument) -> Argumen
         polarity=candidate.polarity,
         strength=strength,
         role=candidate.role,
-        embedding=embed_claim(candidate.claim),
+        embedding=agent.memory.embed(candidate.claim),
     )
     outcome = ingest_record(agent.memory, record, agent.config.theta, agent.config.theta_self)
     if outcome.warning:
@@ -171,10 +173,27 @@ def _stored_payload(record: ArgumentRecord, profile: UAProfile) -> dict:
 
 
 def refresh_belief(agent: AgentState) -> TraceEvent:
-    """Full recompute over the active set, with before/after in the trace."""
+    """Bring L up to date with the active set, with before/after in the trace.
+
+    While no record has left the active set and no stored strength has
+    changed since the last update, the contributions of the records
+    stored since then are added in id order (update_incremental), which
+    equals the batch fold bitwise.  Otherwise the whole active set is
+    folded again.  Records therefore leave the active set through
+    MemoryStore.archive and change strength through MemoryStore.rescale.
+    """
     before = agent.belief
-    log_odds = compute_log_odds(agent.memory.active_records(), agent.profile)
-    agent.belief = BeliefState.from_log_odds(log_odds)
+    memory = agent.memory
+    folded = agent.folded
+    if folded is not None and folded[0] is memory and folded[2] == memory.revision:
+        state = before
+        for record in memory.records[folded[1] :]:
+            if record.active:
+                state = update_incremental(state, record, agent.profile)
+        agent.belief = state
+    else:
+        agent.belief = BeliefState.from_log_odds(compute_log_odds(memory.active_records(), agent.profile))
+    agent.folded = (memory, len(memory.records), memory.revision)
     return agent.emit(
         "updated",
         L_before=before.log_odds,
@@ -264,10 +283,20 @@ def read_trace(path) -> list[TraceEvent]:
 def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefState:
     """Replay stored contributions and confirm every recorded update.
 
+    The replayed L is the sum of the active contributions in id order.
+    Contributions stored since the last update are added to the running
+    sum; the whole active set is summed again after an archival or after
+    a stored id that does not exceed every id stored before it (which
+    covers a second stored event for one id, as a seed rescale emits).
+    Both give the same L bitwise.
+
     Raises TraceVerificationError at the first divergent event.
     """
     contributions: dict[int, float] = {}
     active: dict[int, bool] = {}
+    pending: list[int] = []  # active ids stored since the last update, increasing
+    resum = False
+    top_id = None
     previous_seq = -1
     current = BeliefState.zero()
     for event in events:
@@ -278,17 +307,32 @@ def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefSt
         previous_seq = event.seq
         payload = event.payload
         if event.kind == "stored":
-            contributions[payload["id"]] = payload["contribution"]
-            active[payload["id"]] = payload["active"]
+            record_id = payload["id"]
+            if top_id is not None and record_id <= top_id:
+                resum = True
+            else:
+                top_id = record_id
+            contributions[record_id] = payload["contribution"]
+            active[record_id] = payload["active"]
+            if payload["active"]:
+                pending.append(record_id)
         elif event.kind == "resolved":
             archived = payload.get("archived_id")
             if archived is not None:
                 active[archived] = False
+                resum = True
         elif event.kind == "updated":
-            expected = 0.0
-            for record_id in sorted(contributions):
-                if active.get(record_id):
+            if resum:
+                expected = 0.0
+                for record_id in sorted(contributions):
+                    if active.get(record_id):
+                        expected += contributions[record_id]
+            else:
+                expected = current.log_odds
+                for record_id in pending:
                     expected += contributions[record_id]
+            pending.clear()
+            resum = False
             if abs(payload["L_before"] - current.log_odds) > tolerance:
                 raise TraceVerificationError(
                     f"event {event.seq}: L_before {payload['L_before']} != replayed {current.log_odds}",

@@ -9,6 +9,7 @@ Archived records are kept for audit but never re-enter the active set.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -56,10 +57,12 @@ def embed_claim(claim: str, dim: int = EMBED_DIM) -> np.ndarray:
     if not text:
         raise ContractError("cannot embed an empty claim")
     grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
-    vec = np.zeros(dim, dtype=np.float64)
-    for gram in grams:
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-        vec[int.from_bytes(digest, "big") % dim] += 1.0
+    buckets = [
+        int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") % dim
+        for gram in grams
+    ]
+    # Counts are small integers, so the float64 vector is exact.
+    vec = np.bincount(buckets, minlength=dim).astype(np.float64)
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0.0 else vec
 
@@ -138,8 +141,14 @@ def _requests_transport(url: str, payload: dict, timeout: float) -> dict:
 
 
 def score_strength(candidate: CandidateArgument, topic: str, scorer: ScorerPort) -> float:
-    """Score a candidate, clamping the scorer output to [0, 1]."""
+    """Score a candidate, clamping the scorer output to [0, 1].
+
+    A NaN or infinite score is a scorer failure, not a strength: clamping
+    would silently turn NaN into 0.0.
+    """
     raw = float(scorer.score(topic, candidate.claim))
+    if not math.isfinite(raw):
+        raise ScoringBackendError(f"scorer returned {raw!r} for claim {candidate.claim!r} on topic {topic!r}")
     return min(1.0, max(0.0, raw))
 
 
@@ -152,21 +161,15 @@ class ResolutionOutcome:
     warning: Optional[str] = None
 
 
-def _resolve_against_pool(new: ArgumentRecord, pool: list[ArgumentRecord], threshold: float) -> ResolutionOutcome:
-    if not pool:
+def _resolve_against_pool(new: ArgumentRecord, pool, threshold: float) -> ResolutionOutcome:
+    match = pool.nearest(new.embedding)
+    if match is None:
         return ResolutionOutcome(kept_new=True)
+    best, best_sim = match
 
     warning = None
     if np.linalg.norm(new.embedding) == 0.0:
         warning = "zero-norm embedding; similarity treated as 0"
-
-    best = None
-    best_sim = -1.0
-    for record in pool:  # insertion order, so ties keep the lowest id
-        sim = cosine_similarity(new.embedding, record.embedding)
-        if sim > best_sim:
-            best = record
-            best_sim = sim
 
     if best_sim < threshold:
         return ResolutionOutcome(kept_new=True, similarity=best_sim, matched_id=best.id, warning=warning)
@@ -182,8 +185,7 @@ def _resolve_against_pool(new: ArgumentRecord, pool: list[ArgumentRecord], thres
 
 def resolve_conflict(new: ArgumentRecord, memory, threshold: float) -> ResolutionOutcome:
     """Soft-deduplicate against all active same-polarity records."""
-    pool = [r for r in memory.active_records() if r.polarity == new.polarity]
-    return _resolve_against_pool(new, pool, threshold)
+    return _resolve_against_pool(new, memory.pool(new.polarity), threshold)
 
 
 def resolve_self_conflict(new: ArgumentRecord, memory, threshold_self: float) -> ResolutionOutcome:
@@ -191,12 +193,7 @@ def resolve_self_conflict(new: ArgumentRecord, memory, threshold_self: float) ->
     agent's own active claims (self and seed) of the same polarity."""
     if new.role != Role.SELF:
         raise ContractError("resolve_self_conflict requires a role=self record")
-    pool = [
-        r
-        for r in memory.active_records()
-        if r.polarity == new.polarity and r.role in (Role.SELF, Role.SEED)
-    ]
-    return _resolve_against_pool(new, pool, threshold_self)
+    return _resolve_against_pool(new, memory.pool(new.polarity, own_only=True), threshold_self)
 
 
 def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_self: float) -> ResolutionOutcome:
@@ -207,6 +204,5 @@ def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_se
         outcome = resolve_conflict(record, memory, threshold)
     record_id = memory.insert(record)
     if outcome.superseded is not None:
-        outcome.superseded.active = False
-        outcome.superseded.archived_by = record_id
+        memory.archive(outcome.superseded, archived_by=record_id)
     return outcome

@@ -4,23 +4,179 @@ Insertion order is the iteration order, ids come from a monotone
 counter, and archived records stay in the store for audit. Retrieval
 allocates context slots in proportion to the active pro/con composition,
 never by stance.
+
+The store keeps an index of its active records, so that deduplication,
+retrieval and the belief update cost in proportion to the active set
+rather than to everything ever stored:
+
+- per polarity, the active records and, once the pool is large enough
+  for a matvec to pay, their unit-norm embeddings as rows of one growable
+  float64 matrix, plus a mask of the agent's own rows (self and seed) for
+  the self pool;
+- the active records in id order;
+- one read-only embedding per distinct claim text seen by this store.
+
+Records appended to ``records`` directly are indexed at the next read,
+and a record archived by setting ``active = False`` directly is dropped
+from the index when a read meets it.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Optional
+
+import numpy as np
 
 from .core import Role
 from .exceptions import ContractError
-from .judgement import ArgumentRecord, embed_claim
+from .judgement import ArgumentRecord, cosine_similarity, embed_claim
+
+# Below this many rows a pool is searched with cosine_similarity alone:
+# for a handful of records the per-row loop is cheaper than a matvec.
+_MATVEC_MIN_ROWS = 16
+# Matrix rows whose similarity lies this close to the best one are
+# re-scored with cosine_similarity; a matvec differs from it by a few ulps.
+_SHORTLIST_MARGIN = 1e-9
+_OWN_ROLES = (Role.SELF, Role.SEED)
+_by_id = attrgetter("id")
+
+
+def _unit(embedding) -> np.ndarray:
+    embedding = np.asarray(embedding, dtype=np.float64)
+    norm = np.linalg.norm(embedding)
+    return embedding / norm if norm > 0.0 else np.zeros_like(embedding)
+
+
+class _PolarityIndex:
+    """The active records of one polarity, with their unit-norm embeddings
+    as the rows of one matrix once the pool first reaches _MATVEC_MIN_ROWS.
+
+    Rows are unordered: removing a record moves the last row into its
+    place.  The matrix doubles when full.
+    """
+
+    def __init__(self):
+        self.records: list[ArgumentRecord] = []
+        self.row_of: dict[int, int] = {}
+        self.own_count = 0
+        self.matrix: Optional[np.ndarray] = None
+        self.own: Optional[np.ndarray] = None
+
+    def add(self, record: ArgumentRecord) -> None:
+        n = len(self.records)
+        own = record.role in _OWN_ROLES
+        self.records.append(record)
+        self.row_of[record.id] = n
+        self.own_count += own
+        if self.matrix is not None:
+            if n == len(self.matrix):
+                self.matrix = np.concatenate([self.matrix, np.empty_like(self.matrix)])
+                self.own = np.concatenate([self.own, np.zeros_like(self.own)])
+            self.matrix[n] = _unit(record.embedding)
+            self.own[n] = own
+
+    def remove(self, record: ArgumentRecord) -> None:
+        row = self.row_of.pop(record.id, None)
+        if row is None:
+            return
+        self.own_count -= record.role in _OWN_ROLES
+        last = len(self.records) - 1
+        if row != last:
+            moved = self.records[last]
+            self.records[row] = moved
+            self.row_of[moved.id] = row
+            if self.matrix is not None:
+                self.matrix[row] = self.matrix[last]
+                self.own[row] = self.own[last]
+        self.records.pop()
+
+    def size(self, own_only: bool) -> int:
+        return self.own_count if own_only else len(self.records)
+
+    def shortlist(self, query: np.ndarray, own_only: bool) -> list[ArgumentRecord]:
+        """Records that may hold the best similarity to query.
+
+        With a matrix, these are the rows within the margin of the best
+        matvec similarity; if those are not comparable (NaN), every row of
+        the pool.  Without one, the whole pool.
+        """
+        n = len(self.records)
+        if self.matrix is None and n >= _MATVEC_MIN_ROWS:
+            self.matrix = np.empty((2 * n, len(self.records[0].embedding)))
+            self.own = np.zeros(2 * n, dtype=bool)
+            for row, record in enumerate(self.records):
+                self.matrix[row] = _unit(record.embedding)
+                self.own[row] = record.role in _OWN_ROLES
+        if self.matrix is None:
+            if own_only:
+                return [r for r in self.records if r.role in _OWN_ROLES]
+            return self.records
+        sims = self.matrix[:n] @ _unit(query)
+        if own_only:
+            sims[~self.own[:n]] = -np.inf
+        rows = np.flatnonzero(sims >= sims.max() - _SHORTLIST_MARGIN)
+        if len(rows) == 0:
+            rows = np.flatnonzero(self.own[:n]) if own_only else range(n)
+        return [self.records[row] for row in rows]
+
+
+@dataclass
+class DedupPool:
+    """The active same-polarity records a new record is compared against:
+    all of them, or only the agent's own (self and seed) ones."""
+
+    store: "MemoryStore"
+    polarity: int
+    own_only: bool = False
+
+    def __len__(self) -> int:
+        return self.store._index_for(self.polarity).size(self.own_only)
+
+    def nearest(self, embedding: np.ndarray) -> Optional[tuple[ArgumentRecord, float]]:
+        """The most cosine-similar record and its similarity, or None for an
+        empty pool.  Equal similarities go to the lowest id, and the value
+        is cosine_similarity's, bitwise: the index only shortlists, and the
+        shortlist is scored with cosine_similarity in id order."""
+        store = self.store
+        while True:
+            index = store._index_for(self.polarity)
+            if index.size(self.own_only) == 0:
+                return None
+            candidates = index.shortlist(embedding, self.own_only)
+            stale = [r for r in candidates if not r.active]
+            if not stale:
+                break
+            for record in stale:  # archived from outside the store
+                store._forget(record)
+        best = None
+        best_sim = -1.0
+        for record in sorted(candidates, key=_by_id):
+            sim = cosine_similarity(embedding, record.embedding)
+            if sim > best_sim:
+                best = record
+                best_sim = sim
+        return None if best is None else (best, best_sim)
 
 
 @dataclass
 class MemoryStore:
     records: list[ArgumentRecord] = field(default_factory=list)
     insertion_counter: int = 0
+    # Bumped whenever an indexed record leaves the active set or a stored
+    # strength changes: a running sum over the active set is then stale.
+    revision: int = field(default=0, init=False, compare=False)
+    _active: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _by_polarity: dict = field(
+        default_factory=lambda: defaultdict(_PolarityIndex), init=False, repr=False, compare=False
+    )
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+    _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def insert(self, record: ArgumentRecord) -> int:
         if record.id is not None:
@@ -31,8 +187,40 @@ class MemoryStore:
         self.records.append(record)
         return record.id
 
+    def embed(self, claim: str) -> np.ndarray:
+        """embed_claim, computed once per distinct text in this store and
+        shared read-only by every record of that text."""
+        key = claim.strip().lower()
+        embedding = self._embeddings.get(key)
+        if embedding is None:
+            embedding = embed_claim(claim)
+            embedding.flags.writeable = False
+            self._embeddings[key] = embedding
+        return embedding
+
+    def archive(self, record: ArgumentRecord, archived_by: Optional[int]) -> None:
+        """Move a stored record to the archived partition."""
+        self._sync()
+        record.active = False
+        record.archived_by = archived_by
+        self._forget(record)
+
+    def rescale(self, records, factor: float) -> None:
+        """Multiply the strength of each given record by factor."""
+        for record in records:
+            record.strength *= factor
+        self.revision += 1
+
     def active_records(self) -> list[ArgumentRecord]:
-        return [r for r in self.records if r.active]
+        self._sync()
+        active = [r for r in self._active.values() if r.active]
+        if len(active) != len(self._active):
+            for record in [r for r in self._active.values() if not r.active]:
+                self._forget(record)
+        return active
+
+    def pool(self, polarity: int, own_only: bool = False) -> DedupPool:
+        return DedupPool(self, polarity, own_only)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -42,6 +230,26 @@ class MemoryStore:
 
     def retrieve(self, k: int) -> "RetrievalContext":
         return retrieve(self, k)
+
+    def _index_for(self, polarity: int) -> _PolarityIndex:
+        self._sync()
+        return self._by_polarity[polarity]
+
+    def _sync(self) -> None:
+        """Index the active records appended since the last read."""
+        if self._indexed == len(self.records):
+            return
+        for record in self.records[self._indexed :]:
+            if record.active:
+                self._active[record.id] = record
+                self._by_polarity[record.polarity].add(record)
+        self._indexed = len(self.records)
+
+    def _forget(self, record: ArgumentRecord) -> None:
+        """Drop a record that is no longer active from an up-to-date index."""
+        if self._active.pop(record.id, None) is not None:
+            self._by_polarity[record.polarity].remove(record)
+            self.revision += 1
 
 
 @dataclass
@@ -57,16 +265,16 @@ def _round_half_up(x: float) -> int:
 
 def _top_by_strength(records: list[ArgumentRecord], limit: int) -> list[ArgumentRecord]:
     # Strength ties break toward the older (lower-id) record.
-    ranked = sorted(records, key=lambda r: (-r.strength, r.id))
-    return ranked[:limit]
+    return heapq.nsmallest(limit, records, key=lambda r: (-r.strength, r.id))
 
 
 def retrieve(store: MemoryStore, k: int) -> RetrievalContext:
     """Composition-proportional retrieval of the strongest active records."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    pro = [r for r in store.active_records() if r.polarity == 1]
-    con = [r for r in store.active_records() if r.polarity == -1]
+    active = store.active_records()
+    pro = [r for r in active if r.polarity == 1]
+    con = [r for r in active if r.polarity == -1]
     total = len(pro) + len(con)
     if total == 0:
         # Even split; the extra slot for odd k goes to the affirmative side.
@@ -100,6 +308,7 @@ def dump_jsonl(store: MemoryStore, path) -> None:
 
 
 def load_jsonl(path) -> MemoryStore:
+    """Read a dumped store; its index is rebuilt from the loaded records."""
     store = MemoryStore()
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -112,7 +321,7 @@ def load_jsonl(path) -> MemoryStore:
                 polarity=row["polarity"],
                 strength=row["strength"],
                 role=Role(row["role"]),
-                embedding=embed_claim(row["claim"]),
+                embedding=store.embed(row["claim"]),
                 active=row["active"],
                 archived_by=row.get("archived_by"),
             )

@@ -29,7 +29,7 @@ from .core import (
 )
 from .exceptions import ContractError
 from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, ScorerPort, embed_claim, resolve_conflict
+from .judgement import ArgumentRecord, ScorerPort, ingest_record, score_strength
 from .memory import MemoryStore
 
 logger = logging.getLogger(__name__)
@@ -126,28 +126,21 @@ def accepted_records(
         else:
             candidates = [item]
         for cand in candidates:
-            claim = cand.claim
-            polarity = cand.polarity
             strength = getattr(cand, "strength", None)
             if strength is None:
                 strength = getattr(cand, "strength_hint", None)
             if strength is None:
                 if scorer is None:
-                    raise ContractError(f"no strength for item {claim!r} and no scorer configured")
-                strength = scorer.score(case.topic, claim)
-            strength = min(1.0, max(0.0, float(strength)))
+                    raise ContractError(f"no strength for item {cand.claim!r} and no scorer configured")
+                strength = score_strength(cand, case.topic, scorer)
             record = ArgumentRecord(
-                claim=claim,
-                polarity=polarity,
-                strength=strength,
+                claim=cand.claim,
+                polarity=cand.polarity,
+                strength=min(1.0, max(0.0, float(strength))),
                 role=Role.OPPONENT,
-                embedding=embed_claim(claim),
+                embedding=store.embed(cand.claim),
             )
-            outcome = resolve_conflict(record, store, theta)
-            store.insert(record)
-            if outcome.superseded is not None:
-                outcome.superseded.active = False
-                outcome.superseded.archived_by = record.id
+            ingest_record(store, record, theta, theta)
     return store.active_records()
 
 

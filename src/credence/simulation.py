@@ -129,8 +129,7 @@ def seed_agent(
                     scale = candidate
                 if error == 0.0:
                     break
-            for record in seeds:
-                record.strength *= scale
+            agent.memory.rescale(seeds, scale)
             for record in seeds:
                 agent.emit("stored", **_stored_payload(record, agent.profile))
             if abs(stance_at(1.0) - target) > tolerance:

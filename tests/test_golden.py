@@ -1,0 +1,82 @@
+"""Golden-output regression: the default ``credence sweep`` and ``credence
+debate`` must keep writing byte-identical files.
+
+The README promises identical outputs for identical config snapshots, and
+refactors of the judgement, memory and belief-update paths are checked
+against that promise.  The digests below were recorded once from the
+default commands (no ``--config``, no ``--seed``); neither command writes
+an absolute path, so they do not depend on the output directory.  A
+failing test means an output byte changed: find out why before touching a
+digest.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from credence.cli import main as cli_main
+
+GOLDEN_SHA256 = {
+    'sweep': {
+        'resolved_config.json': '651123732e281f26c707cbd478bd8be22cb46e14df4a779624528eed033ae977',
+        'sweep_finals.csv': '128a45da4f24917b7dd9fe0c85525c53ad6430e8804de46e4c4967eea1522c4b',
+        'sweep_trajectories.csv': 'd0dd720dfff16598f3b3f03ff13f34c6004d8845b813ebf74eda25ed594ad967',
+        'traces/sweep_a_0.2.jsonl': 'f85f52ccb8c5e5013f53aa2108fe8ad1885a2165e737c7189db137959f37f9db',
+        'traces/sweep_a_0.4.jsonl': 'bf5fcf44f3d68e8ec72a391e1b6a91727d5d3ac2e1439837a6162902265903c5',
+        'traces/sweep_a_0.6.jsonl': '8e0ed39d92664a4d3502c4a96ef28812c126f345a5c4e0157f98a39267a18048',
+        'traces/sweep_a_0.8.jsonl': 'd4b128ae1b57e1463315777f35ce2dd1e276ce5a87580d193d1157ed0cd0c22d',
+        'traces/sweep_a_1.0.jsonl': '7782bb386ace0212c02b84453aa7c89be1172500903420b1fd1b8ff7808255b9',
+        'traces/sweep_u_0.2.jsonl': '8fb5d1e1d637c34f21affdf6a9841eee8891d64217d009f1200a13fbb986db93',
+        'traces/sweep_u_0.4.jsonl': '75cb864921eefb0cf9083bc40dde49a62b00067e2fafb7fb9de62d3919dd7690',
+        'traces/sweep_u_0.6.jsonl': '83b8201fe254b921e2bb9d320cd5d330126266bcc7f94edf22834b480b05d609',
+        'traces/sweep_u_0.8.jsonl': 'cc2651e11f1f691e778e6e52ef621fefeda78a1cf97cdd24a80ac08b01c9240c',
+        'traces/sweep_u_1.0.jsonl': 'b4c6d31e99b5b45910c4fe6f74256ff415dfbaf203f633df3856ab007063fb95',
+    },
+    'debate': {
+        'convergence.csv': '0334eb51d0efb47bbda0d5aa7b1eb145c7fa265e9a99891d17768a794e1abd63',
+        'debate_metrics.csv': 'e32223f995aeec92af61b611b5433fdeb6aa0d4e413b35b6a27763a1cfa257d1',
+        'debate_summary.csv': '0838039debd1a3e1ccfeffff39bb50abc4c470e90099f2122b598c75168d8fdd',
+        'resolved_config.json': '651123732e281f26c707cbd478bd8be22cb46e14df4a779624528eed033ae977',
+        'series.csv': 'a7a1964ed41ec09f5aa9405c72566cc68cb5b4f84ef697babdbf7c7f874fcc6b',
+        'traces/debate_open-open_t0_con.jsonl': 'a3312dc9813d345a790960375166e2aaa6c1da41e53043a922f599b3ae865361',
+        'traces/debate_open-open_t0_pro.jsonl': '79474c29c9b457cdc5602222552b2f175f1a7a621390b2802bc4b6508150016d',
+        'traces/debate_open-open_t1_con.jsonl': '08e9c10efa7c25dfa9a63c372883b2163674ef48382800230347243e3cf813a6',
+        'traces/debate_open-open_t1_pro.jsonl': 'eac3e60b34754a570a68be3d58fa1daa251e127e1607e610c138d2230ce5051c',
+        'traces/debate_open-open_t2_con.jsonl': 'a1bdd895627f908e5a4f902d012e65fabb73d05f8a3816e3dbcfbcbd14556fe8',
+        'traces/debate_open-open_t2_pro.jsonl': 'e95e0ad6e3eb11a577fbf3fcbdbb856359e87f3cfb0b683fd030bb64b28a8f4b',
+        'traces/debate_open-stubborn_t0_con.jsonl': 'f2a61c981918749fd893a88b0175519922d6dd1b0eb8929217839fb115078025',
+        'traces/debate_open-stubborn_t0_pro.jsonl': 'b4eed37eababcf62f648693b4562b764201f8fb313fd3ce2485b45ad19a5ab87',
+        'traces/debate_open-stubborn_t1_con.jsonl': '07acd890a7503b9e4af986a62e39798455acc0fa2d1f22586891edf3d4907987',
+        'traces/debate_open-stubborn_t1_pro.jsonl': 'bb85aa69683ff0da05f392d09215e6d81407ebc99e61bf2e0dccbffe2999c4b8',
+        'traces/debate_open-stubborn_t2_con.jsonl': 'c3551b5d17c20736806e4bf3697cc0f727ea743b9318485a9bc519b0d5ccb2f5',
+        'traces/debate_open-stubborn_t2_pro.jsonl': '061867217aca6a5498772a1fd19d5449bbcbe38d31608167c46febae877304c9',
+        'traces/debate_stubborn-open_t0_con.jsonl': '2bbdd50e93621a7100880e67076740353ee5d244acd17448693a6b80c1707def',
+        'traces/debate_stubborn-open_t0_pro.jsonl': '6aa87efa2f95f228d4411aff0fc3a3f5b82feb01710480bf41c05153b285132a',
+        'traces/debate_stubborn-open_t1_con.jsonl': 'a0c975db1b459eb77c5c119d1278fa94221af8e9caef2a52dc1505e819e271b4',
+        'traces/debate_stubborn-open_t1_pro.jsonl': '42afba9a986ab7ac21fe009f6303b288e9b20c6fe665d002e49cc737a5f49bfd',
+        'traces/debate_stubborn-open_t2_con.jsonl': '0d84ebfbfd9fda9cb3e52b5afcfadfd64cf3c4000605eaa1fcd872fc7533f745',
+        'traces/debate_stubborn-open_t2_pro.jsonl': 'b43117c3315c5072438261c873b3be9315045194c88d3a9c45250fecebf5d039',
+        'traces/debate_stubborn-stubborn_t0_con.jsonl': 'b48ff3744f19608136f2d45ab03db73034222b687a06584512261d6da1c6b420',
+        'traces/debate_stubborn-stubborn_t0_pro.jsonl': '84c9037d987ea910802368a54c64c90716bb935c8c4e1b57cb62d0057e6b2dfc',
+        'traces/debate_stubborn-stubborn_t1_con.jsonl': '800773f77261ce256e28a365fd7f05f51698fd3063586f281db64a99c378df6c',
+        'traces/debate_stubborn-stubborn_t1_pro.jsonl': 'bcff601d4d1bbe132c3beddaf1ff97c9620ff2ba926f11a95adae34d39ef9783',
+        'traces/debate_stubborn-stubborn_t2_con.jsonl': '3753b704458ee0886b258cf57f257cff7af5c0bd783e754aee002a1aa1d13e03',
+        'traces/debate_stubborn-stubborn_t2_pro.jsonl': '53d6b22f91bbae7f1d9a4d82f4f2ee76741c43a7f712a97550ee22cf92cbe230',
+    },
+}
+
+
+def _digests(root: Path) -> dict:
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_default_command_outputs_are_byte_identical(command, tmp_path, capsys):
+    out = tmp_path / command
+    assert cli_main([command, "--out", str(out)]) == 0
+    assert _digests(out) == GOLDEN_SHA256[command]

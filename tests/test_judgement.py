@@ -1,7 +1,10 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credence.core import Role
 from credence.exceptions import ContractError, ScoringBackendError
@@ -43,6 +46,20 @@ def test_embedding_deterministic_and_normalised():
 
 def test_embedding_case_and_whitespace_insensitive():
     assert np.array_equal(embed_claim("  Parks Matter "), embed_claim("parks matter"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(min_size=1, max_size=60).filter(lambda t: t.strip()))
+def test_embedding_equals_per_gram_accumulation(claim):
+    # Reference: add 1.0 per hashed trigram, then divide by the L2 norm.
+    text = claim.strip().lower()
+    grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
+    vec = np.zeros(512)
+    for gram in grams:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        vec[int.from_bytes(digest, "big") % 512] += 1.0
+    vec = vec / np.linalg.norm(vec)
+    assert embed_claim(claim).tobytes() == vec.tobytes()
 
 
 def test_similar_texts_score_higher():
@@ -89,6 +106,15 @@ def test_score_strength_clamps():
     scorer = TableScorer({("t", "c"): 1.7})
     candidate = CandidateArgument(claim="c", polarity=1, role=Role.OPPONENT)
     assert score_strength(candidate, "t", scorer) == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_score_strength_rejects_non_finite_scores(bad):
+    # Clamping would turn NaN into 0.0 and infinities into 0 or 1.
+    scorer = TableScorer({("t", "c"): bad})
+    candidate = CandidateArgument(claim="c", polarity=1, role=Role.OPPONENT)
+    with pytest.raises(ScoringBackendError):
+        score_strength(candidate, "t", scorer)
 
 
 def test_duplicate_keeps_existing_on_tie():

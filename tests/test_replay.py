@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from credence.core import UAProfile
-from credence.exceptions import ContractError
+from credence.exceptions import ContractError, ScoringBackendError
 from credence.extraction import ScriptedExtractor
-from credence.judgement import BuiltinScorer
+from credence.judgement import BuiltinScorer, TableScorer
 from credence.replay import (
     CalibrationGrid,
     EvidenceItem,
@@ -139,6 +139,13 @@ def test_unscored_items_need_scorer():
         accepted_records(case, theta=0.85)
     records = accepted_records(case, theta=0.85, scorer=BuiltinScorer())
     assert 0.0 <= records[0].strength <= 1.0
+
+
+def test_non_finite_scorer_output_is_a_backend_error():
+    # Replay scores unscored items through the same path as the engine.
+    case = make_case(evidence=[EvidenceItem(claim="x", polarity=1)])
+    with pytest.raises(ScoringBackendError):
+        accepted_records(case, theta=0.85, scorer=TableScorer({("t", "x"): float("nan")}))
 
 
 def test_linear_baseline_closed_form():
