@@ -179,11 +179,13 @@ def refresh_belief(agent: AgentState) -> TraceEvent:
     changed since the last update, the contributions of the records
     stored since then are added in id order (update_incremental), which
     equals the batch fold bitwise.  Otherwise the whole active set is
-    folded again.  Records therefore leave the active set through
-    MemoryStore.archive and change strength through MemoryStore.rescale.
+    folded again.  Reading the active set first makes the store forget
+    records whose ``active`` flag was cleared directly, which bumps its
+    revision, so such a record leaves L at this update too.
     """
     before = agent.belief
     memory = agent.memory
+    active = memory.active_records()
     folded = agent.folded
     if folded is not None and folded[0] is memory and folded[2] == memory.revision:
         state = before
@@ -192,7 +194,7 @@ def refresh_belief(agent: AgentState) -> TraceEvent:
                 state = update_incremental(state, record, agent.profile)
         agent.belief = state
     else:
-        agent.belief = BeliefState.from_log_odds(compute_log_odds(memory.active_records(), agent.profile))
+        agent.belief = BeliefState.from_log_odds(compute_log_odds(active, agent.profile))
     agent.folded = (memory, len(memory.records), memory.revision)
     return agent.emit(
         "updated",

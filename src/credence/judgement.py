@@ -161,15 +161,21 @@ class ResolutionOutcome:
     warning: Optional[str] = None
 
 
-def _resolve_against_pool(new: ArgumentRecord, pool, threshold: float) -> ResolutionOutcome:
-    match = pool.nearest(new.embedding)
-    if match is None:
+def _resolve_against_pool(new: ArgumentRecord, pool: list[ArgumentRecord], threshold: float) -> ResolutionOutcome:
+    if not pool:
         return ResolutionOutcome(kept_new=True)
-    best, best_sim = match
 
     warning = None
     if np.linalg.norm(new.embedding) == 0.0:
         warning = "zero-norm embedding; similarity treated as 0"
+
+    best = None
+    best_sim = -1.0
+    for record in pool:  # id order, so ties keep the lowest id
+        sim = cosine_similarity(new.embedding, record.embedding)
+        if sim > best_sim:
+            best = record
+            best_sim = sim
 
     if best_sim < threshold:
         return ResolutionOutcome(kept_new=True, similarity=best_sim, matched_id=best.id, warning=warning)
@@ -185,7 +191,7 @@ def _resolve_against_pool(new: ArgumentRecord, pool, threshold: float) -> Resolu
 
 def resolve_conflict(new: ArgumentRecord, memory, threshold: float) -> ResolutionOutcome:
     """Soft-deduplicate against all active same-polarity records."""
-    return _resolve_against_pool(new, memory.pool(new.polarity), threshold)
+    return _resolve_against_pool(new, memory.candidates(new.embedding, new.polarity), threshold)
 
 
 def resolve_self_conflict(new: ArgumentRecord, memory, threshold_self: float) -> ResolutionOutcome:
@@ -193,7 +199,8 @@ def resolve_self_conflict(new: ArgumentRecord, memory, threshold_self: float) ->
     agent's own active claims (self and seed) of the same polarity."""
     if new.role != Role.SELF:
         raise ContractError("resolve_self_conflict requires a role=self record")
-    return _resolve_against_pool(new, memory.pool(new.polarity, own_only=True), threshold_self)
+    pool = memory.candidates(new.embedding, new.polarity, own_only=True)
+    return _resolve_against_pool(new, pool, threshold_self)
 
 
 def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_self: float) -> ResolutionOutcome:

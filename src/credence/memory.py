@@ -35,11 +35,14 @@ import numpy as np
 
 from .core import Role
 from .exceptions import ContractError
-from .judgement import ArgumentRecord, cosine_similarity, embed_claim
+from .judgement import ArgumentRecord, embed_claim
 
-# Below this many rows a pool is searched with cosine_similarity alone:
-# for a handful of records the per-row loop is cheaper than a matvec.
-_MATVEC_MIN_ROWS = 16
+# Below this many rows a pool is searched by cosine_similarity alone.  The
+# loop costs about 8.5 us per row; the matvec path costs about 16 us more
+# per query than one row, and keeping a record's matrix row about 8.5 us.
+# On streams of 4 to 64 claims thresholds 4 and 8 were both within noise of
+# the fastest; 8 keeps small per-case stores on the loop (see CHANGES.md).
+_MATVEC_MIN_ROWS = 8
 # Matrix rows whose similarity lies this close to the best one are
 # re-scored with cosine_similarity; a matvec differs from it by a few ulps.
 _SHORTLIST_MARGIN = 1e-9
@@ -54,8 +57,9 @@ def _unit(embedding) -> np.ndarray:
 
 
 class _PolarityIndex:
-    """The active records of one polarity, with their unit-norm embeddings
-    as the rows of one matrix once the pool first reaches _MATVEC_MIN_ROWS.
+    """The active records of one polarity and, once the pool first reaches
+    _MATVEC_MIN_ROWS, their unit-norm embeddings as the rows of one matrix
+    with a mask of the agent's own rows.
 
     Rows are unordered: removing a record moves the last row into its
     place.  The matrix doubles when full.
@@ -100,12 +104,9 @@ class _PolarityIndex:
         return self.own_count if own_only else len(self.records)
 
     def shortlist(self, query: np.ndarray, own_only: bool) -> list[ArgumentRecord]:
-        """Records that may hold the best similarity to query.
-
-        With a matrix, these are the rows within the margin of the best
-        matvec similarity; if those are not comparable (NaN), every row of
-        the pool.  Without one, the whole pool.
-        """
+        """The records that may hold the best similarity to query: with a
+        matrix, the rows within the margin of the best matvec similarity;
+        without one, the whole pool.  The pool must not be empty."""
         n = len(self.records)
         if self.matrix is None and n >= _MATVEC_MIN_ROWS:
             self.matrix = np.empty((2 * n, len(self.records[0].embedding)))
@@ -121,47 +122,7 @@ class _PolarityIndex:
         if own_only:
             sims[~self.own[:n]] = -np.inf
         rows = np.flatnonzero(sims >= sims.max() - _SHORTLIST_MARGIN)
-        if len(rows) == 0:
-            rows = np.flatnonzero(self.own[:n]) if own_only else range(n)
         return [self.records[row] for row in rows]
-
-
-@dataclass
-class DedupPool:
-    """The active same-polarity records a new record is compared against:
-    all of them, or only the agent's own (self and seed) ones."""
-
-    store: "MemoryStore"
-    polarity: int
-    own_only: bool = False
-
-    def __len__(self) -> int:
-        return self.store._index_for(self.polarity).size(self.own_only)
-
-    def nearest(self, embedding: np.ndarray) -> Optional[tuple[ArgumentRecord, float]]:
-        """The most cosine-similar record and its similarity, or None for an
-        empty pool.  Equal similarities go to the lowest id, and the value
-        is cosine_similarity's, bitwise: the index only shortlists, and the
-        shortlist is scored with cosine_similarity in id order."""
-        store = self.store
-        while True:
-            index = store._index_for(self.polarity)
-            if index.size(self.own_only) == 0:
-                return None
-            candidates = index.shortlist(embedding, self.own_only)
-            stale = [r for r in candidates if not r.active]
-            if not stale:
-                break
-            for record in stale:  # archived from outside the store
-                store._forget(record)
-        best = None
-        best_sim = -1.0
-        for record in sorted(candidates, key=_by_id):
-            sim = cosine_similarity(embedding, record.embedding)
-            if sim > best_sim:
-                best = record
-                best_sim = sim
-        return None if best is None else (best, best_sim)
 
 
 @dataclass
@@ -219,8 +180,28 @@ class MemoryStore:
                 self._forget(record)
         return active
 
-    def pool(self, polarity: int, own_only: bool = False) -> DedupPool:
-        return DedupPool(self, polarity, own_only)
+    def candidates(self, embedding: np.ndarray, polarity: int, own_only: bool = False) -> list[ArgumentRecord]:
+        """The active records of this polarity (only the agent's own, self
+        and seed, if own_only) that may be the most cosine-similar to
+        embedding, in id order; empty when there are none.
+
+        Once the pool has reached _MATVEC_MIN_ROWS, one matvec over the
+        index shortlists the records within _SHORTLIST_MARGIN of its best
+        similarity.  The shortlist holds every record that
+        cosine_similarity ranks first, so scoring it with
+        cosine_similarity in id order picks the record, and the value
+        bitwise, that scoring the whole pool would.
+        """
+        self._sync()
+        index = self._by_polarity[polarity]
+        while index.size(own_only):
+            shortlist = index.shortlist(embedding, own_only)
+            stale = [r for r in shortlist if not r.active]
+            if not stale:
+                return sorted(shortlist, key=_by_id)
+            for record in stale:  # archived from outside the store
+                self._forget(record)
+        return []
 
     def __len__(self) -> int:
         return len(self.records)
@@ -230,10 +211,6 @@ class MemoryStore:
 
     def retrieve(self, k: int) -> "RetrievalContext":
         return retrieve(self, k)
-
-    def _index_for(self, polarity: int) -> _PolarityIndex:
-        self._sync()
-        return self._by_polarity[polarity]
 
     def _sync(self) -> None:
         """Index the active records appended since the last read."""

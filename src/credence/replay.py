@@ -129,14 +129,16 @@ def accepted_records(
             strength = getattr(cand, "strength", None)
             if strength is None:
                 strength = getattr(cand, "strength_hint", None)
-            if strength is None:
-                if scorer is None:
-                    raise ContractError(f"no strength for item {cand.claim!r} and no scorer configured")
+            if strength is not None:
+                strength = min(1.0, max(0.0, float(strength)))
+            elif scorer is None:
+                raise ContractError(f"no strength for item {cand.claim!r} and no scorer configured")
+            else:
                 strength = score_strength(cand, case.topic, scorer)
             record = ArgumentRecord(
                 claim=cand.claim,
                 polarity=cand.polarity,
-                strength=min(1.0, max(0.0, float(strength))),
+                strength=strength,
                 role=Role.OPPONENT,
                 embedding=store.embed(cand.claim),
             )

@@ -130,7 +130,7 @@ def apply(store: MemoryStore, ops, theta: float, theta_self: float):
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(ops=operations, theta=thetas, theta_self=thetas, min_rows=st.sampled_from((1, 16)))
+@given(ops=operations, theta=thetas, theta_self=thetas, min_rows=st.sampled_from((1, memory_mod._MATVEC_MIN_ROWS)))
 def test_indexed_resolve_matches_brute_force(ops, theta, theta_self, min_rows):
     # min_rows=1 sends every pool through the matvec shortlist.
     with mock.patch.object(memory_mod, "_MATVEC_MIN_ROWS", min_rows):
@@ -226,6 +226,18 @@ def test_incremental_belief_equals_batch_fold(uptake, anchoring, seedings, round
     replayed = verify_trace(agent.trace)
     assert replayed.log_odds == agent.belief.log_odds
     assert replayed.log_odds == resummed_log_odds(agent.trace)
+
+
+def test_belief_drops_a_record_archived_from_outside():
+    profile = UAProfile(uptake=0.7, anchoring=0.5)
+    agent = make_agent("prop", DEFAULT_TOPIC, profile, theta=0.8, theta_self=0.5)
+    text = "\n".join(f"CLAIM +0.{4 + i}: {_claim(i, 0, 0)}" for i in range(len(PHRASES)))
+    process_message(agent, Message(text=text, author_role="opponent", order=agent.next_order()))
+    agent.memory.records[1].active = False  # archived without MemoryStore.archive
+    process_message(agent, Message(text=f"CLAIM -0.3: {_claim(0, 0, 1)}", author_role="opponent", order=agent.next_order()))
+    active = [r for r in agent.memory.records if r.active]
+    assert len(active) == len(PHRASES)
+    assert agent.belief.log_odds == compute_log_odds(active, profile)
 
 
 def test_verify_resums_after_non_increasing_id():
