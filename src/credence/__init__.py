@@ -53,10 +53,10 @@ from .judgement import (
     CandidateArgument,
     ScorerPort,
     ServiceScorer,
-    TableScorer,
     cosine_similarity,
     embed_claim,
     ingest_record,
+    judge,
     resolve_conflict,
     resolve_self_conflict,
     score_strength,

@@ -17,7 +17,7 @@ from . import config as config_mod
 from .exceptions import ConfigError, ContractError, CredenceError, TraceVerificationError
 from .engine import read_trace, verify_trace, write_trace
 from .extraction import CLAIM_LINE
-from .judgement import BuiltinScorer, ServiceScorer, TableScorer
+from .judgement import BuiltinScorer, ServiceScorer
 from .extraction import ScriptedExtractor, ServiceExtractor
 from .replay import CalibrationGrid, build_replay_report, load_cases_jsonl
 from .simulation import (
@@ -242,9 +242,9 @@ def _build_scorer(ports: dict):
         if not url:
             raise ConfigError("ports.scorer=service needs scorer_url or CREDENCE_SCORER_URL")
         return ServiceScorer(url, timeout=ports["timeout"], retries=ports["retries"])
-    if kind == "table":
-        return TableScorer()
-    if kind == "builtin":
+    # Strength hints are read from the candidates themselves, so "table"
+    # scores the unhinted ones exactly as "builtin" does.
+    if kind in ("table", "builtin"):
         return BuiltinScorer()
     raise ConfigError(f"unknown scorer kind {kind!r}")
 
@@ -286,8 +286,6 @@ def cmd_replay(args) -> int:
 
     grid = CalibrationGrid(u_values=tuple(section["u_grid"]), a_values=tuple(section["a_grid"]))
     scorer = _build_scorer(cfg["ports"])
-    if isinstance(scorer, TableScorer):
-        scorer = BuiltinScorer()  # table entries come from case strengths; raw text falls back
     extractor = _build_extractor(cfg["ports"])
     report = build_replay_report(
         cases,

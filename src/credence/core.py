@@ -32,23 +32,16 @@ class UAProfile:
     """Uptake/anchoring control pair.
 
     uptake weights non-seed evidence, anchoring weights seed records (or
-    the scaled initial log-odds in replay).  confirmation_asymmetry is
-    stored for config compatibility but must be 0.0: no update equation
-    gives it meaning.
+    the scaled initial log-odds in replay).
     """
 
     uptake: float
     anchoring: float
-    confirmation_asymmetry: float = 0.0
 
     def __post_init__(self):
         if self.uptake < 0.0 or self.anchoring < 0.0:
             raise ConfigError(
                 f"uptake and anchoring must be >= 0, got ({self.uptake}, {self.anchoring})"
-            )
-        if self.confirmation_asymmetry != 0.0:
-            raise ConfigError(
-                f"confirmation_asymmetry must be 0.0, got {self.confirmation_asymmetry}"
             )
 
 

@@ -25,13 +25,7 @@ from .core import (
 )
 from .exceptions import ContractError, TraceVerificationError
 from .extraction import ExtractorPort, Message
-from .judgement import (
-    ArgumentRecord,
-    CandidateArgument,
-    ScorerPort,
-    ingest_record,
-    score_strength,
-)
+from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, judge
 from .memory import MemoryStore, RetrievalContext
 
 DEFAULT_BIN_LABELS = (
@@ -74,7 +68,7 @@ class TemplateGenerator(GeneratorPort):
 @dataclass
 class EngineConfig:
     extractor: ExtractorPort
-    scorer: ScorerPort
+    scorer: Optional[ScorerPort]  # None: every candidate must carry a strength hint
     generator: Optional[GeneratorPort] = None
     theta: float = 0.80
     theta_self: float = 0.50
@@ -130,21 +124,10 @@ def stance_to_instruction(stance: float, labels: tuple = DEFAULT_BIN_LABELS) -> 
 
 
 def ingest_candidate(agent: AgentState, candidate: CandidateArgument) -> ArgumentRecord:
-    """Score, resolve, and store one candidate; emits scored/resolved/stored."""
-    scorer = agent.config.scorer
-    if candidate.strength_hint is not None and hasattr(scorer, "register"):
-        scorer.register(agent.topic, candidate.claim, candidate.strength_hint)
-    strength = score_strength(candidate, agent.topic, scorer)
-    agent.emit("scored", claim=candidate.claim, strength=strength, role=candidate.role.value)
-
-    record = ArgumentRecord(
-        claim=candidate.claim.strip(),
-        polarity=candidate.polarity,
-        strength=strength,
-        role=candidate.role,
-        embedding=agent.memory.embed(candidate.claim),
-    )
-    outcome = ingest_record(agent.memory, record, agent.config.theta, agent.config.theta_self)
+    """Judge and store one candidate; emits scored/warning/resolved/stored."""
+    config = agent.config
+    record, outcome = judge(agent.memory, candidate, agent.topic, config.scorer, config.theta, config.theta_self)
+    agent.emit("scored", claim=candidate.claim, strength=record.strength, role=candidate.role.value)
     if outcome.warning:
         agent.emit("warning", message=outcome.warning)
     # Only a superseded pre-existing record goes here; a losing new record

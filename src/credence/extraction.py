@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .core import Role
 from .exceptions import ContractError, ExtractionBackendError
-from .judgement import CandidateArgument
+from .judgement import CandidateArgument, post_with_retries, requests_transport
 
 # One claim per line: CLAIM <sign><strength-hint>: <text>
 CLAIM_LINE = re.compile(r"^\s*CLAIM\s*([+\-−])\s*(\S+?)\s*:\s*(.+?)\s*$")
@@ -87,19 +87,11 @@ class ServiceExtractor(ExtractorPort):
         self.url = url
         self.timeout = timeout
         self.retries = retries
-        self.transport = transport or _requests_transport
+        self.transport = transport or requests_transport
 
     def extract(self, topic: str, message: Message, on_warning=None):
         payload = {"topic": topic, "message_text": message.text}
-        last_error = None
-        for _ in range(self.retries + 1):
-            try:
-                items = self.transport(self.url, payload, self.timeout)
-                break
-            except Exception as exc:  # noqa: BLE001
-                last_error = exc
-        else:
-            raise ExtractionBackendError(f"extraction service unreachable at {self.url}: {last_error}")
+        items = post_with_retries(self.transport, self.url, payload, self.timeout, self.retries, ExtractionBackendError)
         if not isinstance(items, list):
             raise ExtractionBackendError(f"extraction service returned {type(items).__name__}, expected a list")
 
@@ -114,11 +106,3 @@ class ServiceExtractor(ExtractorPort):
                 continue
             candidates.append(CandidateArgument(claim=claim, polarity=polarity, role=role))
         return candidates
-
-
-def _requests_transport(url: str, payload: dict, timeout: float):
-    import requests
-
-    response = requests.post(url, json=payload, timeout=timeout)
-    response.raise_for_status()
-    return response.json()

@@ -1,16 +1,17 @@
 """Scoring and conflict resolution: candidate arguments become evidence records.
 
-Each candidate gets a strength in [0, 1] from a pluggable scorer, then
-passes soft deduplication: if an active same-polarity record is more
-similar than the threshold, only the stronger of the two stays active.
-Archived records are kept for audit but never re-enter the active set.
+Each candidate gets a strength in [0, 1], its own strength hint if it
+has one and otherwise the score of a pluggable scorer, then passes soft
+deduplication: if an active same-polarity record is more similar than
+the threshold, only the stronger of the two stays active.  Archived
+records are kept for audit but never re-enter the active set.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,17 @@ class CandidateArgument:
             raise ContractError("candidate claim is empty")
         if self.polarity not in (-1, 1):
             raise ContractError(f"polarity {self.polarity} not in {{-1, +1}}")
+        check_strength(self.strength_hint, "strength hint")
+
+
+def check_strength(value, what: str) -> None:
+    """Reject a given strength that is not a finite number in [0, 1]."""
+    try:
+        valid = value is None or (not isinstance(value, bool) and 0.0 <= value <= 1.0)  # NaN fails
+    except TypeError:  # not a number
+        valid = False
+    if not valid:
+        raise ContractError(f"{what} {value!r} is not a finite number in [0, 1]")
 
 
 @dataclass
@@ -91,26 +103,6 @@ class BuiltinScorer(ScorerPort):
         return int.from_bytes(digest, "big") / float(2**64)
 
 
-class TableScorer(ScorerPort):
-    """Lookup scorer keyed by (topic, claim).
-
-    Scripted-claim strength hints are registered here at extraction
-    time, so offline runs score exactly the hinted values.
-    """
-
-    def __init__(self, entries: Optional[dict] = None):
-        self.entries: dict[tuple[str, str], float] = dict(entries or {})
-
-    def register(self, topic: str, claim: str, score: float) -> None:
-        self.entries[(topic, claim)] = float(score)
-
-    def score(self, topic: str, claim: str) -> float:
-        try:
-            return self.entries[(topic, claim)]
-        except KeyError:
-            raise ScoringBackendError(f"no strength entry for claim {claim!r} on topic {topic!r}")
-
-
 class ServiceScorer(ScorerPort):
     """HTTP scorer: POST {topic, claim}, expect {score}."""
 
@@ -118,21 +110,34 @@ class ServiceScorer(ScorerPort):
         self.url = url
         self.timeout = timeout
         self.retries = retries
-        self.transport = transport or _requests_transport
+        self.transport = transport or requests_transport
 
     def score(self, topic: str, claim: str) -> float:
         payload = {"topic": topic, "claim": claim}
-        last_error = None
-        for _ in range(self.retries + 1):
-            try:
-                response = self.transport(self.url, payload, self.timeout)
-                return float(response["score"])
-            except Exception as exc:  # noqa: BLE001 - any backend failure aborts scoring
-                last_error = exc
-        raise ScoringBackendError(f"scoring service unreachable at {self.url}: {last_error}")
+        body = post_with_retries(self.transport, self.url, payload, self.timeout, self.retries, ScoringBackendError)
+        try:
+            return float(body["score"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ScoringBackendError(f"scoring service at {self.url} returned a malformed body {body!r}") from exc
 
 
-def _requests_transport(url: str, payload: dict, timeout: float) -> dict:
+def post_with_retries(transport: Callable, url: str, payload: dict, timeout: float, retries: int, error_cls):
+    """POST through the transport, retrying only transport failures.
+
+    Returns the decoded body of the first call that succeeds; judging the
+    body is the caller's job, so a malformed reply is not retried.  After
+    ``retries + 1`` failed calls, raises ``error_cls``.
+    """
+    last_error = None
+    for _ in range(retries + 1):
+        try:
+            return transport(url, payload, timeout)
+        except Exception as exc:  # noqa: BLE001 - any transport failure counts
+            last_error = exc
+    raise error_cls(f"service unreachable at {url} after {retries + 1} attempts: {last_error}")
+
+
+def requests_transport(url: str, payload: dict, timeout: float):
     import requests
 
     response = requests.post(url, json=payload, timeout=timeout)
@@ -213,3 +218,27 @@ def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_se
     if outcome.superseded is not None:
         memory.archive(outcome.superseded, archived_by=record_id)
     return outcome
+
+
+def judge(
+    memory, candidate: CandidateArgument, topic: str, scorer: Optional[ScorerPort], theta: float, theta_self: float
+) -> tuple[ArgumentRecord, ResolutionOutcome]:
+    """The one judgement path: strength, record, deduplication, storage.
+
+    The strength is the candidate's hint if it has one, else the scorer's
+    clamped score; with neither, the candidate cannot be judged.
+    """
+    if candidate.strength_hint is not None:
+        strength = float(candidate.strength_hint)
+    elif scorer is None:
+        raise ContractError(f"no strength for claim {candidate.claim!r} and no scorer configured")
+    else:
+        strength = score_strength(candidate, topic, scorer)
+    record = ArgumentRecord(
+        claim=candidate.claim.strip(),
+        polarity=candidate.polarity,
+        strength=strength,
+        role=candidate.role,
+        embedding=memory.embed(candidate.claim),
+    )
+    return record, ingest_record(memory, record, theta, theta_self)

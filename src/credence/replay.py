@@ -29,7 +29,7 @@ from .core import (
 )
 from .exceptions import ContractError
 from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, ScorerPort, ingest_record, score_strength
+from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, check_strength, judge
 from .memory import MemoryStore
 
 logger = logging.getLogger(__name__)
@@ -44,7 +44,8 @@ SUBGROUP_LABELS = ("aligned", "opposed", "weak_signal", "stable")
 @dataclass
 class EvidenceItem:
     """One received item: either pre-extracted (claim, polarity,
-    strength) or raw text to be routed through an extractor port."""
+    strength) or raw text to be routed through an extractor port.
+    A pre-extracted item without a strength is scored by the scorer."""
 
     claim: Optional[str] = None
     polarity: Optional[int] = None
@@ -52,9 +53,13 @@ class EvidenceItem:
     text: Optional[str] = None
 
     def __post_init__(self):
-        if self.text is None:
-            if self.claim is None or self.polarity not in (-1, 1):
-                raise ContractError(f"pre-extracted item needs claim and polarity, got {self!r}")
+        if self.text is not None:
+            if not isinstance(self.text, str):
+                raise ContractError(f"evidence text must be a string, got {self.text!r}")
+            return
+        if not isinstance(self.claim, str) or not self.claim.strip() or self.polarity not in (-1, 1):
+            raise ContractError(f"pre-extracted item needs claim and polarity, got {self!r}")
+        check_strength(self.strength, "evidence strength")
 
 
 @dataclass
@@ -74,6 +79,8 @@ class ReplayCase:
             raise ContractError("case needs final_likert or final_stance")
         if self.final_likert is not None and self.final_likert not in range(1, 7):
             raise ContractError(f"final_likert {self.final_likert} outside 1..6")
+        if self.final_stance is not None and not -1.0 <= self.final_stance <= 1.0:  # NaN fails too
+            raise ContractError(f"final_stance {self.final_stance!r} is not a finite number in [-1, 1]")
 
     @property
     def initial_stance(self) -> float:
@@ -124,25 +131,9 @@ def accepted_records(
             message = Message(text=item.text, author_role="opponent", order=index)
             candidates = extractor.extract(case.topic, message)
         else:
-            candidates = [item]
-        for cand in candidates:
-            strength = getattr(cand, "strength", None)
-            if strength is None:
-                strength = getattr(cand, "strength_hint", None)
-            if strength is not None:
-                strength = min(1.0, max(0.0, float(strength)))
-            elif scorer is None:
-                raise ContractError(f"no strength for item {cand.claim!r} and no scorer configured")
-            else:
-                strength = score_strength(cand, case.topic, scorer)
-            record = ArgumentRecord(
-                claim=cand.claim,
-                polarity=cand.polarity,
-                strength=strength,
-                role=Role.OPPONENT,
-                embedding=store.embed(cand.claim),
-            )
-            ingest_record(store, record, theta, theta)
+            candidates = [CandidateArgument(item.claim, item.polarity, Role.OPPONENT, item.strength)]
+        for candidate in candidates:
+            judge(store, candidate, case.topic, scorer, theta, theta)
     return store.active_records()
 
 
@@ -482,7 +473,19 @@ def _summarise(label, cases, indices, be_predictions, no_change, linear_preds) -
 # JSONL ingestion
 
 
+def _integral(value, name: str) -> int:
+    """An integer field: ints and integral floats (4.0) pass, anything
+    else (4.7, null, "4", true) is rejected rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ContractError(f"{name} {value!r} is not an integer")
+
+
 def case_from_dict(row: dict) -> ReplayCase:
+    if not isinstance(row, dict):
+        raise ContractError(f"case must be a JSON object, got {type(row).__name__}")
     evidence = []
     for item in row.get("evidence", []):
         if "text" in item and "claim" not in item:
@@ -491,16 +494,17 @@ def case_from_dict(row: dict) -> ReplayCase:
             evidence.append(
                 EvidenceItem(
                     claim=item["claim"],
-                    polarity=int(item["polarity"]),
+                    polarity=_integral(item["polarity"], "polarity"),
                     strength=item.get("strength"),
                 )
             )
+    final_likert = row.get("final_likert")
     return ReplayCase(
         participant=str(row["participant"]),
         group=str(row["group"]),
         topic=str(row["topic"]),
-        initial_likert=int(row["initial_likert"]),
-        final_likert=int(row["final_likert"]) if row.get("final_likert") is not None else None,
+        initial_likert=_integral(row["initial_likert"], "initial_likert"),
+        final_likert=_integral(final_likert, "final_likert") if final_likert is not None else None,
         final_stance=float(row["final_stance"]) if row.get("final_stance") is not None else None,
         evidence=evidence,
     )
@@ -517,7 +521,7 @@ def load_cases_jsonl(path) -> tuple[list[ReplayCase], list[tuple[int, str]]]:
                 continue
             try:
                 cases.append(case_from_dict(json.loads(line)))
-            except (ValueError, KeyError, ContractError) as exc:
+            except (ValueError, KeyError, TypeError, ContractError) as exc:
                 errors.append((line_number, str(exc)))
     return cases, errors
 

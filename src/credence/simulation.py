@@ -26,7 +26,7 @@ from .engine import (
 )
 from .exceptions import ContractError
 from .extraction import Message, ScriptedExtractor, parse_scripted_message
-from .judgement import CandidateArgument, TableScorer
+from .judgement import CandidateArgument
 
 OPEN_MINDED = UAProfile(uptake=0.40, anchoring=0.20)
 STUBBORN = UAProfile(uptake=0.10, anchoring=0.80)
@@ -48,10 +48,11 @@ def make_agent(
     theta_self: float,
     k: int = 5,
 ) -> AgentState:
-    """Offline agent: scripted extractor, hint-table scorer, template generator."""
+    """Offline agent: scripted extractor, template generator, and no
+    scorer, since every scripted claim carries its strength hint."""
     config = EngineConfig(
         extractor=ScriptedExtractor(),
-        scorer=TableScorer(),
+        scorer=None,
         generator=TemplateGenerator(),
         theta=theta,
         theta_self=theta_self,

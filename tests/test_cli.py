@@ -4,6 +4,7 @@ import random
 import pytest
 import yaml
 
+from credence import judgement
 from credence.cli import main
 from credence.replay import EvidenceItem, ReplayCase, case_to_dict
 
@@ -115,10 +116,31 @@ def test_replay_key_topic(tmp_path):
 
 def test_replay_strict_rejects_bad_lines(tmp_path):
     cases = write_cases(tmp_path / "cases.jsonl", n=5)
+    row = json.loads(open(cases).readline())
+    row["evidence"][0]["polarity"] = None  # a line error, not a crash
     with open(cases, "a") as handle:
         handle.write("garbage\n")
+        handle.write(json.dumps(row) + "\n")
     assert main(["replay", "--cases", cases, "--out", str(tmp_path / "a")]) == 0
     assert main(["replay", "--cases", cases, "--strict", "--out", str(tmp_path / "b")]) == 1
+
+
+def test_replay_unreachable_scoring_service_is_runtime_error(tmp_path, monkeypatch, capsys):
+    attempts = []
+
+    def down(url, payload, timeout):
+        attempts.append(url)
+        raise OSError("connection refused")
+
+    monkeypatch.setattr(judgement, "requests_transport", down)
+    monkeypatch.delenv("CREDENCE_SCORER_URL", raising=False)
+    cases = tmp_path / "cases.jsonl"
+    row = case_to_dict(ReplayCase("p", "g", "t", 3, 4, evidence=[EvidenceItem(claim="unscored", polarity=1)]))
+    cases.write_text(json.dumps(row) + "\n")
+    config = write_yaml(tmp_path / "c.yaml", {"ports": {"scorer": "service", "scorer_url": "http://scores.invalid"}})
+    assert main(["replay", "--config", config, "--cases", str(cases), "--out", str(tmp_path / "o")]) == 2
+    assert attempts == ["http://scores.invalid"] * 3  # the default 2 retries
+    assert "runtime error" in capsys.readouterr().err
 
 
 def test_replay_empty_file_is_error(tmp_path):

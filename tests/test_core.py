@@ -54,8 +54,8 @@ def test_profile_validation():
     UAProfile(uptake=0.0, anchoring=0.0)
     with pytest.raises(ConfigError):
         UAProfile(uptake=-0.1, anchoring=0.5)
-    with pytest.raises(ConfigError):
-        UAProfile(uptake=0.1, anchoring=0.5, confirmation_asymmetry=0.2)
+    with pytest.raises(TypeError):  # the control pair has no third field
+        UAProfile(uptake=0.1, anchoring=0.5, confirmation_asymmetry=0.0)
 
 
 def test_record_weight_by_role():

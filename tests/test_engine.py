@@ -19,13 +19,13 @@ from credence.engine import (
 )
 from credence.exceptions import ContractError, TraceVerificationError
 from credence.extraction import Message, ScriptedExtractor
-from credence.judgement import CandidateArgument, TableScorer
+from credence.judgement import CandidateArgument
 
 
 def make_agent(uptake=0.4, anchoring=0.2, k=5):
     config = EngineConfig(
         extractor=ScriptedExtractor(),
-        scorer=TableScorer(),
+        scorer=None,
         generator=TemplateGenerator(),
         k=k,
     )

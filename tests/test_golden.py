@@ -1,16 +1,20 @@
-"""Golden-output regression: the default ``credence sweep`` and ``credence
-debate`` must keep writing byte-identical files.
+"""Golden-output regression: the default ``credence sweep``, ``credence
+debate`` and ``credence replay`` must keep writing byte-identical files.
 
 The README promises identical outputs for identical config snapshots, and
 refactors of the judgement, memory and belief-update paths are checked
 against that promise.  The digests below were recorded once from the
 default commands (no ``--config``, no ``--seed``); neither command writes
-an absolute path, so they do not depend on the output directory.  A
+an absolute path, so they do not depend on the output directory.  Replay
+reads a case file generated here from a fixed seed; its
+``resolved_config.json`` holds that file's path and is left out.  A
 failing test means an output byte changed: find out why before touching a
 digest.
 """
 
 import hashlib
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -80,3 +84,63 @@ def test_default_command_outputs_are_byte_identical(command, tmp_path, capsys):
     out = tmp_path / command
     assert cli_main([command, "--out", str(out)]) == 0
     assert _digests(out) == GOLDEN_SHA256[command]
+
+
+def _write_mixed_cases(path: Path, n: int = 40, seed: int = 11) -> None:
+    """Cases mixing hinted items, unhinted items (scored by the builtin
+    scorer) and raw-text items (a scripted CLAIM line among other lines,
+    sometimes with a malformed-hint line).  Claims are drawn from twelve
+    phrases, some with one word appended, so exact repeats and
+    paraphrases reach deduplication."""
+    rng = random.Random(seed)
+    words = ["rent", "transit", "budget", "parks", "audit", "schools", "tax", "housing", "safety", "jobs"]
+    claims = [" ".join(rng.choice(words) for _ in range(4)) for _ in range(12)]
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(n):
+            evidence = []
+            for _ in range(rng.randint(2, 7)):
+                claim = rng.choice(claims)
+                if rng.random() < 0.3:
+                    claim += " " + rng.choice(words)
+                polarity = rng.choice((-1, 1))
+                kind = rng.randrange(3)
+                if kind == 0:
+                    evidence.append({"claim": claim, "polarity": polarity, "strength": rng.random()})
+                elif kind == 1:
+                    evidence.append({"claim": claim, "polarity": polarity})
+                else:
+                    sign = "+" if polarity > 0 else "-"
+                    lines = [f"CLAIM {sign}{rng.random()!r}: {claim}", "a line that is not a claim"]
+                    if rng.random() < 0.3:
+                        lines.append(f"CLAIM +high: {claim} again")
+                    evidence.append({"text": "\n".join(lines)})
+            row = {
+                "participant": f"p{i}",
+                "group": f"g{i % 6}",
+                "topic": f"topic {i % 2}",
+                "initial_likert": rng.randint(1, 6),
+                "evidence": evidence,
+            }
+            if rng.random() < 0.5:
+                row["final_likert"] = rng.randint(1, 6)
+            else:
+                row["final_stance"] = rng.uniform(-1.0, 1.0)
+            handle.write(json.dumps(row) + "\n")
+
+
+GOLDEN_REPLAY_SHA256 = {
+    'folds.csv': '8dbff0134f984f3be740c3370f21bc4cd4205f57b57352f8b93f170a71bdf585',
+    'predictions.csv': '70cc4f918539aefebce4b012843088d7acf537f6c79da49396f102773a2aac27',
+    'subgroups.csv': 'e4de5ba18f5a50ffb51652642ef7e74dd83a044c6c5ca60a5e013f0c12465146',
+    'surface.csv': 'c8628ec76377893afbcb08568ba2416748b2fe5874b81a352e502dbb8e3eed90',
+}
+
+
+def test_default_replay_outputs_are_byte_identical(tmp_path, capsys):
+    cases = tmp_path / "cases.jsonl"
+    _write_mixed_cases(cases)
+    out = tmp_path / "replay"
+    assert cli_main(["replay", "--cases", str(cases), "--out", str(out)]) == 0
+    digests = _digests(out)
+    del digests["resolved_config.json"]  # holds the case file's path
+    assert digests == GOLDEN_REPLAY_SHA256

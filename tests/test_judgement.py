@@ -12,16 +12,29 @@ from credence.judgement import (
     ArgumentRecord,
     BuiltinScorer,
     CandidateArgument,
+    ScorerPort,
     ServiceScorer,
-    TableScorer,
     cosine_similarity,
     embed_claim,
     ingest_record,
+    judge,
     resolve_conflict,
     resolve_self_conflict,
     score_strength,
 )
 from credence.memory import MemoryStore
+
+
+class FixedScorer(ScorerPort):
+    """Returns one value for every claim and counts its calls."""
+
+    def __init__(self, value):
+        self.value = value
+        self.calls = 0
+
+    def score(self, topic, claim):
+        self.calls += 1
+        return self.value
 
 
 def make_record(claim, polarity=1, strength=0.5, role=Role.OPPONENT):
@@ -35,6 +48,29 @@ def test_candidate_validation():
         CandidateArgument(claim="   ", polarity=1, role=Role.SELF)
     with pytest.raises(ContractError):
         CandidateArgument(claim="x", polarity=0, role=Role.SELF)
+    for hint in (float("nan"), float("inf"), -0.1, 1.7, "0.5", True):
+        with pytest.raises(ContractError):
+            CandidateArgument(claim="x", polarity=1, role=Role.SELF, strength_hint=hint)
+
+
+def test_judge_takes_the_hint_else_the_scorer():
+    store = MemoryStore()
+    scorer = FixedScorer(0.25)
+    hinted = CandidateArgument(claim=" parks need lights ", polarity=1, role=Role.OPPONENT, strength_hint=0.75)
+    record, outcome = judge(store, hinted, "t", scorer, 0.8, 0.5)
+    assert (record.strength, record.claim, scorer.calls) == (0.75, "parks need lights", 0)
+    assert outcome.kept_new and store.records == [record]
+    unhinted = CandidateArgument(claim="bridges need paint", polarity=-1, role=Role.OPPONENT)
+    record, _ = judge(store, unhinted, "t", scorer, 0.8, 0.5)
+    assert (record.strength, scorer.calls) == (0.25, 1)
+    assert record.embedding is store.embed("bridges need paint")
+
+
+def test_judge_without_hint_or_scorer_is_a_contract_error():
+    store = MemoryStore()
+    with pytest.raises(ContractError):
+        judge(store, CandidateArgument(claim="x", polarity=1, role=Role.OPPONENT), "t", None, 0.8, 0.5)
+    assert len(store) == 0
 
 
 def test_embedding_deterministic_and_normalised():
@@ -76,14 +112,6 @@ def test_builtin_scorer_range_and_determinism():
     assert scorer.score("t", "claim 0") == values[0]
 
 
-def test_table_scorer_lookup_and_miss():
-    scorer = TableScorer()
-    scorer.register("t", "claim", 0.7)
-    assert scorer.score("t", "claim") == 0.7
-    with pytest.raises(ScoringBackendError):
-        scorer.score("t", "unknown claim")
-
-
 def test_service_scorer_retries_then_fails():
     calls = []
 
@@ -97,13 +125,27 @@ def test_service_scorer_retries_then_fails():
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("body", [{"value": 0.4}, {"score": "high"}, ["score"], None])
+def test_service_scorer_does_not_retry_a_malformed_body(body):
+    calls = []
+
+    def garbled(url, payload, timeout):
+        calls.append(payload)
+        return body
+
+    scorer = ServiceScorer("http://scores.invalid", retries=2, transport=garbled)
+    with pytest.raises(ScoringBackendError):
+        scorer.score("t", "claim")
+    assert len(calls) == 1
+
+
 def test_service_scorer_success():
     scorer = ServiceScorer("http://scores.invalid", transport=lambda u, p, t: {"score": 0.42})
     assert scorer.score("t", "claim") == 0.42
 
 
 def test_score_strength_clamps():
-    scorer = TableScorer({("t", "c"): 1.7})
+    scorer = FixedScorer(1.7)
     candidate = CandidateArgument(claim="c", polarity=1, role=Role.OPPONENT)
     assert score_strength(candidate, "t", scorer) == 1.0
 
@@ -111,7 +153,7 @@ def test_score_strength_clamps():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_score_strength_rejects_non_finite_scores(bad):
     # Clamping would turn NaN into 0.0 and infinities into 0 or 1.
-    scorer = TableScorer({("t", "c"): bad})
+    scorer = FixedScorer(bad)
     candidate = CandidateArgument(claim="c", polarity=1, role=Role.OPPONENT)
     with pytest.raises(ScoringBackendError):
         score_strength(candidate, "t", scorer)

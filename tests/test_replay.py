@@ -8,7 +8,7 @@ import pytest
 from credence.core import UAProfile
 from credence.exceptions import ContractError, ScoringBackendError
 from credence.extraction import ScriptedExtractor
-from credence.judgement import BuiltinScorer, TableScorer
+from credence.judgement import BuiltinScorer, ScorerPort
 from credence.replay import (
     CalibrationGrid,
     EvidenceItem,
@@ -141,11 +141,16 @@ def test_unscored_items_need_scorer():
     assert 0.0 <= records[0].strength <= 1.0
 
 
+class NanScorer(ScorerPort):
+    def score(self, topic, claim):
+        return float("nan")
+
+
 def test_non_finite_scorer_output_is_a_backend_error():
     # Replay scores unscored items through the same path as the engine.
     case = make_case(evidence=[EvidenceItem(claim="x", polarity=1)])
     with pytest.raises(ScoringBackendError):
-        accepted_records(case, theta=0.85, scorer=TableScorer({("t", "x"): float("nan")}))
+        accepted_records(case, theta=0.85, scorer=NanScorer())
 
 
 def test_linear_baseline_closed_form():
@@ -244,3 +249,63 @@ def test_jsonl_roundtrip_and_error_reporting(tmp_path):
     rebuilt = case_from_dict(case_to_dict(cases[0]))
     assert rebuilt.participant == cases[0].participant
     assert rebuilt.evidence[0].strength == 0.5
+
+
+def _good_row():
+    return {
+        "participant": "p",
+        "group": "g",
+        "topic": "t",
+        "initial_likert": 3,
+        "final_likert": 4,
+        "evidence": [{"claim": "x", "polarity": 1, "strength": 0.5}],
+    }
+
+
+def _with(path, value):
+    row = _good_row()
+    target = row
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(row)
+
+
+BAD_CASE_LINES = {
+    "strength-nan": _with(("evidence", 0, "strength"), float("nan")),
+    "strength-above-one": _with(("evidence", 0, "strength"), 1.7),
+    "strength-negative": _with(("evidence", 0, "strength"), -0.2),
+    "strength-string": _with(("evidence", 0, "strength"), "0.5"),
+    "polarity-fractional": _with(("evidence", 0, "polarity"), 1.5),
+    "polarity-null": _with(("evidence", 0, "polarity"), None),
+    "polarity-infinite": _with(("evidence", 0, "polarity"), float("inf")),
+    "claim-number": _with(("evidence", 0, "claim"), 5),
+    "claim-blank": _with(("evidence", 0, "claim"), "  "),
+    "text-number": _with(("evidence", 0), {"text": 7}),
+    "initial-likert-fractional": _with(("initial_likert",), 4.7),
+    "initial-likert-null": _with(("initial_likert",), None),
+    "final-likert-fractional": _with(("final_likert",), 4.5),
+    "final-stance-out-of-range": _with(("final_stance",), 7.0),
+    "final-stance-nan": _with(("final_stance",), float("nan")),
+    "evidence-null": _with(("evidence",), None),
+    "row-not-an-object": "[1, 2]",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_CASE_LINES.values()), ids=list(BAD_CASE_LINES))
+def test_malformed_case_values_are_line_errors(tmp_path, line):
+    # None of these may be coerced (NaN strength to 0.0, 1.5 to 1, 4.7 to
+    # 4), accepted as is, or raised past the loader.
+    path = tmp_path / "cases.jsonl"
+    path.write_text(json.dumps(_good_row()) + "\n" + line + "\n")
+    cases, errors = load_cases_jsonl(path)
+    assert len(cases) == 1
+    assert [number for number, _ in errors] == [2]
+
+
+def test_integral_floats_load_as_ints():
+    row = _good_row()
+    row["initial_likert"], row["evidence"][0]["polarity"] = 3.0, -1.0
+    case = case_from_dict(row)
+    assert (case.initial_likert, case.evidence[0].polarity) == (3, -1)
+    assert type(case.initial_likert) is int
