@@ -23,7 +23,6 @@ from .core import (
     Role,
     UAProfile,
     clip_stance,
-    init_prior_from_stance,
     log_odds_from_stance,
     stance_from_log_odds,
 )
@@ -73,6 +72,9 @@ class ReplayCase:
     evidence: list = field(default_factory=list)
 
     def __post_init__(self):
+        for name in ("participant", "group", "topic"):
+            if not isinstance(getattr(self, name), str):
+                raise ContractError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.initial_likert not in range(1, 7):
             raise ContractError(f"initial_likert {self.initial_likert} outside 1..6")
         if self.final_likert is None and self.final_stance is None:
@@ -137,6 +139,18 @@ def accepted_records(
     return store.active_records()
 
 
+def _predict(anchoring: float, prior_logit: float, evidence: float) -> float:
+    """The replay prediction kernel: anchoring-scaled prior logit plus the
+    evidence term, read out as a stance.  replay_case and every
+    calibration grid cell go through it, so a cell equals a replay
+    bitwise."""
+    return stance_from_log_odds(anchoring * prior_logit + evidence)
+
+
+def _evidence_term(records: list[ArgumentRecord], uptake: float) -> float:
+    return sum(r.polarity * math.log1p(r.strength * uptake) for r in records)
+
+
 def predict_from_accepted(
     records: list[ArgumentRecord],
     initial_stance: float,
@@ -145,9 +159,8 @@ def predict_from_accepted(
 ) -> float:
     """Prior term (anchoring-scaled initial log-odds) plus u-weighted
     evidence over the accepted stream."""
-    prior = init_prior_from_stance(initial_stance, profile, clip_bound)
-    evidence = sum(r.polarity * math.log1p(r.strength * profile.uptake) for r in records)
-    return stance_from_log_odds(prior.log_odds + evidence)
+    prior_logit = log_odds_from_stance(clip_stance(initial_stance, clip_bound))
+    return _predict(profile.anchoring, prior_logit, _evidence_term(records, profile.uptake))
 
 
 def replay_case(
@@ -195,6 +208,8 @@ def assign_folds(cases: list[ReplayCase], key: str = "group", folds: int = 5, se
     key always land in the same fold."""
     if key not in ("group", "topic"):
         raise ContractError(f"fold key must be 'group' or 'topic', got {key!r}")
+    if isinstance(folds, bool) or not isinstance(folds, int) or folds < 1:
+        raise ContractError(f"folds must be an integer >= 1, got {folds!r}")
     keys = sorted({getattr(case, key) for case in cases})
     if len(keys) < folds:
         logger.warning("only %d distinct %s keys; using %d folds", len(keys), key, len(keys))
@@ -252,37 +267,71 @@ class CalibrationResult:
     heldout_predictions: np.ndarray  # per case, from its fold's selected cell
 
 
-class _PreparedCases:
-    """Per-case quantities that do not depend on (u, a): prior logit,
-    observed final, and the evidence term per u-grid value.
+def _fold_splits(fold_ids) -> list:
+    """(fold, train mask, test mask) per fold in ascending order.  A lone
+    fold trains on its own cases."""
+    fold_ids = np.asarray(fold_ids)
+    splits = []
+    for fold in sorted(set(fold_ids.tolist())):
+        test = fold_ids == fold
+        splits.append((int(fold), test if test.all() else ~test, test))
+    return splits
 
-    Evidence terms and predictions use the same scalar arithmetic (and
-    summation order) as replay_case, so grid cells reproduce per-case
-    replays bitwise.
-    """
 
-    def __init__(self, cases, u_values, theta, scorer, extractor, clip_bound):
-        self.finals = np.array([c.observed_final for c in cases])
-        self.prior_logits = np.array(
-            [log_odds_from_stance(clip_stance(c.initial_stance, clip_bound)) for c in cases]
-        )
-        self.evidence_terms = np.zeros((len(cases), len(u_values)))
-        self.net_evidence = np.zeros(len(cases))
-        for i, case in enumerate(cases):
-            records = accepted_records(case, theta, scorer, extractor)
-            for j, u in enumerate(u_values):
-                self.evidence_terms[i, j] = sum(
-                    r.polarity * math.log1p(r.strength * u) for r in records
-                )
-            self.net_evidence[i] = sum(r.polarity * r.strength for r in records)
+def _case_terms(cases, u_values, theta, scorer, extractor, clip_bound):
+    """Judge each case's stream once.  Returns, as arrays over cases, the
+    observed finals, the prior logits, the evidence term at each u value
+    (case x u) and the net evidence."""
+    finals = np.array([c.observed_final for c in cases])
+    prior_logits = np.array([log_odds_from_stance(clip_stance(c.initial_stance, clip_bound)) for c in cases])
+    evidence = np.empty((len(cases), len(u_values)))
+    net = np.empty(len(cases))
+    for i, case in enumerate(cases):
+        records = accepted_records(case, theta, scorer, extractor)
+        evidence[i] = [_evidence_term(records, u) for u in u_values]
+        net[i] = sum(r.polarity * r.strength for r in records)
+    return finals, prior_logits, evidence, net
 
-    def predictions(self, u_index: int, a: float) -> np.ndarray:
-        return np.array(
-            [
-                math.tanh((a * l0 + ev) / 2.0)
-                for l0, ev in zip(self.prior_logits, self.evidence_terms[:, u_index])
-            ]
-        )
+
+def _cell(anchoring: float, prior_logits, evidence) -> np.ndarray:
+    """Predictions of one (u, a) cell; `evidence` holds the terms at u."""
+    return np.array([_predict(anchoring, l0, ev) for l0, ev in zip(prior_logits, evidence)])
+
+
+def _rmse(squared_errors):
+    """Root mean over the last axis.  Rows must be C-contiguous: numpy
+    sums a strided row in another order, which changes the last bit."""
+    return np.sqrt(np.mean(squared_errors, axis=-1))
+
+
+def _select(finals, prior_logits, evidence, fold_ids, grid: CalibrationGrid) -> CalibrationResult:
+    """calibrate's grid search over per-case terms (evidence is case x u):
+    the RMSE surface, the per-fold selection and each case's held-out
+    prediction."""
+    splits = _fold_splits(fold_ids)
+    priors = prior_logits.tolist()
+    surface = {}
+    best = [None] * len(splits)
+    for ui, u in enumerate(grid.u_values):
+        # One (a x case) slab per u value, reduced before the next one; the
+        # whole (u x a x case) tensor would raise peak memory.
+        column = evidence[:, ui].tolist()
+        errors = (np.array([_cell(a, priors, column) for a in grid.a_values]) - finals) ** 2
+        surface.update(zip([(u, a) for a in grid.a_values], _rmse(errors).tolist()))
+        for f, (_, train, _) in enumerate(splits):
+            for a, rmse in zip(grid.a_values, _rmse(np.compress(train, errors, axis=1)).tolist()):
+                if best[f] is None or rmse < best[f][0] - 1e-15:
+                    best[f] = (rmse, ui, u, a)
+    fold_results = []
+    heldout_predictions = np.full(len(finals), np.nan)
+    for (fold, _, test), (train_rmse, ui, u, a) in zip(splits, best):
+        preds = _cell(a, prior_logits[test].tolist(), evidence[test, ui].tolist())
+        heldout_predictions[test] = preds
+        heldout = float(_rmse((preds - finals[test]) ** 2))
+        fold_results.append(FoldResult(fold=fold, u=u, a=a, train_rmse=train_rmse, heldout_rmse=heldout))
+    return CalibrationResult(
+        fold_results=fold_results, surface=surface, heldout_predictions=heldout_predictions
+    )
 
 
 def calibrate(
@@ -293,46 +342,14 @@ def calibrate(
     scorer: Optional[ScorerPort] = None,
     extractor: Optional[ExtractorPort] = None,
     clip_bound: float = STANCE_CLIP,
-    prepared: Optional[_PreparedCases] = None,
 ) -> CalibrationResult:
     """Select the training-RMSE-minimising (u, a) per fold (ties prefer
     smaller u, then smaller a) and report held-out RMSE plus the pooled
     RMSE surface."""
     if not cases:
         raise ContractError("calibrate needs at least one case")
-    if prepared is None:
-        prepared = _PreparedCases(cases, grid.u_values, theta, scorer, extractor, clip_bound)
-    fold_ids = np.asarray(fold_ids)
-    finals = prepared.finals
-
-    surface = {}
-    for ui, u in enumerate(grid.u_values):
-        for a in grid.a_values:
-            preds = prepared.predictions(ui, a)
-            surface[(u, a)] = float(np.sqrt(np.mean((preds - finals) ** 2)))
-
-    fold_results = []
-    heldout_predictions = np.full(len(cases), np.nan)
-    for fold in sorted(set(fold_ids.tolist())):
-        train = fold_ids != fold
-        test = ~train
-        if not train.any():
-            train = test  # single-fold degenerate case: fit and test on the same cases
-        best = None
-        for ui, u in enumerate(grid.u_values):
-            for a in grid.a_values:
-                preds = prepared.predictions(ui, a)
-                rmse = float(np.sqrt(np.mean((preds[train] - finals[train]) ** 2)))
-                if best is None or rmse < best[0] - 1e-15:
-                    best = (rmse, ui, u, a)
-        train_rmse, ui, u, a = best
-        preds = prepared.predictions(ui, a)
-        heldout = float(np.sqrt(np.mean((preds[test] - finals[test]) ** 2))) if test.any() else float("nan")
-        heldout_predictions[test] = preds[test]
-        fold_results.append(FoldResult(fold=int(fold), u=u, a=a, train_rmse=train_rmse, heldout_rmse=heldout))
-    return CalibrationResult(
-        fold_results=fold_results, surface=surface, heldout_predictions=heldout_predictions
-    )
+    finals, prior_logits, evidence, _ = _case_terms(cases, grid.u_values, theta, scorer, extractor, clip_bound)
+    return _select(finals, prior_logits, evidence, fold_ids, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -382,50 +399,38 @@ def build_replay_report(
     if not cases:
         raise ContractError("no valid replay cases")
     fold_ids = assign_folds(cases, key=key, folds=folds, seed=seed)
-    prepared = _PreparedCases(cases, grid.u_values, theta, scorer, extractor, clip_bound)
-
-    pooled = calibrate(cases, grid, fold_ids, theta, scorer, extractor, clip_bound, prepared=prepared)
-
+    finals, prior_logits, evidence, net = _case_terms(
+        cases, grid.u_values, theta, scorer, extractor, clip_bound
+    )
+    pooled = _select(finals, prior_logits, evidence, fold_ids, grid)
     initials = np.array([c.initial_stance for c in cases])
-    finals = prepared.finals
-    no_change = initials.copy()
 
     # Linear baseline: one beta per fold, fit on training cases only.
-    fold_array = np.asarray(fold_ids)
     linear_betas = {}
     linear_preds = np.zeros(len(cases))
-    for fold in sorted(set(fold_ids)):
-        train = fold_array != fold
-        if not train.any():
-            train = ~train
-        beta = fit_linear_baseline(
-            zip(prepared.net_evidence[train], (finals - initials)[train])
-        )
-        linear_betas[int(fold)] = beta
-        test = fold_array == fold
-        linear_preds[test] = np.clip(initials[test] + beta * prepared.net_evidence[test], -1.0, 1.0)
+    for fold, train, test in _fold_splits(fold_ids):
+        beta = fit_linear_baseline(zip(net[train], (finals - initials)[train]))
+        linear_betas[fold] = beta
+        linear_preds[test] = np.clip(initials[test] + beta * net[test], -1.0, 1.0)
 
-    subgroups = [
-        classify_subgroup(case, prepared.net_evidence[i], eps_weak) for i, case in enumerate(cases)
-    ]
+    subgroups = [classify_subgroup(case, net[i], eps_weak) for i, case in enumerate(cases)]
 
     group_calibrations = {}
     surfaces = {"all": pooled.surface}
     summaries = [
-        _summarise("all", cases, np.arange(len(cases)), pooled.heldout_predictions, no_change, linear_preds)
+        _summarise("all", cases, np.arange(len(cases)), pooled.heldout_predictions, initials, linear_preds)
     ]
     for label in SUBGROUP_LABELS:
         indices = np.array([i for i, g in enumerate(subgroups) if g == label], dtype=int)
         if len(indices) == 0:
             continue
-        sub_cases = [cases[i] for i in indices]
-        sub_folds = [fold_ids[i] for i in indices]
-        sub_prepared = _Restricted(prepared, indices)
-        result = calibrate(sub_cases, grid, sub_folds, theta, scorer, extractor, clip_bound, prepared=sub_prepared)
+        result = _select(
+            finals[indices], prior_logits[indices], evidence[indices], np.asarray(fold_ids)[indices], grid
+        )
         group_calibrations[label] = result
         surfaces[label] = result.surface
         summaries.append(
-            _summarise(label, cases, indices, result.heldout_predictions, no_change, linear_preds)
+            _summarise(label, cases, indices, result.heldout_predictions, initials, linear_preds)
         )
     return ReplayReport(
         cases=cases,
@@ -436,36 +441,21 @@ def build_replay_report(
         subgroup_of_case=subgroups,
         linear_betas=linear_betas,
         linear_predictions=linear_preds,
-        no_change_predictions=no_change,
+        no_change_predictions=initials,
         surfaces=surfaces,
     )
-
-
-class _Restricted:
-    """View of prepared case quantities restricted to an index subset."""
-
-    def __init__(self, prepared: _PreparedCases, indices: np.ndarray):
-        self.finals = prepared.finals[indices]
-        self.prior_logits = prepared.prior_logits[indices]
-        self.evidence_terms = prepared.evidence_terms[indices]
-        self.net_evidence = prepared.net_evidence[indices]
-
-    predictions = _PreparedCases.predictions
 
 
 def _summarise(label, cases, indices, be_predictions, no_change, linear_preds) -> GroupSummary:
     sub_cases = [cases[i] for i in indices]
     finals = np.array([c.observed_final for c in sub_cases])
-    be = np.asarray(be_predictions)
-    if len(be) == len(cases):
-        be = be[indices]
     return GroupSummary(
         group=label,
         n=len(sub_cases),
         mean_abs_movement=float(np.mean([abs(c.delta) for c in sub_cases])),
         no_change_rmse=float(np.sqrt(np.mean((no_change[indices] - finals) ** 2))),
         linear_rmse=float(np.sqrt(np.mean((linear_preds[indices] - finals) ** 2))),
-        be_rmse=float(np.sqrt(np.nanmean((be - finals) ** 2))),
+        be_rmse=float(np.sqrt(np.nanmean((be_predictions - finals) ** 2))),
     )
 
 
@@ -488,7 +478,9 @@ def case_from_dict(row: dict) -> ReplayCase:
         raise ContractError(f"case must be a JSON object, got {type(row).__name__}")
     evidence = []
     for item in row.get("evidence", []):
-        if "text" in item and "claim" not in item:
+        if "text" in item:
+            if "claim" in item:
+                raise ContractError("evidence item carries both claim and text")
             evidence.append(EvidenceItem(text=item["text"]))
         else:
             evidence.append(
@@ -500,9 +492,9 @@ def case_from_dict(row: dict) -> ReplayCase:
             )
     final_likert = row.get("final_likert")
     return ReplayCase(
-        participant=str(row["participant"]),
-        group=str(row["group"]),
-        topic=str(row["topic"]),
+        participant=row["participant"],
+        group=row["group"],
+        topic=row["topic"],
         initial_likert=_integral(row["initial_likert"], "initial_likert"),
         final_likert=_integral(final_likert, "final_likert") if final_likert is not None else None,
         final_stance=float(row["final_stance"]) if row.get("final_stance") is not None else None,

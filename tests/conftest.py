@@ -1,6 +1,14 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+makes the property tests draw the same examples on every run."""
 
 import re
+
+from hypothesis import settings
+
+# Examples are derived from each test's own source, so two runs of the
+# suite (say, before and after a change) try the same inputs.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 _results = {}

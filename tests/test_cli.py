@@ -125,6 +125,14 @@ def test_replay_strict_rejects_bad_lines(tmp_path):
     assert main(["replay", "--cases", cases, "--strict", "--out", str(tmp_path / "b")]) == 1
 
 
+@pytest.mark.parametrize("folds", [0, "3", 2.5])
+def test_replay_bad_folds_is_validation_error(tmp_path, capsys, folds):
+    cases = write_cases(tmp_path / "cases.jsonl", n=5)
+    config = write_yaml(tmp_path / "c.yaml", {"replay": {"folds": folds}})
+    assert main(["replay", "--config", config, "--cases", cases, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: folds must be an integer >= 1")
+
+
 def test_replay_unreachable_scoring_service_is_runtime_error(tmp_path, monkeypatch, capsys):
     attempts = []
 

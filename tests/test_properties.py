@@ -1,9 +1,10 @@
-"""Property tests for the indexed active set.
+"""Property tests for the indexed active set and the calibration grid.
 
 The store answers deduplication queries from an index (a matvec
-shortlist, then exact cosine_similarity), and the engine and the trace
-verifier update L incrementally.  Each property compares that fast path
-with the brute-force rule it replaces, bitwise.
+shortlist, then exact cosine_similarity), the engine and the trace
+verifier update L incrementally, and calibration evaluates its grid from
+per-case terms.  Each property compares that fast path with the
+brute-force rule it replaces, bitwise.
 """
 
 import math
@@ -23,6 +24,7 @@ from credence.exceptions import TraceVerificationError
 from credence.extraction import Message
 from credence.judgement import ArgumentRecord, cosine_similarity, embed_claim, ingest_record
 from credence.memory import MemoryStore, dump_jsonl, load_jsonl
+from credence.replay import CalibrationGrid, EvidenceItem, ReplayCase, build_replay_report, calibrate, replay_case
 from credence.simulation import load_scripted_claims, make_agent, seed_agent
 
 PHRASES = (
@@ -267,3 +269,85 @@ def test_embeddings_are_shared_and_read_only():
     assert np.array_equal(first, embed_claim("parks matter"))
     assert not first.flags.writeable
     assert MemoryStore().embed("parks matter") is not first  # one cache per store
+
+
+grid_values = st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3, unique=True).map(lambda v: tuple(sorted(v)))
+replay_cases = st.lists(
+    st.tuples(
+        st.integers(1, 6),
+        st.one_of(st.integers(1, 6), st.floats(-1.0, 1.0)),  # final Likert (some stable cases) or stance
+        st.integers(0, 5),
+        st.lists(
+            st.tuples(
+                st.integers(0, len(PHRASES) - 1), st.integers(0, 3), st.sampled_from((-1, 1)), st.floats(0.0, 1.0)
+            ),
+            max_size=4,
+        ),
+    ),
+    min_size=10,  # so that training sets reach numpy's 8-way summation
+    max_size=36,
+)
+
+
+def make_replay_case(index, initial, final, group, items):
+    return ReplayCase(
+        participant=f"p{index}",
+        group=f"g{group}",
+        topic="t",
+        initial_likert=initial,
+        final_likert=final if isinstance(final, int) else None,
+        final_stance=final if isinstance(final, float) else None,
+        evidence=[EvidenceItem(_claim(phrase, 0, suffix), sign, strength) for phrase, suffix, sign, strength in items],
+    )
+
+
+def assert_cells_are_replays(result, replays, finals, fold_ids):
+    """The grid of `result` against 1-D arrays of replay_case predictions
+    (`replays`: (u, a) -> predictions for the cases it was fitted on)."""
+
+    def rmse(preds, idx):
+        return float(np.sqrt(np.mean((preds[idx] - finals[idx]) ** 2)))
+
+    assert result.surface == {cell: rmse(preds, np.arange(len(finals))) for cell, preds in replays.items()}
+    assert [f.fold for f in result.fold_results] == sorted(set(fold_ids.tolist()))
+    for fold in result.fold_results:
+        test = np.flatnonzero(fold_ids == fold.fold)
+        train = np.flatnonzero(fold_ids != fold.fold)
+        if len(train) == 0:
+            train = test  # a lone fold trains on its own cases
+        best = None
+        for cell, preds in replays.items():  # u outer, a inner: ties keep the first cell
+            if best is None or rmse(preds, train) < best[0] - 1e-15:
+                best = (rmse(preds, train), cell)
+        assert (fold.train_rmse, (fold.u, fold.a)) == best
+        selected = replays[(fold.u, fold.a)]
+        assert fold.heldout_rmse == rmse(selected, test)
+        assert result.heldout_predictions[test].tolist() == selected[test].tolist()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    rows=replay_cases,
+    u_values=grid_values,
+    a_values=grid_values,
+    fold_draw=st.lists(st.integers(0, 2), min_size=36, max_size=36),
+    folds=st.integers(1, 4),
+)
+def test_calibration_cells_equal_replay_case(rows, u_values, a_values, fold_draw, folds):
+    cases = [make_replay_case(i, *row) for i, row in enumerate(rows)]
+    grid = CalibrationGrid(u_values=u_values, a_values=a_values)
+    finals = np.array([c.observed_final for c in cases])
+    replays = {
+        (u, a): np.array([replay_case(c, UAProfile(u, a)) for c in cases]) for u in u_values for a in a_values
+    }
+
+    fold_ids = np.array(fold_draw[: len(cases)])
+    assert_cells_are_replays(calibrate(cases, grid, fold_ids.tolist()), replays, finals, fold_ids)
+
+    report = build_replay_report(cases, grid, folds=folds)
+    report_folds = np.array(report.fold_ids)
+    assert_cells_are_replays(report.pooled, replays, finals, report_folds)
+    for label, result in report.group_calibrations.items():
+        idx = np.flatnonzero(np.array(report.subgroup_of_case) == label)
+        subset = {cell: preds[idx] for cell, preds in replays.items()}
+        assert_cells_are_replays(result, subset, finals[idx], report_folds[idx])

@@ -288,6 +288,10 @@ BAD_CASE_LINES = {
     "final-stance-out-of-range": _with(("final_stance",), 7.0),
     "final-stance-nan": _with(("final_stance",), float("nan")),
     "evidence-null": _with(("evidence",), None),
+    "claim-and-text": _with(("evidence", 0, "text"), "CLAIM +0.5: y"),
+    "participant-null": _with(("participant",), None),
+    "group-list": _with(("group",), [1, 2]),
+    "topic-number": _with(("topic",), 7),
     "row-not-an-object": "[1, 2]",
 }
 
