@@ -9,19 +9,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import config as config_mod
 from .exceptions import ConfigError, ContractError, CredenceError, TraceVerificationError
 from .engine import read_trace, verify_trace, write_trace
-from .extraction import CLAIM_LINE
+from .extraction import CLAIM_LINE, ScriptedExtractor, ServiceExtractor
 from .judgement import BuiltinScorer, ServiceScorer
-from .extraction import ScriptedExtractor, ServiceExtractor
 from .replay import CalibrationGrid, build_replay_report, load_cases_jsonl
 from .simulation import (
     DebateConfig,
+    MetricSummary,
     PROFILE_PRESETS,
     SweepConfig,
     load_scripted_claims,
@@ -59,7 +61,7 @@ def main(argv=None) -> int:
         if args.command == "replay":
             return cmd_replay(args)
         return cmd_trace_verify(args)
-    except (ConfigError, ContractError) as exc:
+    except (ConfigError, ContractError, OSError) as exc:  # OSError: a file cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TraceVerificationError as exc:
@@ -89,38 +91,63 @@ def _script_lines(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sweep(args) -> int:
+def _from_section(build, section: dict, **extra):
+    """Call build (a run object's class or a function) with the config
+    keys named like its parameters, plus extra."""
+    names = inspect.signature(build).parameters
+    return build(**{key: value for key, value in section.items() if key in names}, **extra)
+
+
+def _prologue(args, command: str, seed_key: str, build):
+    """Load the config, apply --seed, and build and check every run object
+    with build(cfg); only then create --out and write the snapshot, so a
+    command that fails here writes nothing."""
     cfg = config_mod.load_config(args.config)
-    section = cfg["sweep"]
     if args.seed is not None:
-        section["rng_seed"] = args.seed
-    if not section["grid"]:
-        raise ConfigError("sweep.grid is empty")
+        cfg[command][seed_key] = args.seed
+    built = build(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config_mod.write_snapshot(cfg, out)
+    return built, out
 
-    corpus = load_scripted_claims(config_mod.load_corpus_text(section["seed_file"], "seeds.txt"))
-    script = _script_lines(config_mod.load_corpus_text(section["opponent_file"], "opponent_con.txt"))
-    sweep_config = SweepConfig(
-        topic=section["topic"],
-        rounds=section["rounds"],
-        seeds_per_side=section["seeds_per_side"],
-        target=section["target"],
-        fixed_u=section["fixed_u"],
-        fixed_a=section["fixed_a"],
-        theta=section["theta"],
-        theta_self=section["theta_self"],
-        k=section["k"],
-        rng_seed=section["rng_seed"],
-    )
 
+def _build_port(ports: dict, name: str, local: str, local_cls, service_cls):
+    """The `ports.<name>` backend: `local` or an HTTP service, whose URL an
+    environment variable overrides."""
+    kind = ports[name]
+    if kind == local:
+        return local_cls()
+    if kind != "service":
+        raise ConfigError(f"unknown {name} kind {kind!r}; use {local!r} or 'service'")
+    variable = f"CREDENCE_{name.upper()}_URL"
+    url = os.environ.get(variable) or ports[f"{name}_url"]
+    if not url:
+        raise ConfigError(f"ports.{name}=service needs {name}_url or {variable}")
+    return service_cls(url, timeout=ports["timeout"], retries=ports["retries"])
+
+
+def _ports(cfg: dict) -> dict:
+    ports = cfg["ports"]
+    return {
+        "scorer": _build_port(ports, "scorer", "builtin", BuiltinScorer, ServiceScorer),
+        "extractor": _build_port(ports, "extractor", "scripted", ScriptedExtractor, ServiceExtractor),
+    }
+
+
+def cmd_sweep(args) -> int:
+    def build(cfg):
+        section = cfg["sweep"]
+        corpus = load_scripted_claims(config_mod.load_corpus_text(section["seed_file"], "seeds.txt"))
+        script = _script_lines(config_mod.load_corpus_text(section["opponent_file"], "opponent_con.txt"))
+        return _from_section(SweepConfig, section), corpus, script, _ports(cfg)
+
+    (sweep_config, corpus, script, ports), out = _prologue(args, "sweep", "rng_seed", build)
     trajectory_rows = []
     final_rows = []
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
     for param in ("u", "a"):
-        runs = run_scripted_opponent_sweep(sweep_config, section["grid"], param, corpus, script)
+        runs = run_scripted_opponent_sweep(sweep_config, sweep_config.grid, param, corpus, script, **ports)
         for run, agent in runs:
             for round_index, stance in enumerate(run.stances):
                 trajectory_rows.append([param, run.value, round_index, repr(stance)])
@@ -132,18 +159,25 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_debate(args) -> int:
-    cfg = config_mod.load_config(args.config)
-    section = cfg["debate"]
-    if args.seed is not None:
-        section["rng_seed"] = args.seed
-    if section["trials"] < 1:
-        raise ConfigError("debate.trials must be >= 1")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    config_mod.write_snapshot(cfg, out)
+def _pairing_profiles(pairing: str) -> dict:
+    try:
+        pro_name, con_name = pairing.split("/")
+        return {"pro_profile": PROFILE_PRESETS[pro_name], "con_profile": PROFILE_PRESETS[con_name]}
+    except (ValueError, KeyError):
+        raise ConfigError(f"unknown pairing {pairing!r}; use e.g. 'open/stubborn'")
 
-    corpus = load_scripted_claims(config_mod.load_corpus_text(section["seed_file"], "seeds.txt"))
+
+def cmd_debate(args) -> int:
+    def build(cfg):
+        section = cfg["debate"]
+        debates = [
+            (pairing, _from_section(DebateConfig, section, **_pairing_profiles(pairing)))
+            for pairing in section["pairings"]
+        ]
+        corpus = load_scripted_claims(config_mod.load_corpus_text(section["seed_file"], "seeds.txt"))
+        return debates, corpus, _ports(cfg)
+
+    (debates, corpus, ports), out = _prologue(args, "debate", "rng_seed", build)
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
 
@@ -151,60 +185,15 @@ def cmd_debate(args) -> int:
     convergence_rows = []
     series_rows = []
     summary_rows = []
-    for pairing in section["pairings"]:
-        try:
-            pro_name, con_name = pairing.split("/")
-            pro_profile = PROFILE_PRESETS[pro_name]
-            con_profile = PROFILE_PRESETS[con_name]
-        except (ValueError, KeyError):
-            raise ConfigError(f"unknown pairing {pairing!r}; use e.g. 'open/stubborn'")
-        debate_config = DebateConfig(
-            topic=section["topic"],
-            pro_profile=pro_profile,
-            con_profile=con_profile,
-            rounds=section["rounds"],
-            seeds_per_side=section["seeds_per_side"],
-            pro_target=section["targets"][0],
-            con_target=section["targets"][1],
-            trials=section["trials"],
-            rng_seed=section["rng_seed"],
-            theta=section["theta"],
-            theta_self=section["theta_self"],
-            k=section["k"],
-        )
-        result = run_two_agent_debate(debate_config, corpus)
+    for pairing, debate_config in debates:
+        result = run_two_agent_debate(debate_config, corpus, **ports)
+        topic = debate_config.topic
         slug = pairing.replace("/", "-")
         for trial, metrics in enumerate(result.per_trial_metrics):
-            metric_rows.append(
-                [
-                    section["topic"],
-                    pairing,
-                    trial,
-                    repr(metrics.final_pro),
-                    repr(metrics.final_con),
-                    repr(metrics.abs_final_gap),
-                    repr(metrics.gap_reduction),
-                    repr(metrics.mean_abs_shift),
-                    repr(metrics.centre_shift),
-                    repr(metrics.crossing_rate),
-                ]
-            )
+            metric_rows.append([topic, pairing, trial, *map(repr, astuple(metrics))])
         summary = result.metrics
-        summary_rows.append(
-            [
-                section["topic"],
-                pairing,
-                section["trials"],
-                repr(summary.final_pro),
-                repr(summary.final_con),
-                repr(summary.abs_final_gap),
-                repr(summary.gap_reduction),
-                repr(summary.mean_abs_shift),
-                repr(summary.centre_shift),
-                repr(summary.crossing_rate),
-            ]
-        )
-        convergence_rows.append([section["topic"], pairing, repr(summary.convergence)])
+        summary_rows.append([topic, pairing, debate_config.trials, *map(repr, astuple(summary))])
+        convergence_rows.append([topic, pairing, repr(summary.convergence)])
         for trial, series in enumerate(result.series):
             for round_index, (pro_stance, con_stance) in enumerate(series):
                 series_rows.append([pairing, trial, round_index, "pro", repr(pro_stance)])
@@ -213,93 +202,39 @@ def cmd_debate(args) -> int:
             write_trace(trace_dir / f"debate_{slug}_t{trial}_pro.jsonl", pro_trace)
             write_trace(trace_dir / f"debate_{slug}_t{trial}_con.jsonl", con_trace)
 
-    _write_csv(
-        out / "debate_metrics.csv",
-        [
-            "topic", "setup", "trial", "final_pro", "final_con", "abs_final_gap",
-            "gap_reduction", "mean_abs_shift", "centre_shift", "crossing",
-        ],
-        metric_rows,
-    )
-    _write_csv(
-        out / "debate_summary.csv",
-        [
-            "topic", "setup", "n", "final_pro", "final_con", "abs_final_gap",
-            "gap_reduction", "mean_abs_shift", "centre_shift", "crossing_rate",
-        ],
-        summary_rows,
-    )
+    columns = [f.name for f in fields(MetricSummary)]  # the per-trial file calls crossing_rate "crossing"
+    _write_csv(out / "debate_metrics.csv", ["topic", "setup", "trial", *columns[:-1], "crossing"], metric_rows)
+    _write_csv(out / "debate_summary.csv", ["topic", "setup", "n", *columns], summary_rows)
     _write_csv(out / "convergence.csv", ["topic", "pairing", "convergence"], convergence_rows)
     _write_csv(out / "series.csv", ["pairing", "trial", "round", "agent", "stance"], series_rows)
     print(f"debate complete: {out}")
     return 0
 
 
-def _build_scorer(ports: dict):
-    kind = ports["scorer"]
-    url = os.environ.get("CREDENCE_SCORER_URL") or ports["scorer_url"]
-    if kind == "service":
-        if not url:
-            raise ConfigError("ports.scorer=service needs scorer_url or CREDENCE_SCORER_URL")
-        return ServiceScorer(url, timeout=ports["timeout"], retries=ports["retries"])
-    # Strength hints are read from the candidates themselves, so "table"
-    # scores the unhinted ones exactly as "builtin" does.
-    if kind in ("table", "builtin"):
-        return BuiltinScorer()
-    raise ConfigError(f"unknown scorer kind {kind!r}")
-
-
-def _build_extractor(ports: dict):
-    kind = ports["extractor"]
-    url = os.environ.get("CREDENCE_EXTRACTOR_URL") or ports["extractor_url"]
-    if kind == "service":
-        if not url:
-            raise ConfigError("ports.extractor=service needs extractor_url or CREDENCE_EXTRACTOR_URL")
-        return ServiceExtractor(url, timeout=ports["timeout"], retries=ports["retries"])
-    if kind == "scripted":
-        return ScriptedExtractor()
-    raise ConfigError(f"unknown extractor kind {kind!r}")
-
-
 def cmd_replay(args) -> int:
-    cfg = config_mod.load_config(args.config)
-    section = cfg["replay"]
-    if args.seed is not None:
-        section["seed"] = args.seed
-    if args.key is not None:
-        section["key"] = args.key
-    case_file = args.cases or section["case_file"]
-    if not case_file:
-        raise ConfigError("replay needs a case file (--cases or replay.case_file)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg["replay"]["case_file"] = str(case_file)
-    config_mod.write_snapshot(cfg, out)
+    def build(cfg):
+        section = cfg["replay"]
+        if args.key is not None:
+            section["key"] = args.key
+        case_file = args.cases or section["case_file"]
+        if not case_file:
+            raise ConfigError("replay needs a case file (--cases or replay.case_file)")
+        section["case_file"] = str(case_file)
+        cases, errors = load_cases_jsonl(case_file)
+        for line_number, message in errors:
+            print(f"{case_file}:{line_number}: {message}", file=sys.stderr)
+        if errors and args.strict:
+            raise ContractError(f"{len(errors)} malformed case lines (strict mode)")
+        if not cases:
+            raise ContractError(f"no valid replay cases in {case_file}")
+        grid = CalibrationGrid(u_values=tuple(section["u_grid"]), a_values=tuple(section["a_grid"]))
+        # key, folds, seed, theta and eps_weak are passed by name.
+        return _from_section(
+            build_replay_report, section, cases=cases, grid=grid, clip_bound=section["clip"], **_ports(cfg)
+        )
 
-    cases, errors = load_cases_jsonl(case_file)
-    for line_number, message in errors:
-        print(f"{case_file}:{line_number}: {message}", file=sys.stderr)
-    if errors and args.strict:
-        raise ContractError(f"{len(errors)} malformed case lines (strict mode)")
-    if not cases:
-        raise ContractError(f"no valid replay cases in {case_file}")
-
-    grid = CalibrationGrid(u_values=tuple(section["u_grid"]), a_values=tuple(section["a_grid"]))
-    scorer = _build_scorer(cfg["ports"])
-    extractor = _build_extractor(cfg["ports"])
-    report = build_replay_report(
-        cases,
-        grid,
-        key=section["key"],
-        folds=section["folds"],
-        seed=section["seed"],
-        theta=section["theta"],
-        scorer=scorer,
-        extractor=extractor,
-        eps_weak=section["eps_weak"],
-        clip_bound=section["clip"],
-    )
-
+    # The report is built before anything is written.
+    report, out = _prologue(args, "replay", "seed", build)
     _write_csv(
         out / "folds.csv",
         ["fold", "u", "a", "train_rmse", "heldout_rmse"],
@@ -352,3 +287,7 @@ def cmd_trace_verify(args) -> int:
     final = verify_trace(events)
     print(f"trace verified: L={final.log_odds!r} S={final.stance!r} ({len(events)} events)")
     return 0
+
+
+if __name__ == "__main__":
+    entrypoint()

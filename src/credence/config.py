@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -14,13 +15,9 @@ from .replay import DEFAULT_A_GRID, DEFAULT_U_GRID
 
 DEFAULT_TOPIC = "The city should adopt participatory budgeting"
 
+# Every leaf is read by a command, and its default fixes the type a
+# config file may give it (see _conforms).
 DEFAULTS = {
-    "engine": {
-        "theta": 0.80,
-        "theta_self": 0.50,
-        "k": 5,
-        "history_window": 6,
-    },
     "sweep": {
         "topic": DEFAULT_TOPIC,
         "grid": [0.2, 0.4, 0.6, 0.8, 1.0],
@@ -63,9 +60,8 @@ DEFAULTS = {
         "theta": 0.85,
     },
     "ports": {
-        "scorer": "table",
+        "scorer": "builtin",
         "extractor": "scripted",
-        "generator": "template",
         "scorer_url": None,
         "extractor_url": None,
         "timeout": 5.0,
@@ -74,15 +70,40 @@ DEFAULTS = {
 }
 
 
+def _conforms(value, default) -> bool:
+    """Type check against the default: an int default takes an int, a
+    float default a finite int or float, a null default a string or
+    null, a list default a list whose items conform to its first item.
+    A bool is never a number."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_conforms(item, default[0]) for item in value)
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, float):
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is type(default)
+
+
+def _kind(default) -> str:
+    if isinstance(default, list):
+        return f"a list of items, each {_kind(default[0])}"
+    if default is None:
+        return "a string or null"
+    return {int: "an integer", float: "a finite number", str: "a string", dict: "a mapping"}[type(default)]
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     merged = copy.deepcopy(base)
     for key, value in override.items():
+        dotted = f"{path}{key}"
         if key not in merged:
-            raise ConfigError(f"unknown config key {path + key!r}")
+            raise ConfigError(f"unknown config key {dotted!r}")
         if isinstance(merged[key], dict) and isinstance(value, dict):
-            merged[key] = _merge(merged[key], value, path + key + ".")
-        else:
+            merged[key] = _merge(merged[key], value, dotted + ".")
+        elif _conforms(value, merged[key]):
             merged[key] = value
+        else:
+            raise ConfigError(f"config key {dotted!r} must be {_kind(merged[key])}, got {value!r}")
     return merged
 
 

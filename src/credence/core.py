@@ -58,6 +58,8 @@ def log_odds_from_stance(stance: float) -> float:
 
 
 def clip_stance(stance: float, bound: float = STANCE_CLIP) -> float:
+    if not 0.0 <= bound < 1.0:  # a bound of 1 leaves +-1, which has no log-odds
+        raise ConfigError(f"stance clip bound must be in [0, 1), got {bound!r}")
     return max(-bound, min(bound, stance))
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .core import Role
 from .exceptions import ContractError, ExtractionBackendError
-from .judgement import CandidateArgument, post_with_retries, requests_transport
+from .judgement import CandidateArgument, ServiceClient
 
 # One claim per line: CLAIM <sign><strength-hint>: <text>
 CLAIM_LINE = re.compile(r"^\s*CLAIM\s*([+\-−])\s*(\S+?)\s*:\s*(.+?)\s*$")
@@ -78,20 +78,13 @@ class ScriptedExtractor(ExtractorPort):
         return parse_scripted_message(message, on_warning)
 
 
-class ServiceExtractor(ExtractorPort):
+class ServiceExtractor(ServiceClient, ExtractorPort):
     """HTTP extractor: POST {topic, message_text}, expect a JSON array of
     {claim, polarity}. Invalid items are dropped with warnings; transport
     failure after the configured retries aborts the run."""
 
-    def __init__(self, url: str, timeout: float = 5.0, retries: int = 2, transport: Optional[Callable] = None):
-        self.url = url
-        self.timeout = timeout
-        self.retries = retries
-        self.transport = transport or requests_transport
-
     def extract(self, topic: str, message: Message, on_warning=None):
-        payload = {"topic": topic, "message_text": message.text}
-        items = post_with_retries(self.transport, self.url, payload, self.timeout, self.retries, ExtractionBackendError)
+        items = self.post({"topic": topic, "message_text": message.text}, ExtractionBackendError)
         if not isinstance(items, list):
             raise ExtractionBackendError(f"extraction service returned {type(items).__name__}, expected a list")
 

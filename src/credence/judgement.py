@@ -103,38 +103,43 @@ class BuiltinScorer(ScorerPort):
         return int.from_bytes(digest, "big") / float(2**64)
 
 
-class ServiceScorer(ScorerPort):
-    """HTTP scorer: POST {topic, claim}, expect {score}."""
+class ServiceClient:
+    """One HTTP backend, shared by the service scorer and extractor: a
+    per-call timeout (> 0) and ``retries`` (>= 0) extra attempts."""
 
     def __init__(self, url: str, timeout: float = 5.0, retries: int = 2, transport: Optional[Callable] = None):
+        if not timeout > 0.0 or retries < 0:  # NaN fails too
+            raise ContractError(f"service timeout must be > 0 and retries >= 0, got {timeout!r} and {retries!r}")
         self.url = url
         self.timeout = timeout
         self.retries = retries
         self.transport = transport or requests_transport
 
+    def post(self, payload: dict, error_cls):
+        """POST through the transport, retrying only transport failures.
+
+        Returns the decoded body of the first call that succeeds; judging
+        the body is the caller's job, so a malformed reply is not retried.
+        After ``retries + 1`` failed calls, raises ``error_cls``.
+        """
+        last_error = None
+        for _ in range(self.retries + 1):
+            try:
+                return self.transport(self.url, payload, self.timeout)
+            except Exception as exc:  # noqa: BLE001 - any transport failure counts
+                last_error = exc
+        raise error_cls(f"service unreachable at {self.url} after {self.retries + 1} attempts: {last_error}")
+
+
+class ServiceScorer(ServiceClient, ScorerPort):
+    """HTTP scorer: POST {topic, claim}, expect {score}."""
+
     def score(self, topic: str, claim: str) -> float:
-        payload = {"topic": topic, "claim": claim}
-        body = post_with_retries(self.transport, self.url, payload, self.timeout, self.retries, ScoringBackendError)
+        body = self.post({"topic": topic, "claim": claim}, ScoringBackendError)
         try:
             return float(body["score"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ScoringBackendError(f"scoring service at {self.url} returned a malformed body {body!r}") from exc
-
-
-def post_with_retries(transport: Callable, url: str, payload: dict, timeout: float, retries: int, error_cls):
-    """POST through the transport, retrying only transport failures.
-
-    Returns the decoded body of the first call that succeeds; judging the
-    body is the caller's job, so a malformed reply is not retried.  After
-    ``retries + 1`` failed calls, raises ``error_cls``.
-    """
-    last_error = None
-    for _ in range(retries + 1):
-        try:
-            return transport(url, payload, timeout)
-        except Exception as exc:  # noqa: BLE001 - any transport failure counts
-            last_error = exc
-    raise error_cls(f"service unreachable at {url} after {retries + 1} attempts: {last_error}")
 
 
 def requests_transport(url: str, payload: dict, timeout: float):

@@ -125,6 +125,8 @@ def accepted_records(
 ) -> list[ArgumentRecord]:
     """Run the case's stream through judgement (scoring plus dedup at
     theta) and return the records that stay active, in stream order."""
+    if not 0.0 <= theta <= 1.0:  # NaN fails too
+        raise ContractError(f"replay theta must be in [0, 1], got {theta!r}")
     store = MemoryStore()
     for index, item in enumerate(case.evidence):
         if item.text is not None:
@@ -222,6 +224,8 @@ def assign_folds(cases: list[ReplayCase], key: str = "group", folds: int = 5, se
 
 def classify_subgroup(case: ReplayCase, evidence: float, eps_weak: float = 0.05) -> str:
     """Outcome-conditioned diagnostic label for one case."""
+    if not eps_weak >= 0.0:  # NaN fails too
+        raise ContractError(f"eps_weak must be >= 0, got {eps_weak!r}")
     if case.delta == 0.0:
         return "stable"
     if abs(evidence) < eps_weak:
@@ -473,6 +477,13 @@ def _integral(value, name: str) -> int:
     raise ContractError(f"{name} {value!r} is not an integer")
 
 
+def _number(value, name: str) -> float:
+    """A numeric field: strings and booleans are rejected, not converted."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ContractError(f"{name} {value!r} is not a number")
+
+
 def case_from_dict(row: dict) -> ReplayCase:
     if not isinstance(row, dict):
         raise ContractError(f"case must be a JSON object, got {type(row).__name__}")
@@ -497,7 +508,7 @@ def case_from_dict(row: dict) -> ReplayCase:
         topic=row["topic"],
         initial_likert=_integral(row["initial_likert"], "initial_likert"),
         final_likert=_integral(final_likert, "final_likert") if final_likert is not None else None,
-        final_stance=float(row["final_stance"]) if row.get("final_stance") is not None else None,
+        final_stance=_number(row["final_stance"], "final_stance") if row.get("final_stance") is not None else None,
         evidence=evidence,
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 from .core import BeliefState, Role, UAProfile, stance_from_log_odds
@@ -25,8 +25,8 @@ from .engine import (
     refresh_belief,
 )
 from .exceptions import ContractError
-from .extraction import Message, ScriptedExtractor, parse_scripted_message
-from .judgement import CandidateArgument
+from .extraction import ExtractorPort, Message, ScriptedExtractor, parse_scripted_message
+from .judgement import CandidateArgument, ScorerPort
 
 OPEN_MINDED = UAProfile(uptake=0.40, anchoring=0.20)
 STUBBORN = UAProfile(uptake=0.10, anchoring=0.80)
@@ -47,12 +47,16 @@ def make_agent(
     theta: float,
     theta_self: float,
     k: int = 5,
+    *,
+    scorer: Optional[ScorerPort] = None,
+    extractor: Optional[ExtractorPort] = None,
 ) -> AgentState:
-    """Offline agent: scripted extractor, template generator, and no
-    scorer, since every scripted claim carries its strength hint."""
+    """Agent with a template generator.  By default it runs offline: a
+    scripted extractor and no scorer, since every scripted claim carries
+    its strength hint."""
     config = EngineConfig(
-        extractor=ScriptedExtractor(),
-        scorer=None,
+        extractor=extractor or ScriptedExtractor(),
+        scorer=scorer,
         generator=TemplateGenerator(),
         theta=theta,
         theta_self=theta_self,
@@ -152,6 +156,20 @@ class SweepRun:
         return self.stances[-1]
 
 
+def _check_ranges(config, counts: tuple, targets) -> None:
+    """Range checks shared by the sweep and debate configs: thresholds in
+    [0, 1], the named counts >= 1, seed targets in [-1, 1]."""
+    for name in ("theta", "theta_self"):
+        if not 0.0 <= getattr(config, name) <= 1.0:  # NaN fails too
+            raise ContractError(f"{name} must be in [0, 1], got {getattr(config, name)!r}")
+    for name in counts:
+        if getattr(config, name) < 1:
+            raise ContractError(f"{name} must be >= 1, got {getattr(config, name)!r}")
+    for target in targets:
+        if not -1.0 <= target <= 1.0:
+            raise ContractError(f"seed target {target!r} outside [-1, 1]")
+
+
 @dataclass
 class SweepConfig:
     topic: str
@@ -164,6 +182,12 @@ class SweepConfig:
     theta_self: float = 0.50
     k: int = 5
     rng_seed: int = 7
+    grid: tuple = (0.2, 0.4, 0.6, 0.8, 1.0)  # the u and a values the CLI sweeps, checked here
+
+    def __post_init__(self):
+        _check_ranges(self, ("rounds", "seeds_per_side", "k"), [self.target])
+        if not self.grid or min(*self.grid, self.fixed_u, self.fixed_a) < 0.0:
+            raise ContractError(f"sweep grid {list(self.grid)!r} must be non-empty, and it, fixed_u and fixed_a >= 0")
 
 
 def run_scripted_opponent_sweep(
@@ -172,6 +196,8 @@ def run_scripted_opponent_sweep(
     param: str,
     seed_corpus: list[CandidateArgument],
     opponent_script: list[str],
+    scorer: Optional[ScorerPort] = None,
+    extractor: Optional[ExtractorPort] = None,
 ) -> list[tuple[SweepRun, AgentState]]:
     """One seeded pro agent per grid value, against a fixed con script."""
     if param not in ("u", "a"):
@@ -187,7 +213,8 @@ def run_scripted_opponent_sweep(
         else:
             profile = UAProfile(uptake=config.fixed_u, anchoring=value)
         agent = make_agent(
-            f"sweep-{param}-{value}", config.topic, profile, config.theta, config.theta_self, config.k
+            f"sweep-{param}-{value}", config.topic, profile, config.theta, config.theta_self, config.k,
+            scorer=scorer, extractor=extractor,
         )
         rng = random.Random(config.rng_seed)
         seed_agent(agent, seed_corpus, config.seeds_per_side, config.target, rng=rng)
@@ -211,8 +238,7 @@ class DebateConfig:
     con_profile: UAProfile
     rounds: int = 15
     seeds_per_side: int = 10
-    pro_target: float = 0.75
-    con_target: float = -0.75
+    targets: tuple = (0.75, -0.75)  # seed targets of pro and con
     trials: int = 3
     rng_seed: int = 7
     theta: float = 0.60
@@ -220,10 +246,9 @@ class DebateConfig:
     k: int = 5
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ContractError("rounds must be >= 1")
-        if self.trials < 1:
-            raise ContractError("trials must be >= 1")
+        if len(self.targets) != 2:
+            raise ContractError(f"a debate needs two seed targets (pro, con), got {self.targets!r}")
+        _check_ranges(self, ("rounds", "seeds_per_side", "trials", "k"), self.targets)
 
 
 @dataclass
@@ -259,18 +284,25 @@ class DebateResult:
     per_trial_metrics: list = field(default_factory=list)
 
 
-def run_two_agent_debate(config: DebateConfig, seed_corpus: list[CandidateArgument]) -> DebateResult:
+def run_two_agent_debate(
+    config: DebateConfig,
+    seed_corpus: list[CandidateArgument],
+    scorer: Optional[ScorerPort] = None,
+    extractor: Optional[ExtractorPort] = None,
+) -> DebateResult:
     """Alternating-turn debate; pro speaks round 1.  Each turn is compose,
     listener processes, then speaker self-feedback."""
+    ports = {"scorer": scorer, "extractor": extractor}
+    pro_target, con_target = config.targets
     all_series = []
     all_trials = []
     all_traces = []
     for trial in range(config.trials):
         rng = random.Random(config.rng_seed + trial)
-        pro = make_agent("pro", config.topic, config.pro_profile, config.theta, config.theta_self, config.k)
-        con = make_agent("con", config.topic, config.con_profile, config.theta, config.theta_self, config.k)
-        seed_agent(pro, seed_corpus, config.seeds_per_side, config.pro_target, rng=rng)
-        seed_agent(con, seed_corpus, config.seeds_per_side, config.con_target, rng=rng)
+        pro = make_agent("pro", config.topic, config.pro_profile, config.theta, config.theta_self, config.k, **ports)
+        con = make_agent("con", config.topic, config.con_profile, config.theta, config.theta_self, config.k, **ports)
+        seed_agent(pro, seed_corpus, config.seeds_per_side, pro_target, rng=rng)
+        seed_agent(con, seed_corpus, config.seeds_per_side, con_target, rng=rng)
         series = [(pro.belief.stance, con.belief.stance)]
         for round_index in range(1, config.rounds + 1):
             speaker, listener = (pro, con) if round_index % 2 == 1 else (con, pro)
@@ -323,16 +355,8 @@ def compute_metrics(trials: list[TrialStances]) -> tuple[MetricSummary, list[Met
                 crossing_rate=crossing,
             )
         )
-    n = len(per_trial)
-    summary = MetricSummary(
-        final_pro=sum(m.final_pro for m in per_trial) / n,
-        final_con=sum(m.final_con for m in per_trial) / n,
-        abs_final_gap=sum(m.abs_final_gap for m in per_trial) / n,
-        gap_reduction=sum(m.gap_reduction for m in per_trial) / n,
-        mean_abs_shift=sum(m.mean_abs_shift for m in per_trial) / n,
-        centre_shift=sum(m.centre_shift for m in per_trial) / n,
-        crossing_rate=sum(m.crossing_rate for m in per_trial) / n,
-    )
+    # Each field averaged over the trials, summed in trial order.
+    summary = MetricSummary(*(sum(column) / len(per_trial) for column in zip(*map(astuple, per_trial))))
     return summary, per_trial
 
 

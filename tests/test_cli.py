@@ -1,11 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import credence
 from credence import judgement
 from credence.cli import main
+from credence.config import DEFAULTS
 from credence.replay import EvidenceItem, ReplayCase, case_to_dict
 
 
@@ -65,9 +71,91 @@ def test_sweep_empty_grid_is_validation_error(tmp_path):
     assert rc == 1
 
 
-def test_unknown_config_key_is_validation_error(tmp_path):
-    config = write_yaml(tmp_path / "c.yaml", {"sweep": {"gird": [0.2]}})
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"sweep": {"gird": [0.2]}},
+        {"engine": {"theta": 0.5}},  # a removed section
+        {"ports": {"generator": "template"}},  # a removed key
+        {"ports": {"scorer": "table"}},  # a removed value
+    ],
+    ids=["sweep.gird", "engine.theta", "ports.generator", "ports.scorer-table"],
+)
+def test_unknown_config_key_is_validation_error(tmp_path, capsys, payload):
+    config = write_yaml(tmp_path / "c.yaml", payload)
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _leaf_keys(tree, path=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{path}{key}.")
+        else:
+            yield f"{path}{key}", value
+
+
+def _wrong_type(default):
+    if isinstance(default, list):
+        return [_wrong_type(default[0])]
+    if isinstance(default, float):
+        return "0.5"
+    if isinstance(default, int):
+        return 2.5
+    return 7  # for a string or null default
+
+
+LEAVES = dict(_leaf_keys(DEFAULTS))
+
+
+@pytest.mark.parametrize("key", sorted(LEAVES))
+def test_wrong_typed_config_value_is_validation_error(tmp_path, capsys, key):
+    section, leaf = key.split(".")
+    config = write_yaml(tmp_path / "c.yaml", {section: {leaf: _wrong_type(LEAVES[key])}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be")
+    assert not out.exists()
+
+
+# id -> (command, config, start of the error message)
+FAILING_RUNS = {
+    "replay-zero-folds": ("replay", {"replay": {"folds": 0}}, "folds must be an integer >= 1"),
+    "debate-unknown-pairing": ("debate", {"debate": {"pairings": ["open/nope"]}}, "unknown pairing"),
+    "sweep-k-string": ("sweep", {"sweep": {"k": "5"}}, "config key 'sweep.k' must be an integer"),
+    "sweep-theta-bool": ("sweep", {"sweep": {"theta": True}}, "config key 'sweep.theta' must be a finite number"),
+    "sweep-rounds-bool": ("sweep", {"sweep": {"rounds": True}}, "config key 'sweep.rounds' must be an integer"),
+    "sweep-grid-null-item": ("sweep", {"sweep": {"grid": [0.2, None]}}, "config key 'sweep.grid' must be a list"),
+    "sweep-section-list": ("sweep", {"sweep": [1]}, "config key 'sweep' must be a mapping"),
+    "sweep-theta-above-one": ("sweep", {"sweep": {"theta": 2.5}}, "theta must be in [0, 1]"),
+    "sweep-theta-nan": ("sweep", {"sweep": {"theta": float("nan")}}, "config key 'sweep.theta' must be a finite number"),
+    "sweep-k-zero": ("sweep", {"sweep": {"k": 0}}, "k must be >= 1"),
+    "sweep-negative-grid-value": ("sweep", {"sweep": {"grid": [0.2, -0.1]}}, "sweep grid [0.2, -0.1] must be"),
+    "sweep-missing-seed-file": ("sweep", {"sweep": {"seed_file": "no-such-seed-file.txt"}}, "[Errno 2]"),
+    "debate-one-target": ("debate", {"debate": {"targets": [0.5]}}, "a debate needs two seed targets"),
+    "debate-target-out-of-range": ("debate", {"debate": {"targets": [1.5, -0.5]}}, "seed target 1.5 outside"),
+    "debate-theta-self-negative": ("debate", {"debate": {"theta_self": -0.1}}, "theta_self must be in [0, 1]"),
+    "replay-theta-above-one": ("replay", {"replay": {"theta": 1.5}}, "replay theta must be in [0, 1]"),
+    "replay-clip-one": ("replay", {"replay": {"clip": 1.0}}, "stance clip bound must be in [0, 1)"),
+    "replay-eps-weak-negative": ("replay", {"replay": {"eps_weak": -1}}, "eps_weak must be >= 0"),
+    "ports-service-without-url": ("sweep", {"ports": {"scorer": "service"}}, "ports.scorer=service needs"),
+    "ports-negative-retries": (
+        "sweep",
+        {"ports": {"scorer": "service", "scorer_url": "http://x.invalid", "retries": -1}},
+        "service timeout must be > 0 and retries >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, payload, message", list(FAILING_RUNS.values()), ids=list(FAILING_RUNS))
+def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, command, payload, message):
+    monkeypatch.delenv("CREDENCE_SCORER_URL", raising=False)
+    cases = {"case_file": write_cases(tmp_path / "cases.jsonl", n=7)}  # read by the replay rows
+    config = write_yaml(tmp_path / "c.yaml", {**payload, "replay": {**cases, **payload.get("replay", {})}})
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 def test_debate_outputs(tmp_path):
@@ -130,7 +218,9 @@ def test_replay_bad_folds_is_validation_error(tmp_path, capsys, folds):
     cases = write_cases(tmp_path / "cases.jsonl", n=5)
     config = write_yaml(tmp_path / "c.yaml", {"replay": {"folds": folds}})
     assert main(["replay", "--config", config, "--cases", cases, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("error: folds must be an integer >= 1")
+    # A wrong type is rejected at load, a wrong value where the folds are dealt.
+    expected = "folds must be an integer >= 1" if folds == 0 else "config key 'replay.folds' must be an integer"
+    assert capsys.readouterr().err.startswith(f"error: {expected}")
 
 
 def test_replay_unreachable_scoring_service_is_runtime_error(tmp_path, monkeypatch, capsys):
@@ -148,6 +238,24 @@ def test_replay_unreachable_scoring_service_is_runtime_error(tmp_path, monkeypat
     config = write_yaml(tmp_path / "c.yaml", {"ports": {"scorer": "service", "scorer_url": "http://scores.invalid"}})
     assert main(["replay", "--config", config, "--cases", str(cases), "--out", str(tmp_path / "o")]) == 2
     assert attempts == ["http://scores.invalid"] * 3  # the default 2 retries
+    assert "runtime error" in capsys.readouterr().err
+
+
+def test_sweep_unreachable_extraction_service_is_runtime_error(tmp_path, monkeypatch, capsys):
+    attempts = []
+
+    def down(url, payload, timeout):
+        attempts.append(url)
+        raise OSError("connection refused")
+
+    monkeypatch.setattr(judgement, "requests_transport", down)
+    monkeypatch.delenv("CREDENCE_EXTRACTOR_URL", raising=False)
+    config = write_yaml(
+        tmp_path / "c.yaml",
+        {"sweep": {"grid": [0.2], "rounds": 1}, "ports": {"extractor": "service", "extractor_url": "http://claims.invalid"}},
+    )
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert attempts == ["http://claims.invalid"] * 3  # the default 2 retries
     assert "runtime error" in capsys.readouterr().err
 
 
@@ -189,3 +297,14 @@ def test_trace_verify_unreadable_trace(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("definitely not json\n")
     assert main(["trace-verify", str(bad)]) == 3
+
+
+def test_module_entry_point_reports_failure(tmp_path):
+    # `python -m credence.cli` runs the command and exits with its code.
+    env = {**os.environ, "PYTHONPATH": str(Path(credence.__file__).parents[1])}
+    missing = tmp_path / "missing.jsonl"
+    run = subprocess.run(
+        [sys.executable, "-m", "credence.cli", "trace-verify", str(missing)], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ")

@@ -9,7 +9,10 @@ an absolute path, so they do not depend on the output directory.  Replay
 reads a case file generated here from a fixed seed; its
 ``resolved_config.json`` holds that file's path and is left out.  A
 failing test means an output byte changed: find out why before touching a
-digest.
+digest.  The shared sweep/debate ``resolved_config.json`` digest was
+re-recorded once, when the unread ``engine`` section and
+``ports.generator`` were removed and the ``ports.scorer`` default became
+``builtin``; no other output byte changed then.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from credence.cli import main as cli_main
 
 GOLDEN_SHA256 = {
     'sweep': {
-        'resolved_config.json': '651123732e281f26c707cbd478bd8be22cb46e14df4a779624528eed033ae977',
+        'resolved_config.json': 'f7825cb1861c345c561480ffd2c082ef7cdcaba2a13709e8682522aef5687216',
         'sweep_finals.csv': '128a45da4f24917b7dd9fe0c85525c53ad6430e8804de46e4c4967eea1522c4b',
         'sweep_trajectories.csv': 'd0dd720dfff16598f3b3f03ff13f34c6004d8845b813ebf74eda25ed594ad967',
         'traces/sweep_a_0.2.jsonl': 'f85f52ccb8c5e5013f53aa2108fe8ad1885a2165e737c7189db137959f37f9db',
@@ -41,7 +44,7 @@ GOLDEN_SHA256 = {
         'convergence.csv': '0334eb51d0efb47bbda0d5aa7b1eb145c7fa265e9a99891d17768a794e1abd63',
         'debate_metrics.csv': 'e32223f995aeec92af61b611b5433fdeb6aa0d4e413b35b6a27763a1cfa257d1',
         'debate_summary.csv': '0838039debd1a3e1ccfeffff39bb50abc4c470e90099f2122b598c75168d8fdd',
-        'resolved_config.json': '651123732e281f26c707cbd478bd8be22cb46e14df4a779624528eed033ae977',
+        'resolved_config.json': 'f7825cb1861c345c561480ffd2c082ef7cdcaba2a13709e8682522aef5687216',
         'series.csv': 'a7a1964ed41ec09f5aa9405c72566cc68cb5b4f84ef697babdbf7c7f874fcc6b',
         'traces/debate_open-open_t0_con.jsonl': 'a3312dc9813d345a790960375166e2aaa6c1da41e53043a922f599b3ae865361',
         'traces/debate_open-open_t0_pro.jsonl': '79474c29c9b457cdc5602222552b2f175f1a7a621390b2802bc4b6508150016d',

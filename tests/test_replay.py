@@ -287,6 +287,8 @@ BAD_CASE_LINES = {
     "final-likert-fractional": _with(("final_likert",), 4.5),
     "final-stance-out-of-range": _with(("final_stance",), 7.0),
     "final-stance-nan": _with(("final_stance",), float("nan")),
+    "final-stance-string": _with(("final_stance",), "0.5"),
+    "final-stance-bool": _with(("final_stance",), True),
     "evidence-null": _with(("evidence",), None),
     "claim-and-text": _with(("evidence", 0, "text"), "CLAIM +0.5: y"),
     "participant-null": _with(("participant",), None),
