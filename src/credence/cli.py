@@ -26,9 +26,11 @@ from .simulation import (
     MetricSummary,
     PROFILE_PRESETS,
     SweepConfig,
+    check_script_length,
     load_scripted_claims,
     run_scripted_opponent_sweep,
     run_two_agent_debate,
+    seed_pool,
 )
 
 
@@ -139,6 +141,8 @@ def cmd_sweep(args) -> int:
         section = cfg["sweep"]
         corpus = load_scripted_claims(config_mod.load_corpus_text(section["seed_file"], "seeds.txt"))
         script = _script_lines(config_mod.load_corpus_text(section["opponent_file"], "opponent_con.txt"))
+        seed_pool(corpus, section["seeds_per_side"], section["target"])
+        check_script_length(script, section["rounds"])
         return _from_section(SweepConfig, section), corpus, script, _ports(cfg)
 
     (sweep_config, corpus, script, ports), out = _prologue(args, "sweep", "rng_seed", build)
@@ -175,6 +179,8 @@ def cmd_debate(args) -> int:
             for pairing in section["pairings"]
         ]
         corpus = load_scripted_claims(config_mod.load_corpus_text(section["seed_file"], "seeds.txt"))
+        for target in section["targets"]:
+            seed_pool(corpus, section["seeds_per_side"], target)
         return debates, corpus, _ports(cfg)
 
     (debates, corpus, ports), out = _prologue(args, "debate", "rng_seed", build)

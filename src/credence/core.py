@@ -105,19 +105,12 @@ def compute_log_odds(active_records, profile: UAProfile) -> float:
     return total
 
 
-def update_incremental(
-    state: BeliefState,
-    new_record,
-    profile: UAProfile,
-    archival_occurred: bool = False,
-) -> BeliefState:
+def update_incremental(state: BeliefState, new_record, profile: UAProfile) -> BeliefState:
     """Add one new active record's contribution to an existing state.
 
     Only valid when nothing was archived or replaced since the last
     update; otherwise the caller must recompute from the active set.
     """
-    if archival_occurred:
-        raise ContractError("archival occurred since last update; use compute_log_odds")
     _check_record(new_record)
     return BeliefState.from_log_odds(state.log_odds + record_contribution(new_record, profile))
 

@@ -158,17 +158,15 @@ def _stored_payload(record: ArgumentRecord, profile: UAProfile) -> dict:
 def refresh_belief(agent: AgentState) -> TraceEvent:
     """Bring L up to date with the active set, with before/after in the trace.
 
-    While no record has left the active set and no stored strength has
-    changed since the last update, the contributions of the records
-    stored since then are added in id order (update_incremental), which
-    equals the batch fold bitwise.  Otherwise the whole active set is
-    folded again.  Reading the active set first makes the store forget
-    records whose ``active`` flag was cleared directly, which bumps its
-    revision, so such a record leaves L at this update too.
+    While the store's revision is unchanged since the last update (no
+    record has left the active set and no stored strength has changed),
+    the contributions of the records stored since then are added in id
+    order (update_incremental), which equals the batch fold bitwise.
+    Otherwise the whole active set is folded again.  Every way out of the
+    active set bumps the revision, a direct ``active = False`` too.
     """
     before = agent.belief
     memory = agent.memory
-    active = memory.active_records()
     folded = agent.folded
     if folded is not None and folded[0] is memory and folded[2] == memory.revision:
         state = before
@@ -177,7 +175,7 @@ def refresh_belief(agent: AgentState) -> TraceEvent:
                 state = update_incremental(state, record, agent.profile)
         agent.belief = state
     else:
-        agent.belief = BeliefState.from_log_odds(compute_log_odds(active, agent.profile))
+        agent.belief = BeliefState.from_log_odds(compute_log_odds(memory.active_records(), agent.profile))
     agent.folded = (memory, len(memory.records), memory.revision)
     return agent.emit(
         "updated",

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,10 +55,28 @@ class ArgumentRecord:
     strength: float
     role: Role
     embedding: np.ndarray
-    active: bool = True
+    active: bool = True  # a property, set below
     id: Optional[int] = None
     archived_by: Optional[int] = None
     inserted_at: Optional[int] = None
+    # The holding MemoryStore, set by insert; weak, so there is no cycle.
+    store: Optional[weakref.ref] = field(default=None, init=False, repr=False, compare=False)
+
+
+def _set_active(record: ArgumentRecord, value: bool) -> None:
+    """Clearing ``active`` archives the record and tells its store, if
+    any; an archived record never re-enters the active set."""
+    was = getattr(record, "_active", None)
+    if value and was is not None and not was:
+        raise ContractError(f"archived record {record.id} cannot re-enter the active set")
+    record._active = value
+    store = record.store() if record.store is not None else None
+    if was and not value and store is not None:
+        store._forget(record)
+
+
+# Set after the dataclass is made, which keeps True as the field default.
+ArgumentRecord.active = property(lambda record: record._active, _set_active)
 
 
 def embed_claim(claim: str, dim: int = EMBED_DIM) -> np.ndarray:

@@ -5,9 +5,11 @@ counter, and archived records stay in the store for audit. Retrieval
 allocates context slots in proportion to the active pro/con composition,
 never by stance.
 
-The store keeps an index of its active records, so that deduplication,
-retrieval and the belief update cost in proportion to the active set
-rather than to everything ever stored:
+The store alone owns its active set: ``insert`` indexes an active record
+at once, and a stored record whose ``active`` flag is cleared, through
+``archive`` or directly, tells its store, which drops it from the index.
+The index makes deduplication, retrieval and the belief update cost in
+proportion to the active set rather than to everything ever stored:
 
 - per polarity, the active records and, once the pool is large enough
   for a matvec to pay, their unit-norm embeddings as rows of one growable
@@ -15,10 +17,6 @@ rather than to everything ever stored:
   the self pool;
 - the active records in id order;
 - one read-only embedding per distinct claim text seen by this store.
-
-Records appended to ``records`` directly are indexed at the next read,
-and a record archived by setting ``active = False`` directly is dropped
-from the index when a read meets it.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -86,9 +85,7 @@ class _PolarityIndex:
             self.own[n] = own
 
     def remove(self, record: ArgumentRecord) -> None:
-        row = self.row_of.pop(record.id, None)
-        if row is None:
-            return
+        row = self.row_of.pop(record.id)
         self.own_count -= record.role in _OWN_ROLES
         last = len(self.records) - 1
         if row != last:
@@ -127,8 +124,8 @@ class _PolarityIndex:
 
 @dataclass
 class MemoryStore:
-    records: list[ArgumentRecord] = field(default_factory=list)
-    insertion_counter: int = 0
+    records: list[ArgumentRecord] = field(default_factory=list, init=False)  # filled by insert only
+    insertion_counter: int = field(default=0, init=False)
     # Bumped whenever an indexed record leaves the active set or a stored
     # strength changes: a running sum over the active set is then stale.
     revision: int = field(default=0, init=False, compare=False)
@@ -136,7 +133,6 @@ class MemoryStore:
     _by_polarity: dict = field(
         default_factory=lambda: defaultdict(_PolarityIndex), init=False, repr=False, compare=False
     )
-    _indexed: int = field(default=0, init=False, repr=False, compare=False)
     _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def insert(self, record: ArgumentRecord) -> int:
@@ -146,6 +142,10 @@ class MemoryStore:
         record.inserted_at = self.insertion_counter
         self.insertion_counter += 1
         self.records.append(record)
+        record.store = weakref.ref(self)
+        if record.active:
+            self._active[record.id] = record
+            self._by_polarity[record.polarity].add(record)
         return record.id
 
     def embed(self, claim: str) -> np.ndarray:
@@ -161,10 +161,8 @@ class MemoryStore:
 
     def archive(self, record: ArgumentRecord, archived_by: Optional[int]) -> None:
         """Move a stored record to the archived partition."""
-        self._sync()
         record.active = False
         record.archived_by = archived_by
-        self._forget(record)
 
     def rescale(self, records, factor: float) -> None:
         """Multiply the strength of each given record by factor."""
@@ -173,12 +171,7 @@ class MemoryStore:
         self.revision += 1
 
     def active_records(self) -> list[ArgumentRecord]:
-        self._sync()
-        active = [r for r in self._active.values() if r.active]
-        if len(active) != len(self._active):
-            for record in [r for r in self._active.values() if not r.active]:
-                self._forget(record)
-        return active
+        return list(self._active.values())
 
     def candidates(self, embedding: np.ndarray, polarity: int, own_only: bool = False) -> list[ArgumentRecord]:
         """The active records of this polarity (only the agent's own, self
@@ -192,16 +185,10 @@ class MemoryStore:
         cosine_similarity in id order picks the record, and the value
         bitwise, that scoring the whole pool would.
         """
-        self._sync()
         index = self._by_polarity[polarity]
-        while index.size(own_only):
-            shortlist = index.shortlist(embedding, own_only)
-            stale = [r for r in shortlist if not r.active]
-            if not stale:
-                return sorted(shortlist, key=_by_id)
-            for record in stale:  # archived from outside the store
-                self._forget(record)
-        return []
+        if not index.size(own_only):
+            return []
+        return sorted(index.shortlist(embedding, own_only), key=_by_id)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -212,21 +199,11 @@ class MemoryStore:
     def retrieve(self, k: int) -> "RetrievalContext":
         return retrieve(self, k)
 
-    def _sync(self) -> None:
-        """Index the active records appended since the last read."""
-        if self._indexed == len(self.records):
-            return
-        for record in self.records[self._indexed :]:
-            if record.active:
-                self._active[record.id] = record
-                self._by_polarity[record.polarity].add(record)
-        self._indexed = len(self.records)
-
     def _forget(self, record: ArgumentRecord) -> None:
-        """Drop a record that is no longer active from an up-to-date index."""
-        if self._active.pop(record.id, None) is not None:
-            self._by_polarity[record.polarity].remove(record)
-            self.revision += 1
+        """Drop a stored record whose active flag was just cleared."""
+        del self._active[record.id]
+        self._by_polarity[record.polarity].remove(record)
+        self.revision += 1
 
 
 @dataclass
@@ -241,7 +218,8 @@ def _round_half_up(x: float) -> int:
 
 
 def _top_by_strength(records: list[ArgumentRecord], limit: int) -> list[ArgumentRecord]:
-    # Strength ties break toward the older (lower-id) record.
+    # Strength ties break toward the older (lower-id) record; the key is a
+    # total order, so the unordered index pools give the same choice.
     return heapq.nsmallest(limit, records, key=lambda r: (-r.strength, r.id))
 
 
@@ -249,9 +227,8 @@ def retrieve(store: MemoryStore, k: int) -> RetrievalContext:
     """Composition-proportional retrieval of the strongest active records."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    active = store.active_records()
-    pro = [r for r in active if r.polarity == 1]
-    con = [r for r in active if r.polarity == -1]
+    pro = store._by_polarity[1].records
+    con = store._by_polarity[-1].records
     total = len(pro) + len(con)
     if total == 0:
         # Even split; the extra slot for odd k goes to the affirmative side.
@@ -285,7 +262,7 @@ def dump_jsonl(store: MemoryStore, path) -> None:
 
 
 def load_jsonl(path) -> MemoryStore:
-    """Read a dumped store; its index is rebuilt from the loaded records."""
+    """Read a dumped store back through insert; ids must run 0, 1, 2, ..."""
     store = MemoryStore()
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -293,6 +270,8 @@ def load_jsonl(path) -> MemoryStore:
             if not line:
                 continue
             row = json.loads(line)
+            if row["id"] != store.insertion_counter:
+                raise ContractError(f"{path}: record id {row['id']} is not the next id {store.insertion_counter}")
             record = ArgumentRecord(
                 claim=row["claim"],
                 polarity=row["polarity"],
@@ -302,8 +281,5 @@ def load_jsonl(path) -> MemoryStore:
                 active=row["active"],
                 archived_by=row.get("archived_by"),
             )
-            record.id = row["id"]
-            record.inserted_at = row["inserted_at"]
-            store.records.append(record)
-            store.insertion_counter = max(store.insertion_counter, row["id"] + 1)
+            store.insert(record)
     return store

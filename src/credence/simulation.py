@@ -65,6 +65,14 @@ def make_agent(
     return AgentState(agent_id=agent_id, topic=topic, profile=profile, config=config)
 
 
+def seed_pool(seed_corpus: list[CandidateArgument], n: int, target: float) -> list[CandidateArgument]:
+    """The corpus claims of the target's sign (all for 0); at least n."""
+    pool = [c for c in seed_corpus if target == 0.0 or c.polarity == (1 if target > 0 else -1)]
+    if len(pool) < n:
+        raise ContractError(f"seed corpus provides {len(pool)} usable claims, need {n}")
+    return pool
+
+
 def seed_agent(
     agent: AgentState,
     seed_corpus: list[CandidateArgument],
@@ -76,11 +84,8 @@ def seed_agent(
     """Insert n seed records, then bisect a global strength scale so the
     seeded stance hits the target (or warn and keep full strength if the
     target exceeds what the corpus can reach)."""
-    pool = [c for c in seed_corpus if target == 0.0 or c.polarity == (1 if target > 0 else -1)]
-    if len(pool) < n:
-        raise ContractError(f"seed corpus provides {len(pool)} usable claims, need {n}")
+    pool = seed_pool(seed_corpus, n, target)
     if rng is not None:
-        pool = list(pool)
         rng.shuffle(pool)
     for candidate in pool[:n]:
         seeded = CandidateArgument(
@@ -125,15 +130,15 @@ def seed_agent(
             # The bisection interval is down to a few ulps; scan nearby
             # scales for one whose stance lands on the target bitwise,
             # so symmetric targets give an exact initial gap.
-            scale = min((lo, hi), key=lambda c: abs(stance_at(c) - target))
+            best, scale = min((abs(stance_at(c) - target), c) for c in (lo, hi))  # a tie keeps lo
             candidate = lo
             for _ in range(4096):
+                if best == 0.0:
+                    break
                 candidate = math.nextafter(candidate, math.inf)
                 error = abs(stance_at(candidate) - target)
-                if error < abs(stance_at(scale) - target):
-                    scale = candidate
-                if error == 0.0:
-                    break
+                if error < best:
+                    scale, best = candidate, error
             agent.memory.rescale(seeds, scale)
             for record in seeds:
                 agent.emit("stored", **_stored_payload(record, agent.profile))
@@ -190,6 +195,11 @@ class SweepConfig:
             raise ContractError(f"sweep grid {list(self.grid)!r} must be non-empty, and it, fixed_u and fixed_a >= 0")
 
 
+def check_script_length(opponent_script: list[str], rounds: int) -> None:
+    if len(opponent_script) < rounds:
+        raise ContractError(f"opponent script has {len(opponent_script)} lines, need one per round ({rounds})")
+
+
 def run_scripted_opponent_sweep(
     config: SweepConfig,
     grid: list[float],
@@ -202,10 +212,7 @@ def run_scripted_opponent_sweep(
     """One seeded pro agent per grid value, against a fixed con script."""
     if param not in ("u", "a"):
         raise ContractError(f"sweep parameter must be 'u' or 'a', got {param!r}")
-    if len(opponent_script) < config.rounds:
-        raise ContractError(
-            f"opponent script has {len(opponent_script)} lines, need one per round ({config.rounds})"
-        )
+    check_script_length(opponent_script, config.rounds)
     runs = []
     for value in grid:
         if param == "u":
@@ -237,7 +244,7 @@ class DebateConfig:
     pro_profile: UAProfile
     con_profile: UAProfile
     rounds: int = 15
-    seeds_per_side: int = 10
+    seeds_per_side: int = 14
     targets: tuple = (0.75, -0.75)  # seed targets of pro and con
     trials: int = 3
     rng_seed: int = 7

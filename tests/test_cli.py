@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,20 @@ def test_wrong_typed_config_value_is_validation_error(tmp_path, capsys, key):
     assert not out.exists()
 
 
+def test_readme_config_table_names_every_key():
+    """The README config reference names exactly the leaf keys of DEFAULTS."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"(?m)(^\|.*\n)+", readme.split("### Config reference", 1)[1]).group(0)
+    named, section = set(), None
+    for row in table.splitlines():
+        head = row.split("|")[1]
+        if head.strip().startswith("**"):
+            section = re.search(r"`(\w+)`", head).group(1)
+        else:
+            named.update(f"{section}.{key}" for key in re.findall(r"`(\w+)`", head))
+    assert named == set(LEAVES)
+
+
 # id -> (command, config, start of the error message)
 FAILING_RUNS = {
     "replay-zero-folds": ("replay", {"replay": {"folds": 0}}, "folds must be an integer >= 1"),
@@ -134,6 +149,8 @@ FAILING_RUNS = {
     "sweep-missing-seed-file": ("sweep", {"sweep": {"seed_file": "no-such-seed-file.txt"}}, "[Errno 2]"),
     "debate-one-target": ("debate", {"debate": {"targets": [0.5]}}, "a debate needs two seed targets"),
     "debate-target-out-of-range": ("debate", {"debate": {"targets": [1.5, -0.5]}}, "seed target 1.5 outside"),
+    "debate-seed-pool-too-small": ("debate", {"debate": {"seeds_per_side": 15}}, "seed corpus provides 14 usable claims, need 15"),
+    "sweep-script-too-short": ("sweep", {"sweep": {"rounds": 40}}, "opponent script has 15 lines, need one per round (40)"),
     "debate-theta-self-negative": ("debate", {"debate": {"theta_self": -0.1}}, "theta_self must be in [0, 1]"),
     "replay-theta-above-one": ("replay", {"replay": {"theta": 1.5}}, "replay theta must be in [0, 1]"),
     "replay-clip-one": ("replay", {"replay": {"clip": 1.0}}, "stance clip bound must be in [0, 1)"),

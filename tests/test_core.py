@@ -83,13 +83,6 @@ def test_compute_log_odds_rejects_bad_records():
         compute_log_odds([make_record(1, 1.5)], profile)
 
 
-def test_incremental_requires_no_archival():
-    profile = UAProfile(uptake=0.4, anchoring=0.2)
-    state = BeliefState.zero()
-    with pytest.raises(ContractError):
-        update_incremental(state, make_record(1, 0.5), profile, archival_occurred=True)
-
-
 def test_incremental_matches_batch():
     rng = random.Random(11)
     profile = UAProfile(uptake=0.35, anchoring=0.6)

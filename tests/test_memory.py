@@ -40,6 +40,16 @@ def test_active_partition():
     assert len(store) == 2
 
 
+def test_archived_record_never_reenters():
+    store = MemoryStore()
+    record = make_record("a")
+    store.insert(record)
+    store.archive(record, archived_by=None)
+    with pytest.raises(ContractError):
+        record.active = True
+    assert not record.active and store.active_records() == []
+
+
 def test_retrieve_rejects_nonpositive_k():
     with pytest.raises(ContractError):
         retrieve(MemoryStore(), 0)
@@ -110,3 +120,15 @@ def test_jsonl_roundtrip(tmp_path):
             copy.role, copy.active, copy.archived_by
         )
     assert loaded.insertion_counter == store.insertion_counter
+
+
+def test_load_rejects_out_of_order_id(tmp_path):
+    store = MemoryStore()
+    for i in range(3):
+        store.insert(make_record(f"claim {i}"))
+    path = tmp_path / "memory.jsonl"
+    dump_jsonl(store, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
+    with pytest.raises(ContractError, match="record id 2 is not the next id 1"):
+        load_jsonl(path)

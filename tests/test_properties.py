@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from credence import memory as memory_mod
@@ -23,7 +23,7 @@ from credence.engine import TraceEvent, compose_response, process_message, verif
 from credence.exceptions import TraceVerificationError
 from credence.extraction import Message
 from credence.judgement import ArgumentRecord, cosine_similarity, embed_claim, ingest_record
-from credence.memory import MemoryStore, dump_jsonl, load_jsonl
+from credence.memory import MemoryStore, dump_jsonl, load_jsonl, retrieve
 from credence.replay import CalibrationGrid, EvidenceItem, ReplayCase, build_replay_report, calibrate, replay_case
 from credence.simulation import load_scripted_claims, make_agent, seed_agent
 
@@ -141,6 +141,44 @@ def test_indexed_resolve_matches_brute_force(ops, theta, theta_self, min_rows):
         assert store.active_records() == [r for r in store.records if r.active]
 
 
+retrieve_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.sampled_from((-1, 1)), st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+        st.tuples(st.just("archive"), st.integers(0, 10**6)),
+        st.tuples(st.just("flip"), st.integers(0, 10**6)),
+        st.tuples(st.just("rescale"), st.integers(0, 10**6), st.sampled_from((0.5, 0.999, 1.0))),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=retrieve_ops, k=st.integers(1, 12))
+def test_retrieve_matches_brute_force_sort(ops, k):
+    """After every insert, archive, direct flip or rescale, retrieval
+    from the index pools equals a (-strength, id) sort of each
+    polarity's active records."""
+    store = MemoryStore()
+    for op in ops:
+        if op[0] == "insert":
+            store.insert(make_record(f"claim {len(store)}", op[1], op[2], Role.OPPONENT))
+        elif store.records:
+            record = store.records[op[1] % len(store.records)]
+            if op[0] == "archive":
+                store.archive(record, archived_by=None)
+            elif op[0] == "flip":
+                record.active = False
+            else:
+                store.rescale([record], op[2])
+        context = retrieve(store, k)
+        ranked = {
+            polarity: [r.id for r in sorted(store, key=lambda r: (-r.strength, r.id)) if r.active and r.polarity == polarity]
+            for polarity in (1, -1)
+        }
+        assert context.k_plus + context.k_minus == k
+        assert [r.id for r in context.records] == ranked[1][: context.k_plus] + ranked[-1][: context.k_minus]
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(before=operations, after=operations, theta=thetas, theta_self=thetas)
 def test_reloaded_store_resolves_identically(tmp_path_factory, before, after, theta, theta_self):
@@ -228,6 +266,59 @@ def test_incremental_belief_equals_batch_fold(uptake, anchoring, seedings, round
     replayed = verify_trace(agent.trace)
     assert replayed.log_odds == agent.belief.log_odds
     assert replayed.log_odds == resummed_log_odds(agent.trace)
+
+
+def scan_to_the_end(seeds, anchoring: float, target: float) -> float:
+    """The seed scale as chosen before the scan stopped early: bisection,
+    then all 4096 nextafter steps unless a new candidate is exact."""
+
+    def stance_at(scale):
+        return math.tanh(sum(p * math.log1p(scale * s * anchoring) for p, s in seeds) / 2.0)
+
+    lo, hi = 1e-12, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if abs(stance_at(mid)) > abs(target):
+            hi = mid
+        else:
+            lo = mid
+    scale = min((lo, hi), key=lambda c: abs(stance_at(c) - target))
+    candidate = lo
+    for _ in range(4096):
+        candidate = math.nextafter(candidate, math.inf)
+        error = abs(stance_at(candidate) - target)
+        if error < abs(stance_at(scale) - target):
+            scale = candidate
+        if error == 0.0:
+            break
+    return scale
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    anchoring=st.sampled_from((0.2, 0.5, 0.8, 1.3)),
+    target=st.sampled_from((0.0, 0.3, -0.5, 0.75, -0.75, 0.9)),
+    n=st.integers(1, 14),
+    rng_seed=st.integers(0, 1000),
+)
+@example(anchoring=0.2, target=0.0, n=8, rng_seed=2)  # the scan moves the scale off both endpoints
+@example(anchoring=0.2, target=0.0, n=12, rng_seed=1)
+def test_seed_scale_equals_the_full_scan(anchoring, target, n, rng_seed):
+    factors = []
+    rescale = MemoryStore.rescale
+
+    def spy(store, records, factor):
+        seeds = [(r.polarity, r.strength) for r in records if r.active]
+        factors.append((factor, scan_to_the_end(seeds, anchoring, target)))
+        rescale(store, records, factor)
+
+    agent = make_agent("seeded", DEFAULT_TOPIC, UAProfile(uptake=0.4, anchoring=anchoring), theta=0.8, theta_self=0.5)
+    with mock.patch.object(MemoryStore, "rescale", spy):
+        seed_agent(agent, CORPUS, n, target, rng=random.Random(rng_seed))
+    for factor, reference in factors:
+        assert factor.hex() == reference.hex()
 
 
 def test_belief_drops_a_record_archived_from_outside():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -80,6 +81,16 @@ def test_higher_uptake_concedes_more():
     config = SweepConfig(topic="t", rounds=6)
     runs = run_scripted_opponent_sweep(config, [0.1, 0.8], "u", CORPUS, SCRIPT)
     assert runs[1][0].final_stance < runs[0][0].final_stance
+
+
+@pytest.mark.parametrize("cls, section", [(SweepConfig, "sweep"), (DebateConfig, "debate")])
+def test_run_config_defaults_match_config_defaults(cls, section):
+    defaults = {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING
+    }
+    assert defaults == {name: config_mod.DEFAULTS[section][name] for name in defaults}
 
 
 def test_debate_config_validation():
