@@ -78,7 +78,6 @@ from .replay import (
     linear_prediction,
     load_cases_jsonl,
     net_evidence,
-    predict_from_accepted,
     replay_case,
 )
 from .simulation import (

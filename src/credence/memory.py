@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import Role
 from .exceptions import ContractError
-from .judgement import ArgumentRecord, embed_claim
+from .judgement import ArgumentRecord, CandidateArgument, embed_claim
 
 # Below this many rows a pool is searched by cosine_similarity alone.  The
 # loop costs about 8.5 us per row; the matvec path costs about 16 us more
@@ -262,16 +262,26 @@ def dump_jsonl(store: MemoryStore, path) -> None:
 
 
 def load_jsonl(path) -> MemoryStore:
-    """Read a dumped store back through insert; ids must run 0, 1, 2, ..."""
+    """Read a dumped store back through insert.  Ids must run 0, 1, 2, ...;
+    a row must pass a candidate argument's checks and hold a boolean
+    active flag, or ContractError names the file and line."""
     store = MemoryStore()
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            if row["id"] != store.insertion_counter:
-                raise ContractError(f"{path}: record id {row['id']} is not the next id {store.insertion_counter}")
+            try:
+                row = json.loads(line)
+                if row["id"] != store.insertion_counter:
+                    raise ContractError(f"record id {row['id']} is not the next id {store.insertion_counter}")
+                if row["strength"] is None:  # optional for a candidate, not for a record
+                    raise ContractError("record strength is missing")
+                if not isinstance(row["active"], bool):
+                    raise ContractError(f"record active flag {row['active']!r} is not a boolean")
+                CandidateArgument(row["claim"], row["polarity"], Role(row["role"]), row["strength"])
+            except (ValueError, KeyError, TypeError, AttributeError, ContractError) as exc:
+                raise ContractError(f"{path}:{line_number}: {exc}") from exc
             record = ArgumentRecord(
                 claim=row["claim"],
                 polarity=row["polarity"],

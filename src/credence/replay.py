@@ -4,7 +4,10 @@ Each case starts from a mapped Likert prior, replays its received
 evidence chronologically through the same judgement filter used by the
 engine, and is scored against the observed final stance.  Calibration
 grid-searches (u, a) per held-out fold and is compared with a no-change
-baseline and a one-coefficient net-evidence linear baseline.
+baseline and a one-coefficient net-evidence linear baseline.  A report
+fits the pooled cases and each outcome subgroup in one pass over the
+grid: each u value's (a x case) error slab is built once, and every
+subset reduces its own columns of it.
 """
 
 from __future__ import annotations
@@ -153,18 +156,6 @@ def _evidence_term(records: list[ArgumentRecord], uptake: float) -> float:
     return sum(r.polarity * math.log1p(r.strength * uptake) for r in records)
 
 
-def predict_from_accepted(
-    records: list[ArgumentRecord],
-    initial_stance: float,
-    profile: UAProfile,
-    clip_bound: float = STANCE_CLIP,
-) -> float:
-    """Prior term (anchoring-scaled initial log-odds) plus u-weighted
-    evidence over the accepted stream."""
-    prior_logit = log_odds_from_stance(clip_stance(initial_stance, clip_bound))
-    return _predict(profile.anchoring, prior_logit, _evidence_term(records, profile.uptake))
-
-
 def replay_case(
     case: ReplayCase,
     profile: UAProfile,
@@ -173,9 +164,11 @@ def replay_case(
     extractor: Optional[ExtractorPort] = None,
     clip_bound: float = STANCE_CLIP,
 ) -> float:
-    """Predicted final stance for one case under one (u, a) profile."""
+    """Predicted final stance for one case under one (u, a) profile: the
+    anchoring-scaled prior logit plus the u-weighted accepted evidence."""
     records = accepted_records(case, theta, scorer, extractor)
-    return predict_from_accepted(records, case.initial_stance, profile, clip_bound)
+    prior_logit = log_odds_from_stance(clip_stance(case.initial_stance, clip_bound))
+    return _predict(profile.anchoring, prior_logit, _evidence_term(records, profile.uptake))
 
 
 def net_evidence(
@@ -201,8 +194,10 @@ def fit_linear_baseline(samples) -> float:
     return num / den
 
 
-def linear_prediction(initial_stance: float, beta: float, evidence: float) -> float:
-    return max(-1.0, min(1.0, initial_stance + beta * evidence))
+def linear_prediction(initial_stance, beta: float, evidence):
+    """delta = beta * E on top of the initial stance, clipped to [-1, 1];
+    elementwise on arrays."""
+    return np.clip(initial_stance + beta * evidence, -1.0, 1.0)
 
 
 def assign_folds(cases: list[ReplayCase], key: str = "group", folds: int = 5, seed: int = 42) -> list[int]:
@@ -308,34 +303,44 @@ def _rmse(squared_errors):
     return np.sqrt(np.mean(squared_errors, axis=-1))
 
 
-def _select(finals, prior_logits, evidence, fold_ids, grid: CalibrationGrid) -> CalibrationResult:
-    """calibrate's grid search over per-case terms (evidence is case x u):
-    the RMSE surface, the per-fold selection and each case's held-out
-    prediction."""
-    splits = _fold_splits(fold_ids)
+def _select(finals, prior_logits, evidence, fold_ids, grid: CalibrationGrid, subsets) -> list[CalibrationResult]:
+    """calibrate's grid search over per-case terms (evidence is case x u)
+    for several case subsets (index arrays) in one pass over the grid:
+    each subset's RMSE surface, per-fold selection within its own folds
+    and held-out predictions, one CalibrationResult per subset.
+
+    Each u value's (a x case) error slab is built once; a cell's
+    predictions are elementwise per case, so a subset's columns of it
+    equal the subset's own cells bitwise."""
+    fold_ids = np.asarray(fold_ids)
+    splits = [_fold_splits(fold_ids[subset]) for subset in subsets]
     priors = prior_logits.tolist()
-    surface = {}
-    best = [None] * len(splits)
+    surfaces = [{} for _ in subsets]
+    best = [[None] * len(subset_splits) for subset_splits in splits]
     for ui, u in enumerate(grid.u_values):
         # One (a x case) slab per u value, reduced before the next one; the
         # whole (u x a x case) tensor would raise peak memory.
         column = evidence[:, ui].tolist()
         errors = (np.array([_cell(a, priors, column) for a in grid.a_values]) - finals) ** 2
-        surface.update(zip([(u, a) for a in grid.a_values], _rmse(errors).tolist()))
-        for f, (_, train, _) in enumerate(splits):
-            for a, rmse in zip(grid.a_values, _rmse(np.compress(train, errors, axis=1)).tolist()):
-                if best[f] is None or rmse < best[f][0] - 1e-15:
-                    best[f] = (rmse, ui, u, a)
-    fold_results = []
-    heldout_predictions = np.full(len(finals), np.nan)
-    for (fold, _, test), (train_rmse, ui, u, a) in zip(splits, best):
-        preds = _cell(a, prior_logits[test].tolist(), evidence[test, ui].tolist())
-        heldout_predictions[test] = preds
-        heldout = float(_rmse((preds - finals[test]) ** 2))
-        fold_results.append(FoldResult(fold=fold, u=u, a=a, train_rmse=train_rmse, heldout_rmse=heldout))
-    return CalibrationResult(
-        fold_results=fold_results, surface=surface, heldout_predictions=heldout_predictions
-    )
+        for subset, subset_splits, surface, subset_best in zip(subsets, splits, surfaces, best):
+            subset_errors = np.take(errors, subset, axis=1)  # a C-contiguous copy
+            surface.update(zip([(u, a) for a in grid.a_values], _rmse(subset_errors).tolist()))
+            for f, (_, train, _) in enumerate(subset_splits):
+                for a, rmse in zip(grid.a_values, _rmse(np.compress(train, subset_errors, axis=1)).tolist()):
+                    if subset_best[f] is None or rmse < subset_best[f][0] - 1e-15:
+                        subset_best[f] = (rmse, ui, u, a)
+    results = []
+    for subset, subset_splits, surface, subset_best in zip(subsets, splits, surfaces, best):
+        subset_finals, subset_priors, subset_evidence = finals[subset], prior_logits[subset], evidence[subset]
+        fold_results = []
+        heldout_predictions = np.full(len(subset), np.nan)
+        for (fold, _, test), (train_rmse, ui, u, a) in zip(subset_splits, subset_best):
+            preds = _cell(a, subset_priors[test].tolist(), subset_evidence[test, ui].tolist())
+            heldout_predictions[test] = preds
+            heldout = float(_rmse((preds - subset_finals[test]) ** 2))
+            fold_results.append(FoldResult(fold=fold, u=u, a=a, train_rmse=train_rmse, heldout_rmse=heldout))
+        results.append(CalibrationResult(fold_results, surface, heldout_predictions))
+    return results
 
 
 def calibrate(
@@ -353,7 +358,7 @@ def calibrate(
     if not cases:
         raise ContractError("calibrate needs at least one case")
     finals, prior_logits, evidence, _ = _case_terms(cases, grid.u_values, theta, scorer, extractor, clip_bound)
-    return _select(finals, prior_logits, evidence, fold_ids, grid)
+    return _select(finals, prior_logits, evidence, fold_ids, grid, [np.arange(len(cases))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +408,7 @@ def build_replay_report(
     if not cases:
         raise ContractError("no valid replay cases")
     fold_ids = assign_folds(cases, key=key, folds=folds, seed=seed)
-    finals, prior_logits, evidence, net = _case_terms(
-        cases, grid.u_values, theta, scorer, extractor, clip_bound
-    )
-    pooled = _select(finals, prior_logits, evidence, fold_ids, grid)
+    finals, prior_logits, evidence, net = _case_terms(cases, grid.u_values, theta, scorer, extractor, clip_bound)
     initials = np.array([c.initial_stance for c in cases])
 
     # Linear baseline: one beta per fold, fit on training cases only.
@@ -415,51 +417,41 @@ def build_replay_report(
     for fold, train, test in _fold_splits(fold_ids):
         beta = fit_linear_baseline(zip(net[train], (finals - initials)[train]))
         linear_betas[fold] = beta
-        linear_preds[test] = np.clip(initials[test] + beta * net[test], -1.0, 1.0)
+        linear_preds[test] = linear_prediction(initials[test], beta, net[test])
 
+    # The pooled fit and one fit per non-empty subgroup, in one grid pass.
     subgroups = [classify_subgroup(case, net[i], eps_weak) for i, case in enumerate(cases)]
-
-    group_calibrations = {}
-    surfaces = {"all": pooled.surface}
-    summaries = [
-        _summarise("all", cases, np.arange(len(cases)), pooled.heldout_predictions, initials, linear_preds)
-    ]
-    for label in SUBGROUP_LABELS:
-        indices = np.array([i for i, g in enumerate(subgroups) if g == label], dtype=int)
-        if len(indices) == 0:
-            continue
-        result = _select(
-            finals[indices], prior_logits[indices], evidence[indices], np.asarray(fold_ids)[indices], grid
-        )
-        group_calibrations[label] = result
-        surfaces[label] = result.surface
-        summaries.append(
-            _summarise(label, cases, indices, result.heldout_predictions, initials, linear_preds)
-        )
+    labels = np.array(subgroups)
+    subsets = {"all": np.arange(len(cases))}
+    subsets.update((label, np.flatnonzero(labels == label)) for label in SUBGROUP_LABELS if label in subgroups)
+    fits = dict(zip(subsets, _select(finals, prior_logits, evidence, fold_ids, grid, list(subsets.values()))))
     return ReplayReport(
         cases=cases,
         fold_ids=fold_ids,
-        pooled=pooled,
-        group_calibrations=group_calibrations,
-        group_summaries=summaries,
+        pooled=fits["all"],
+        group_calibrations={label: fit for label, fit in fits.items() if label != "all"},
+        group_summaries=[
+            _summarise(label, cases, indices, fits[label].heldout_predictions, initials, linear_preds)
+            for label, indices in subsets.items()
+        ],
         subgroup_of_case=subgroups,
         linear_betas=linear_betas,
         linear_predictions=linear_preds,
         no_change_predictions=initials,
-        surfaces=surfaces,
+        surfaces={label: fit.surface for label, fit in fits.items()},
     )
 
 
 def _summarise(label, cases, indices, be_predictions, no_change, linear_preds) -> GroupSummary:
     sub_cases = [cases[i] for i in indices]
-    finals = np.array([c.observed_final for c in sub_cases])
+    no_change_fit = evaluate(sub_cases, no_change[indices])
     return GroupSummary(
         group=label,
         n=len(sub_cases),
-        mean_abs_movement=float(np.mean([abs(c.delta) for c in sub_cases])),
-        no_change_rmse=float(np.sqrt(np.mean((no_change[indices] - finals) ** 2))),
-        linear_rmse=float(np.sqrt(np.mean((linear_preds[indices] - finals) ** 2))),
-        be_rmse=float(np.sqrt(np.nanmean((be_predictions - finals) ** 2))),
+        mean_abs_movement=no_change_fit.mean_abs_movement,
+        no_change_rmse=no_change_fit.rmse,
+        linear_rmse=evaluate(sub_cases, linear_preds[indices]).rmse,
+        be_rmse=evaluate(sub_cases, be_predictions).rmse,
     )
 
 

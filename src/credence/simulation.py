@@ -23,6 +23,7 @@ from .engine import (
     process_message,
     compose_response,
     refresh_belief,
+    take_turn,
 )
 from .exceptions import ContractError
 from .extraction import ExtractorPort, Message, ScriptedExtractor, parse_scripted_message
@@ -227,12 +228,9 @@ def run_scripted_opponent_sweep(
         seed_agent(agent, seed_corpus, config.seeds_per_side, config.target, rng=rng)
         stances = [agent.belief.stance]
         for round_index in range(config.rounds):
-            incoming = Message(
-                text=opponent_script[round_index], author_role="opponent", order=agent.next_order()
-            )
+            incoming = Message(text=opponent_script[round_index], author_role="opponent", order=agent.next_order())
             process_message(agent, incoming)
-            message, _ = compose_response(agent)
-            process_message(agent, message)
+            take_turn(agent)
             stances.append(agent.belief.stance)
         runs.append((SweepRun(param=param, value=value, stances=stances), agent))
     return runs

@@ -219,6 +219,32 @@ def test_replay_key_topic(tmp_path):
     assert all(len(v) == 1 for v in folds_by_topic.values())
 
 
+def tree_bytes(root):
+    """Every file under root, by relative path."""
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["debate", "--config", "{config}"],
+        ["replay", "--cases", "{cases}", "--key", "topic"],
+    ],
+    ids=["debate", "replay-key-topic"],
+)
+def test_command_is_deterministic(tmp_path, command):
+    paths = {
+        "config": write_yaml(tmp_path / "c.yaml", {"debate": {"rounds": 3, "trials": 2}}),
+        "cases": write_cases(tmp_path / "cases.jsonl"),
+    }
+    args = [arg.format(**paths) for arg in command]
+    for name in ("a", "b"):
+        assert main([*args, "--out", str(tmp_path / name)]) == 0
+    first = tree_bytes(tmp_path / "a")
+    assert "resolved_config.json" in first and len(first) > 2
+    assert first == tree_bytes(tmp_path / "b")
+
+
 def test_replay_strict_rejects_bad_lines(tmp_path):
     cases = write_cases(tmp_path / "cases.jsonl", n=5)
     row = json.loads(open(cases).readline())

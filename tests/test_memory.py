@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -131,4 +133,37 @@ def test_load_rejects_out_of_order_id(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
     with pytest.raises(ContractError, match="record id 2 is not the next id 1"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("polarity", 0, "polarity 0 not in"),
+        ("polarity", "+1", "polarity +1 not in"),
+        ("strength", 2.5, "strength hint 2.5 is not a finite number in"),
+        ("strength", float("nan"), "strength hint nan is not a finite number in"),
+        ("strength", "0.5", "strength hint '0.5' is not a finite number in"),
+        ("strength", None, "record strength is missing"),
+        ("role", "judge", "'judge' is not a valid Role"),
+        ("claim", "  ", "candidate claim is empty"),
+        ("active", "no", "record active flag 'no' is not a boolean"),
+    ],
+    ids=[
+        "polarity-0", "polarity-str", "strength-2.5", "strength-nan", "strength-str", "strength-null", "role", "claim",
+        "active-str",
+    ],
+)
+def test_load_rejects_a_bad_row_naming_file_and_line(tmp_path, field, value, message):
+    store = MemoryStore()
+    for i in range(3):
+        store.insert(make_record(f"claim {i}"))
+    path = tmp_path / "memory.jsonl"
+    dump_jsonl(store, path)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    row[field] = value
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError, match=rf"memory\.jsonl:2: {re.escape(message)}"):
         load_jsonl(path)

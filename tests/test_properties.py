@@ -1,4 +1,5 @@
-"""Property tests for the indexed active set and the calibration grid.
+"""Property tests for the indexed active set, the calibration grid and
+the stance-to-instruction bins.
 
 The store answers deduplication queries from an index (a matvec
 shortlist, then exact cosine_similarity), the engine and the trace
@@ -19,8 +20,15 @@ from hypothesis import strategies as st
 from credence import memory as memory_mod
 from credence.config import DEFAULT_TOPIC, bundled_text
 from credence.core import Role, UAProfile, compute_log_odds
-from credence.engine import TraceEvent, compose_response, process_message, verify_trace
-from credence.exceptions import TraceVerificationError
+from credence.engine import (
+    DEFAULT_BIN_LABELS,
+    TraceEvent,
+    compose_response,
+    process_message,
+    stance_to_instruction,
+    verify_trace,
+)
+from credence.exceptions import ContractError, TraceVerificationError
 from credence.extraction import Message
 from credence.judgement import ArgumentRecord, cosine_similarity, embed_claim, ingest_record
 from credence.memory import MemoryStore, dump_jsonl, load_jsonl, retrieve
@@ -442,3 +450,30 @@ def test_calibration_cells_equal_replay_case(rows, u_values, a_values, fold_draw
         idx = np.flatnonzero(np.array(report.subgroup_of_case) == label)
         subset = {cell: preds[idx] for cell, preds in replays.items()}
         assert_cells_are_replays(result, subset, finals[idx], report_folds[idx])
+
+
+BIN_EDGES = [0.2 * j - 1.0 for j in range(1, 10)]
+
+
+@pytest.mark.parametrize("j", range(1, 10))
+def test_stance_bin_edge_falls_in_its_upper_bin(j):
+    edge = BIN_EDGES[j - 1]
+    assert stance_to_instruction(edge) == (j, DEFAULT_BIN_LABELS[j])
+    assert stance_to_instruction(math.nextafter(edge, -math.inf)) == (j - 1, DEFAULT_BIN_LABELS[j - 1])
+
+
+@given(stance=st.one_of(st.floats(-1.0, 1.0), st.floats(allow_nan=True, allow_infinity=True)))
+@example(stance=-1.0)  # bin 0
+@example(stance=1.0)  # bin 9
+@example(stance=math.nextafter(-1.0, -math.inf))
+@example(stance=math.nextafter(1.0, math.inf))
+@example(stance=math.nan)
+def test_stance_to_instruction_bins(stance):
+    """Bin j holds [0.2j - 1, 0.2j - 0.8), +1 falls in bin 9, and anything
+    outside [-1, 1], NaN included, is rejected."""
+    if -1.0 <= stance <= 1.0:
+        index = sum(edge <= stance for edge in BIN_EDGES)
+        assert stance_to_instruction(stance) == (index, DEFAULT_BIN_LABELS[index])
+    else:
+        with pytest.raises(ContractError):
+            stance_to_instruction(stance)

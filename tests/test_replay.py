@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from credence import replay as replay_mod
 from credence.core import UAProfile
 from credence.exceptions import ContractError, ScoringBackendError
 from credence.extraction import ScriptedExtractor
@@ -159,6 +160,7 @@ def test_linear_baseline_closed_form():
     assert beta == pytest.approx((0.5 + 1.8 + 0.4) / 6.0)
     assert fit_linear_baseline([(0.0, 0.3)]) == 0.0
     assert linear_prediction(0.9, 1.0, 5.0) == 1.0  # clamped
+    assert linear_prediction(np.array([0.9, -0.9, 0.1]), 1.0, np.array([5.0, -5.0, 0.4])).tolist() == [1.0, -1.0, 0.5]
 
 
 def test_fold_cohesion_and_reproducibility():
@@ -233,6 +235,24 @@ def test_report_structure(tmp_path):
     assert set(report.surfaces) >= {"all"}
     assert not np.isnan(report.pooled.heldout_predictions).any()
     assert len(report.linear_betas) == 4
+
+
+def test_report_evaluates_each_grid_cell_once_per_case(monkeypatch):
+    """One grid pass: each (u, a) cell once per case, plus one held-out
+    prediction per case for the pooled fit and one for its subgroup's."""
+    rng = random.Random(12)
+    cases = []
+    for i in range(40):
+        case = random_case(rng, i)
+        case.final_stance = case.initial_stance if i % 4 == 0 else 0.0  # some stable cases
+        cases.append(case)
+    grid = CalibrationGrid(u_values=(0.05, 0.1, 0.2), a_values=(0.2, 0.4, 0.8, 1.0))
+    calls = []
+    kernel = replay_mod._predict
+    monkeypatch.setattr(replay_mod, "_predict", lambda *args: calls.append(args) or kernel(*args))
+    report = build_replay_report(cases, grid, folds=4)
+    assert len(report.group_calibrations) >= 2
+    assert len(calls) == len(grid.u_values) * len(grid.a_values) * len(cases) + 2 * len(cases)
 
 
 def test_jsonl_roundtrip_and_error_reporting(tmp_path):

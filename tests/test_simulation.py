@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from credence import config as config_mod
 from credence.core import UAProfile
 from credence.exceptions import ContractError
+from credence.judgement import ServiceClient
+from credence.replay import CalibrationGrid, build_replay_report
 from credence.simulation import (
     OPEN_MINDED,
     STUBBORN,
@@ -91,6 +94,28 @@ def test_run_config_defaults_match_config_defaults(cls, section):
         if f.default is not dataclasses.MISSING
     }
     assert defaults == {name: config_mod.DEFAULTS[section][name] for name in defaults}
+
+
+@pytest.mark.parametrize(
+    "function, section, keys",
+    [
+        (
+            build_replay_report,
+            "replay",
+            {"key": "key", "folds": "folds", "seed": "seed", "theta": "theta", "eps_weak": "eps_weak",
+             "clip": "clip_bound"},
+        ),
+        (CalibrationGrid, "replay", {"u_grid": "u_values", "a_grid": "a_values"}),
+        (ServiceClient, "ports", {"timeout": "timeout", "retries": "retries"}),
+    ],
+    ids=["build_replay_report", "CalibrationGrid", "ServiceClient"],
+)
+def test_replay_and_port_defaults_match_config_defaults(function, section, keys):
+    """`keys` maps each config key to the parameter that takes its value."""
+    parameters = inspect.signature(function).parameters
+    defaults = {key: parameters[name].default for key, name in keys.items()}
+    defaults = {key: list(value) if isinstance(value, tuple) else value for key, value in defaults.items()}
+    assert defaults == {key: config_mod.DEFAULTS[section][key] for key in keys}
 
 
 def test_debate_config_validation():
