@@ -19,8 +19,6 @@ from .core import (
 from .engine import (
     AgentState,
     EngineConfig,
-    GeneratorPort,
-    TemplateGenerator,
     TraceEvent,
     compose_response,
     ingest_candidate,
@@ -29,6 +27,7 @@ from .engine import (
     refresh_belief,
     stance_to_instruction,
     take_turn,
+    template_response,
     verify_trace,
     write_trace,
 )

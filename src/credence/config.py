@@ -1,8 +1,16 @@
-"""Run configuration: defaults, YAML loading, resolved snapshots."""
+"""Run configuration: defaults, YAML loading, resolved snapshots.
+
+A setting that a run object takes (SweepConfig, DebateConfig,
+CalibrationGrid, build_replay_report, ServiceClient) has its default in
+that object's signature, and DEFAULTS reads it from there, so a default
+is changed in one place.  Only the keys that no run object takes are
+written here.
+"""
 
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 import math
 from importlib import resources
@@ -11,63 +19,59 @@ from pathlib import Path
 import yaml
 
 from .exceptions import ConfigError
-from .replay import DEFAULT_A_GRID, DEFAULT_U_GRID
+from .judgement import ServiceClient
+from .replay import CalibrationGrid, build_replay_report
+from .simulation import DebateConfig, SweepConfig
 
 DEFAULT_TOPIC = "The city should adopt participatory budgeting"
 
-# Every leaf is read by a command, and its default fixes the type a
-# config file may give it (see _conforms).
-DEFAULTS = {
-    "sweep": {
-        "topic": DEFAULT_TOPIC,
-        "grid": [0.2, 0.4, 0.6, 0.8, 1.0],
-        "fixed_u": 0.4,
-        "fixed_a": 0.70,
-        "rounds": 15,
-        "seeds_per_side": 10,
-        "target": 0.99,
-        "rng_seed": 7,
-        "theta": 0.80,
-        "theta_self": 0.50,
-        "k": 5,
-        "seed_file": None,
-        "opponent_file": None,
-    },
-    "debate": {
-        "topic": DEFAULT_TOPIC,
-        "rounds": 15,
-        # The full bundled corpus; +-0.75 targets need all 14 claims per
-        # side to be reachable at anchoring 0.2 with strengths <= 1.
-        "seeds_per_side": 14,
-        "targets": [0.75, -0.75],
-        "trials": 3,
-        "rng_seed": 7,
-        "theta": 0.60,
-        "theta_self": 0.45,
-        "k": 5,
-        "pairings": ["open/open", "open/stubborn", "stubborn/open", "stubborn/stubborn"],
-        "seed_file": None,
-    },
-    "replay": {
-        "case_file": None,
-        "u_grid": list(DEFAULT_U_GRID),
-        "a_grid": list(DEFAULT_A_GRID),
-        "folds": 5,
-        "key": "group",
-        "seed": 42,
-        "eps_weak": 0.05,
-        "clip": 0.995,
-        "theta": 0.85,
-    },
-    "ports": {
-        "scorer": "builtin",
-        "extractor": "scripted",
-        "scorer_url": None,
-        "extractor_url": None,
-        "timeout": 5.0,
-        "retries": 2,
-    },
-}
+
+def _defaults_of(build, *keys, **renamed) -> dict:
+    """The defaults of build's parameters by config key: each of keys
+    names its parameter, and renamed maps a key to the parameter that
+    takes it.  Tuples become lists, as a YAML file gives them."""
+    parameters = inspect.signature(build).parameters
+    defaults = {key: parameters[name].default for key, name in {**dict(zip(keys, keys)), **renamed}.items()}
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in defaults.items()}
+
+
+def _derive_defaults() -> dict:
+    """Every leaf is read by a command, and its default fixes the type a
+    config file may give it (see _conforms)."""
+    return {
+        "sweep": {
+            "topic": DEFAULT_TOPIC,
+            **_defaults_of(
+                SweepConfig, "grid", "fixed_u", "fixed_a", "rounds", "seeds_per_side", "target", "rng_seed",
+                "theta", "theta_self", "k",
+            ),
+            "seed_file": None,
+            "opponent_file": None,
+        },
+        "debate": {
+            "topic": DEFAULT_TOPIC,
+            **_defaults_of(
+                DebateConfig, "rounds", "seeds_per_side", "targets", "trials", "rng_seed", "theta", "theta_self", "k"
+            ),
+            "pairings": ["open/open", "open/stubborn", "stubborn/open", "stubborn/stubborn"],
+            "seed_file": None,
+        },
+        "replay": {
+            "case_file": None,
+            **_defaults_of(CalibrationGrid, u_grid="u_values", a_grid="a_values"),
+            **_defaults_of(build_replay_report, "folds", "key", "seed", "eps_weak", clip="clip_bound", theta="theta"),
+        },
+        "ports": {
+            "scorer": "builtin",
+            "extractor": "scripted",
+            "scorer_url": None,
+            "extractor_url": None,
+            **_defaults_of(ServiceClient, "timeout", "retries"),
+        },
+    }
+
+
+DEFAULTS = _derive_defaults()
 
 
 def _conforms(value, default) -> bool:

@@ -87,13 +87,29 @@ def record_contribution(record, profile: UAProfile) -> float:
     return record.polarity * math.log1p(record.strength * record_weight(record.role, profile))
 
 
+def check_polarity(value, what: str = "polarity") -> None:
+    """Reject a polarity other than -1 or +1; a boolean is not one, though
+    True == 1."""
+    if isinstance(value, bool) or value not in (-1, 1):
+        raise ContractError(f"{what} {value} not in {{-1, +1}}")
+
+
+def check_strength(value, what: str) -> None:
+    """Reject a given strength that is not a finite number in [0, 1]."""
+    try:
+        valid = value is None or (not isinstance(value, bool) and 0.0 <= value <= 1.0)  # NaN fails
+    except TypeError:  # not a number
+        valid = False
+    if not valid:
+        raise ContractError(f"{what} {value!r} is not a finite number in [0, 1]")
+
+
 def _check_record(record) -> None:
     if not record.active:
         raise ContractError("compute_log_odds received an archived record; pre-filter to the active set")
     if not 0.0 <= record.strength <= 1.0:
         raise ContractError(f"record strength {record.strength} outside [0, 1]")
-    if record.polarity not in (-1, 1):
-        raise ContractError(f"record polarity {record.polarity} not in {{-1, +1}}")
+    check_polarity(record.polarity, "record polarity")
 
 
 def compute_log_odds(active_records, profile: UAProfile) -> float:

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .core import (
     BeliefState,
-    Role,
     UAProfile,
     compute_log_odds,
     record_contribution,
@@ -28,7 +27,7 @@ from .extraction import ExtractorPort, Message
 from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, judge
 from .memory import MemoryStore, RetrievalContext
 
-DEFAULT_BIN_LABELS = (
+BIN_LABELS = (
     "argue strongly against the proposition",
     "argue firmly against the proposition",
     "argue against the proposition",
@@ -42,39 +41,25 @@ DEFAULT_BIN_LABELS = (
 )
 
 
-class GeneratorPort:
-    """Response generator interface."""
-
-    def generate(self, stance_instruction: str, retrieved: RetrievalContext, history: list[Message]) -> str:
-        raise NotImplementedError
-
-
-class TemplateGenerator(GeneratorPort):
-    """Deterministic generator for model-free runs.
-
-    Emits the stance instruction followed by the retrieved claims in the
-    scripted-claim grammar, so a listening agent can re-extract them.
-    Strengths are printed with enough digits to round-trip.
-    """
-
-    def generate(self, stance_instruction: str, retrieved: RetrievalContext, history: list[Message]) -> str:
-        lines = [stance_instruction]
-        for record in retrieved.records:
-            sign = "+" if record.polarity > 0 else "-"
-            lines.append(f"CLAIM {sign}{record.strength:.17f}: {record.claim}")
-        return "\n".join(lines)
+def template_response(stance_instruction: str, retrieved: RetrievalContext) -> str:
+    """The deterministic, model-free response: the stance instruction
+    followed by the retrieved claims in the scripted-claim grammar, so a
+    listening agent can re-extract them.  Strengths are printed with
+    enough digits to round-trip."""
+    lines = [stance_instruction]
+    for record in retrieved.records:
+        sign = "+" if record.polarity > 0 else "-"
+        lines.append(f"CLAIM {sign}{record.strength:.17f}: {record.claim}")
+    return "\n".join(lines)
 
 
 @dataclass
 class EngineConfig:
     extractor: ExtractorPort
     scorer: Optional[ScorerPort]  # None: every candidate must carry a strength hint
-    generator: Optional[GeneratorPort] = None
     theta: float = 0.80
     theta_self: float = 0.50
     k: int = 5
-    history_window: int = 6
-    bin_labels: tuple = DEFAULT_BIN_LABELS
 
 
 @dataclass
@@ -95,7 +80,6 @@ class AgentState:
     config: EngineConfig
     memory: MemoryStore = field(default_factory=MemoryStore)
     belief: BeliefState = field(default_factory=BeliefState.zero)
-    history: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     last_order: int = -1
     # (store, records folded, store revision) as of the last belief update.
@@ -115,12 +99,12 @@ class AgentState:
 _BIN_EDGES = tuple(0.2 * j - 1.0 for j in range(1, 10))
 
 
-def stance_to_instruction(stance: float, labels: tuple = DEFAULT_BIN_LABELS) -> tuple[int, str]:
+def stance_to_instruction(stance: float) -> tuple[int, str]:
     """Left-closed 10-bin stance map over [-1, 1]; S=+1 clamps to bin 9."""
     if not -1.0 <= stance <= 1.0:
         raise ContractError(f"stance {stance} outside [-1, 1]")
     bin_index = bisect.bisect_right(_BIN_EDGES, stance)
-    return bin_index, labels[bin_index]
+    return bin_index, BIN_LABELS[bin_index]
 
 
 def ingest_candidate(agent: AgentState, candidate: CandidateArgument) -> ArgumentRecord:
@@ -187,7 +171,7 @@ def refresh_belief(agent: AgentState) -> TraceEvent:
 
 
 def process_message(agent: AgentState, incoming: Message) -> list[TraceEvent]:
-    """The per-message loop: extract, judge, store, update, record history."""
+    """The per-message loop: extract, judge, store, update."""
     if incoming.order <= agent.last_order:
         raise ContractError(
             f"message order {incoming.order} does not exceed last processed order {agent.last_order}"
@@ -204,17 +188,12 @@ def process_message(agent: AgentState, incoming: Message) -> list[TraceEvent]:
         ingest_candidate(agent, candidate)
 
     refresh_belief(agent)
-    agent.history.append(incoming)
-    if len(agent.history) > agent.config.history_window:
-        del agent.history[: len(agent.history) - agent.config.history_window]
     agent.last_order = incoming.order
     return agent.trace[start:]
 
 
 def compose_response(agent: AgentState) -> tuple[Message, list[TraceEvent]]:
-    """Retrieve context, build the stance instruction, invoke the generator."""
-    if agent.config.generator is None:
-        raise ContractError("agent has no generator port configured")
+    """Retrieve context, build the stance instruction, fill the template."""
     start = len(agent.trace)
     retrieved = agent.memory.retrieve(agent.config.k)
     agent.emit(
@@ -223,8 +202,8 @@ def compose_response(agent: AgentState) -> tuple[Message, list[TraceEvent]]:
         k_minus=retrieved.k_minus,
         ids=[r.id for r in retrieved.records],
     )
-    bin_index, label = stance_to_instruction(agent.belief.stance, agent.config.bin_labels)
-    text = agent.config.generator.generate(label, retrieved, agent.history)
+    bin_index, label = stance_to_instruction(agent.belief.stance)
+    text = template_response(label, retrieved)
     agent.emit("composed", bin=bin_index, label=label)
     message = Message(text=text, author_role="self", order=agent.next_order())
     return message, agent.trace[start:]

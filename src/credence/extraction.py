@@ -91,11 +91,9 @@ class ServiceExtractor(ServiceClient, ExtractorPort):
         role = role_for_author(message.author_role)
         candidates = []
         for item in items:
-            claim = item.get("claim") if isinstance(item, dict) else None
-            polarity = item.get("polarity") if isinstance(item, dict) else None
-            if not isinstance(claim, str) or not claim.strip() or polarity not in (-1, 1):
+            try:  # a candidate's own checks: a non-empty claim, polarity -1 or +1
+                candidates.append(CandidateArgument(claim=item["claim"], polarity=item["polarity"], role=role))
+            except (TypeError, KeyError, AttributeError, ContractError):
                 if on_warning:
                     on_warning(f"dropped malformed extraction item {item!r}")
-                continue
-            candidates.append(CandidateArgument(claim=claim, polarity=polarity, role=role))
         return candidates

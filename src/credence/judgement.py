@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Role
+from .core import Role, check_polarity, check_strength
 from .exceptions import ContractError, ScoringBackendError
 
 EMBED_DIM = 512
@@ -33,19 +33,8 @@ class CandidateArgument:
     def __post_init__(self):
         if not self.claim.strip():
             raise ContractError("candidate claim is empty")
-        if self.polarity not in (-1, 1):
-            raise ContractError(f"polarity {self.polarity} not in {{-1, +1}}")
+        check_polarity(self.polarity)
         check_strength(self.strength_hint, "strength hint")
-
-
-def check_strength(value, what: str) -> None:
-    """Reject a given strength that is not a finite number in [0, 1]."""
-    try:
-        valid = value is None or (not isinstance(value, bool) and 0.0 <= value <= 1.0)  # NaN fails
-    except TypeError:  # not a number
-        valid = False
-    if not valid:
-        raise ContractError(f"{what} {value!r} is not a finite number in [0, 1]")
 
 
 @dataclass
@@ -79,7 +68,7 @@ def _set_active(record: ArgumentRecord, value: bool) -> None:
 ArgumentRecord.active = property(lambda record: record._active, _set_active)
 
 
-def embed_claim(claim: str, dim: int = EMBED_DIM) -> np.ndarray:
+def embed_claim(claim: str) -> np.ndarray:
     """Hashed character-trigram term-frequency vector, L2-normalised.
 
     Deterministic across processes (no use of the builtin hash).
@@ -89,11 +78,11 @@ def embed_claim(claim: str, dim: int = EMBED_DIM) -> np.ndarray:
         raise ContractError("cannot embed an empty claim")
     grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
     buckets = [
-        int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") % dim
+        int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") % EMBED_DIM
         for gram in grams
     ]
     # Counts are small integers, so the float64 vector is exact.
-    vec = np.bincount(buckets, minlength=dim).astype(np.float64)
+    vec = np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0.0 else vec
 
@@ -155,10 +144,10 @@ class ServiceScorer(ServiceClient, ScorerPort):
 
     def score(self, topic: str, claim: str) -> float:
         body = self.post({"topic": topic, "claim": claim}, ScoringBackendError)
-        try:
-            return float(body["score"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ScoringBackendError(f"scoring service at {self.url} returned a malformed body {body!r}") from exc
+        score = body.get("score") if isinstance(body, dict) else None
+        if isinstance(score, bool) or not isinstance(score, (int, float)):  # a string is not converted
+            raise ScoringBackendError(f"scoring service at {self.url} returned a malformed body {body!r}")
+        return float(score)
 
 
 def requests_transport(url: str, payload: dict, timeout: float):

@@ -264,7 +264,9 @@ def dump_jsonl(store: MemoryStore, path) -> None:
 def load_jsonl(path) -> MemoryStore:
     """Read a dumped store back through insert.  Ids must run 0, 1, 2, ...;
     a row must pass a candidate argument's checks and hold a boolean
-    active flag, or ContractError names the file and line."""
+    active flag, and its archived_by must be null, or for an archived row
+    the integer id of another record; else ContractError names the file
+    and line."""
     store = MemoryStore()
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -279,6 +281,12 @@ def load_jsonl(path) -> MemoryStore:
                     raise ContractError("record strength is missing")
                 if not isinstance(row["active"], bool):
                     raise ContractError(f"record active flag {row['active']!r} is not a boolean")
+                archived_by = row.get("archived_by")
+                if archived_by is not None and (row["active"] or type(archived_by) is not int or archived_by == row["id"]):
+                    raise ContractError(
+                        f"record {row['id']} archived_by {archived_by!r} is neither null nor, for an archived"
+                        " record, another record's id"
+                    )
                 CandidateArgument(row["claim"], row["polarity"], Role(row["role"]), row["strength"])
             except (ValueError, KeyError, TypeError, AttributeError, ContractError) as exc:
                 raise ContractError(f"{path}:{line_number}: {exc}") from exc
@@ -289,7 +297,7 @@ def load_jsonl(path) -> MemoryStore:
                 role=Role(row["role"]),
                 embedding=store.embed(row["claim"]),
                 active=row["active"],
-                archived_by=row.get("archived_by"),
+                archived_by=archived_by,
             )
             store.insert(record)
     return store

@@ -25,20 +25,18 @@ from .core import (
     STANCE_CLIP,
     Role,
     UAProfile,
+    check_polarity,
+    check_strength,
     clip_stance,
     log_odds_from_stance,
     stance_from_log_odds,
 )
 from .exceptions import ContractError
 from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, check_strength, judge
+from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, judge
 from .memory import MemoryStore
 
 logger = logging.getLogger(__name__)
-
-# Calibration grids used by the replay protocol.
-DEFAULT_U_GRID = (0.005, 0.01, 0.02, 0.035, 0.05, 0.075, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8)
-DEFAULT_A_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.2, 1.5)
 
 SUBGROUP_LABELS = ("aligned", "opposed", "weak_signal", "stable")
 
@@ -59,8 +57,9 @@ class EvidenceItem:
             if not isinstance(self.text, str):
                 raise ContractError(f"evidence text must be a string, got {self.text!r}")
             return
-        if not isinstance(self.claim, str) or not self.claim.strip() or self.polarity not in (-1, 1):
-            raise ContractError(f"pre-extracted item needs claim and polarity, got {self!r}")
+        if not isinstance(self.claim, str) or not self.claim.strip():
+            raise ContractError(f"pre-extracted item needs a claim, got {self!r}")
+        check_polarity(self.polarity, "evidence polarity")
         check_strength(self.strength, "evidence strength")
 
 
@@ -111,13 +110,14 @@ def likert_to_stance(value: int) -> float:
 
 @dataclass
 class CalibrationGrid:
-    u_values: tuple = DEFAULT_U_GRID
-    a_values: tuple = DEFAULT_A_GRID
+    # The grids of the replay protocol.
+    u_values: tuple = (0.005, 0.01, 0.02, 0.035, 0.05, 0.075, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8)
+    a_values: tuple = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.2, 1.5)
 
     def __post_init__(self):
         for name, values in (("u", self.u_values), ("a", self.a_values)):
-            if not values or list(values) != sorted(values) or len(set(values)) != len(values):
-                raise ContractError(f"{name} grid must be non-empty and strictly increasing")
+            if not values or list(values) != sorted(values) or len(set(values)) != len(values) or values[0] < 0.0:
+                raise ContractError(f"{name} grid {list(values)!r} must be non-empty, strictly increasing and >= 0")
 
 
 def accepted_records(

@@ -2,8 +2,8 @@
 
 Single-agent sweeps run one seeded agent against a fixed scripted
 counter-argument opponent across a u- or a-grid.  Two-agent debates
-alternate turns between profile-configured agents using the template
-generator, so whole runs are deterministic given the rng seed.
+alternate turns between profile-configured agents that answer with the
+template response, so whole runs are deterministic given the rng seed.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import random
 from dataclasses import astuple, dataclass, field
 from typing import Optional
 
-from .core import BeliefState, Role, UAProfile, stance_from_log_odds
+from .core import Role, UAProfile, stance_from_log_odds
 from .engine import (
     AgentState,
     EngineConfig,
-    TemplateGenerator,
     _stored_payload,
     ingest_candidate,
     process_message,
@@ -28,6 +27,9 @@ from .engine import (
 from .exceptions import ContractError
 from .extraction import ExtractorPort, Message, ScriptedExtractor, parse_scripted_message
 from .judgement import CandidateArgument, ScorerPort
+
+# A seeded stance further than this from its target is reported.
+SEED_TOLERANCE = 0.01
 
 OPEN_MINDED = UAProfile(uptake=0.40, anchoring=0.20)
 STUBBORN = UAProfile(uptake=0.10, anchoring=0.80)
@@ -52,13 +54,11 @@ def make_agent(
     scorer: Optional[ScorerPort] = None,
     extractor: Optional[ExtractorPort] = None,
 ) -> AgentState:
-    """Agent with a template generator.  By default it runs offline: a
-    scripted extractor and no scorer, since every scripted claim carries
-    its strength hint."""
+    """An agent that by default runs offline: a scripted extractor and no
+    scorer, since every scripted claim carries its strength hint."""
     config = EngineConfig(
         extractor=extractor or ScriptedExtractor(),
         scorer=scorer,
-        generator=TemplateGenerator(),
         theta=theta,
         theta_self=theta_self,
         k=k,
@@ -80,7 +80,6 @@ def seed_agent(
     n: int,
     target: float,
     rng: Optional[random.Random] = None,
-    tolerance: float = 0.01,
 ) -> AgentState:
     """Insert n seed records, then bisect a global strength scale so the
     seeded stance hits the target (or warn and keep full strength if the
@@ -143,10 +142,8 @@ def seed_agent(
             agent.memory.rescale(seeds, scale)
             for record in seeds:
                 agent.emit("stored", **_stored_payload(record, agent.profile))
-            if abs(stance_at(1.0) - target) > tolerance:
-                agent.emit(
-                    "warning", message=f"seeded stance missed target {target} beyond {tolerance}"
-                )
+            if abs(stance_at(1.0) - target) > SEED_TOLERANCE:
+                agent.emit("warning", message=f"seeded stance missed target {target} beyond {SEED_TOLERANCE}")
     refresh_belief(agent)
     return agent
 
@@ -242,6 +239,8 @@ class DebateConfig:
     pro_profile: UAProfile
     con_profile: UAProfile
     rounds: int = 15
+    # The full bundled corpus; +-0.75 targets need all 14 claims per side
+    # to be reachable at anchoring 0.2 with strengths <= 1.
     seeds_per_side: int = 14
     targets: tuple = (0.75, -0.75)  # seed targets of pro and con
     trials: int = 3

@@ -6,7 +6,6 @@ from credence.core import Role, UAProfile
 from credence.engine import (
     AgentState,
     EngineConfig,
-    TemplateGenerator,
     compose_response,
     ingest_candidate,
     process_message,
@@ -23,12 +22,7 @@ from credence.judgement import CandidateArgument
 
 
 def make_agent(uptake=0.4, anchoring=0.2, k=5):
-    config = EngineConfig(
-        extractor=ScriptedExtractor(),
-        scorer=None,
-        generator=TemplateGenerator(),
-        k=k,
-    )
+    config = EngineConfig(extractor=ScriptedExtractor(), scorer=None, k=k)
     profile = UAProfile(uptake=uptake, anchoring=anchoring)
     return AgentState(agent_id="a", topic="the topic", profile=profile, config=config)
 
@@ -76,14 +70,6 @@ def test_belief_recomputed_after_supersession():
     assert len(agent.memory.active_records()) == 1
 
 
-def test_history_window_trims():
-    agent = make_agent()
-    agent.config.history_window = 2
-    for order in range(4):
-        process_message(agent, Message(text=f"note {order}", author_role="opponent", order=order))
-    assert [m.order for m in agent.history] == [2, 3]
-
-
 def test_compose_emits_claim_lines_that_roundtrip():
     agent = make_agent()
     process_message(agent, Message(text="CLAIM +0.8125: exact binary strength", author_role="opponent", order=0))
@@ -96,13 +82,6 @@ def test_compose_emits_claim_lines_that_roundtrip():
     process_message(agent, message)
     echoed = agent.memory.records[before]
     assert echoed.strength == 0.8125 and echoed.role == Role.SELF
-
-
-def test_compose_requires_generator():
-    agent = make_agent()
-    agent.config.generator = None
-    with pytest.raises(ContractError):
-        compose_response(agent)
 
 
 def test_take_turn_feeds_self_memory():

@@ -63,13 +63,14 @@ def test_service_extractor_success_and_filtering():
         {"claim": "good", "polarity": 1},
         {"claim": "", "polarity": 1},
         {"claim": "bad polarity", "polarity": 2},
+        {"claim": "abc def", "polarity": True},  # True == 1, but a boolean is no polarity
         "not a dict",
     ]
     warnings = []
     extractor = ServiceExtractor("http://x.invalid", transport=lambda u, p, t: items)
     candidates = extractor.extract("topic", msg("anything"), warnings.append)
     assert [c.claim for c in candidates] == ["good"]
-    assert len(warnings) == 3
+    assert warnings == [f"dropped malformed extraction item {item!r}" for item in items[1:]]
 
 
 def test_service_extractor_exhausts_retries():

@@ -13,6 +13,12 @@ digest.  The shared sweep/debate ``resolved_config.json`` digest was
 re-recorded once, when the unread ``engine`` section and
 ``ports.generator`` were removed and the ``ports.scorer`` default became
 ``builtin``; no other output byte changed then.
+
+That ``resolved_config.json`` holds every config key with its default,
+and most defaults are read from the signatures of the run objects that
+take them (see ``credence.config``).  Its digest is therefore the guard
+for every default value and its type: a default changed in a run object
+changes this digest.
 """
 
 import hashlib

@@ -46,8 +46,9 @@ def make_record(claim, polarity=1, strength=0.5, role=Role.OPPONENT):
 def test_candidate_validation():
     with pytest.raises(ContractError):
         CandidateArgument(claim="   ", polarity=1, role=Role.SELF)
-    with pytest.raises(ContractError):
-        CandidateArgument(claim="x", polarity=0, role=Role.SELF)
+    for polarity in (0, True):  # True == 1, but a boolean is no polarity
+        with pytest.raises(ContractError):
+            CandidateArgument(claim="x", polarity=polarity, role=Role.SELF)
     for hint in (float("nan"), float("inf"), -0.1, 1.7, "0.5", True):
         with pytest.raises(ContractError):
             CandidateArgument(claim="x", polarity=1, role=Role.SELF, strength_hint=hint)
@@ -125,7 +126,9 @@ def test_service_scorer_retries_then_fails():
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("body", [{"value": 0.4}, {"score": "high"}, ["score"], None])
+@pytest.mark.parametrize(
+    "body", [{"value": 0.4}, {"score": "high"}, ["score"], None, {"score": True}, {"score": "0.25"}]
+)
 def test_service_scorer_does_not_retry_a_malformed_body(body):
     calls = []
 
@@ -134,7 +137,7 @@ def test_service_scorer_does_not_retry_a_malformed_body(body):
         return body
 
     scorer = ServiceScorer("http://scores.invalid", retries=2, transport=garbled)
-    with pytest.raises(ScoringBackendError):
+    with pytest.raises(ScoringBackendError, match="malformed body"):
         scorer.score("t", "claim")
     assert len(calls) == 1
 

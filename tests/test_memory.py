@@ -109,7 +109,7 @@ def test_jsonl_roundtrip(tmp_path):
         store.insert(record)
         if rng.random() < 0.3:
             record.active = False
-            record.archived_by = rng.randrange(i + 1)
+            record.archived_by = rng.choice([None, *range(i)])  # never the record's own id
     path = tmp_path / "memory.jsonl"
     dump_jsonl(store, path)
     loaded = load_jsonl(path)
@@ -136,6 +136,23 @@ def test_load_rejects_out_of_order_id(tmp_path):
         load_jsonl(path)
 
 
+@pytest.mark.parametrize("archived_by", [1, True, "0", 2.5], ids=["own-id", "bool", "str", "float"])
+def test_load_rejects_a_bad_archived_by(tmp_path, archived_by):
+    """An archived row's archived_by is null or the id of another record."""
+    store = MemoryStore()
+    for i in range(3):
+        store.insert(make_record(f"claim {i}"))
+    store.archive(store.records[1], archived_by=archived_by)
+    path = tmp_path / "memory.jsonl"
+    dump_jsonl(store, path)
+    message = rf"memory\.jsonl:2: record 1 archived_by {re.escape(repr(archived_by))} is neither null"
+    with pytest.raises(ContractError, match=message):
+        load_jsonl(path)
+    store.records[1].archived_by = 2
+    dump_jsonl(store, path)
+    assert load_jsonl(path).records[1].archived_by == 2
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -148,10 +165,12 @@ def test_load_rejects_out_of_order_id(tmp_path):
         ("role", "judge", "'judge' is not a valid Role"),
         ("claim", "  ", "candidate claim is empty"),
         ("active", "no", "record active flag 'no' is not a boolean"),
+        ("polarity", True, "polarity True not in"),
+        ("archived_by", 7, "record 1 archived_by 7 is neither null"),
     ],
     ids=[
         "polarity-0", "polarity-str", "strength-2.5", "strength-nan", "strength-str", "strength-null", "role", "claim",
-        "active-str",
+        "active-str", "polarity-bool", "archived_by-on-active",
     ],
 )
 def test_load_rejects_a_bad_row_naming_file_and_line(tmp_path, field, value, message):

@@ -21,7 +21,7 @@ from credence import memory as memory_mod
 from credence.config import DEFAULT_TOPIC, bundled_text
 from credence.core import Role, UAProfile, compute_log_odds
 from credence.engine import (
-    DEFAULT_BIN_LABELS,
+    BIN_LABELS,
     TraceEvent,
     compose_response,
     process_message,
@@ -458,8 +458,8 @@ BIN_EDGES = [0.2 * j - 1.0 for j in range(1, 10)]
 @pytest.mark.parametrize("j", range(1, 10))
 def test_stance_bin_edge_falls_in_its_upper_bin(j):
     edge = BIN_EDGES[j - 1]
-    assert stance_to_instruction(edge) == (j, DEFAULT_BIN_LABELS[j])
-    assert stance_to_instruction(math.nextafter(edge, -math.inf)) == (j - 1, DEFAULT_BIN_LABELS[j - 1])
+    assert stance_to_instruction(edge) == (j, BIN_LABELS[j])
+    assert stance_to_instruction(math.nextafter(edge, -math.inf)) == (j - 1, BIN_LABELS[j - 1])
 
 
 @given(stance=st.one_of(st.floats(-1.0, 1.0), st.floats(allow_nan=True, allow_infinity=True)))
@@ -473,7 +473,7 @@ def test_stance_to_instruction_bins(stance):
     outside [-1, 1], NaN included, is rejected."""
     if -1.0 <= stance <= 1.0:
         index = sum(edge <= stance for edge in BIN_EDGES)
-        assert stance_to_instruction(stance) == (index, DEFAULT_BIN_LABELS[index])
+        assert stance_to_instruction(stance) == (index, BIN_LABELS[index])
     else:
         with pytest.raises(ContractError):
             stance_to_instruction(stance)

@@ -84,6 +84,8 @@ def test_case_validation():
         ReplayCase(participant="p", group="g", topic="t", initial_likert=3)
     with pytest.raises(ContractError):
         EvidenceItem(claim="x", polarity=0)
+    with pytest.raises(ContractError):  # True == 1, but a boolean is no polarity
+        EvidenceItem(claim="x", polarity=True, strength=0.5)
 
 
 def test_grid_validation():
@@ -91,6 +93,11 @@ def test_grid_validation():
         CalibrationGrid(u_values=(0.2, 0.1))
     with pytest.raises(ContractError):
         CalibrationGrid(u_values=())
+    for values in ((-2.0, 0.1), (-0.5, 0.1)):
+        with pytest.raises(ContractError, match=">= 0"):
+            CalibrationGrid(u_values=values)
+        with pytest.raises(ContractError, match=">= 0"):
+            CalibrationGrid(a_values=values)
 
 
 def test_accepted_records_dedups_same_polarity():

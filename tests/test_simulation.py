@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import random
 
@@ -86,14 +85,22 @@ def test_higher_uptake_concedes_more():
     assert runs[1][0].final_stance < runs[0][0].final_stance
 
 
+def _with_new_defaults(monkeypatch, build) -> dict:
+    """Give each parameter default of build a new object, as an edit of its
+    signature would; returns parameter name -> new default."""
+    function = build.__init__ if inspect.isclass(build) else build
+    monkeypatch.setattr(function, "__defaults__", tuple(object() for _ in function.__defaults__))
+    return {p.name: p.default for p in inspect.signature(function).parameters.values() if p.default is not p.empty}
+
+
 @pytest.mark.parametrize("cls, section", [(SweepConfig, "sweep"), (DebateConfig, "debate")])
-def test_run_config_defaults_match_config_defaults(cls, section):
-    defaults = {
-        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-        for f in dataclasses.fields(cls)
-        if f.default is not dataclasses.MISSING
-    }
-    assert defaults == {name: config_mod.DEFAULTS[section][name] for name in defaults}
+def test_run_config_defaults_match_config_defaults(monkeypatch, cls, section):
+    """Each default of a run config is the config default of the key of
+    its name, read from the class: a new default there needs no second
+    edit."""
+    new = _with_new_defaults(monkeypatch, cls)
+    derived = config_mod._derive_defaults()[section]
+    assert {name: derived[name] for name in new} == new
 
 
 @pytest.mark.parametrize(
@@ -110,12 +117,12 @@ def test_run_config_defaults_match_config_defaults(cls, section):
     ],
     ids=["build_replay_report", "CalibrationGrid", "ServiceClient"],
 )
-def test_replay_and_port_defaults_match_config_defaults(function, section, keys):
-    """`keys` maps each config key to the parameter that takes its value."""
-    parameters = inspect.signature(function).parameters
-    defaults = {key: parameters[name].default for key, name in keys.items()}
-    defaults = {key: list(value) if isinstance(value, tuple) else value for key, value in defaults.items()}
-    assert defaults == {key: config_mod.DEFAULTS[section][key] for key in keys}
+def test_replay_and_port_defaults_match_config_defaults(monkeypatch, function, section, keys):
+    """`keys` maps each config key to the parameter that takes its value;
+    the config default is read from that parameter's default."""
+    new = _with_new_defaults(monkeypatch, function)
+    derived = config_mod._derive_defaults()[section]
+    assert {key: derived[key] for key in keys} == {key: new[name] for key, name in keys.items()}
 
 
 def test_debate_config_validation():
