@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import os
 import sys
 from dataclasses import astuple, fields
@@ -93,11 +92,11 @@ def _script_lines(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _from_section(build, section: dict, **extra):
-    """Call build (a run object's class or a function) with the config
-    keys named like its parameters, plus extra."""
-    names = inspect.signature(build).parameters
-    return build(**{key: value for key, value in section.items() if key in names}, **extra)
+def _from_section(build, cfg: dict, section: str, **extra):
+    """Call build (a run object's class or a function) with the keys of
+    cfg[section] that it takes (config_mod.PARAMETER_OF names the renamed
+    ones), plus extra."""
+    return build(**config_mod.arguments_for(build, section, cfg[section]), **extra)
 
 
 def _prologue(args, command: str, seed_key: str, build):
@@ -143,7 +142,7 @@ def cmd_sweep(args) -> int:
         script = _script_lines(config_mod.load_corpus_text(section["opponent_file"], "opponent_con.txt"))
         seed_pool(corpus, section["seeds_per_side"], section["target"])
         check_script_length(script, section["rounds"])
-        return _from_section(SweepConfig, section), corpus, script, _ports(cfg)
+        return _from_section(SweepConfig, cfg, "sweep"), corpus, script, _ports(cfg)
 
     (sweep_config, corpus, script, ports), out = _prologue(args, "sweep", "rng_seed", build)
     trajectory_rows = []
@@ -175,7 +174,7 @@ def cmd_debate(args) -> int:
     def build(cfg):
         section = cfg["debate"]
         debates = [
-            (pairing, _from_section(DebateConfig, section, **_pairing_profiles(pairing)))
+            (pairing, _from_section(DebateConfig, cfg, "debate", **_pairing_profiles(pairing)))
             for pairing in section["pairings"]
         ]
         corpus = load_scripted_claims(config_mod.load_corpus_text(section["seed_file"], "seeds.txt"))
@@ -233,11 +232,8 @@ def cmd_replay(args) -> int:
             raise ContractError(f"{len(errors)} malformed case lines (strict mode)")
         if not cases:
             raise ContractError(f"no valid replay cases in {case_file}")
-        grid = CalibrationGrid(u_values=tuple(section["u_grid"]), a_values=tuple(section["a_grid"]))
-        # key, folds, seed, theta and eps_weak are passed by name.
-        return _from_section(
-            build_replay_report, section, cases=cases, grid=grid, clip_bound=section["clip"], **_ports(cfg)
-        )
+        grid = _from_section(CalibrationGrid, cfg, "replay")
+        return _from_section(build_replay_report, cfg, "replay", cases=cases, grid=grid, **_ports(cfg))
 
     # The report is built before anything is written.
     report, out = _prologue(args, "replay", "seed", build)

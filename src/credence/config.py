@@ -26,13 +26,30 @@ from .simulation import DebateConfig, SweepConfig
 DEFAULT_TOPIC = "The city should adopt participatory budgeting"
 
 
-def _defaults_of(build, *keys, **renamed) -> dict:
-    """The defaults of build's parameters by config key: each of keys
-    names its parameter, and renamed maps a key to the parameter that
-    takes it.  Tuples become lists, as a YAML file gives them."""
+# Config keys that a run object takes under another parameter name, by
+# section.  DEFAULTS reads those defaults, and the CLI passes those values,
+# through this one table.
+PARAMETER_OF = {"replay": {"u_grid": "u_values", "a_grid": "a_values", "clip": "clip_bound"}}
+
+
+def _parameter(section: str, key: str) -> str:
+    return PARAMETER_OF.get(section, {}).get(key, key)
+
+
+def _defaults_of(build, section: str, *keys) -> dict:
+    """The defaults of build's parameters for the given config keys of
+    section.  Tuples become lists, as a YAML file gives them."""
     parameters = inspect.signature(build).parameters
-    defaults = {key: parameters[name].default for key, name in {**dict(zip(keys, keys)), **renamed}.items()}
+    defaults = {key: parameters[_parameter(section, key)].default for key in keys}
     return {key: list(value) if isinstance(value, tuple) else value for key, value in defaults.items()}
+
+
+def arguments_for(build, section: str, values: dict) -> dict:
+    """The keys of a config section that build takes, by parameter name;
+    the inverse of _defaults_of."""
+    parameters = inspect.signature(build).parameters
+    named = {_parameter(section, key): value for key, value in values.items()}
+    return {name: value for name, value in named.items() if name in parameters}
 
 
 def _derive_defaults() -> dict:
@@ -42,8 +59,8 @@ def _derive_defaults() -> dict:
         "sweep": {
             "topic": DEFAULT_TOPIC,
             **_defaults_of(
-                SweepConfig, "grid", "fixed_u", "fixed_a", "rounds", "seeds_per_side", "target", "rng_seed",
-                "theta", "theta_self", "k",
+                SweepConfig, "sweep", "grid", "fixed_u", "fixed_a", "rounds", "seeds_per_side", "target",
+                "rng_seed", "theta", "theta_self", "k",
             ),
             "seed_file": None,
             "opponent_file": None,
@@ -51,22 +68,23 @@ def _derive_defaults() -> dict:
         "debate": {
             "topic": DEFAULT_TOPIC,
             **_defaults_of(
-                DebateConfig, "rounds", "seeds_per_side", "targets", "trials", "rng_seed", "theta", "theta_self", "k"
+                DebateConfig, "debate", "rounds", "seeds_per_side", "targets", "trials", "rng_seed", "theta",
+                "theta_self", "k",
             ),
             "pairings": ["open/open", "open/stubborn", "stubborn/open", "stubborn/stubborn"],
             "seed_file": None,
         },
         "replay": {
             "case_file": None,
-            **_defaults_of(CalibrationGrid, u_grid="u_values", a_grid="a_values"),
-            **_defaults_of(build_replay_report, "folds", "key", "seed", "eps_weak", clip="clip_bound", theta="theta"),
+            **_defaults_of(CalibrationGrid, "replay", "u_grid", "a_grid"),
+            **_defaults_of(build_replay_report, "replay", "folds", "key", "seed", "eps_weak", "clip", "theta"),
         },
         "ports": {
             "scorer": "builtin",
             "extractor": "scripted",
             "scorer_url": None,
             "extractor_url": None,
-            **_defaults_of(ServiceClient, "timeout", "retries"),
+            **_defaults_of(ServiceClient, "ports", "timeout", "retries"),
         },
     }
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,6 +22,12 @@ from .core import Role, check_polarity, check_strength
 from .exceptions import ContractError, ScoringBackendError
 
 EMBED_DIM = 512
+# Entries the process-wide trigram memo takes before it stops growing.
+GRAM_MEMO_LIMIT = 1 << 16
+# Delay before the first retry of a service call; each later one doubles,
+# up to the cap.
+BACKOFF_BASE_S = 0.1
+BACKOFF_CAP_S = 2.0
 
 
 @dataclass
@@ -68,19 +75,35 @@ def _set_active(record: ArgumentRecord, value: bool) -> None:
 ArgumentRecord.active = property(lambda record: record._active, _set_active)
 
 
+class _GramBuckets(dict):
+    """Trigram -> bucket memo: a miss hashes the gram and keeps it while
+    the memo holds fewer than GRAM_MEMO_LIMIT entries; nothing is evicted.
+    Values are the shared ints of _BUCKETS, so an entry costs its key and
+    a slot."""
+
+    def __missing__(self, gram: str) -> int:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        bucket = _BUCKETS[int.from_bytes(digest, "big") % EMBED_DIM]
+        if len(self) < GRAM_MEMO_LIMIT:
+            self[gram] = bucket
+        return bucket
+
+
+_BUCKETS = tuple(range(EMBED_DIM))
+_GRAM_BUCKETS = _GramBuckets()
+
+
 def embed_claim(claim: str) -> np.ndarray:
     """Hashed character-trigram term-frequency vector, L2-normalised.
 
-    Deterministic across processes (no use of the builtin hash).
+    Deterministic across processes (no use of the builtin hash).  Each
+    distinct trigram is hashed once per process, through _GRAM_BUCKETS.
     """
     text = claim.strip().lower()
     if not text:
         raise ContractError("cannot embed an empty claim")
     grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
-    buckets = [
-        int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") % EMBED_DIM
-        for gram in grams
-    ]
+    buckets = [_GRAM_BUCKETS[gram] for gram in grams]
     # Counts are small integers, so the float64 vector is exact.
     vec = np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
     norm = np.linalg.norm(vec)
@@ -113,25 +136,40 @@ class BuiltinScorer(ScorerPort):
 
 class ServiceClient:
     """One HTTP backend, shared by the service scorer and extractor: a
-    per-call timeout (> 0) and ``retries`` (>= 0) extra attempts."""
+    per-call timeout (> 0) and ``retries`` (>= 0) extra attempts, with a
+    bounded exponential backoff between them.  ``sleep`` (default
+    ``time.sleep``) takes each delay in seconds."""
 
-    def __init__(self, url: str, timeout: float = 5.0, retries: int = 2, transport: Optional[Callable] = None):
+    def __init__(
+        self,
+        url: str,
+        timeout: float = 5.0,
+        retries: int = 2,
+        transport: Optional[Callable] = None,
+        sleep: Optional[Callable] = None,
+    ):
         if not timeout > 0.0 or retries < 0:  # NaN fails too
             raise ContractError(f"service timeout must be > 0 and retries >= 0, got {timeout!r} and {retries!r}")
         self.url = url
         self.timeout = timeout
         self.retries = retries
         self.transport = transport or requests_transport
+        self.sleep = sleep or time.sleep
 
     def post(self, payload: dict, error_cls):
         """POST through the transport, retrying only transport failures.
 
         Returns the decoded body of the first call that succeeds; judging
         the body is the caller's job, so a malformed reply is not retried.
-        After ``retries + 1`` failed calls, raises ``error_cls``.
+        Before retry i (from 0) it sleeps min(BACKOFF_CAP_S, BACKOFF_BASE_S
+        * 2**i).  After ``retries + 1`` failed calls, raises ``error_cls``.
         """
         last_error = None
-        for _ in range(self.retries + 1):
+        delay = BACKOFF_BASE_S
+        for attempt in range(self.retries + 1):
+            if attempt:
+                self.sleep(delay)
+                delay = min(BACKOFF_CAP_S, delay * 2.0)
             try:
                 return self.transport(self.url, payload, self.timeout)
             except Exception as exc:  # noqa: BLE001 - any transport failure counts

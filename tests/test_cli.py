@@ -276,7 +276,9 @@ def test_replay_unreachable_scoring_service_is_runtime_error(tmp_path, monkeypat
         attempts.append(url)
         raise OSError("connection refused")
 
+    delays = []
     monkeypatch.setattr(judgement, "requests_transport", down)
+    monkeypatch.setattr(judgement.time, "sleep", delays.append)
     monkeypatch.delenv("CREDENCE_SCORER_URL", raising=False)
     cases = tmp_path / "cases.jsonl"
     row = case_to_dict(ReplayCase("p", "g", "t", 3, 4, evidence=[EvidenceItem(claim="unscored", polarity=1)]))
@@ -284,6 +286,7 @@ def test_replay_unreachable_scoring_service_is_runtime_error(tmp_path, monkeypat
     config = write_yaml(tmp_path / "c.yaml", {"ports": {"scorer": "service", "scorer_url": "http://scores.invalid"}})
     assert main(["replay", "--config", config, "--cases", str(cases), "--out", str(tmp_path / "o")]) == 2
     assert attempts == ["http://scores.invalid"] * 3  # the default 2 retries
+    assert delays == [judgement.BACKOFF_BASE_S, 2 * judgement.BACKOFF_BASE_S]
     assert "runtime error" in capsys.readouterr().err
 
 
@@ -294,7 +297,9 @@ def test_sweep_unreachable_extraction_service_is_runtime_error(tmp_path, monkeyp
         attempts.append(url)
         raise OSError("connection refused")
 
+    delays = []
     monkeypatch.setattr(judgement, "requests_transport", down)
+    monkeypatch.setattr(judgement.time, "sleep", delays.append)
     monkeypatch.delenv("CREDENCE_EXTRACTOR_URL", raising=False)
     config = write_yaml(
         tmp_path / "c.yaml",
@@ -302,6 +307,7 @@ def test_sweep_unreachable_extraction_service_is_runtime_error(tmp_path, monkeyp
     )
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 2
     assert attempts == ["http://claims.invalid"] * 3  # the default 2 retries
+    assert delays == [judgement.BACKOFF_BASE_S, 2 * judgement.BACKOFF_BASE_S]
     assert "runtime error" in capsys.readouterr().err
 
 

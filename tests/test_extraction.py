@@ -8,6 +8,7 @@ from credence.extraction import (
     ServiceExtractor,
     parse_scripted_message,
 )
+from credence.judgement import BACKOFF_BASE_S
 
 
 def msg(text, author="opponent", order=0):
@@ -80,10 +81,11 @@ def test_service_extractor_exhausts_retries():
         attempts.append(1)
         raise OSError("no route")
 
-    extractor = ServiceExtractor("http://x.invalid", retries=1, transport=down)
+    delays = []
+    extractor = ServiceExtractor("http://x.invalid", retries=1, transport=down, sleep=delays.append)
     with pytest.raises(ExtractionBackendError):
         extractor.extract("topic", msg("anything"))
-    assert len(attempts) == 2
+    assert len(attempts) == 2 and delays == [BACKOFF_BASE_S]
 
 
 def test_service_extractor_rejects_non_list():

@@ -1,11 +1,13 @@
 import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from credence import judgement
 from credence.core import Role
 from credence.exceptions import ContractError, ScoringBackendError
 from credence.judgement import (
@@ -99,6 +101,32 @@ def test_embedding_equals_per_gram_accumulation(claim):
     assert embed_claim(claim).tobytes() == vec.tobytes()
 
 
+def _gram_bucket(gram):
+    return int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") % 512
+
+
+@pytest.mark.parametrize("limit", [0, 3, judgement.GRAM_MEMO_LIMIT])
+@settings(max_examples=60, deadline=None)
+@given(claims=st.lists(st.text(min_size=1, max_size=40).filter(lambda t: t.strip()), min_size=1, max_size=6))
+@example(claims=["Straße über Ærø", "ÇA VA ☃ ça va", "İstanbul ǅ ﬁ", "日本語のテキスト"])
+def test_gram_memo_is_bounded_and_exact(limit, claims):
+    """With any memo limit, each embedding equals the per-gram blake2b
+    reference bytewise, on a first (filling) and a second (reading) pass,
+    and the memo never holds more than its limit, each entry the shared
+    int of its gram's bucket."""
+    memo = judgement._GramBuckets()
+    with mock.patch.object(judgement, "GRAM_MEMO_LIMIT", limit), mock.patch.object(judgement, "_GRAM_BUCKETS", memo):
+        for claim in claims + claims:
+            text = claim.strip().lower()
+            grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
+            vec = np.zeros(512)
+            for gram in grams:
+                vec[_gram_bucket(gram)] += 1.0
+            assert embed_claim(claim).tobytes() == (vec / np.linalg.norm(vec)).tobytes()
+            assert len(memo) <= limit
+    assert all(bucket is judgement._BUCKETS[_gram_bucket(gram)] for gram, bucket in memo.items())
+
+
 def test_similar_texts_score_higher():
     base = embed_claim("the library should stay open on sundays")
     near = embed_claim("the library should stay open on sunday")
@@ -120,10 +148,33 @@ def test_service_scorer_retries_then_fails():
         calls.append(payload)
         raise OSError("down")
 
-    scorer = ServiceScorer("http://scores.invalid", retries=2, transport=flaky)
+    delays = []
+    scorer = ServiceScorer("http://scores.invalid", retries=2, transport=flaky, sleep=delays.append)
     with pytest.raises(ScoringBackendError):
         scorer.score("t", "claim")
     assert len(calls) == 3
+    assert delays == [judgement.BACKOFF_BASE_S, 2 * judgement.BACKOFF_BASE_S]  # none after the last call
+
+
+def test_service_backoff_doubles_up_to_its_cap():
+    calls = []
+
+    def recovers(url, payload, timeout):
+        calls.append(payload)
+        if len(calls) <= 7:
+            raise OSError("down")
+        return {"score": 0.5}
+
+    delays = []
+    scorer = ServiceScorer("http://scores.invalid", retries=7, transport=recovers, sleep=delays.append)
+    assert scorer.score("t", "claim") == 0.5
+    assert len(calls) == 8
+    expected = [min(judgement.BACKOFF_CAP_S, judgement.BACKOFF_BASE_S * 2**i) for i in range(7)]
+    assert delays == expected and delays[-1] == judgement.BACKOFF_CAP_S
+
+
+def test_service_client_sleeps_with_time_sleep_by_default():
+    assert ServiceScorer("http://scores.invalid").sleep is judgement.time.sleep
 
 
 @pytest.mark.parametrize(
@@ -136,10 +187,11 @@ def test_service_scorer_does_not_retry_a_malformed_body(body):
         calls.append(payload)
         return body
 
-    scorer = ServiceScorer("http://scores.invalid", retries=2, transport=garbled)
+    delays = []
+    scorer = ServiceScorer("http://scores.invalid", retries=2, transport=garbled, sleep=delays.append)
     with pytest.raises(ScoringBackendError, match="malformed body"):
         scorer.score("t", "claim")
-    assert len(calls) == 1
+    assert len(calls) == 1 and delays == []
 
 
 def test_service_scorer_success():

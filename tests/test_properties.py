@@ -1,5 +1,5 @@
-"""Property tests for the indexed active set, the calibration grid and
-the stance-to-instruction bins.
+"""Property tests for the indexed active set, the calibration grid, the
+replay prediction kernel and the stance-to-instruction bins.
 
 The store answers deduplication queries from an index (a matvec
 shortlist, then exact cosine_similarity), the engine and the trace
@@ -18,8 +18,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from credence import memory as memory_mod
+from credence import replay as replay_mod
 from credence.config import DEFAULT_TOPIC, bundled_text
-from credence.core import Role, UAProfile, compute_log_odds
+from credence.core import Role, UAProfile, compute_log_odds, stance_from_log_odds
 from credence.engine import (
     BIN_LABELS,
     TraceEvent,
@@ -453,6 +454,32 @@ def test_calibration_cells_equal_replay_case(rows, u_values, a_values, fold_draw
 
 
 BIN_EDGES = [0.2 * j - 1.0 for j in range(1, 10)]
+
+
+# Products of an anchoring and a logit stay finite, so no element is NaN.
+kernel_inputs = st.lists(
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)), min_size=1, max_size=24
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=kernel_inputs)
+@example(cells=[(0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (1.0, -0.0, 0.0), (0.5, 0.0, -0.0)])  # signed zeros
+@example(cells=[(1.0, 80.0, 0.0), (1.5, -1e300, 3.0), (0.2, 37.0, 1e300), (1e6, 1e300, -1e300)])  # saturating
+@example(cells=[(0.3, 5e-324, -5e-324)])  # a one-element array of subnormals
+def test_prediction_kernel_equals_scalar_readout(cells):
+    """The array kernel equals stance_from_log_odds(a * l0 + ev) bitwise
+    at every element: elementwise, as a (a x case) slab, and on the
+    one-element arrays replay_case passes."""
+    anchoring, prior_logits, evidence = (np.array(column, dtype=np.float64) for column in zip(*cells))
+    expected = np.array([stance_from_log_odds(a * l0 + ev) for a, l0, ev in cells])
+    assert replay_mod._predict(anchoring, prior_logits, evidence).tobytes() == expected.tobytes()
+    slab = replay_mod._predict(anchoring[:, np.newaxis], prior_logits, evidence)
+    rows = [[stance_from_log_odds(a * l0 + ev) for _, l0, ev in cells] for a, _, _ in cells]
+    assert slab.tobytes() == np.array(rows).tobytes()
+    for a, l0, ev in cells:
+        one = replay_mod._predict(np.array([a]), np.array([l0]), np.array([ev]))
+        assert one.shape == (1,) and one.tobytes() == np.array([stance_from_log_odds(a * l0 + ev)]).tobytes()
 
 
 @pytest.mark.parametrize("j", range(1, 10))

@@ -246,7 +246,8 @@ def test_report_structure(tmp_path):
 
 def test_report_evaluates_each_grid_cell_once_per_case(monkeypatch):
     """One grid pass: each (u, a) cell once per case, plus one held-out
-    prediction per case for the pooled fit and one for its subgroup's."""
+    prediction per case for the pooled fit and one for its subgroup's.
+    The kernel takes arrays, so the predicted elements are counted."""
     rng = random.Random(12)
     cases = []
     for i in range(40):
@@ -254,12 +255,18 @@ def test_report_evaluates_each_grid_cell_once_per_case(monkeypatch):
         case.final_stance = case.initial_stance if i % 4 == 0 else 0.0  # some stable cases
         cases.append(case)
     grid = CalibrationGrid(u_values=(0.05, 0.1, 0.2), a_values=(0.2, 0.4, 0.8, 1.0))
-    calls = []
+    sizes = []
     kernel = replay_mod._predict
-    monkeypatch.setattr(replay_mod, "_predict", lambda *args: calls.append(args) or kernel(*args))
+
+    def counting(*args):
+        predictions = kernel(*args)
+        sizes.append(predictions.size)
+        return predictions
+
+    monkeypatch.setattr(replay_mod, "_predict", counting)
     report = build_replay_report(cases, grid, folds=4)
     assert len(report.group_calibrations) >= 2
-    assert len(calls) == len(grid.u_values) * len(grid.a_values) * len(cases) + 2 * len(cases)
+    assert sum(sizes) == len(grid.u_values) * len(grid.a_values) * len(cases) + 2 * len(cases)
 
 
 def test_jsonl_roundtrip_and_error_reporting(tmp_path):

@@ -125,6 +125,21 @@ def test_replay_and_port_defaults_match_config_defaults(monkeypatch, function, s
     assert {key: derived[key] for key in keys} == {key: new[name] for key, name in keys.items()}
 
 
+def test_replay_keys_reach_the_parameters_their_defaults_come_from():
+    """The CLI passes each replay key (but case_file) to the one parameter
+    whose default DEFAULTS holds for it: both read config.PARAMETER_OF."""
+    section = config_mod.DEFAULTS["replay"]
+    passed = {}
+    for build in (CalibrationGrid, build_replay_report):
+        parameters = inspect.signature(build).parameters
+        for name, value in config_mod.arguments_for(build, "replay", section).items():
+            default = parameters[name].default
+            assert value == (list(default) if isinstance(default, tuple) else default), name
+            passed[name] = value
+    assert len(passed) == len(section) - 1
+    assert {"u_values", "a_values", "clip_bound"} <= set(passed)
+
+
 def test_debate_config_validation():
     with pytest.raises(ContractError):
         DebateConfig(topic="t", pro_profile=OPEN_MINDED, con_profile=OPEN_MINDED, rounds=0)
