@@ -1,5 +1,6 @@
 import pytest
 
+from credence import judgement
 from credence.core import Role
 from credence.exceptions import ContractError, ExtractionBackendError
 from credence.extraction import (
@@ -8,7 +9,6 @@ from credence.extraction import (
     ServiceExtractor,
     parse_scripted_message,
 )
-from credence.judgement import BACKOFF_BASE_S
 
 
 def msg(text, author="opponent", order=0):
@@ -74,7 +74,7 @@ def test_service_extractor_success_and_filtering():
     assert warnings == [f"dropped malformed extraction item {item!r}" for item in items[1:]]
 
 
-def test_service_extractor_exhausts_retries():
+def test_service_extractor_exhausts_retries(monkeypatch):
     attempts = []
 
     def down(url, payload, timeout):
@@ -82,10 +82,11 @@ def test_service_extractor_exhausts_retries():
         raise OSError("no route")
 
     delays = []
-    extractor = ServiceExtractor("http://x.invalid", retries=1, transport=down, sleep=delays.append)
+    monkeypatch.setattr(judgement.time, "sleep", delays.append)
+    extractor = ServiceExtractor("http://x.invalid", retries=1, transport=down)
     with pytest.raises(ExtractionBackendError):
         extractor.extract("topic", msg("anything"))
-    assert len(attempts) == 2 and delays == [BACKOFF_BASE_S]
+    assert len(attempts) == 2 and delays == [judgement.BACKOFF_BASE_S]
 
 
 def test_service_extractor_rejects_non_list():

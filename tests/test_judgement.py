@@ -141,7 +141,7 @@ def test_builtin_scorer_range_and_determinism():
     assert scorer.score("t", "claim 0") == values[0]
 
 
-def test_service_scorer_retries_then_fails():
+def test_service_scorer_retries_then_fails(monkeypatch):
     calls = []
 
     def flaky(url, payload, timeout):
@@ -149,14 +149,15 @@ def test_service_scorer_retries_then_fails():
         raise OSError("down")
 
     delays = []
-    scorer = ServiceScorer("http://scores.invalid", retries=2, transport=flaky, sleep=delays.append)
+    monkeypatch.setattr(judgement.time, "sleep", delays.append)
+    scorer = ServiceScorer("http://scores.invalid", retries=2, transport=flaky)
     with pytest.raises(ScoringBackendError):
         scorer.score("t", "claim")
     assert len(calls) == 3
     assert delays == [judgement.BACKOFF_BASE_S, 2 * judgement.BACKOFF_BASE_S]  # none after the last call
 
 
-def test_service_backoff_doubles_up_to_its_cap():
+def test_service_backoff_doubles_up_to_its_cap(monkeypatch):
     calls = []
 
     def recovers(url, payload, timeout):
@@ -166,21 +167,18 @@ def test_service_backoff_doubles_up_to_its_cap():
         return {"score": 0.5}
 
     delays = []
-    scorer = ServiceScorer("http://scores.invalid", retries=7, transport=recovers, sleep=delays.append)
+    monkeypatch.setattr(judgement.time, "sleep", delays.append)
+    scorer = ServiceScorer("http://scores.invalid", retries=7, transport=recovers)
     assert scorer.score("t", "claim") == 0.5
     assert len(calls) == 8
     expected = [min(judgement.BACKOFF_CAP_S, judgement.BACKOFF_BASE_S * 2**i) for i in range(7)]
     assert delays == expected and delays[-1] == judgement.BACKOFF_CAP_S
 
 
-def test_service_client_sleeps_with_time_sleep_by_default():
-    assert ServiceScorer("http://scores.invalid").sleep is judgement.time.sleep
-
-
 @pytest.mark.parametrize(
     "body", [{"value": 0.4}, {"score": "high"}, ["score"], None, {"score": True}, {"score": "0.25"}]
 )
-def test_service_scorer_does_not_retry_a_malformed_body(body):
+def test_service_scorer_does_not_retry_a_malformed_body(body, monkeypatch):
     calls = []
 
     def garbled(url, payload, timeout):
@@ -188,7 +186,8 @@ def test_service_scorer_does_not_retry_a_malformed_body(body):
         return body
 
     delays = []
-    scorer = ServiceScorer("http://scores.invalid", retries=2, transport=garbled, sleep=delays.append)
+    monkeypatch.setattr(judgement.time, "sleep", delays.append)
+    scorer = ServiceScorer("http://scores.invalid", retries=2, transport=garbled)
     with pytest.raises(ScoringBackendError, match="malformed body"):
         scorer.score("t", "claim")
     assert len(calls) == 1 and delays == []

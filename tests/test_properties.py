@@ -469,8 +469,9 @@ kernel_inputs = st.lists(
 @example(cells=[(0.3, 5e-324, -5e-324)])  # a one-element array of subnormals
 def test_prediction_kernel_equals_scalar_readout(cells):
     """The array kernel equals stance_from_log_odds(a * l0 + ev) bitwise
-    at every element: elementwise, as a (a x case) slab, and on the
-    one-element arrays replay_case passes."""
+    at every element: elementwise, as a (a x case) slab, and in the
+    one-element form replay_case passes (a scalar anchoring and evidence
+    term around a one-element prior-logit array)."""
     anchoring, prior_logits, evidence = (np.array(column, dtype=np.float64) for column in zip(*cells))
     expected = np.array([stance_from_log_odds(a * l0 + ev) for a, l0, ev in cells])
     assert replay_mod._predict(anchoring, prior_logits, evidence).tobytes() == expected.tobytes()
@@ -478,7 +479,7 @@ def test_prediction_kernel_equals_scalar_readout(cells):
     rows = [[stance_from_log_odds(a * l0 + ev) for _, l0, ev in cells] for a, _, _ in cells]
     assert slab.tobytes() == np.array(rows).tobytes()
     for a, l0, ev in cells:
-        one = replay_mod._predict(np.array([a]), np.array([l0]), np.array([ev]))
+        one = replay_mod._predict(a, np.array([l0]), ev)
         assert one.shape == (1,) and one.tobytes() == np.array([stance_from_log_odds(a * l0 + ev)]).tobytes()
 
 
