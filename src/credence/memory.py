@@ -11,17 +11,19 @@ at once, and a stored record whose ``active`` flag is cleared, through
 The index makes deduplication, retrieval and the belief update cost in
 proportion to the active set rather than to everything ever stored:
 
-- per polarity, the active records and, once the pool is large enough
-  for a matvec to pay, their unit-norm embeddings as rows of one growable
-  float64 matrix, plus a mask of the agent's own rows (self and seed) for
-  the self pool;
+- per polarity, two row sets, every active record and only the agent's
+  own (self and seed) for the self pool; once a set is large enough for a
+  matvec to pay, its unit-norm embeddings are the rows of one growable
+  float64 matrix;
+- per polarity, the active records in (-strength, id) order, which
+  ``rescale`` sorts again, so top-k retrieval is a slice;
 - the active records in id order;
 - one read-only embedding per distinct claim text seen by this store.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import json
 import math
 import weakref
@@ -32,15 +34,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Role
+from .core import Role, check_strength
 from .exceptions import ContractError
 from .judgement import ArgumentRecord, CandidateArgument, embed_claim
 
-# Below this many rows a pool is searched by cosine_similarity alone.  The
-# loop costs about 8.5 us per row; the matvec path costs about 16 us more
-# per query than one row, and keeping a record's matrix row about 8.5 us.
-# On streams of 4 to 64 claims thresholds 4 and 8 were both within noise of
-# the fastest; 8 keeps small per-case stores on the loop (see CHANGES.md).
+# Below this many rows a row set, every active record of a polarity or only
+# the agent's own, is searched by cosine_similarity alone.  The loop costs
+# about 8.5 us per row; the matvec path costs about 16 us more per query
+# than one row, and keeping a record's matrix row about 8.5 us.  On streams
+# of 4 to 64 claims thresholds 4 and 8 were both within noise of the
+# fastest; 8 keeps small per-case stores on the loop (see CHANGES.md).
 _MATVEC_MIN_ROWS = 8
 # Matrix rows whose similarity lies this close to the best one are
 # re-scored with cosine_similarity; a matvec differs from it by a few ulps.
@@ -55,10 +58,9 @@ def _unit(embedding) -> np.ndarray:
     return embedding / norm if norm > 0.0 else np.zeros_like(embedding)
 
 
-class _PolarityIndex:
-    """The active records of one polarity and, once the pool first reaches
-    _MATVEC_MIN_ROWS, their unit-norm embeddings as the rows of one matrix
-    with a mask of the agent's own rows.
+class _RowSet:
+    """Active records and, once the set first reaches _MATVEC_MIN_ROWS,
+    their unit-norm embeddings as the rows of one matrix.
 
     Rows are unordered: removing a record moves the last row into its
     place.  The matrix doubles when full.
@@ -67,26 +69,19 @@ class _PolarityIndex:
     def __init__(self):
         self.records: list[ArgumentRecord] = []
         self.row_of: dict[int, int] = {}
-        self.own_count = 0
         self.matrix: Optional[np.ndarray] = None
-        self.own: Optional[np.ndarray] = None
 
     def add(self, record: ArgumentRecord) -> None:
         n = len(self.records)
-        own = record.role in _OWN_ROLES
         self.records.append(record)
         self.row_of[record.id] = n
-        self.own_count += own
         if self.matrix is not None:
             if n == len(self.matrix):
                 self.matrix = np.concatenate([self.matrix, np.empty_like(self.matrix)])
-                self.own = np.concatenate([self.own, np.zeros_like(self.own)])
             self.matrix[n] = _unit(record.embedding)
-            self.own[n] = own
 
     def remove(self, record: ArgumentRecord) -> None:
         row = self.row_of.pop(record.id)
-        self.own_count -= record.role in _OWN_ROLES
         last = len(self.records) - 1
         if row != last:
             moved = self.records[last]
@@ -94,32 +89,51 @@ class _PolarityIndex:
             self.row_of[moved.id] = row
             if self.matrix is not None:
                 self.matrix[row] = self.matrix[last]
-                self.own[row] = self.own[last]
         self.records.pop()
 
-    def size(self, own_only: bool) -> int:
-        return self.own_count if own_only else len(self.records)
-
-    def shortlist(self, query: np.ndarray, own_only: bool) -> list[ArgumentRecord]:
+    def shortlist(self, query: np.ndarray) -> list[ArgumentRecord]:
         """The records that may hold the best similarity to query: with a
         matrix, the rows within the margin of the best matvec similarity;
-        without one, the whole pool.  The pool must not be empty."""
+        without one, the whole set.  The set must not be empty."""
         n = len(self.records)
         if self.matrix is None and n >= _MATVEC_MIN_ROWS:
             self.matrix = np.empty((2 * n, len(self.records[0].embedding)))
-            self.own = np.zeros(2 * n, dtype=bool)
             for row, record in enumerate(self.records):
                 self.matrix[row] = _unit(record.embedding)
-                self.own[row] = record.role in _OWN_ROLES
         if self.matrix is None:
-            if own_only:
-                return [r for r in self.records if r.role in _OWN_ROLES]
             return self.records
         sims = self.matrix[:n] @ _unit(query)
-        if own_only:
-            sims[~self.own[:n]] = -np.inf
         rows = np.flatnonzero(sims >= sims.max() - _SHORTLIST_MARGIN)
         return [self.records[row] for row in rows]
+
+
+def _rank(record: ArgumentRecord) -> tuple:
+    # Strength ties break toward the older (lower-id) record.
+    return (-record.strength, record.id)
+
+
+class _PolarityIndex:
+    """The active records of one polarity: every one and the agent's own
+    (self and seed) as two row sets, and every one in rank order, the
+    strongest first.  The rank order holds while strengths change only
+    through MemoryStore.rescale, which sorts it again."""
+
+    def __init__(self):
+        self.every = _RowSet()
+        self.own = _RowSet()
+        self.ranked: list[ArgumentRecord] = []
+
+    def add(self, record: ArgumentRecord) -> None:
+        self.every.add(record)
+        if record.role in _OWN_ROLES:
+            self.own.add(record)
+        bisect.insort(self.ranked, record, key=_rank)
+
+    def remove(self, record: ArgumentRecord) -> None:
+        self.every.remove(record)
+        if record.role in _OWN_ROLES:
+            self.own.remove(record)
+        del self.ranked[bisect.bisect_left(self.ranked, _rank(record), key=_rank)]
 
 
 @dataclass
@@ -165,9 +179,17 @@ class MemoryStore:
         record.archived_by = archived_by
 
     def rescale(self, records, factor: float) -> None:
-        """Multiply the strength of each given record by factor."""
-        for record in records:
-            record.strength *= factor
+        """Multiply the strength of each given record, active or archived,
+        by factor.  Every product must be a strength (a finite number in
+        [0, 1]); otherwise ContractError, and no strength changes."""
+        records = list(records)
+        scaled = [record.strength * factor for record in records]
+        for record, strength in zip(records, scaled):
+            check_strength(strength, f"rescaled strength of record {record.id}")
+        for record, strength in zip(records, scaled):
+            record.strength = strength
+        for index in self._by_polarity.values():
+            index.ranked.sort(key=_rank)
         self.revision += 1
 
     def active_records(self) -> list[ArgumentRecord]:
@@ -178,17 +200,19 @@ class MemoryStore:
         and seed, if own_only) that may be the most cosine-similar to
         embedding, in id order; empty when there are none.
 
-        Once the pool has reached _MATVEC_MIN_ROWS, one matvec over the
-        index shortlists the records within _SHORTLIST_MARGIN of its best
+        Once the row set searched (the agent's own rows alone, if
+        own_only) has reached _MATVEC_MIN_ROWS, one matvec over its rows
+        shortlists the records within _SHORTLIST_MARGIN of its best
         similarity.  The shortlist holds every record that
         cosine_similarity ranks first, so scoring it with
         cosine_similarity in id order picks the record, and the value
         bitwise, that scoring the whole pool would.
         """
         index = self._by_polarity[polarity]
-        if not index.size(own_only):
+        rows = index.own if own_only else index.every
+        if not rows.records:
             return []
-        return sorted(index.shortlist(embedding, own_only), key=_by_id)
+        return sorted(rows.shortlist(embedding), key=_by_id)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -217,18 +241,12 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _top_by_strength(records: list[ArgumentRecord], limit: int) -> list[ArgumentRecord]:
-    # Strength ties break toward the older (lower-id) record; the key is a
-    # total order, so the unordered index pools give the same choice.
-    return heapq.nsmallest(limit, records, key=lambda r: (-r.strength, r.id))
-
-
 def retrieve(store: MemoryStore, k: int) -> RetrievalContext:
     """Composition-proportional retrieval of the strongest active records."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    pro = store._by_polarity[1].records
-    con = store._by_polarity[-1].records
+    pro = store._by_polarity[1].ranked
+    con = store._by_polarity[-1].ranked
     total = len(pro) + len(con)
     if total == 0:
         # Even split; the extra slot for odd k goes to the affirmative side.
@@ -236,7 +254,7 @@ def retrieve(store: MemoryStore, k: int) -> RetrievalContext:
         return RetrievalContext(records=[], k_plus=k_plus, k_minus=k - k_plus)
     k_plus = _round_half_up(k * len(pro) / total)
     k_minus = k - k_plus
-    chosen = _top_by_strength(pro, k_plus) + _top_by_strength(con, k_minus)
+    chosen = pro[:k_plus] + con[:k_minus]
     return RetrievalContext(records=chosen, k_plus=k_plus, k_minus=k_minus)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 
@@ -94,6 +95,24 @@ def test_retrieve_ignores_archived():
     strong.active = False
     context = retrieve(store, 1)
     assert [r.claim for r in context.records] == ["pro b"]
+
+
+@pytest.mark.parametrize("factor", [float("nan"), -0.5, 1.5], ids=["nan", "negative", "product-above-1"])
+def test_rescale_rejects_a_product_outside_0_1_and_changes_nothing(factor):
+    store = MemoryStore()
+    records = [make_record(f"claim {i}", strength=strength) for i, strength in enumerate((0.2, 0.5, 0.8))]
+    for record in records:
+        store.insert(record)
+    records[1].active = False  # archived records are rescaled too
+    revision = store.revision
+    with pytest.raises(ContractError, match="rescaled strength of record .* is not a finite number in"):
+        store.rescale(records, factor)
+    assert [r.strength for r in records] == [0.2, 0.5, 0.8]
+    assert store.revision == revision
+    # The factor itself may exceed 1, as a seed scale a few ulps above the
+    # bisection's lower end can.
+    store.rescale(records, math.nextafter(1.0, 2.0))
+    assert records[2].strength == 0.8 * math.nextafter(1.0, 2.0)
 
 
 def test_jsonl_roundtrip(tmp_path):

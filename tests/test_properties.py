@@ -150,12 +150,48 @@ def test_indexed_resolve_matches_brute_force(ops, theta, theta_self, min_rows):
         assert store.active_records() == [r for r in store.records if r.active]
 
 
+def test_self_query_multiplies_only_own_rows():
+    """A self query's matvec reads the agent's own rows of the polarity,
+    not the opponent rows beside them, and decides as the loop does."""
+    store = MemoryStore()
+    for i in range(120):
+        store.insert(make_record(_claim(i % len(PHRASES), 0, i), 1, 0.5, Role.OPPONENT))
+    for i in range(10):
+        store.insert(make_record(_claim(i % len(PHRASES), i % 3, 20 + i), 1, 0.5, (Role.SEED, Role.SELF)[i % 2]))
+    store.insert(make_record(_claim(0, 0, 0), -1, 0.5, Role.SELF))  # the other polarity
+    own_rows = sum(r.active and r.polarity == 1 and r.role != Role.OPPONENT for r in store.records)
+
+    shapes = []
+
+    # The matvec is `matrix @ _unit(query)`; a query of this subclass
+    # records the shape of the matrix it meets.
+    class Query(np.ndarray):
+        def __rmatmul__(self, matrix):
+            shapes.append(matrix.shape)
+            return matrix @ self.view(np.ndarray)
+
+    unit = memory_mod._unit
+    with mock.patch.object(memory_mod, "_unit", lambda embedding: unit(embedding).view(Query)):
+        # An exact repeat of an opponent claim, near one of the agent's own.
+        ingest_and_check(store, make_record(_claim(1, 0, 1), 1, 0.25, Role.SELF), 0.8, 0.5)
+    assert own_rows >= memory_mod._MATVEC_MIN_ROWS
+    assert shapes == [(own_rows, len(store.records[0].embedding))]
+
+
 retrieve_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), st.sampled_from((-1, 1)), st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+        st.tuples(
+            st.just("insert"),
+            st.sampled_from((-1, 1)),
+            st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+            st.sampled_from((Role.SEED, Role.SELF, Role.OPPONENT)),
+        ),
         st.tuples(st.just("archive"), st.integers(0, 10**6)),
         st.tuples(st.just("flip"), st.integers(0, 10**6)),
         st.tuples(st.just("rescale"), st.integers(0, 10**6), st.sampled_from((0.5, 0.999, 1.0))),
+        st.tuples(
+            st.just("rescale_many"), st.integers(0, 10**6), st.integers(2, 20), st.sampled_from((0.0, 0.3, 0.999, 1.0))
+        ),
     ),
     max_size=60,
 )
@@ -163,22 +199,37 @@ retrieve_ops = st.lists(
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ops=retrieve_ops, k=st.integers(1, 12))
+@example(ops=[("insert", 1, 1.0, Role.SEED), ("insert", 1, 1.0, Role.SELF), ("rescale", 0, 0.5)], k=2)
+@example(
+    ops=[
+        ("insert", -1, 0.5, Role.OPPONENT),
+        ("insert", -1, 1.0, Role.SEED),
+        ("insert", -1, 1.0, Role.SEED),
+        ("archive", 2),
+        ("rescale_many", 1, 2, 0.3),
+    ],
+    k=2,
+)
 def test_retrieve_matches_brute_force_sort(ops, k):
-    """After every insert, archive, direct flip or rescale, retrieval
-    from the index pools equals a (-strength, id) sort of each
-    polarity's active records."""
+    """After every insert, archive, direct flip or rescale of one record
+    or of several at once, archived ones included (as seeding rescales
+    every seed), retrieval from the index pools equals a (-strength, id)
+    sort of each polarity's active records."""
     store = MemoryStore()
     for op in ops:
         if op[0] == "insert":
-            store.insert(make_record(f"claim {len(store)}", op[1], op[2], Role.OPPONENT))
+            store.insert(make_record(f"claim {len(store)}", op[1], op[2], op[3]))
         elif store.records:
             record = store.records[op[1] % len(store.records)]
             if op[0] == "archive":
                 store.archive(record, archived_by=None)
             elif op[0] == "flip":
                 record.active = False
-            else:
+            elif op[0] == "rescale":
                 store.rescale([record], op[2])
+            else:
+                start = op[1] % len(store.records)
+                store.rescale(store.records[start : start + op[2]], op[3])
         context = retrieve(store, k)
         ranked = {
             polarity: [r.id for r in sorted(store, key=lambda r: (-r.strength, r.id)) if r.active and r.polarity == polarity]
