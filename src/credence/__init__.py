@@ -59,6 +59,7 @@ from .judgement import (
     resolve_conflict,
     resolve_self_conflict,
     score_strength,
+    trigram_counts,
 )
 from .memory import MemoryStore, RetrievalContext, dump_jsonl, load_jsonl
 from .replay import (

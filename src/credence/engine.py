@@ -108,12 +108,10 @@ def stance_to_instruction(stance: float) -> tuple[int, str]:
 
 
 def ingest_candidate(agent: AgentState, candidate: CandidateArgument) -> ArgumentRecord:
-    """Judge and store one candidate; emits scored/warning/resolved/stored."""
+    """Judge and store one candidate; emits scored/resolved/stored."""
     config = agent.config
     record, outcome = judge(agent.memory, candidate, agent.topic, config.scorer, config.theta, config.theta_self)
     agent.emit("scored", claim=candidate.claim, strength=record.strength, role=candidate.role.value)
-    if outcome.warning:
-        agent.emit("warning", message=outcome.warning)
     # Only a superseded pre-existing record goes here; a losing new record
     # is announced through its own stored event (active=False).
     archived_id = outcome.superseded.id if outcome.superseded is not None else None
@@ -228,6 +226,8 @@ def write_trace(path, events: list[TraceEvent]) -> None:
 
 
 def read_trace(path) -> list[TraceEvent]:
+    """Each non-blank line must be a JSON object with an integer seq, a
+    string kind and an object payload; else TraceVerificationError."""
     events = []
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -236,10 +236,31 @@ def read_trace(path) -> list[TraceEvent]:
                 continue
             try:
                 row = json.loads(line)
-                events.append(TraceEvent(seq=row["seq"], kind=row["kind"], payload=row["payload"]))
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise TraceVerificationError(f"unreadable trace line {line_number}: {exc}") from exc
+            if not (
+                isinstance(row, dict)
+                and type(row.get("seq")) is int
+                and isinstance(row.get("kind"), str)
+                and isinstance(row.get("payload"), dict)
+            ):
+                raise TraceVerificationError(
+                    f"trace line {line_number} is not an object with an integer seq, a string kind and an object payload"
+                )
+            events.append(TraceEvent(seq=row["seq"], kind=row["kind"], payload=row["payload"]))
     return events
+
+
+_KINDS = {"a number": (int, float), "an integer": int, "a boolean": bool}
+
+
+def _field(event: TraceEvent, key: str, kind: str = "a number"):
+    """A payload field that verify_trace reads, of the given kind (a
+    boolean is not a number); else TraceVerificationError."""
+    value = event.payload.get(key)
+    if isinstance(value, bool) != (kind == "a boolean") or not isinstance(value, _KINDS[kind]):
+        raise TraceVerificationError(f"event {event.seq}: {event.kind} {key} {value!r} is not {kind}", seq=event.seq)
+    return value
 
 
 def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefState:
@@ -252,7 +273,9 @@ def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefSt
     covers a second stored event for one id, as a seed rescale emits).
     Both give the same L bitwise.
 
-    Raises TraceVerificationError at the first divergent event.
+    Raises TraceVerificationError at the first divergent event, at the
+    first field it reads that is missing or of the wrong type, and at
+    any NaN it compares.
     """
     contributions: dict[int, float] = {}
     active: dict[int, bool] = {}
@@ -269,19 +292,19 @@ def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefSt
         previous_seq = event.seq
         payload = event.payload
         if event.kind == "stored":
-            record_id = payload["id"]
+            record_id = _field(event, "id", "an integer")
+            is_active = _field(event, "active", "a boolean")
             if top_id is not None and record_id <= top_id:
                 resum = True
             else:
                 top_id = record_id
-            contributions[record_id] = payload["contribution"]
-            active[record_id] = payload["active"]
-            if payload["active"]:
+            contributions[record_id] = _field(event, "contribution")
+            active[record_id] = is_active
+            if is_active:
                 pending.append(record_id)
         elif event.kind == "resolved":
-            archived = payload.get("archived_id")
-            if archived is not None:
-                active[archived] = False
+            if payload.get("archived_id") is not None:
+                active[_field(event, "archived_id", "an integer")] = False
                 resum = True
         elif event.kind == "updated":
             if resum:
@@ -295,17 +318,17 @@ def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefSt
                     expected += contributions[record_id]
             pending.clear()
             resum = False
-            if abs(payload["L_before"] - current.log_odds) > tolerance:
+            # Written as `not ... <= tolerance` so that a NaN fails.
+            l_before, l_after = _field(event, "L_before"), _field(event, "L_after")
+            if not abs(l_before - current.log_odds) <= tolerance:
                 raise TraceVerificationError(
-                    f"event {event.seq}: L_before {payload['L_before']} != replayed {current.log_odds}",
-                    seq=event.seq,
+                    f"event {event.seq}: L_before {l_before} != replayed {current.log_odds}", seq=event.seq
                 )
-            if abs(payload["L_after"] - expected) > tolerance:
+            if not abs(l_after - expected) <= tolerance:
                 raise TraceVerificationError(
-                    f"event {event.seq}: L_after {payload['L_after']} != replayed {expected}",
-                    seq=event.seq,
+                    f"event {event.seq}: L_after {l_after} != replayed {expected}", seq=event.seq
                 )
-            if abs(payload["S_after"] - stance_from_log_odds(expected)) > tolerance:
+            if not abs(_field(event, "S_after") - stance_from_log_odds(expected)) <= tolerance:
                 raise TraceVerificationError(
                     f"event {event.seq}: S_after inconsistent with L_after", seq=event.seq
                 )

@@ -50,6 +50,11 @@ class CandidateArgument:
 
 @dataclass
 class ArgumentRecord:
+    """A judged claim.  A record made by ``judge`` holds in ``embedding``
+    its store's shared, read-only trigram counts (``MemoryStore.embed``);
+    the store searches by claim text, never by this field, so a record
+    built with another vector is deduplicated all the same."""
+
     claim: str
     polarity: int
     strength: float
@@ -58,7 +63,6 @@ class ArgumentRecord:
     active: bool = True  # a property, set below
     id: Optional[int] = None
     archived_by: Optional[int] = None
-    inserted_at: Optional[int] = None
     # The holding MemoryStore, set by insert; weak, so there is no cycle.
     store: Optional[weakref.ref] = field(default=None, init=False, repr=False, compare=False)
 
@@ -97,29 +101,34 @@ _BUCKETS = tuple(range(EMBED_DIM))
 _GRAM_BUCKETS = _GramBuckets()
 
 
-def embed_claim(claim: str) -> np.ndarray:
-    """Hashed character-trigram term-frequency vector, L2-normalised.
+def trigram_counts(claim: str) -> np.ndarray:
+    """Hashed character-trigram counts of a claim, as a float64 vector.
 
     Deterministic across processes (no use of the builtin hash).  Each
     distinct trigram is hashed once per process, through _GRAM_BUCKETS.
+    The counts are small integers, so the vector is exact, and so is any
+    dot product of two count vectors, in any summation order.
     """
     text = claim.strip().lower()
     if not text:
         raise ContractError("cannot embed an empty claim")
     grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
     buckets = [_GRAM_BUCKETS[gram] for gram in grams]
-    # Counts are small integers, so the float64 vector is exact.
-    vec = np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0.0 else vec
+    return np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
+
+
+def embed_claim(claim: str) -> np.ndarray:
+    """The trigram counts of a claim, L2-normalised (a non-blank claim has
+    at least one trigram, so the norm is positive)."""
+    counts = trigram_counts(claim)
+    return counts / np.linalg.norm(counts)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    """a.b / sqrt(|a|^2 |b|^2).  For trigram counts the three dot products
+    are exact, and the multiply, sqrt and divide are each correctly
+    rounded, so the result has the same bits on every IEEE-754 machine."""
+    return float(a @ b) / math.sqrt(float(a @ a) * float(b @ b))
 
 
 class ScorerPort:
@@ -209,40 +218,27 @@ class ResolutionOutcome:
     similarity: Optional[float] = None
     matched_id: Optional[int] = None
     superseded: Optional[ArgumentRecord] = None
-    warning: Optional[str] = None
 
 
-def _resolve_against_pool(new: ArgumentRecord, pool: list[ArgumentRecord], threshold: float) -> ResolutionOutcome:
-    if not pool:
+def _settle(new: ArgumentRecord, nearest: Optional[tuple], threshold: float) -> ResolutionOutcome:
+    """Decide between new and its nearest active record, (record,
+    similarity), or None when the pool is empty."""
+    if nearest is None:
         return ResolutionOutcome(kept_new=True)
-
-    warning = None
-    if np.linalg.norm(new.embedding) == 0.0:
-        warning = "zero-norm embedding; similarity treated as 0"
-
-    best = None
-    best_sim = -1.0
-    for record in pool:  # id order, so ties keep the lowest id
-        sim = cosine_similarity(new.embedding, record.embedding)
-        if sim > best_sim:
-            best = record
-            best_sim = sim
-
-    if best_sim < threshold:
-        return ResolutionOutcome(kept_new=True, similarity=best_sim, matched_id=best.id, warning=warning)
+    best, similarity = nearest
+    if similarity < threshold:
+        return ResolutionOutcome(kept_new=True, similarity=similarity, matched_id=best.id)
     if new.strength > best.strength:
-        return ResolutionOutcome(
-            kept_new=True, similarity=best_sim, matched_id=best.id, superseded=best, warning=warning
-        )
+        return ResolutionOutcome(kept_new=True, similarity=similarity, matched_id=best.id, superseded=best)
     # Ties keep the existing record.
     new.active = False
     new.archived_by = best.id
-    return ResolutionOutcome(kept_new=False, similarity=best_sim, matched_id=best.id, warning=warning)
+    return ResolutionOutcome(kept_new=False, similarity=similarity, matched_id=best.id)
 
 
 def resolve_conflict(new: ArgumentRecord, memory, threshold: float) -> ResolutionOutcome:
     """Soft-deduplicate against all active same-polarity records."""
-    return _resolve_against_pool(new, memory.candidates(new.embedding, new.polarity), threshold)
+    return _settle(new, memory.nearest(new), threshold)
 
 
 def resolve_self_conflict(new: ArgumentRecord, memory, threshold_self: float) -> ResolutionOutcome:
@@ -250,8 +246,7 @@ def resolve_self_conflict(new: ArgumentRecord, memory, threshold_self: float) ->
     agent's own active claims (self and seed) of the same polarity."""
     if new.role != Role.SELF:
         raise ContractError("resolve_self_conflict requires a role=self record")
-    pool = memory.candidates(new.embedding, new.polarity, own_only=True)
-    return _resolve_against_pool(new, pool, threshold_self)
+    return _settle(new, memory.nearest(new, own_only=True), threshold_self)
 
 
 def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_self: float) -> ResolutionOutcome:

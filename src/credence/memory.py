@@ -12,13 +12,14 @@ The index makes deduplication, retrieval and the belief update cost in
 proportion to the active set rather than to everything ever stored:
 
 - per polarity, two row sets, every active record and only the agent's
-  own (self and seed) for the self pool; once a set is large enough for a
-  matvec to pay, its unit-norm embeddings are the rows of one growable
-  float64 matrix;
+  own (self and seed) for the self pool, each with its records' trigram
+  counts as the rows of one growable float64 matrix and each row's
+  squared norm, so one exact matvec finds the nearest record;
 - per polarity, the active records in (-strength, id) order, which
   ``rescale`` sorts again, so top-k retrieval is a slice;
 - the active records in id order;
-- one read-only embedding per distinct claim text seen by this store.
+- one read-only trigram-count vector per distinct claim text seen by
+  this store.
 """
 
 from __future__ import annotations
@@ -29,38 +30,20 @@ import math
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .core import Role, check_strength
 from .exceptions import ContractError
-from .judgement import ArgumentRecord, CandidateArgument, embed_claim
+from .judgement import EMBED_DIM, ArgumentRecord, CandidateArgument, trigram_counts
 
-# Below this many rows a row set, every active record of a polarity or only
-# the agent's own, is searched by cosine_similarity alone.  The loop costs
-# about 8.5 us per row; the matvec path costs about 16 us more per query
-# than one row, and keeping a record's matrix row about 8.5 us.  On streams
-# of 4 to 64 claims thresholds 4 and 8 were both within noise of the
-# fastest; 8 keeps small per-case stores on the loop (see CHANGES.md).
-_MATVEC_MIN_ROWS = 8
-# Matrix rows whose similarity lies this close to the best one are
-# re-scored with cosine_similarity; a matvec differs from it by a few ulps.
-_SHORTLIST_MARGIN = 1e-9
 _OWN_ROLES = (Role.SELF, Role.SEED)
-_by_id = attrgetter("id")
-
-
-def _unit(embedding) -> np.ndarray:
-    embedding = np.asarray(embedding, dtype=np.float64)
-    norm = np.linalg.norm(embedding)
-    return embedding / norm if norm > 0.0 else np.zeros_like(embedding)
 
 
 class _RowSet:
-    """Active records and, once the set first reaches _MATVEC_MIN_ROWS,
-    their unit-norm embeddings as the rows of one matrix.
+    """Active records with their trigram counts as the rows of one matrix,
+    and each row's squared norm.
 
     Rows are unordered: removing a record moves the last row into its
     place.  The matrix doubles when full.
@@ -69,16 +52,18 @@ class _RowSet:
     def __init__(self):
         self.records: list[ArgumentRecord] = []
         self.row_of: dict[int, int] = {}
-        self.matrix: Optional[np.ndarray] = None
+        self.counts = np.empty((1, EMBED_DIM))
+        self.squares = np.empty(1)
 
-    def add(self, record: ArgumentRecord) -> None:
+    def add(self, record: ArgumentRecord, counts: np.ndarray) -> None:
         n = len(self.records)
+        if n == len(self.squares):
+            self.counts = np.concatenate([self.counts, np.empty_like(self.counts)])
+            self.squares = np.concatenate([self.squares, np.empty_like(self.squares)])
+        self.counts[n] = counts
+        self.squares[n] = counts @ counts
         self.records.append(record)
         self.row_of[record.id] = n
-        if self.matrix is not None:
-            if n == len(self.matrix):
-                self.matrix = np.concatenate([self.matrix, np.empty_like(self.matrix)])
-            self.matrix[n] = _unit(record.embedding)
 
     def remove(self, record: ArgumentRecord) -> None:
         row = self.row_of.pop(record.id)
@@ -87,24 +72,26 @@ class _RowSet:
             moved = self.records[last]
             self.records[row] = moved
             self.row_of[moved.id] = row
-            if self.matrix is not None:
-                self.matrix[row] = self.matrix[last]
+            self.counts[row] = self.counts[last]
+            self.squares[row] = self.squares[last]
         self.records.pop()
 
-    def shortlist(self, query: np.ndarray) -> list[ArgumentRecord]:
-        """The records that may hold the best similarity to query: with a
-        matrix, the rows within the margin of the best matvec similarity;
-        without one, the whole set.  The set must not be empty."""
+    def nearest(self, query: np.ndarray) -> Optional[tuple[ArgumentRecord, float]]:
+        """The record whose counts are the most cosine-similar to the
+        query counts, the lowest id among equals, and that similarity;
+        None when the set is empty.
+
+        Every dot product of counts is exact, and numpy's elementwise
+        multiply, sqrt and divide round as cosine_similarity's scalar ones
+        do, so each similarity equals cosine_similarity bitwise.
+        """
         n = len(self.records)
-        if self.matrix is None and n >= _MATVEC_MIN_ROWS:
-            self.matrix = np.empty((2 * n, len(self.records[0].embedding)))
-            for row, record in enumerate(self.records):
-                self.matrix[row] = _unit(record.embedding)
-        if self.matrix is None:
-            return self.records
-        sims = self.matrix[:n] @ _unit(query)
-        rows = np.flatnonzero(sims >= sims.max() - _SHORTLIST_MARGIN)
-        return [self.records[row] for row in rows]
+        if not n:
+            return None
+        similarities = (self.counts[:n] @ query) / np.sqrt(self.squares[:n] * float(query @ query))
+        best = similarities.max()
+        row = min(np.flatnonzero(similarities == best), key=lambda r: self.records[r].id)
+        return self.records[row], float(best)
 
 
 def _rank(record: ArgumentRecord) -> tuple:
@@ -123,10 +110,10 @@ class _PolarityIndex:
         self.own = _RowSet()
         self.ranked: list[ArgumentRecord] = []
 
-    def add(self, record: ArgumentRecord) -> None:
-        self.every.add(record)
+    def add(self, record: ArgumentRecord, counts: np.ndarray) -> None:
+        self.every.add(record, counts)
         if record.role in _OWN_ROLES:
-            self.own.add(record)
+            self.own.add(record, counts)
         bisect.insort(self.ranked, record, key=_rank)
 
     def remove(self, record: ArgumentRecord) -> None:
@@ -153,22 +140,21 @@ class MemoryStore:
         if record.id is not None:
             raise ContractError(f"record already has id {record.id}")
         record.id = self.insertion_counter
-        record.inserted_at = self.insertion_counter
         self.insertion_counter += 1
         self.records.append(record)
         record.store = weakref.ref(self)
         if record.active:
             self._active[record.id] = record
-            self._by_polarity[record.polarity].add(record)
+            self._by_polarity[record.polarity].add(record, self.embed(record.claim))
         return record.id
 
     def embed(self, claim: str) -> np.ndarray:
-        """embed_claim, computed once per distinct text in this store and
-        shared read-only by every record of that text."""
+        """trigram_counts, computed once per distinct text in this store
+        and shared read-only by every record of that text."""
         key = claim.strip().lower()
         embedding = self._embeddings.get(key)
         if embedding is None:
-            embedding = embed_claim(claim)
+            embedding = trigram_counts(claim)
             embedding.flags.writeable = False
             self._embeddings[key] = embedding
         return embedding
@@ -195,24 +181,14 @@ class MemoryStore:
     def active_records(self) -> list[ArgumentRecord]:
         return list(self._active.values())
 
-    def candidates(self, embedding: np.ndarray, polarity: int, own_only: bool = False) -> list[ArgumentRecord]:
-        """The active records of this polarity (only the agent's own, self
-        and seed, if own_only) that may be the most cosine-similar to
-        embedding, in id order; empty when there are none.
-
-        Once the row set searched (the agent's own rows alone, if
-        own_only) has reached _MATVEC_MIN_ROWS, one matvec over its rows
-        shortlists the records within _SHORTLIST_MARGIN of its best
-        similarity.  The shortlist holds every record that
-        cosine_similarity ranks first, so scoring it with
-        cosine_similarity in id order picks the record, and the value
-        bitwise, that scoring the whole pool would.
-        """
-        index = self._by_polarity[polarity]
+    def nearest(self, record: ArgumentRecord, own_only: bool = False) -> Optional[tuple[ArgumentRecord, float]]:
+        """The active record of record's polarity (only the agent's own,
+        self and seed, if own_only) most cosine-similar to record's claim,
+        by trigram counts, with the lowest id among equals, and that
+        similarity; None when there is none."""
+        index = self._by_polarity[record.polarity]
         rows = index.own if own_only else index.every
-        if not rows.records:
-            return []
-        return sorted(rows.shortlist(embedding), key=_by_id)
+        return rows.nearest(self.embed(record.claim))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -271,7 +247,6 @@ def dump_jsonl(store: MemoryStore, path) -> None:
                         "role": r.role.value,
                         "active": r.active,
                         "archived_by": r.archived_by,
-                        "inserted_at": r.inserted_at,
                     },
                     ensure_ascii=False,
                 )

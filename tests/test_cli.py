@@ -351,6 +351,37 @@ def test_trace_verify_unreadable_trace(tmp_path):
     assert main(["trace-verify", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("kind, field", [("stored", "contribution"), ("updated", "L_after"), ("updated", "S_after")])
+def test_trace_verify_rejects_nan(tmp_path, kind, field):
+    out = tmp_path / "out"
+    main(["sweep", "--config", small_sweep_config(tmp_path), "--out", str(out)])
+    lines = next((out / "traces").glob("*.jsonl")).read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    row = json.loads(lines[index])
+    row["payload"][field] = float("nan")  # json writes NaN, and reads it back
+    lines[index] = json.dumps(row)
+    tampered = tmp_path / "nan.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+    assert main(["trace-verify", str(tampered)]) == 3
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        '{"seq": 0, "kind": "stored", "payload": {"claim": "x", "active": true, "contribution": 0.1}}',
+        '{"seq": 0, "kind": "updated", "payload": {"L_before": "x", "L_after": 0.0, "S_before": 0.0, "S_after": 0.0}}',
+        '{"seq": "a", "kind": "stored", "payload": {}}',
+    ],
+    ids=["array", "stored-without-id", "string-L_before", "string-seq"],
+)
+def test_trace_verify_rejects_malformed_event(tmp_path, capsys, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    assert main(["trace-verify", str(bad)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_module_entry_point_reports_failure(tmp_path):
     # `python -m credence.cli` runs the command and exits with its code.
     env = {**os.environ, "PYTHONPATH": str(Path(credence.__file__).parents[1])}

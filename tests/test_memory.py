@@ -21,7 +21,6 @@ def test_insert_assigns_monotone_ids():
     store = MemoryStore()
     ids = [store.insert(make_record(f"claim {i}")) for i in range(5)]
     assert ids == [0, 1, 2, 3, 4]
-    assert [r.inserted_at for r in store] == ids
 
 
 def test_insert_rejects_preassigned_id():

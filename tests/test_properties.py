@@ -1,15 +1,19 @@
 """Property tests for the indexed active set, the calibration grid, the
 replay prediction kernel and the stance-to-instruction bins.
 
-The store answers deduplication queries from an index (a matvec
-shortlist, then exact cosine_similarity), the engine and the trace
-verifier update L incrementally, and calibration evaluates its grid from
-per-case terms.  Each property compares that fast path with the
-brute-force rule it replaces, bitwise.
+The store answers deduplication queries from an index (one matvec over
+a matrix of trigram counts), the engine and the trace verifier update L
+incrementally, and calibration evaluates its grid from per-case terms.
+Each property compares that fast path with the brute-force rule it
+replaces, bitwise.  Similarity itself is checked against a pure-Python
+integer oracle: on trigram counts it has the same bits on every IEEE-754
+machine.
 """
 
+import hashlib
 import math
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -17,7 +21,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from credence import memory as memory_mod
 from credence import replay as replay_mod
 from credence.config import DEFAULT_TOPIC, bundled_text
 from credence.core import Role, UAProfile, compute_log_odds, stance_from_log_odds
@@ -31,7 +34,15 @@ from credence.engine import (
 )
 from credence.exceptions import ContractError, TraceVerificationError
 from credence.extraction import Message
-from credence.judgement import ArgumentRecord, cosine_similarity, embed_claim, ingest_record
+from credence.judgement import (
+    EMBED_DIM,
+    ArgumentRecord,
+    cosine_similarity,
+    embed_claim,
+    ingest_record,
+    resolve_conflict,
+    trigram_counts,
+)
 from credence.memory import MemoryStore, dump_jsonl, load_jsonl, retrieve
 from credence.replay import CalibrationGrid, EvidenceItem, ReplayCase, build_replay_report, calibrate, replay_case
 from credence.simulation import load_scripted_claims, make_agent, seed_agent
@@ -58,7 +69,7 @@ def _claim(phrase: int, swap: int, suffix: int) -> str:
 # Similarities of paraphrase pairs, used as thresholds so that some
 # decisions fall exactly on the boundary.
 BOUNDARY_THETAS = tuple(
-    cosine_similarity(embed_claim(_claim(p, 0, 0)), embed_claim(_claim(p, s, 0)))
+    cosine_similarity(trigram_counts(_claim(p, 0, 0)), trigram_counts(_claim(p, s, 0)))
     for p in range(len(PHRASES))
     for s in range(1, len(SWAPS) + 1)
 )
@@ -85,15 +96,16 @@ def make_record(claim, polarity, strength, role):
 
 
 def brute_force_match(store: MemoryStore, new: ArgumentRecord):
-    """The pre-index rule: loop cosine_similarity over the active pool in
-    insertion order; the first strictly greater similarity wins."""
+    """The pre-index rule: loop cosine_similarity of claim counts over the
+    active pool in insertion order; the first strictly greater similarity
+    wins."""
     best, best_sim = None, -1.0
     for record in store.records:
         if not record.active or record.polarity != new.polarity:
             continue
         if new.role == Role.SELF and record.role not in (Role.SELF, Role.SEED):
             continue
-        sim = cosine_similarity(new.embedding, record.embedding)
+        sim = cosine_similarity(trigram_counts(new.claim), trigram_counts(record.claim))
         if sim > best_sim:
             best, best_sim = record, sim
     return best, best_sim
@@ -141,13 +153,11 @@ def apply(store: MemoryStore, ops, theta: float, theta_self: float):
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(ops=operations, theta=thetas, theta_self=thetas, min_rows=st.sampled_from((1, memory_mod._MATVEC_MIN_ROWS)))
-def test_indexed_resolve_matches_brute_force(ops, theta, theta_self, min_rows):
-    # min_rows=1 sends every pool through the matvec shortlist.
-    with mock.patch.object(memory_mod, "_MATVEC_MIN_ROWS", min_rows):
-        store = MemoryStore()
-        apply(store, ops, theta, theta_self)
-        assert store.active_records() == [r for r in store.records if r.active]
+@given(ops=operations, theta=thetas, theta_self=thetas)
+def test_indexed_resolve_matches_brute_force(ops, theta, theta_self):
+    store = MemoryStore()
+    apply(store, ops, theta, theta_self)
+    assert store.active_records() == [r for r in store.records if r.active]
 
 
 def test_self_query_multiplies_only_own_rows():
@@ -163,19 +173,87 @@ def test_self_query_multiplies_only_own_rows():
 
     shapes = []
 
-    # The matvec is `matrix @ _unit(query)`; a query of this subclass
-    # records the shape of the matrix it meets.
+    # The matvec is `matrix @ query`, the query being the store's counts
+    # of the claim; a query of this subclass records the shape of the
+    # matrix it meets.
     class Query(np.ndarray):
         def __rmatmul__(self, matrix):
             shapes.append(matrix.shape)
             return matrix @ self.view(np.ndarray)
 
-    unit = memory_mod._unit
-    with mock.patch.object(memory_mod, "_unit", lambda embedding: unit(embedding).view(Query)):
+    embed = MemoryStore.embed
+    with mock.patch.object(MemoryStore, "embed", lambda store, claim: embed(store, claim).view(Query)):
         # An exact repeat of an opponent claim, near one of the agent's own.
         ingest_and_check(store, make_record(_claim(1, 0, 1), 1, 0.25, Role.SELF), 0.8, 0.5)
-    assert own_rows >= memory_mod._MATVEC_MIN_ROWS
-    assert shapes == [(own_rows, len(store.records[0].embedding))]
+    assert shapes == [(own_rows, EMBED_DIM)]
+
+
+def oracle_counts(claim: str) -> Counter:
+    """Bucket -> trigram count, from blake2b alone."""
+    text = claim.strip().lower()
+    grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
+    return Counter(
+        int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big") % EMBED_DIM
+        for gram in grams
+    )
+
+
+def oracle_similarity(a: str, b: str) -> float:
+    """Cosine similarity of two claims' counts from Python ints: the dot
+    products are exact, then one multiply, sqrt and divide."""
+    ca, cb = oracle_counts(a), oracle_counts(b)
+    dot = sum(n * cb[bucket] for bucket, n in ca.items())
+    qa = sum(n * n for n in ca.values())
+    qb = sum(n * n for n in cb.values())
+    return dot / math.sqrt(qa * qb)
+
+
+oracle_claims = st.text(alphabet="ab cD", min_size=1, max_size=14).filter(str.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    claims=st.lists(oracle_claims, min_size=1, max_size=16),
+    archived=st.lists(st.integers(0, 15), max_size=6),
+    query=oracle_claims,
+)
+# Archiving id 0 moves id 3 into row 0: equal similarities, 1.0 for an
+# identical claim and 0.0 for no shared trigram, must still keep id 1.
+@example(claims=["aaa", "bbb", "ccc", "bbb"], archived=[0], query="bbb")
+@example(claims=["aaa", "bbb", "ccc", "bbb"], archived=[0], query="aaa")
+@example(claims=["parks matter"], archived=[], query="  Parks Matter ")
+def test_similarity_bits_equal_an_integer_oracle(claims, archived, query):
+    """The store's nearest record and its similarity, bitwise, are those
+    of the integer oracle looped over the active records in id order: the
+    first strictly greater similarity wins, so equal ones keep the lowest
+    id even after a removal has moved rows.  Records hold unit vectors;
+    the store searches their claims' counts."""
+    store = MemoryStore()
+    for claim in claims:
+        store.insert(make_record(claim, 1, 0.5, Role.OPPONENT))
+    for index in archived:
+        record = store.records[index % len(store.records)]
+        if record.active:
+            store.archive(record, archived_by=None)
+    best, best_sim = None, -1.0
+    for record in store.active_records():
+        sim = oracle_similarity(query, record.claim)
+        if sim > best_sim:
+            best, best_sim = record, sim
+
+    outcome = resolve_conflict(make_record(query, 1, 0.5, Role.OPPONENT), store, 2.0)
+    if best is None:
+        assert outcome.similarity is None
+    else:
+        assert outcome.matched_id == best.id
+        assert outcome.similarity.hex() == best_sim.hex()
+    for claim in claims:
+        expected = oracle_similarity(query, claim)
+        assert cosine_similarity(trigram_counts(query), trigram_counts(claim)).hex() == expected.hex()
+        if query.strip().lower() == claim.strip().lower():
+            assert expected == 1.0
+        if not oracle_counts(query).keys() & oracle_counts(claim).keys():
+            assert expected == 0.0
 
 
 retrieve_ops = st.lists(
@@ -242,22 +320,21 @@ def test_retrieve_matches_brute_force_sort(ops, k):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(before=operations, after=operations, theta=thetas, theta_self=thetas)
 def test_reloaded_store_resolves_identically(tmp_path_factory, before, after, theta, theta_self):
-    with mock.patch.object(memory_mod, "_MATVEC_MIN_ROWS", 1):
-        store = MemoryStore()
-        apply(store, before, theta, theta_self)
-        path = tmp_path_factory.mktemp("memory") / "memory.jsonl"
-        dump_jsonl(store, path)
-        loaded = load_jsonl(path)
-        for op in after:
-            if op[0] == "flip":
-                continue
-            _, phrase, swap, suffix, polarity, role, strength = op
-            claim = _claim(phrase, swap, suffix)
-            original = ingest_and_check(store, make_record(claim, polarity, strength, role), theta, theta_self)
-            reloaded = ingest_and_check(loaded, make_record(claim, polarity, strength, role), theta, theta_self)
-            assert (original.kept_new, original.matched_id) == (reloaded.kept_new, reloaded.matched_id)
-            assert repr(original.similarity) == repr(reloaded.similarity)
-        assert flags(loaded) == flags(store)
+    store = MemoryStore()
+    apply(store, before, theta, theta_self)
+    path = tmp_path_factory.mktemp("memory") / "memory.jsonl"
+    dump_jsonl(store, path)
+    loaded = load_jsonl(path)
+    for op in after:
+        if op[0] == "flip":
+            continue
+        _, phrase, swap, suffix, polarity, role, strength = op
+        claim = _claim(phrase, swap, suffix)
+        original = ingest_and_check(store, make_record(claim, polarity, strength, role), theta, theta_self)
+        reloaded = ingest_and_check(loaded, make_record(claim, polarity, strength, role), theta, theta_self)
+        assert (original.kept_new, original.matched_id) == (reloaded.kept_new, reloaded.matched_id)
+        assert repr(original.similarity) == repr(reloaded.similarity)
+    assert flags(loaded) == flags(store)
 
 
 CORPUS = load_scripted_claims(bundled_text("seeds.txt"))
@@ -417,7 +494,7 @@ def test_embeddings_are_shared_and_read_only():
     first = store.embed("  Parks Matter ")
     second = store.embed("parks matter")
     assert first is second
-    assert np.array_equal(first, embed_claim("parks matter"))
+    assert np.array_equal(first, trigram_counts("parks matter"))
     assert not first.flags.writeable
     assert MemoryStore().embed("parks matter") is not first  # one cache per store
 
