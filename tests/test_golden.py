@@ -12,7 +12,11 @@ failing test means an output byte changed: find out why before touching a
 digest.  The shared sweep/debate ``resolved_config.json`` digest was
 re-recorded once, when the unread ``engine`` section and
 ``ports.generator`` were removed and the ``ports.scorer`` default became
-``builtin``; no other output byte changed then.
+``builtin``; no other output byte changed then.  The 34 sweep/debate
+trace digests were re-recorded once, when deduplication similarity
+became the exact cosine of integer trigram counts; only ``similarity``
+values in ``resolved`` events changed then (1,338 of 11,777 events, by
+at most 4.6e-16 relative), and every CSV and config digest held.
 
 That ``resolved_config.json`` holds every config key with its default,
 and most defaults are read from the signatures of the run objects that
@@ -35,16 +39,16 @@ GOLDEN_SHA256 = {
         'resolved_config.json': 'f7825cb1861c345c561480ffd2c082ef7cdcaba2a13709e8682522aef5687216',
         'sweep_finals.csv': '128a45da4f24917b7dd9fe0c85525c53ad6430e8804de46e4c4967eea1522c4b',
         'sweep_trajectories.csv': 'd0dd720dfff16598f3b3f03ff13f34c6004d8845b813ebf74eda25ed594ad967',
-        'traces/sweep_a_0.2.jsonl': 'f85f52ccb8c5e5013f53aa2108fe8ad1885a2165e737c7189db137959f37f9db',
-        'traces/sweep_a_0.4.jsonl': 'bf5fcf44f3d68e8ec72a391e1b6a91727d5d3ac2e1439837a6162902265903c5',
-        'traces/sweep_a_0.6.jsonl': '8e0ed39d92664a4d3502c4a96ef28812c126f345a5c4e0157f98a39267a18048',
-        'traces/sweep_a_0.8.jsonl': 'd4b128ae1b57e1463315777f35ce2dd1e276ce5a87580d193d1157ed0cd0c22d',
-        'traces/sweep_a_1.0.jsonl': '7782bb386ace0212c02b84453aa7c89be1172500903420b1fd1b8ff7808255b9',
-        'traces/sweep_u_0.2.jsonl': '8fb5d1e1d637c34f21affdf6a9841eee8891d64217d009f1200a13fbb986db93',
-        'traces/sweep_u_0.4.jsonl': '75cb864921eefb0cf9083bc40dde49a62b00067e2fafb7fb9de62d3919dd7690',
-        'traces/sweep_u_0.6.jsonl': '83b8201fe254b921e2bb9d320cd5d330126266bcc7f94edf22834b480b05d609',
-        'traces/sweep_u_0.8.jsonl': 'cc2651e11f1f691e778e6e52ef621fefeda78a1cf97cdd24a80ac08b01c9240c',
-        'traces/sweep_u_1.0.jsonl': 'b4c6d31e99b5b45910c4fe6f74256ff415dfbaf203f633df3856ab007063fb95',
+        'traces/sweep_a_0.2.jsonl': '3357f064f90003c864e16f2849b87e5f66af527a8ece2a25223415a7a624d1c4',
+        'traces/sweep_a_0.4.jsonl': '947262b739e0d6115f3e353f1ab473a1aff6f5d7321c9c3edac629bc650a2dbf',
+        'traces/sweep_a_0.6.jsonl': '649863841aef2f0dfe099a91c58c356d854fd72ef2669375c1aed12a28b97fa3',
+        'traces/sweep_a_0.8.jsonl': '59f055e01e4d40b47786354199ccf908c260b211a65b68026603086ec9c4a49e',
+        'traces/sweep_a_1.0.jsonl': 'd27692c5d8bf510220086d36cae05fed5021ca0b0a72ff0e0e645b182ebd43b4',
+        'traces/sweep_u_0.2.jsonl': '8dd9f5be44e348bcd2abb1ad05f3fe055ba00016db6b94128617fe88a9bd0787',
+        'traces/sweep_u_0.4.jsonl': 'bb0508cc2453087c949d1b07ca203ad6ecfac7fb5cceac578558d6189ec8f9ac',
+        'traces/sweep_u_0.6.jsonl': '3265c1358f41f5c71887a551538603d25260decab86561e50169d8c3bca1c4ca',
+        'traces/sweep_u_0.8.jsonl': 'b412963ee6c3c4e1727b917cbfd8b6646229d608e4574df4ef0211fb0f2e9810',
+        'traces/sweep_u_1.0.jsonl': 'b81231cac6103dc0fc04e8b28d5a2a17ffb5b18ccc31a7420d6c492340d9973a',
     },
     'debate': {
         'convergence.csv': '0334eb51d0efb47bbda0d5aa7b1eb145c7fa265e9a99891d17768a794e1abd63',
@@ -52,30 +56,30 @@ GOLDEN_SHA256 = {
         'debate_summary.csv': '0838039debd1a3e1ccfeffff39bb50abc4c470e90099f2122b598c75168d8fdd',
         'resolved_config.json': 'f7825cb1861c345c561480ffd2c082ef7cdcaba2a13709e8682522aef5687216',
         'series.csv': 'a7a1964ed41ec09f5aa9405c72566cc68cb5b4f84ef697babdbf7c7f874fcc6b',
-        'traces/debate_open-open_t0_con.jsonl': 'a3312dc9813d345a790960375166e2aaa6c1da41e53043a922f599b3ae865361',
-        'traces/debate_open-open_t0_pro.jsonl': '79474c29c9b457cdc5602222552b2f175f1a7a621390b2802bc4b6508150016d',
-        'traces/debate_open-open_t1_con.jsonl': '08e9c10efa7c25dfa9a63c372883b2163674ef48382800230347243e3cf813a6',
-        'traces/debate_open-open_t1_pro.jsonl': 'eac3e60b34754a570a68be3d58fa1daa251e127e1607e610c138d2230ce5051c',
-        'traces/debate_open-open_t2_con.jsonl': 'a1bdd895627f908e5a4f902d012e65fabb73d05f8a3816e3dbcfbcbd14556fe8',
-        'traces/debate_open-open_t2_pro.jsonl': 'e95e0ad6e3eb11a577fbf3fcbdbb856359e87f3cfb0b683fd030bb64b28a8f4b',
-        'traces/debate_open-stubborn_t0_con.jsonl': 'f2a61c981918749fd893a88b0175519922d6dd1b0eb8929217839fb115078025',
-        'traces/debate_open-stubborn_t0_pro.jsonl': 'b4eed37eababcf62f648693b4562b764201f8fb313fd3ce2485b45ad19a5ab87',
-        'traces/debate_open-stubborn_t1_con.jsonl': '07acd890a7503b9e4af986a62e39798455acc0fa2d1f22586891edf3d4907987',
-        'traces/debate_open-stubborn_t1_pro.jsonl': 'bb85aa69683ff0da05f392d09215e6d81407ebc99e61bf2e0dccbffe2999c4b8',
-        'traces/debate_open-stubborn_t2_con.jsonl': 'c3551b5d17c20736806e4bf3697cc0f727ea743b9318485a9bc519b0d5ccb2f5',
-        'traces/debate_open-stubborn_t2_pro.jsonl': '061867217aca6a5498772a1fd19d5449bbcbe38d31608167c46febae877304c9',
-        'traces/debate_stubborn-open_t0_con.jsonl': '2bbdd50e93621a7100880e67076740353ee5d244acd17448693a6b80c1707def',
-        'traces/debate_stubborn-open_t0_pro.jsonl': '6aa87efa2f95f228d4411aff0fc3a3f5b82feb01710480bf41c05153b285132a',
-        'traces/debate_stubborn-open_t1_con.jsonl': 'a0c975db1b459eb77c5c119d1278fa94221af8e9caef2a52dc1505e819e271b4',
-        'traces/debate_stubborn-open_t1_pro.jsonl': '42afba9a986ab7ac21fe009f6303b288e9b20c6fe665d002e49cc737a5f49bfd',
-        'traces/debate_stubborn-open_t2_con.jsonl': '0d84ebfbfd9fda9cb3e52b5afcfadfd64cf3c4000605eaa1fcd872fc7533f745',
-        'traces/debate_stubborn-open_t2_pro.jsonl': 'b43117c3315c5072438261c873b3be9315045194c88d3a9c45250fecebf5d039',
-        'traces/debate_stubborn-stubborn_t0_con.jsonl': 'b48ff3744f19608136f2d45ab03db73034222b687a06584512261d6da1c6b420',
-        'traces/debate_stubborn-stubborn_t0_pro.jsonl': '84c9037d987ea910802368a54c64c90716bb935c8c4e1b57cb62d0057e6b2dfc',
-        'traces/debate_stubborn-stubborn_t1_con.jsonl': '800773f77261ce256e28a365fd7f05f51698fd3063586f281db64a99c378df6c',
-        'traces/debate_stubborn-stubborn_t1_pro.jsonl': 'bcff601d4d1bbe132c3beddaf1ff97c9620ff2ba926f11a95adae34d39ef9783',
-        'traces/debate_stubborn-stubborn_t2_con.jsonl': '3753b704458ee0886b258cf57f257cff7af5c0bd783e754aee002a1aa1d13e03',
-        'traces/debate_stubborn-stubborn_t2_pro.jsonl': '53d6b22f91bbae7f1d9a4d82f4f2ee76741c43a7f712a97550ee22cf92cbe230',
+        'traces/debate_open-open_t0_con.jsonl': 'd876d404e26386e3ee1d8e377b4768e212d08f6900f40ee380317b36d096b5c0',
+        'traces/debate_open-open_t0_pro.jsonl': '8f2dd7d0f61de0439365ef0dc6b3cac2694d2659df0b30fb8cafdf1f7bee0001',
+        'traces/debate_open-open_t1_con.jsonl': '1c7436c8723d6e74dc13cb3c0c748682977a126a9066a09b03ca439b44373a86',
+        'traces/debate_open-open_t1_pro.jsonl': '47ed745ea77295b2278019eae38520f8d7210e9ccbaa54d0e3d65d676430bb63',
+        'traces/debate_open-open_t2_con.jsonl': '434c76da324fb07336f6cfadc30014491656bfb4f619e5ac60bf97342592d899',
+        'traces/debate_open-open_t2_pro.jsonl': '8da68ec5f759fb35556c4bdc16ebcaadb1726022f49e5960d44b9f68244c8f6b',
+        'traces/debate_open-stubborn_t0_con.jsonl': '7a3a7e9a6dc68bb1f85a40ecbd5f4bc254dd61fc57215b201171c9e8784c8347',
+        'traces/debate_open-stubborn_t0_pro.jsonl': '49238627ad21fa61fdc51f2ab2d25595c76964c2eb0a65bc7fa6894fe4d6e81e',
+        'traces/debate_open-stubborn_t1_con.jsonl': 'e2d726234949142d42239b46c738577e167245a4d523132cd9824229768bccb7',
+        'traces/debate_open-stubborn_t1_pro.jsonl': '67baac1448a9bd44fabff5099d6a362c58a411752b34a550e525cd0bef48707f',
+        'traces/debate_open-stubborn_t2_con.jsonl': 'df9adef17ce39483378c722b5f008f68314565253279cebef7568a78356cc4d0',
+        'traces/debate_open-stubborn_t2_pro.jsonl': 'ef75e614d603975e6cd20fdd81fb0e8ea61d18a1cf81fc59c2960030430c73e9',
+        'traces/debate_stubborn-open_t0_con.jsonl': '9d41098ded146dc4dc5e33242e3abe2121e523abaff9c2901cf9d7029a2e6039',
+        'traces/debate_stubborn-open_t0_pro.jsonl': 'db0c375b5df65a7ba326a626adb14f301ae8625ac52ac7f97588fea081c00f20',
+        'traces/debate_stubborn-open_t1_con.jsonl': '23380040bd4d27f71581604b7f90ea2511dfbb531885d6e4911b995197fb3262',
+        'traces/debate_stubborn-open_t1_pro.jsonl': '91c521f3fa0780086908603f33d5c7e90e72c5b938678b62b8e4586a640bae8b',
+        'traces/debate_stubborn-open_t2_con.jsonl': 'ba39e148d1746a032e199549b767e059e28ecb05e10145df9d6df512e46432ba',
+        'traces/debate_stubborn-open_t2_pro.jsonl': 'b02ad3cd2e3e49670927bcc07d333c3da9c840d70773a27fb1d1a980afb254a4',
+        'traces/debate_stubborn-stubborn_t0_con.jsonl': '07828a179af374658260f50be9e6e05487b94c9bfa72b762a2a436eaab39ad9b',
+        'traces/debate_stubborn-stubborn_t0_pro.jsonl': '15394c9b27b71f87ae35aa10d16847a79f3295d2223c79932c2b188945d5653e',
+        'traces/debate_stubborn-stubborn_t1_con.jsonl': '62b65c2012b84220345bf15f9b831253ca42610b6653dac44bdcec7d6a30ee11',
+        'traces/debate_stubborn-stubborn_t1_pro.jsonl': 'e98fb73ac2ff397660156cce4e80e93438644091895004008e5b20a5e0f4afec',
+        'traces/debate_stubborn-stubborn_t2_con.jsonl': '045363735b7b125d6e96552cec7c3893eb9d3b8d2945fce9c0c2b4ad1d994748',
+        'traces/debate_stubborn-stubborn_t2_pro.jsonl': '38a8b1de434bb34f1ee5d039658a5fcda86693deecc03a6cdae7627aa74a41f7',
     },
 }
 
