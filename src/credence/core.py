@@ -39,9 +39,9 @@ class UAProfile:
     anchoring: float
 
     def __post_init__(self):
-        if self.uptake < 0.0 or self.anchoring < 0.0:
+        if not (0.0 <= self.uptake < math.inf and 0.0 <= self.anchoring < math.inf):  # NaN fails too
             raise ConfigError(
-                f"uptake and anchoring must be >= 0, got ({self.uptake}, {self.anchoring})"
+                f"uptake and anchoring must be finite and >= 0, got ({self.uptake}, {self.anchoring})"
             )
 
 

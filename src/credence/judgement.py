@@ -112,8 +112,8 @@ def trigram_counts(claim: str) -> np.ndarray:
     text = claim.strip().lower()
     if not text:
         raise ContractError("cannot embed an empty claim")
-    grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
-    buckets = [_GRAM_BUCKETS[gram] for gram in grams]
+    grams = map("".join, zip(text, text[1:], text[2:])) if len(text) >= 3 else (text,)
+    buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, max(len(text) - 2, 1))
     return np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
 
 

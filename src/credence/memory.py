@@ -13,8 +13,10 @@ proportion to the active set rather than to everything ever stored:
 
 - per polarity, two row sets, every active record and only the agent's
   own (self and seed) for the self pool, each with its records' trigram
-  counts as the rows of one growable float64 matrix and each row's
-  squared norm, so one exact matvec finds the nearest record;
+  counts as the rows of one float64 matrix and each row's squared norm,
+  so one exact matvec finds the nearest record; the first add makes room
+  for 8 rows, the matrix doubles when full after that, and a query looks
+  for the lowest id only when several rows tie for the best similarity;
 - per polarity, the active records in (-strength, id) order, which
   ``rescale`` sorts again, so top-k retrieval is a slice;
 - the active records in id order;
@@ -46,20 +48,30 @@ class _RowSet:
     and each row's squared norm.
 
     Rows are unordered: removing a record moves the last row into its
-    place.  The matrix doubles when full.
+    place.  The first add makes room for FIRST_ROWS rows, so an empty set
+    allocates nothing and a small one allocates once; after that the
+    matrix doubles when full.
     """
+
+    FIRST_ROWS = 8
+    # Shared by every empty set; a set replaces them on its first add and
+    # never writes them.
+    _NO_COUNTS = np.empty((0, EMBED_DIM))
+    _NO_SQUARES = np.empty(0)
 
     def __init__(self):
         self.records: list[ArgumentRecord] = []
         self.row_of: dict[int, int] = {}
-        self.counts = np.empty((1, EMBED_DIM))
-        self.squares = np.empty(1)
+        self.counts = self._NO_COUNTS
+        self.squares = self._NO_SQUARES
 
     def add(self, record: ArgumentRecord, counts: np.ndarray) -> None:
         n = len(self.records)
         if n == len(self.squares):
-            self.counts = np.concatenate([self.counts, np.empty_like(self.counts)])
-            self.squares = np.concatenate([self.squares, np.empty_like(self.squares)])
+            capacity = max(self.FIRST_ROWS, 2 * n)
+            grown, grown_squares = np.empty((capacity, EMBED_DIM)), np.empty(capacity)
+            grown[:n], grown_squares[:n] = self.counts, self.squares
+            self.counts, self.squares = grown, grown_squares
         self.counts[n] = counts
         self.squares[n] = counts @ counts
         self.records.append(record)
@@ -83,14 +95,19 @@ class _RowSet:
 
         Every dot product of counts is exact, and numpy's elementwise
         multiply, sqrt and divide round as cosine_similarity's scalar ones
-        do, so each similarity equals cosine_similarity bitwise.
+        do, so each similarity equals cosine_similarity bitwise.  Rows are
+        not in id order, so when more than one row holds the best
+        similarity the lowest id among them is looked up; otherwise the
+        argmax row is the answer.
         """
         n = len(self.records)
         if not n:
             return None
         similarities = (self.counts[:n] @ query) / np.sqrt(self.squares[:n] * float(query @ query))
-        best = similarities.max()
-        row = min(np.flatnonzero(similarities == best), key=lambda r: self.records[r].id)
+        row = int(similarities.argmax())
+        best = similarities[row]
+        if np.count_nonzero(similarities == best) > 1:
+            row = min(np.flatnonzero(similarities == best), key=lambda r: self.records[r].id)
         return self.records[row], float(best)
 
 

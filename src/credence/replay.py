@@ -76,14 +76,16 @@ class ReplayCase:
         for name in ("participant", "group", "topic"):
             if not isinstance(getattr(self, name), str):
                 raise ContractError(f"{name} must be a string, got {getattr(self, name)!r}")
-        if self.initial_likert not in range(1, 7):
-            raise ContractError(f"initial_likert {self.initial_likert} outside 1..6")
+        _check_likert(self.initial_likert, "initial_likert")
         if self.final_likert is None and self.final_stance is None:
             raise ContractError("case needs final_likert or final_stance")
-        if self.final_likert is not None and self.final_likert not in range(1, 7):
-            raise ContractError(f"final_likert {self.final_likert} outside 1..6")
-        if self.final_stance is not None and not -1.0 <= self.final_stance <= 1.0:  # NaN fails too
-            raise ContractError(f"final_stance {self.final_stance!r} is not a finite number in [-1, 1]")
+        if self.final_likert is not None:
+            _check_likert(self.final_likert, "final_likert")
+        stance = self.final_stance
+        if stance is not None and (
+            isinstance(stance, bool) or not isinstance(stance, (int, float)) or not -1.0 <= stance <= 1.0  # NaN fails
+        ):
+            raise ContractError(f"final_stance {stance!r} is not a finite number in [-1, 1]")
 
     @property
     def initial_stance(self) -> float:
@@ -100,10 +102,16 @@ class ReplayCase:
         return self.observed_final - self.initial_stance
 
 
+def _check_likert(value, what: str) -> None:
+    """Reject a Likert value other than an int in 1..6; a boolean is not
+    one, though True == 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 6:
+        raise ContractError(f"{what} {value!r} is not an integer in 1..6")
+
+
 def likert_to_stance(value: int) -> float:
     """Linear map of the six-point scale onto [-1, 1]: S = (2v - 7) / 5."""
-    if value not in range(1, 7):
-        raise ContractError(f"Likert value {value} outside 1..6")
+    _check_likert(value, "Likert value")
     return (2 * value - 7) / 5.0
 
 

@@ -58,6 +58,14 @@ def test_profile_validation():
         UAProfile(uptake=0.1, anchoring=0.5, confirmation_asymmetry=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_controls(value):
+    with pytest.raises(ConfigError, match="finite"):
+        UAProfile(uptake=value, anchoring=0.5)
+    with pytest.raises(ConfigError, match="finite"):
+        UAProfile(uptake=0.5, anchoring=value)
+
+
 def test_record_weight_by_role():
     profile = UAProfile(uptake=0.4, anchoring=0.2)
     assert record_weight(Role.SEED, profile) == 0.2

@@ -43,7 +43,7 @@ from credence.judgement import (
     resolve_conflict,
     trigram_counts,
 )
-from credence.memory import MemoryStore, dump_jsonl, load_jsonl, retrieve
+from credence.memory import MemoryStore, _RowSet, dump_jsonl, load_jsonl, retrieve
 from credence.replay import CalibrationGrid, EvidenceItem, ReplayCase, build_replay_report, calibrate, replay_case
 from credence.simulation import load_scripted_claims, make_agent, seed_agent
 
@@ -186,6 +186,58 @@ def test_self_query_multiplies_only_own_rows():
         # An exact repeat of an opponent claim, near one of the agent's own.
         ingest_and_check(store, make_record(_claim(1, 0, 1), 1, 0.25, Role.SELF), 0.8, 0.5)
     assert shapes == [(own_rows, EMBED_DIM)]
+
+
+# Row counts around the first allocation (8 rows) and each doubling.
+ROW_COUNTS = (0, 1, 7, 8, 9, 16, 17)
+# Two phrases and a paraphrase of each, so rows repeat often; a query may
+# also be the last, a claim of no row.
+ROW_CLAIMS = tuple(_claim(p, s, 0) for p in (0, 1) for s in (0, 1)) + ("an unrelated query",)
+MAX_REMOVALS = 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.sampled_from(ROW_COUNTS),
+    claims=st.lists(st.integers(0, len(ROW_CLAIMS) - 2), min_size=17 + MAX_REMOVALS, max_size=17 + MAX_REMOVALS),
+    removals=st.lists(st.integers(0, 16), max_size=MAX_REMOVALS),
+    query=st.integers(0, len(ROW_CLAIMS) - 1),
+)
+# Removing id 0 moves the last row, id 8, into row 0, ahead of id 1, an
+# exact repeat of it: the lowest id is not the first row that is best.
+@example(rows=8, claims=[1, 0, 2, 3, 2, 3, 2, 3, 0] + [0] * 14, removals=[0], query=0)
+def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query):
+    """_RowSet.nearest returns what a loop over its live records in id
+    order finds (the first strictly greater similarity wins, so the
+    lowest id among equals), with the same similarity bits; and its
+    matrix holds nothing before the first add, 8 rows after it and
+    doubles when full."""
+    row_set = _RowSet()
+    live = []
+    adds = rows + len(removals)
+    for record_id, claim in enumerate(claims[:adds]):
+        record = ArgumentRecord(ROW_CLAIMS[claim], 1, 0.5, Role.OPPONENT, embedding=None, id=record_id)
+        row_set.add(record, trigram_counts(record.claim))
+        live.append(record)
+    for pick in removals:
+        row_set.remove(live.pop(pick % len(live)))
+
+    query_counts = trigram_counts(ROW_CLAIMS[query])
+    best, best_sim = None, -1.0
+    for record in sorted(live, key=lambda r: r.id):
+        sim = cosine_similarity(query_counts, trigram_counts(record.claim))
+        if sim > best_sim:
+            best, best_sim = record, sim
+    found = row_set.nearest(query_counts)
+    if best is None:
+        assert found is None
+    else:
+        assert found[0] is best and found[1].hex() == best_sim.hex()
+
+    capacity = 0
+    while capacity < adds:
+        capacity = max(8, 2 * capacity)
+    assert len(row_set.counts) == len(row_set.squares) == capacity
 
 
 def oracle_counts(claim: str) -> Counter:

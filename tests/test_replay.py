@@ -77,6 +77,27 @@ def test_likert_endpoints_and_errors():
         likert_to_stance(7)
 
 
+def test_likert_to_stance_rejects_booleans():
+    for value in (True, False):  # True in range(1, 7) holds
+        with pytest.raises(ContractError, match="not an integer in 1..6"):
+            likert_to_stance(value)
+
+
+@pytest.mark.parametrize("field", ["initial_likert", "final_likert"])
+def test_case_rejects_boolean_likert_values(field):
+    values = {"initial_likert": 3, "final_likert": 4, field: True}
+    with pytest.raises(ContractError, match=f"{field} True is not an integer"):
+        ReplayCase("p", "g", "t", **values)
+
+
+def test_case_rejects_boolean_final_stance():
+    for value in (True, False):
+        with pytest.raises(ContractError, match="final_stance"):
+            ReplayCase("p", "g", "t", 3, final_stance=value)
+    with pytest.raises(ContractError, match="final_stance"):
+        ReplayCase("p", "g", "t", 3, final_stance="0.5")
+
+
 def test_case_validation():
     with pytest.raises(ContractError):
         make_case(initial=9)
