@@ -89,6 +89,22 @@ def _script_lines(text: str) -> list[str]:
     return [line for line in text.splitlines() if CLAIM_LINE.match(line)]
 
 
+def _write_trace(path: Path, events, warnings: list) -> None:
+    """Write one trace and add its warnings to warnings as (trace name,
+    message) pairs."""
+    write_trace(path, events)
+    warnings.extend((path.name, event.payload["message"]) for event in events if event.kind == "warning")
+
+
+def _report_warnings(warnings: list) -> None:
+    """Print to stderr how many warning events the written traces hold and
+    the first three; nothing when there are none."""
+    if warnings:
+        print(f"warnings: {len(warnings)} in the traces written", file=sys.stderr)
+        for name, message in warnings[:3]:
+            print(f"  {name}: {message}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -147,6 +163,7 @@ def cmd_sweep(args) -> int:
     (sweep_config, corpus, script, ports), out = _prologue(args, "sweep", "rng_seed", build)
     trajectory_rows = []
     final_rows = []
+    warnings = []
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
     for param in ("u", "a"):
@@ -155,10 +172,11 @@ def cmd_sweep(args) -> int:
             for round_index, stance in enumerate(run.stances):
                 trajectory_rows.append([param, run.value, round_index, repr(stance)])
             final_rows.append([param, run.value, repr(run.final_stance)])
-            write_trace(trace_dir / f"sweep_{param}_{run.value}.jsonl", agent.trace)
+            _write_trace(trace_dir / f"sweep_{param}_{run.value}.jsonl", agent.trace, warnings)
     _write_csv(out / "sweep_trajectories.csv", ["param", "value", "round", "stance"], trajectory_rows)
     _write_csv(out / "sweep_finals.csv", ["param", "value", "final_stance"], final_rows)
     print(f"sweep complete: {out}")
+    _report_warnings(warnings)
     return 0
 
 
@@ -186,6 +204,7 @@ def cmd_debate(args) -> int:
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
 
+    warnings = []
     metric_rows = []
     convergence_rows = []
     series_rows = []
@@ -204,8 +223,8 @@ def cmd_debate(args) -> int:
                 series_rows.append([pairing, trial, round_index, "pro", repr(pro_stance)])
                 series_rows.append([pairing, trial, round_index, "con", repr(con_stance)])
         for trial, (pro_trace, con_trace) in enumerate(result.traces):
-            write_trace(trace_dir / f"debate_{slug}_t{trial}_pro.jsonl", pro_trace)
-            write_trace(trace_dir / f"debate_{slug}_t{trial}_con.jsonl", con_trace)
+            _write_trace(trace_dir / f"debate_{slug}_t{trial}_pro.jsonl", pro_trace, warnings)
+            _write_trace(trace_dir / f"debate_{slug}_t{trial}_con.jsonl", con_trace, warnings)
 
     columns = [f.name for f in fields(MetricSummary)]  # the per-trial file calls crossing_rate "crossing"
     _write_csv(out / "debate_metrics.csv", ["topic", "setup", "trial", *columns[:-1], "crossing"], metric_rows)
@@ -213,6 +232,7 @@ def cmd_debate(args) -> int:
     _write_csv(out / "convergence.csv", ["topic", "pairing", "convergence"], convergence_rows)
     _write_csv(out / "series.csv", ["pairing", "trial", "round", "agent", "stance"], series_rows)
     print(f"debate complete: {out}")
+    _report_warnings(warnings)
     return 0
 
 

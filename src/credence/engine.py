@@ -62,6 +62,12 @@ class EngineConfig:
     k: int = 5
 
 
+# One encoder and one decoder serve every trace line; json.dumps with
+# ensure_ascii=False would build a new encoder per event.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 @dataclass
 class TraceEvent:
     seq: int
@@ -69,7 +75,7 @@ class TraceEvent:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps({"seq": self.seq, "kind": self.kind, "payload": self.payload}, ensure_ascii=False)
+        return _encode({"seq": self.seq, "kind": self.kind, "payload": self.payload})
 
 
 @dataclass
@@ -225,6 +231,19 @@ def write_trace(path, events: list[TraceEvent]) -> None:
             handle.write(event.to_json() + "\n")
 
 
+def _decode(line: str):
+    """json.loads of a stripped line, through the shared decoder.  A line
+    it cannot read whole goes to json.loads, which fails with its own
+    message (extra data, a byte-order mark)."""
+    try:
+        row, end = _raw_decode(line)
+        if end == len(line):
+            return row
+    except ValueError:
+        pass
+    return json.loads(line)
+
+
 def read_trace(path) -> list[TraceEvent]:
     """Each non-blank line must be a JSON object with an integer seq, a
     string kind and an object payload; else TraceVerificationError."""
@@ -235,7 +254,7 @@ def read_trace(path) -> list[TraceEvent]:
             if not line:
                 continue
             try:
-                row = json.loads(line)
+                row = _decode(line)
             except ValueError as exc:
                 raise TraceVerificationError(f"unreadable trace line {line_number}: {exc}") from exc
             if not (

@@ -81,9 +81,20 @@ def seed_agent(
     target: float,
     rng: Optional[random.Random] = None,
 ) -> AgentState:
-    """Insert n seed records, then bisect a global strength scale so the
+    """Insert n seed records, then search a global strength scale so the
     seeded stance hits the target (or warn and keep full strength if the
-    target exceeds what the corpus can reach)."""
+    target exceeds what the corpus can reach).
+
+    Bisection narrows the scale to two adjacent floats lo < hi, and the
+    one whose stance is nearer the target wins (a tie keeps lo).  When
+    the active seeds hold one polarity, every term p*log1p(scale*s*a)
+    has the same sign, so the computed stance is monotone in the scale
+    and no other scale comes nearer.  Only a mixed-polarity pool (as a
+    target of 0 usually draws, or a second seeding of the other sign
+    adds) scans the next 4096 ulps above lo for a scale that lands
+    nearer, stopping at an exact hit.  The rule assumes the platform's
+    log1p and tanh are monotone; a property test checks the factor
+    bitwise against the full scan on single-polarity pools."""
     pool = seed_pool(seed_corpus, n, target)
     if rng is not None:
         rng.shuffle(pool)
@@ -127,18 +138,19 @@ def seed_agent(
                     hi = mid
                 else:
                     lo = mid
-            # The bisection interval is down to a few ulps; scan nearby
-            # scales for one whose stance lands on the target bitwise,
-            # so symmetric targets give an exact initial gap.
             best, scale = min((abs(stance_at(c) - target), c) for c in (lo, hi))  # a tie keeps lo
-            candidate = lo
-            for _ in range(4096):
-                if best == 0.0:
-                    break
-                candidate = math.nextafter(candidate, math.inf)
-                error = abs(stance_at(candidate) - target)
-                if error < best:
-                    scale, best = candidate, error
+            if len({r.polarity for r in active_seeds}) > 1:
+                # Not monotone: scan nearby scales for one whose stance
+                # lands on the target bitwise, so symmetric targets give
+                # an exact initial gap.
+                candidate = lo
+                for _ in range(4096):
+                    if best == 0.0:
+                        break
+                    candidate = math.nextafter(candidate, math.inf)
+                    error = abs(stance_at(candidate) - target)
+                    if error < best:
+                        scale, best = candidate, error
             agent.memory.rescale(seeds, scale)
             for record in seeds:
                 agent.emit("stored", **_stored_payload(record, agent.profile))

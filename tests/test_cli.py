@@ -382,6 +382,45 @@ def test_trace_verify_rejects_malformed_event(tmp_path, capsys, line):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [' {"seq": 1, "kind": "x", "payload": {}}', " x"], ids=["object", "word"])
+def test_trace_verify_rejects_extra_data_after_an_event(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    main(["sweep", "--config", small_sweep_config(tmp_path), "--out", str(out)])
+    lines = next((out / "traces").glob("*.jsonl")).read_text().splitlines()
+    lines[2] += extra
+    bad = tmp_path / "extra.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: unreadable trace line 3: Extra data")
+    assert "Traceback" not in err
+
+
+def test_sweep_reports_trace_warnings_on_stderr(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"sweep complete: {out}\n"
+    header, *shown = captured.err.splitlines()
+    assert header == "warnings: 9 in the traces written"
+    assert len(shown) == 3
+    for line, name in zip(shown, ("sweep_u_0.2.jsonl", "sweep_u_0.4.jsonl", "sweep_u_0.6.jsonl")):
+        assert line.startswith(f"  {name}: seed target 0.99 unreachable")
+    rows = [json.loads(line) for path in (out / "traces").glob("*.jsonl") for line in path.read_text().splitlines()]
+    messages = [row["payload"]["message"] for row in rows if row["kind"] == "warning"]
+    assert len(messages) == 9
+    assert all(m.startswith("seed target 0.99 unreachable") for m in messages)
+
+
+def test_runs_without_warnings_print_nothing_on_stderr(tmp_path, capsys):
+    sweep_config = small_sweep_config(tmp_path, target=0.5)
+    debate_config = write_yaml(tmp_path / "debate.yaml", {"debate": {"rounds": 2, "trials": 1}})
+    assert main(["sweep", "--config", sweep_config, "--out", str(tmp_path / "s")]) == 0
+    assert main(["debate", "--config", debate_config, "--out", str(tmp_path / "d")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_module_entry_point_reports_failure(tmp_path):
     # `python -m credence.cli` runs the command and exits with its code.
     env = {**os.environ, "PYTHONPATH": str(Path(credence.__file__).parents[1])}

@@ -1,6 +1,9 @@
+import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from credence.core import Role, UAProfile
 from credence.engine import (
@@ -138,3 +141,71 @@ def test_seed_records_weighted_by_anchoring():
     ingest_candidate(agent, CandidateArgument(claim="founding reason", polarity=1, role=Role.SEED, strength_hint=0.5))
     refresh_belief(agent)
     assert agent.belief.log_odds == pytest.approx(math.log1p(0.5 * 0.9))
+
+
+def _verified_trace(tmp_path):
+    agent = make_agent()
+    process_message(agent, Message(text="CLAIM +0.5: x\nCLAIM -0.2: y", author_role="opponent", order=0))
+    take_turn(agent)
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, agent.trace)
+    return path, verify_trace(agent.trace)
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix, message",
+    [
+        ("", ' {"seq": 1}', "Extra data"),
+        ("", " x", "Extra data"),
+        ("", "\t{}", "Extra data"),
+        ("", "x", "Extra data"),
+        ("\ufeff", "", "Unexpected UTF-8 BOM"),
+    ],
+)
+def test_read_trace_reports_unreadable_lines_as_json_loads_does(tmp_path, prefix, suffix, message):
+    path, _ = _verified_trace(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = prefix + lines[1] + suffix
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as loads_error:
+        json.loads(lines[1])
+    with pytest.raises(TraceVerificationError) as error:
+        read_trace(path)
+    assert str(error.value) == f"unreadable trace line 2: {loads_error.value}"
+    assert str(error.value).startswith(f"unreadable trace line 2: {message}")
+
+
+@pytest.mark.parametrize("pad, newline", [("  ", "\n"), ("\t ", "\n"), ("", "\r\n"), (" ", "\r\n")])
+def test_read_trace_accepts_padded_and_crlf_lines(tmp_path, pad, newline):
+    path, expected = _verified_trace(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_bytes("".join(f"{pad}{line}{pad}{newline}" for line in lines).encode("utf-8"))
+    assert verify_trace(read_trace(path)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(claims=st.lists(st.text(min_size=1).filter(str.strip), min_size=1, max_size=5))
+@example(
+    claims=[
+        'say "no" \\ then \x00\x1f\x7f',
+        "na\u00efve caf\u00e9 \u2615 \u65e5\u672c",
+        "line\nbreak\r\ttab",
+        "sep \x85\u2028\ufeff end",
+    ]
+)
+def test_trace_text_round_trips_byte_identically(tmp_path_factory, claims):
+    agent = make_agent()
+    for claim in claims:
+        ingest_candidate(agent, CandidateArgument(claim=claim, polarity=1, role=Role.OPPONENT, strength_hint=0.5))
+    refresh_belief(agent)
+    directory = tmp_path_factory.mktemp("trace")
+    first, second = directory / "first.jsonl", directory / "second.jsonl"
+    write_trace(first, agent.trace)
+    events = read_trace(first)
+    write_trace(second, events)
+    assert second.read_bytes() == first.read_bytes()
+    lines = first.read_text(encoding="utf-8").split("\n")[:-1]
+    assert [json.loads(line) for line in lines] == [
+        {"seq": e.seq, "kind": e.kind, "payload": e.payload} for e in events
+    ]
+    assert [e.payload for e in events] == [e.payload for e in agent.trace]

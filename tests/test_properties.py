@@ -37,6 +37,7 @@ from credence.extraction import Message
 from credence.judgement import (
     EMBED_DIM,
     ArgumentRecord,
+    CandidateArgument,
     cosine_similarity,
     embed_claim,
     ingest_record,
@@ -506,6 +507,43 @@ def test_seed_scale_equals_the_full_scan(anchoring, target, n, rng_seed):
     agent = make_agent("seeded", DEFAULT_TOPIC, UAProfile(uptake=0.4, anchoring=anchoring), theta=0.8, theta_self=0.5)
     with mock.patch.object(MemoryStore, "rescale", spy):
         seed_agent(agent, CORPUS, n, target, rng=random.Random(rng_seed))
+    for factor, reference in factors:
+        assert factor.hex() == reference.hex()
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    strengths=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=14, max_size=14)),
+    anchoring=st.floats(0.0, 3.0),
+    target=st.floats(-1.0, 1.0),
+    n=st.integers(1, 14),
+    rng_seed=st.integers(0, 1000),
+)
+# The default debate's pro seedings of trial 0 (rng seed 7), whose scan
+# ran all 4096 steps: anchoring 0.2 in open/open and open/stubborn, 0.8
+# in stubborn/open and stubborn/stubborn.
+@example(strengths=None, anchoring=0.2, target=0.75, n=14, rng_seed=7)
+@example(strengths=None, anchoring=0.8, target=0.75, n=14, rng_seed=7)
+def test_single_polarity_seed_scale_equals_the_full_scan(strengths, anchoring, target, n, rng_seed):
+    """With one polarity the stance is monotone in the scale, so seed_agent
+    skips the ulp scan; its factor must still be the full scan's, bitwise.
+    strengths=None keeps the bundled corpus's hints."""
+    polarity = -1 if target < 0 else 1
+    corpus = [c for c in CORPUS if c.polarity == polarity]
+    if strengths is not None:
+        corpus = [CandidateArgument(c.claim, c.polarity, c.role, s) for c, s in zip(corpus, strengths)]
+    factors = []
+    rescale = MemoryStore.rescale
+
+    def spy(store, records, factor):
+        seeds = [(r.polarity, r.strength) for r in records if r.active]
+        assert {p for p, _ in seeds} == {polarity}
+        factors.append((factor, scan_to_the_end(seeds, anchoring, target)))
+        rescale(store, records, factor)
+
+    agent = make_agent("seeded", DEFAULT_TOPIC, UAProfile(uptake=0.4, anchoring=anchoring), theta=0.8, theta_self=0.5)
+    with mock.patch.object(MemoryStore, "rescale", spy):
+        seed_agent(agent, corpus, n, target, rng=random.Random(rng_seed))
     for factor, reference in factors:
         assert factor.hex() == reference.hex()
 
