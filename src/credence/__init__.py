@@ -29,6 +29,7 @@ from .engine import (
     take_turn,
     template_response,
     verify_trace,
+    verify_trace_file,
     write_trace,
 )
 from .exceptions import (

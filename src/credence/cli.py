@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from .exceptions import ConfigError, ContractError, CredenceError, TraceVerificationError
-from .engine import read_trace, verify_trace, write_trace
+from .engine import verify_trace_file, write_trace
 from .extraction import CLAIM_LINE, ScriptedExtractor, ServiceExtractor
 from .judgement import BuiltinScorer, ServiceScorer
 from .replay import CalibrationGrid, build_replay_report, load_cases_jsonl
@@ -305,9 +305,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_trace_verify(args) -> int:
-    events = read_trace(args.trace)
-    final = verify_trace(events)
-    print(f"trace verified: L={final.log_odds!r} S={final.stance!r} ({len(events)} events)")
+    final, count = verify_trace_file(args.trace)
+    print(f"trace verified: L={final.log_odds!r} S={final.stance!r} ({count} events)")
     return 0
 
 

@@ -10,6 +10,7 @@ trace event; the trace alone reconstructs the final belief state.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -68,7 +69,7 @@ _encode = json.JSONEncoder(ensure_ascii=False).encode
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     seq: int
     kind: str
@@ -244,30 +245,43 @@ def _decode(line: str):
     return json.loads(line)
 
 
+def _trace_events(path):
+    """Yield a trace file's events one line at a time.
+
+    Lines end at LF, CRLF or a lone CR, as in text mode.  Each line is
+    decoded on its own as UTF-8, so bytes that are not UTF-8 fail with the
+    number of their line; a byte-order mark is skipped at the start of the
+    file only.  Each non-blank line must be a JSON object with an integer
+    seq, a string kind and an object payload; else TraceVerificationError.
+    """
+    line_number = 0
+    with open(path, "rb") as handle:
+        for chunk in handle:
+            for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
+                line_number += 1
+                try:
+                    line = raw.decode("utf-8-sig" if line_number == 1 else "utf-8").strip()
+                    if not line:
+                        continue
+                    row = _decode(line)
+                except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+                    raise TraceVerificationError(f"unreadable trace line {line_number}: {exc}") from exc
+                if not (
+                    isinstance(row, dict)
+                    and type(row.get("seq")) is int
+                    and isinstance(row.get("kind"), str)
+                    and isinstance(row.get("payload"), dict)
+                ):
+                    raise TraceVerificationError(
+                        f"trace line {line_number} is not an object with an integer seq, a string kind and an object payload"
+                    )
+                yield TraceEvent(seq=row["seq"], kind=row["kind"], payload=row["payload"])
+
+
 def read_trace(path) -> list[TraceEvent]:
-    """Each non-blank line must be a JSON object with an integer seq, a
-    string kind and an object payload; else TraceVerificationError."""
-    events = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = _decode(line)
-            except ValueError as exc:
-                raise TraceVerificationError(f"unreadable trace line {line_number}: {exc}") from exc
-            if not (
-                isinstance(row, dict)
-                and type(row.get("seq")) is int
-                and isinstance(row.get("kind"), str)
-                and isinstance(row.get("payload"), dict)
-            ):
-                raise TraceVerificationError(
-                    f"trace line {line_number} is not an object with an integer seq, a string kind and an object payload"
-                )
-            events.append(TraceEvent(seq=row["seq"], kind=row["kind"], payload=row["payload"]))
-    return events
+    """Every event of a trace file, checked line by line as
+    verify_trace_file reads them."""
+    return list(_trace_events(path))
 
 
 _KINDS = {"a number": (int, float), "an integer": int, "a boolean": bool}
@@ -296,14 +310,34 @@ def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefSt
     first field it reads that is missing or of the wrong type, and at
     any NaN it compares.
     """
-    contributions: dict[int, float] = {}
-    active: dict[int, bool] = {}
+    return _replay(events, tolerance)[0]
+
+
+def verify_trace_file(path, tolerance: float = 1e-12) -> tuple[BeliefState, int]:
+    """verify_trace over a trace file, read one line at a time; returns
+    the final state and the number of events.
+
+    Nothing but the active records' contributions is kept, so memory
+    grows with the active set, not with the trace.  A line is checked as
+    it is read, so the first fault in file order is reported, whether it
+    is an unreadable line or a divergent event.
+    """
+    with contextlib.closing(_trace_events(path)) as events:  # the file closes at a fault too
+        return _replay(events, tolerance)
+
+
+def _replay(events, tolerance: float) -> tuple[BeliefState, int]:
+    """verify_trace's rule over any iterable of events, read once; returns
+    the final state and the number of events seen."""
+    contributions: dict[int, float] = {}  # the active records' only
     pending: list[int] = []  # active ids stored since the last update, increasing
     resum = False
     top_id = None
     previous_seq = -1
+    count = 0
     current = BeliefState.zero()
     for event in events:
+        count += 1
         if event.seq <= previous_seq:
             raise TraceVerificationError(
                 f"non-increasing sequence number {event.seq}", seq=event.seq
@@ -317,20 +351,21 @@ def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefSt
                 resum = True
             else:
                 top_id = record_id
-            contributions[record_id] = _field(event, "contribution")
-            active[record_id] = is_active
+            contribution = _field(event, "contribution")
             if is_active:
+                contributions[record_id] = contribution
                 pending.append(record_id)
+            else:
+                contributions.pop(record_id, None)
         elif event.kind == "resolved":
             if payload.get("archived_id") is not None:
-                active[_field(event, "archived_id", "an integer")] = False
+                contributions.pop(_field(event, "archived_id", "an integer"), None)
                 resum = True
         elif event.kind == "updated":
             if resum:
                 expected = 0.0
                 for record_id in sorted(contributions):
-                    if active.get(record_id):
-                        expected += contributions[record_id]
+                    expected += contributions[record_id]
             else:
                 expected = current.log_odds
                 for record_id in pending:
@@ -352,4 +387,4 @@ def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefSt
                     f"event {event.seq}: S_after inconsistent with L_after", seq=event.seq
                 )
             current = BeliefState.from_log_odds(expected)
-    return current
+    return current, count

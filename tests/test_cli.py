@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import credence
-from credence import judgement
+from credence import engine, judgement
 from credence.cli import main
 from credence.config import DEFAULTS
 from credence.replay import EvidenceItem, ReplayCase, case_to_dict
@@ -394,6 +394,61 @@ def test_trace_verify_rejects_extra_data_after_an_event(tmp_path, capsys, extra)
     assert main(["trace-verify", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("verification failed: unreadable trace line 3: Extra data")
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def default_sweep_trace(tmp_path_factory):
+    """The default sweep's sweep_u_0.4.jsonl and the line trace-verify
+    prints for it."""
+    out = tmp_path_factory.mktemp("default") / "sweep"
+    assert main(["sweep", "--out", str(out)]) == 0
+    trace = out / "traces" / "sweep_u_0.4.jsonl"
+    events = engine.read_trace(trace)
+    final = engine.verify_trace(events)
+    return trace, f"trace verified: L={final.log_odds!r} S={final.stance!r} ({len(events)} events)\n"
+
+
+def test_trace_verify_streams_the_trace(default_sweep_trace, monkeypatch, capsys):
+    trace, printed = default_sweep_trace
+
+    def whole_trace(path):
+        raise AssertionError("trace-verify read the whole trace into a list")
+
+    read_trace = engine.read_trace
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "credence" and getattr(module, "read_trace", None) is read_trace:
+            monkeypatch.setattr(module, "read_trace", whole_trace)
+    capsys.readouterr()
+    assert main(["trace-verify", str(trace)]) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_trace_verify_skips_a_byte_order_mark_at_the_start(default_sweep_trace, tmp_path, capsys):
+    trace, printed = default_sweep_trace
+    marked = tmp_path / "bom.jsonl"
+    marked.write_bytes(b"\xef\xbb\xbf" + trace.read_bytes())
+    capsys.readouterr()
+    assert main(["trace-verify", str(marked)]) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_trace_verify_reports_bytes_that_are_not_utf8(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["sweep", "--config", small_sweep_config(tmp_path), "--out", str(out)])
+    lines = next((out / "traces").glob("*.jsonl")).read_bytes().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "stored")
+    row = json.loads(lines[index])
+    row["payload"]["claim"] = "caf\u00e9"
+    lines[index] = json.dumps(row, ensure_ascii=False).encode("latin-1")  # the byte 0xE9
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"verification failed: unreadable trace line {index + 1}: 'utf-8' codec can't decode byte 0xe9"
+    )
     assert "Traceback" not in err
 
 

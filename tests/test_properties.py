@@ -11,6 +11,7 @@ machine.
 """
 
 import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -29,8 +30,11 @@ from credence.engine import (
     TraceEvent,
     compose_response,
     process_message,
+    read_trace,
     stance_to_instruction,
     verify_trace,
+    verify_trace_file,
+    write_trace,
 )
 from credence.exceptions import ContractError, TraceVerificationError
 from credence.extraction import Message
@@ -422,6 +426,30 @@ def resummed_log_odds(events) -> float:
     return total
 
 
+def play_dialogue(profile, seedings, rounds, check=lambda agent: None):
+    """An agent seeded at the drawn rounds that hears each drawn opponent
+    message and, where drawn, replies to itself; check runs after every
+    seeding and every processed message."""
+    agent = make_agent("prop", DEFAULT_TOPIC, profile, theta=0.8, theta_self=0.5)
+    for index, (lines, reply) in enumerate(rounds):
+        for seed_round, target, rng_seed in seedings:
+            if seed_round == index:
+                # A second seeding rescales seeds already folded into L.
+                seed_agent(agent, CORPUS, 6, target, rng=random.Random(rng_seed))
+                check(agent)
+        text = "\n".join(
+            f"CLAIM {sign}{strength}: {_claim(phrase, swap, suffix)}"
+            for phrase, swap, suffix, sign, strength in lines
+        )
+        process_message(agent, Message(text=text, author_role="opponent", order=agent.next_order()))
+        check(agent)
+        if reply:
+            message, _ = compose_response(agent)
+            process_message(agent, message)
+            check(agent)
+    return agent
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     uptake=st.floats(0.0, 1.0),
@@ -435,27 +463,98 @@ def resummed_log_odds(events) -> float:
 )
 def test_incremental_belief_equals_batch_fold(uptake, anchoring, seedings, rounds):
     profile = UAProfile(uptake=uptake, anchoring=anchoring)
-    agent = make_agent("prop", DEFAULT_TOPIC, profile, theta=0.8, theta_self=0.5)
-    for index, (lines, reply) in enumerate(rounds):
-        for seed_round, target, rng_seed in seedings:
-            if seed_round == index:
-                # A second seeding rescales seeds already folded into L.
-                seed_agent(agent, CORPUS, 6, target, rng=random.Random(rng_seed))
-                assert agent.belief.log_odds == compute_log_odds(agent.memory.active_records(), profile)
-        text = "\n".join(
-            f"CLAIM {sign}{strength}: {_claim(phrase, swap, suffix)}"
-            for phrase, swap, suffix, sign, strength in lines
-        )
-        process_message(agent, Message(text=text, author_role="opponent", order=agent.next_order()))
-        assert agent.belief.log_odds == compute_log_odds(agent.memory.active_records(), profile)
-        if reply:
-            message, _ = compose_response(agent)
-            process_message(agent, message)
-            assert agent.belief.log_odds == compute_log_odds(agent.memory.active_records(), profile)
 
+    def batch_fold_holds(agent):
+        assert agent.belief.log_odds == compute_log_odds(agent.memory.active_records(), profile)
+
+    agent = play_dialogue(profile, seedings, rounds, batch_fold_holds)
     replayed = verify_trace(agent.trace)
     assert replayed.log_odds == agent.belief.log_odds
     assert replayed.log_odds == resummed_log_odds(agent.trace)
+
+
+# The single-field edits, by field: the event kind that carries it (None:
+# every event) and four replacements of its value, some of a wrong type.
+TRACE_FIELD_EDITS = {
+    "contribution": ("stored", lambda v: (v + 1e-6, -v, 0.0, math.nan)),
+    "active": ("stored", lambda v: (not v, not v, None, 1)),
+    "archived_id": ("resolved", lambda v: (None, 0, (v or 0) + 1, 2.5)),
+    "L_after": ("updated", lambda v: (v + 1e-13, v + 1e-9, math.nan, True)),
+    "seq": (None, lambda v: (v - 1, v + 1, v + 1000, 0)),
+}
+trace_edits = st.lists(
+    st.one_of(
+        st.tuples(st.just("field"), st.sampled_from(sorted(TRACE_FIELD_EDITS)), st.integers(0, 10**6), st.integers(0, 3)),
+        st.tuples(st.just("delete"), st.integers(0, 10**6)),
+        st.tuples(st.just("swap"), st.integers(0, 10**6)),
+    ),
+    max_size=3,
+)
+
+
+def edit_trace_rows(rows: list, edits) -> None:
+    """Apply field edits, line deletions and swaps of adjacent lines."""
+    for op, *args in edits:
+        if not rows:
+            return
+        if op == "delete":
+            del rows[args[0] % len(rows)]
+        elif op == "swap":
+            i = args[0] % len(rows)
+            j = (i + 1) % len(rows)
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            key, pick, variant = args
+            kind, replacements = TRACE_FIELD_EDITS[key]
+            targets = [row for row in rows if kind is None or row["kind"] == kind]
+            if targets:
+                holder = targets[pick % len(targets)]
+                if key != "seq":
+                    holder = holder["payload"]
+                holder[key] = replacements(holder[key])[variant]
+
+
+# Round 0 stores a claim, round 1 repeats it stronger: the repeat archives
+# the first record, so the next update sums the active set again.
+ARCHIVING_ROUNDS = [([(0, 0, 0, "+", "0.35"), (1, 0, 0, "-", "0.5")], False), ([(0, 0, 0, "+", "0.9")], True)]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    profile=st.builds(UAProfile, uptake=st.floats(0.0, 1.0), anchoring=st.floats(0.0, 1.5)),
+    seedings=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from((0.0, 0.3, -0.5, 0.75, 0.99)), st.integers(0, 1000)),
+        max_size=2,
+    ),
+    rounds=st.lists(st.tuples(message_lines, st.booleans()), min_size=1, max_size=12),
+    edits=trace_edits,
+)
+@example(profile=UAProfile(uptake=0.4, anchoring=0.2), seedings=[(0, 0.3, 1)], rounds=ARCHIVING_ROUNDS, edits=[])
+@example(
+    profile=UAProfile(uptake=0.4, anchoring=0.2),
+    seedings=[],
+    rounds=ARCHIVING_ROUNDS,
+    edits=[("field", "archived_id", 2, 0)],  # the archival is undone, so L_after diverges
+)
+def test_streamed_verification_equals_verify_trace(tmp_path_factory, profile, seedings, rounds, edits):
+    agent = play_dialogue(profile, seedings, rounds)
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    write_trace(path, agent.trace)
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    edit_trace_rows(rows, edits)
+    path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
+
+    events = read_trace(path)
+    try:
+        expected = verify_trace(events)
+    except TraceVerificationError as exc:
+        with pytest.raises(TraceVerificationError) as error:
+            verify_trace_file(path)
+        assert str(error.value) == str(exc)
+        return
+    final, count = verify_trace_file(path)
+    assert count == len(events)
+    assert (final.log_odds.hex(), final.stance.hex()) == (expected.log_odds.hex(), expected.stance.hex())
 
 
 def scan_to_the_end(seeds, anchoring: float, target: float) -> float:
@@ -574,6 +673,23 @@ def test_verify_resums_after_non_increasing_id():
         return events
 
     # In id order the sum is (1 + 1e16) - 1e16 = 0; in stored order it is 1.
+    assert verify_trace(trace(0.0)).log_odds == 0.0
+    with pytest.raises(TraceVerificationError):
+        verify_trace(trace(1.0))
+
+
+def test_verify_drops_a_record_stored_again_as_inactive():
+    def trace(l_after):
+        return [
+            TraceEvent(0, "stored", {"id": 0, "active": True, "contribution": 1.0}),
+            TraceEvent(1, "updated", {"L_before": 0.0, "L_after": 1.0, "S_before": 0.0, "S_after": math.tanh(0.5)}),
+            TraceEvent(2, "stored", {"id": 0, "active": False, "contribution": 1.0}),
+            TraceEvent(
+                3, "updated", {"L_before": 1.0, "L_after": l_after, "S_before": 0.0, "S_after": math.tanh(l_after / 2)}
+            ),
+        ]
+
+    # The second stored event takes id 0 out of the active set.
     assert verify_trace(trace(0.0)).log_odds == 0.0
     with pytest.raises(TraceVerificationError):
         verify_trace(trace(1.0))
