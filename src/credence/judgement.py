@@ -51,9 +51,10 @@ class CandidateArgument:
 @dataclass
 class ArgumentRecord:
     """A judged claim.  A record made by ``judge`` holds in ``embedding``
-    its store's shared, read-only trigram counts (``MemoryStore.embed``);
-    the store searches by claim text, never by this field, so a record
-    built with another vector is deduplicated all the same."""
+    its store's shared, read-only float32 trigram counts
+    (``MemoryStore.embed``); the store searches by claim text, never by
+    this field, so a record built with another vector is deduplicated all
+    the same."""
 
     claim: str
     polarity: int
@@ -101,6 +102,16 @@ _BUCKETS = tuple(range(EMBED_DIM))
 _GRAM_BUCKETS = _GramBuckets()
 
 
+def _bincount(text: str) -> np.ndarray:
+    """Integer trigram counts of a stripped, lower-cased text; their total
+    is max(len(text) - 2, 1)."""
+    if not text:
+        raise ContractError("cannot embed an empty claim")
+    grams = map("".join, zip(text, text[1:], text[2:])) if len(text) >= 3 else (text,)
+    buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, max(len(text) - 2, 1))
+    return np.bincount(buckets, minlength=EMBED_DIM)
+
+
 def trigram_counts(claim: str) -> np.ndarray:
     """Hashed character-trigram counts of a claim, as a float64 vector.
 
@@ -109,12 +120,7 @@ def trigram_counts(claim: str) -> np.ndarray:
     The counts are small integers, so the vector is exact, and so is any
     dot product of two count vectors, in any summation order.
     """
-    text = claim.strip().lower()
-    if not text:
-        raise ContractError("cannot embed an empty claim")
-    grams = map("".join, zip(text, text[1:], text[2:])) if len(text) >= 3 else (text,)
-    buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, max(len(text) - 2, 1))
-    return np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
+    return _bincount(claim.strip().lower()).astype(np.float64)
 
 
 def embed_claim(claim: str) -> np.ndarray:
@@ -125,9 +131,12 @@ def embed_claim(claim: str) -> np.ndarray:
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b / sqrt(|a|^2 |b|^2).  For trigram counts the three dot products
-    are exact, and the multiply, sqrt and divide are each correctly
-    rounded, so the result has the same bits on every IEEE-754 machine."""
+    """a.b / sqrt(|a|^2 |b|^2), computed in float64 whatever the vectors'
+    dtype (a store's cached counts are float32).  For trigram counts the
+    three dot products are exact, and the multiply, sqrt and divide are
+    each correctly rounded, so the result has the same bits on every
+    IEEE-754 machine."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return float(a @ b) / math.sqrt(float(a @ a) * float(b @ b))
 
 

@@ -255,9 +255,15 @@ def evaluate(cases: list[ReplayCase], predictions) -> EvaluationResult:
     if len(cases) != len(predictions):
         raise ContractError("cases and predictions have different lengths")
     finals = np.array([c.observed_final for c in cases])
+    movements = np.abs(finals - np.array([c.initial_stance for c in cases]))  # the bits of abs(c.delta)
+    return _evaluate(finals, movements, predictions)
+
+
+def _evaluate(finals, movements, predictions) -> EvaluationResult:
+    """evaluate over per-case arrays: observed finals and |delta|."""
     preds = np.asarray(predictions, dtype=float)
-    rmse = float(np.sqrt(np.mean((preds - finals) ** 2))) if len(cases) else 0.0
-    movement = float(np.mean([abs(c.delta) for c in cases])) if len(cases) else 0.0
+    rmse = float(np.sqrt(np.mean((preds - finals) ** 2))) if len(finals) else 0.0
+    movement = float(np.mean(movements)) if len(finals) else 0.0
     return EvaluationResult(rmse=rmse, mean_abs_movement=movement)
 
 
@@ -424,12 +430,14 @@ def build_replay_report(
     fold_ids = assign_folds(cases, key=key, folds=folds, seed=seed)
     finals, prior_logits, evidence, net = _case_terms(cases, grid.u_values, theta, scorer, extractor, clip_bound)
     initials = np.array([c.initial_stance for c in cases])
+    deltas = finals - initials  # the bits of case.delta
+    movements = np.abs(deltas)
 
     # Linear baseline: one beta per fold, fit on training cases only.
     linear_betas = {}
     linear_preds = np.zeros(len(cases))
     for fold, train, test in _fold_splits(fold_ids):
-        beta = fit_linear_baseline(zip(net[train], (finals - initials)[train]))
+        beta = fit_linear_baseline(zip(net[train], deltas[train]))
         linear_betas[fold] = beta
         linear_preds[test] = linear_prediction(initials[test], beta, net[test])
 
@@ -445,7 +453,7 @@ def build_replay_report(
         pooled=fits["all"],
         group_calibrations={label: fit for label, fit in fits.items() if label != "all"},
         group_summaries=[
-            _summarise(label, cases, indices, fits[label].heldout_predictions, initials, linear_preds)
+            _summarise(label, indices, fits[label].heldout_predictions, finals, initials, movements, linear_preds)
             for label, indices in subsets.items()
         ],
         subgroup_of_case=subgroups,
@@ -456,16 +464,18 @@ def build_replay_report(
     )
 
 
-def _summarise(label, cases, indices, be_predictions, no_change, linear_preds) -> GroupSummary:
-    sub_cases = [cases[i] for i in indices]
-    no_change_fit = evaluate(sub_cases, no_change[indices])
+def _summarise(label, indices, be_predictions, finals, initials, movements, linear_preds) -> GroupSummary:
+    """One summary row over the cases at indices, from per-case arrays of
+    the whole report; the no-change prediction is the initial stance."""
+    finals, initials, movements = finals[indices], initials[indices], movements[indices]
+    no_change_fit = _evaluate(finals, movements, initials)
     return GroupSummary(
         group=label,
-        n=len(sub_cases),
+        n=len(indices),
         mean_abs_movement=no_change_fit.mean_abs_movement,
         no_change_rmse=no_change_fit.rmse,
-        linear_rmse=evaluate(sub_cases, linear_preds[indices]).rmse,
-        be_rmse=evaluate(sub_cases, be_predictions).rmse,
+        linear_rmse=_evaluate(finals, movements, linear_preds[indices]).rmse,
+        be_rmse=_evaluate(finals, movements, be_predictions).rmse,
     )
 
 

@@ -23,6 +23,7 @@ from credence.judgement import (
     resolve_conflict,
     resolve_self_conflict,
     score_strength,
+    trigram_counts,
 )
 from credence.memory import MemoryStore
 
@@ -67,6 +68,21 @@ def test_judge_takes_the_hint_else_the_scorer():
     record, _ = judge(store, unhinted, "t", scorer, 0.8, 0.5)
     assert (record.strength, scorer.calls) == (0.25, 1)
     assert record.embedding is store.embed("bridges need paint")
+
+
+def test_cosine_similarity_of_float32_store_counts_is_exact_for_long_claims():
+    """A store's counts are float32, and a long claim's |c|^2 is not a
+    float32 number (4999^2 for the first claim); cosine_similarity still
+    gives the bits of the float64 counts."""
+    long_claims = ("a" * 5001, "a" * 2500 + "b" + "a" * 2500)
+    store = MemoryStore()
+    record, _ = judge(store, CandidateArgument(long_claims[0], 1, Role.OPPONENT, 0.5), "t", None, 0.8, 0.5)
+    assert record.embedding.dtype == np.float32 and record.embedding is store.embed(long_claims[0])
+    for a in long_claims:
+        for b in long_claims:
+            expected = cosine_similarity(trigram_counts(a), trigram_counts(b))
+            assert cosine_similarity(store.embed(a), store.embed(b)).hex() == expected.hex()
+    assert cosine_similarity(record.embedding, record.embedding) == 1.0
 
 
 def test_judge_without_hint_or_scorer_is_a_contract_error():

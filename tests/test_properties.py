@@ -10,6 +10,7 @@ integer oracle: on trigram counts it has the same bits on every IEEE-754
 machine.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -177,20 +178,28 @@ def test_self_query_multiplies_only_own_rows():
     own_rows = sum(r.active and r.polarity == 1 and r.role != Role.OPPONENT for r in store.records)
 
     shapes = []
+    dtypes = []
 
-    # The matvec is `matrix @ query`, the query being the store's counts
-    # of the claim; a query of this subclass records the shape of the
-    # matrix it meets.
+    # The matvec is `matrix @ query`, the query being the counts of the
+    # store's cache entry for the claim; a query of this subclass records
+    # the shape and dtype of the matrix it meets.
     class Query(np.ndarray):
         def __rmatmul__(self, matrix):
             shapes.append(matrix.shape)
+            dtypes.append((matrix.dtype, self.dtype))
             return matrix @ self.view(np.ndarray)
 
-    embed = MemoryStore.embed
-    with mock.patch.object(MemoryStore, "embed", lambda store, claim: embed(store, claim).view(Query)):
+    text_of = MemoryStore._text
+
+    def query_text(store, claim):
+        counts, square, total = text_of(store, claim)
+        return counts.view(Query), square, total
+
+    with mock.patch.object(MemoryStore, "_text", query_text):
         # An exact repeat of an opponent claim, near one of the agent's own.
         ingest_and_check(store, make_record(_claim(1, 0, 1), 1, 0.25, Role.SELF), 0.8, 0.5)
     assert shapes == [(own_rows, EMBED_DIM)]
+    assert dtypes == [(np.float32, np.float32)]  # short claims stay under the 2**24 bound
 
 
 # Row counts around the first allocation (8 rows) and each doubling.
@@ -216,13 +225,14 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
     order finds (the first strictly greater similarity wins, so the
     lowest id among equals), with the same similarity bits; and its
     matrix holds nothing before the first add, 8 rows after it and
-    doubles when full."""
+    doubles when full, in float32."""
+    texts = MemoryStore()  # only its per-text cache entries are used
     row_set = _RowSet()
     live = []
     adds = rows + len(removals)
     for record_id, claim in enumerate(claims[:adds]):
         record = ArgumentRecord(ROW_CLAIMS[claim], 1, 0.5, Role.OPPONENT, embedding=None, id=record_id)
-        row_set.add(record, trigram_counts(record.claim))
+        row_set.add(record, texts._text(record.claim))
         live.append(record)
     for pick in removals:
         row_set.remove(live.pop(pick % len(live)))
@@ -233,7 +243,7 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
         sim = cosine_similarity(query_counts, trigram_counts(record.claim))
         if sim > best_sim:
             best, best_sim = record, sim
-    found = row_set.nearest(query_counts)
+    found = row_set.nearest(texts._text(ROW_CLAIMS[query]))
     if best is None:
         assert found is None
     else:
@@ -243,8 +253,10 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
     while capacity < adds:
         capacity = max(8, 2 * capacity)
     assert len(row_set.counts) == len(row_set.squares) == capacity
+    assert row_set.counts.dtype == np.float32
 
 
+@functools.lru_cache(maxsize=1024)  # long claims are looked up many times; callers only read
 def oracle_counts(claim: str) -> Counter:
     """Bucket -> trigram count, from blake2b alone."""
     text = claim.strip().lower()
@@ -311,6 +323,53 @@ def test_similarity_bits_equal_an_integer_oracle(claims, archived, query):
             assert expected == 1.0
         if not oracle_counts(query).keys() & oracle_counts(claim).keys():
             assert expected == 0.0
+
+
+def _long_claim(length: int, edits: list) -> str:
+    text = ["a"] * length
+    for position, char in edits:
+        text[position % length] = char
+    return "".join(text)
+
+
+# Claims of about 4096 characters, mostly "a": the trigram totals T of a
+# query and of the longest row straddle T_query * T_max = 2**24 (T = 4096
+# each), and the "aaa" bucket makes a dot product close to that product,
+# so above the bound a float32 one would round.
+long_claims = st.builds(
+    _long_claim, st.integers(4080, 4112), st.lists(st.tuples(st.integers(0, 5000), st.sampled_from("bB c")), max_size=4)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(claims=st.lists(long_claims, min_size=1, max_size=4), query=long_claims, short=st.booleans())
+# An exact repeat of "a" * 5001: in float32 its dot product, 4999**2,
+# rounds.
+@example(claims=["a" * 5001], query="a" * 5001, short=False)
+# T_query * T_max = 4095 * 4096, just below the bound, then 4096 * 4096.
+@example(claims=["a" * 4098, "a" * 4097], query="a" * 4097, short=True)
+@example(claims=["a" * 4098, "a" * 4097], query="a" * 4098, short=True)
+def test_long_claim_similarity_bits_equal_an_integer_oracle(claims, query, short):
+    """Around and above T_query * T_max = 2**24 the store's nearest record
+    and similarity, bitwise, are still the integer oracle's, whether the
+    matvec ran in float32 (below the bound) or float64 (at or above it);
+    and so is the similarity of each claim queried against all."""
+    store = MemoryStore()
+    if short:
+        store.insert(make_record("a short claim", 1, 0.5, Role.OPPONENT))
+    for claim in claims:
+        store.insert(make_record(claim, 1, 0.5, Role.OPPONENT))
+    for probe in [query, *claims]:
+        best, best_sim = None, -1.0
+        for record in store.active_records():
+            sim = oracle_similarity(probe, record.claim)
+            if sim > best_sim:
+                best, best_sim = record, sim
+        outcome = resolve_conflict(make_record(probe, 1, 0.5, Role.OPPONENT), store, 2.0)
+        assert outcome.matched_id == best.id
+        assert outcome.similarity.hex() == best_sim.hex()
+        if probe in claims:
+            assert outcome.similarity == 1.0
 
 
 retrieve_ops = st.lists(
