@@ -26,6 +26,7 @@ from .engine import (
     read_trace,
     refresh_belief,
     stance_to_instruction,
+    store_from_trace,
     take_turn,
     template_response,
     verify_trace,
@@ -62,7 +63,7 @@ from .judgement import (
     score_strength,
     trigram_counts,
 )
-from .memory import MemoryStore, RetrievalContext, dump_jsonl, load_jsonl
+from .memory import MemoryStore, RetrievalContext
 from .replay import (
     CalibrationGrid,
     EvidenceItem,

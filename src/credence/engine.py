@@ -17,6 +17,7 @@ from typing import Optional
 
 from .core import (
     BeliefState,
+    Role,
     UAProfile,
     compute_log_odds,
     record_contribution,
@@ -284,16 +285,34 @@ def read_trace(path) -> list[TraceEvent]:
     return list(_trace_events(path))
 
 
-_KINDS = {"a number": (int, float), "an integer": int, "a boolean": bool}
-
-
-def _field(event: TraceEvent, key: str, kind: str = "a number"):
-    """A payload field that verify_trace reads, of the given kind (a
-    boolean is not a number); else TraceVerificationError."""
+def _field(event: TraceEvent, key: str):
+    """A number field of the payload that verify_trace reads (a boolean is
+    not a number); else TraceVerificationError."""
     value = event.payload.get(key)
-    if isinstance(value, bool) != (kind == "a boolean") or not isinstance(value, _KINDS[kind]):
-        raise TraceVerificationError(f"event {event.seq}: {event.kind} {key} {value!r} is not {kind}", seq=event.seq)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TraceVerificationError(f"event {event.seq}: {event.kind} {key} {value!r} is not a number", seq=event.seq)
     return value
+
+
+def _check_event(event: TraceEvent, next_id: int, active_ids) -> None:
+    """A stored record passes a candidate argument's checks and has a string
+    claim, a strength, a boolean active flag and an id up to next_id; a
+    resolved archived_id is null or in active_ids.  Else TraceVerificationError."""
+    payload = event.payload
+    try:
+        if event.kind == "resolved":
+            archived_id = payload.get("archived_id")
+            if archived_id is not None and (type(archived_id) is not int or archived_id not in active_ids):
+                raise ContractError(f"archived_id {archived_id!r} names no active record")
+            return
+        record_id, claim, strength = payload.get("id"), payload.get("claim"), payload.get("strength")
+        if type(record_id) is not int or not 0 <= record_id <= next_id:
+            raise ContractError(f"id {record_id!r} is neither the next id {next_id} nor one already stored")
+        if not isinstance(claim, str) or strength is None or type(payload.get("active")) is not bool:
+            raise ContractError(f"record {record_id} needs a string claim, a strength and a boolean active flag")
+        CandidateArgument(claim, payload.get("polarity"), Role(payload.get("role")), strength)
+    except (ContractError, ValueError) as exc:  # Role() raises ValueError
+        raise TraceVerificationError(f"event {event.seq}: {event.kind} {exc}", seq=event.seq) from None
 
 
 def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefState:
@@ -302,13 +321,13 @@ def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefSt
     The replayed L is the sum of the active contributions in id order.
     Contributions stored since the last update are added to the running
     sum; the whole active set is summed again after an archival or after
-    a stored id that does not exceed every id stored before it (which
-    covers a second stored event for one id, as a seed rescale emits).
-    Both give the same L bitwise.
+    an id is stored again, as a seed rescale does.  Both give the same L
+    bitwise.
 
     Raises TraceVerificationError at the first divergent event, at the
-    first field it reads that is missing or of the wrong type, and at
-    any NaN it compares.
+    first field it reads that is missing or of the wrong type, at any NaN
+    it compares, and at a stored or resolved event that fails
+    _check_event.  It trusts each stored contribution.
     """
     return _replay(events, tolerance)[0]
 
@@ -332,7 +351,7 @@ def _replay(events, tolerance: float) -> tuple[BeliefState, int]:
     contributions: dict[int, float] = {}  # the active records' only
     pending: list[int] = []  # active ids stored since the last update, increasing
     resum = False
-    top_id = None
+    next_id = 0
     previous_seq = -1
     count = 0
     current = BeliefState.zero()
@@ -345,21 +364,22 @@ def _replay(events, tolerance: float) -> tuple[BeliefState, int]:
         previous_seq = event.seq
         payload = event.payload
         if event.kind == "stored":
-            record_id = _field(event, "id", "an integer")
-            is_active = _field(event, "active", "a boolean")
-            if top_id is not None and record_id <= top_id:
-                resum = True
+            _check_event(event, next_id, contributions)
+            record_id = payload["id"]
+            if record_id == next_id:
+                next_id += 1
             else:
-                top_id = record_id
+                resum = True
             contribution = _field(event, "contribution")
-            if is_active:
+            if payload["active"]:
                 contributions[record_id] = contribution
                 pending.append(record_id)
             else:
                 contributions.pop(record_id, None)
         elif event.kind == "resolved":
+            _check_event(event, next_id, contributions)
             if payload.get("archived_id") is not None:
-                contributions.pop(_field(event, "archived_id", "an integer"), None)
+                del contributions[payload["archived_id"]]
                 resum = True
         elif event.kind == "updated":
             if resum:
@@ -378,6 +398,8 @@ def _replay(events, tolerance: float) -> tuple[BeliefState, int]:
                 raise TraceVerificationError(
                     f"event {event.seq}: L_before {l_before} != replayed {current.log_odds}", seq=event.seq
                 )
+            if not abs(_field(event, "S_before") - current.stance) <= tolerance:
+                raise TraceVerificationError(f"event {event.seq}: S_before inconsistent with L_before", seq=event.seq)
             if not abs(l_after - expected) <= tolerance:
                 raise TraceVerificationError(
                     f"event {event.seq}: L_after {l_after} != replayed {expected}", seq=event.seq
@@ -388,3 +410,39 @@ def _replay(events, tolerance: float) -> tuple[BeliefState, int]:
                 )
             current = BeliefState.from_log_odds(expected)
     return current, count
+
+
+def store_from_trace(events) -> MemoryStore:
+    """The store an agent's trace describes, rebuilt in one pass over its
+    events (any iterable).  An id stored again is a seed rescale.  A record
+    stored inactive lost deduplication to the nearest active record its
+    resolution searched, which must have the resolved event's similarity,
+    bitwise.  A fault raises TraceVerificationError naming the event."""
+    store = MemoryStore()
+    similarity = None  # the last resolved event's, until the next stored event
+    for event in events:
+        if event.kind not in ("stored", "resolved"):
+            continue
+        _check_event(event, store.insertion_counter, store._active)
+        payload = event.payload
+        if event.kind == "resolved":
+            if payload.get("archived_id") is not None:  # archived by the record stored next
+                store.archive(store.records[payload["archived_id"]], archived_by=store.insertion_counter)
+            similarity = payload.get("similarity")
+            continue
+        claim, role = payload["claim"], Role(payload["role"])
+        record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, store.embed(claim), payload["active"])
+        if payload["id"] < store.insertion_counter:
+            stored = store.records[payload["id"]]
+            if (stored.claim, stored.polarity, stored.role, stored.active) != (claim, record.polarity, role, record.active):
+                raise TraceVerificationError(f"event {event.seq}: record {stored.id} stored again as another", seq=event.seq)
+            store.set_strengths([(stored, record.strength)])
+        else:
+            if not record.active:
+                nearest = store.nearest(record, own_only=role is Role.SELF)
+                if nearest is None or repr(nearest[1]) != repr(similarity):
+                    raise TraceVerificationError(f"event {event.seq}: no record to lose to at {similarity!r}", seq=event.seq)
+                record.archived_by = nearest[0].id
+            store.insert(record)
+        similarity = None
+    return store

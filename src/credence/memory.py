@@ -18,7 +18,7 @@ proportion to the active set rather than to everything ever stored:
   for 8 rows, the matrix doubles when full after that, and a query looks
   for the lowest id only when several rows tie for the best similarity;
 - per polarity, the active records in (-strength, id) order, which
-  ``rescale`` sorts again, so top-k retrieval is a slice;
+  ``set_strengths`` sorts again, so top-k retrieval is a slice;
 - the active records in id order;
 - one entry per distinct claim text seen by this store, made once: the
   read-only float32 trigram counts (which ``embed`` returns and a judged
@@ -40,7 +40,6 @@ integers and each similarity has the bits of ``cosine_similarity``.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import weakref
 from collections import defaultdict
@@ -51,7 +50,7 @@ import numpy as np
 
 from .core import Role, check_strength
 from .exceptions import ContractError
-from .judgement import EMBED_DIM, ArgumentRecord, CandidateArgument, _bincount
+from .judgement import EMBED_DIM, ArgumentRecord, _bincount
 
 _OWN_ROLES = (Role.SELF, Role.SEED)
 # A float32 dot product of counts is exact while T_query * T_max is below this.
@@ -147,7 +146,7 @@ class _PolarityIndex:
     """The active records of one polarity: every one and the agent's own
     (self and seed) as two row sets, and every one in rank order, the
     strongest first.  The rank order holds while strengths change only
-    through MemoryStore.rescale, which sorts it again."""
+    through MemoryStore.set_strengths, which sorts it again."""
 
     def __init__(self):
         self.every = _RowSet()
@@ -216,14 +215,15 @@ class MemoryStore:
         record.archived_by = archived_by
 
     def rescale(self, records, factor: float) -> None:
-        """Multiply the strength of each given record, active or archived,
-        by factor.  Every product must be a strength (a finite number in
-        [0, 1]); otherwise ContractError, and no strength changes."""
-        records = list(records)
-        scaled = [record.strength * factor for record in records]
-        for record, strength in zip(records, scaled):
+        """Multiply each given record's strength by factor (set_strengths)."""
+        self.set_strengths([(record, record.strength * factor) for record in records])
+
+    def set_strengths(self, pairs: list) -> None:
+        """Give each (record, strength) pair's record, active or archived,
+        its strength; ContractError, and no change, unless each is in [0, 1]."""
+        for record, strength in pairs:
             check_strength(strength, f"rescaled strength of record {record.id}")
-        for record, strength in zip(records, scaled):
+        for record, strength in pairs:
             record.strength = strength
         for index in self._by_polarity.values():
             index.ranked.sort(key=_rank)
@@ -284,64 +284,3 @@ def retrieve(store: MemoryStore, k: int) -> RetrievalContext:
     chosen = pro[:k_plus] + con[:k_minus]
     return RetrievalContext(records=chosen, k_plus=k_plus, k_minus=k_minus)
 
-
-def dump_jsonl(store: MemoryStore, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for r in store.records:
-            handle.write(
-                json.dumps(
-                    {
-                        "id": r.id,
-                        "claim": r.claim,
-                        "polarity": r.polarity,
-                        "strength": r.strength,
-                        "role": r.role.value,
-                        "active": r.active,
-                        "archived_by": r.archived_by,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
-def load_jsonl(path) -> MemoryStore:
-    """Read a dumped store back through insert.  Ids must run 0, 1, 2, ...;
-    a row must pass a candidate argument's checks and hold a boolean
-    active flag, and its archived_by must be null, or for an archived row
-    the integer id of another record; else ContractError names the file
-    and line."""
-    store = MemoryStore()
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                if row["id"] != store.insertion_counter:
-                    raise ContractError(f"record id {row['id']} is not the next id {store.insertion_counter}")
-                if row["strength"] is None:  # optional for a candidate, not for a record
-                    raise ContractError("record strength is missing")
-                if not isinstance(row["active"], bool):
-                    raise ContractError(f"record active flag {row['active']!r} is not a boolean")
-                archived_by = row.get("archived_by")
-                if archived_by is not None and (row["active"] or type(archived_by) is not int or archived_by == row["id"]):
-                    raise ContractError(
-                        f"record {row['id']} archived_by {archived_by!r} is neither null nor, for an archived"
-                        " record, another record's id"
-                    )
-                CandidateArgument(row["claim"], row["polarity"], Role(row["role"]), row["strength"])
-            except (ValueError, KeyError, TypeError, AttributeError, ContractError) as exc:
-                raise ContractError(f"{path}:{line_number}: {exc}") from exc
-            record = ArgumentRecord(
-                claim=row["claim"],
-                polarity=row["polarity"],
-                strength=row["strength"],
-                role=Role(row["role"]),
-                embedding=store.embed(row["claim"]),
-                active=row["active"],
-                archived_by=archived_by,
-            )
-            store.insert(record)
-    return store

@@ -124,8 +124,9 @@ class CalibrationGrid:
     def __post_init__(self):
         self.u_values, self.a_values = tuple(self.u_values), tuple(self.a_values)  # a config file gives lists
         for name, values in (("u", self.u_values), ("a", self.a_values)):
-            if not values or list(values) != sorted(values) or len(set(values)) != len(values) or values[0] < 0.0:
-                raise ContractError(f"{name} grid {list(values)!r} must be non-empty, strictly increasing and >= 0")
+            finite = all(0.0 <= value < math.inf for value in values)  # NaN fails too
+            if not values or list(values) != sorted(values) or len(set(values)) != len(values) or not finite:
+                raise ContractError(f"{name} grid {list(values)!r} must be non-empty, strictly increasing, finite and >= 0")
 
 
 def accepted_records(

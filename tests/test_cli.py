@@ -1,18 +1,21 @@
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 
 import credence
-from credence import engine, judgement
+from credence import engine, judgement, simulation
 from credence.cli import main
 from credence.config import DEFAULTS
+from credence.exceptions import TraceVerificationError
 from credence.replay import EvidenceItem, ReplayCase, case_to_dict
 
 
@@ -398,12 +401,29 @@ def test_trace_verify_rejects_extra_data_after_an_event(tmp_path, capsys, extra)
 
 
 @pytest.fixture(scope="module")
-def default_sweep_trace(tmp_path_factory):
+def default_runs(tmp_path_factory):
+    """Each trace of the default sweep and debate, by file name, with the
+    agent that wrote it."""
+    agents = []
+    make_agent = simulation.make_agent
+
+    def keep(*args, **kwargs):
+        agents.append(make_agent(*args, **kwargs))
+        return agents[-1]
+
+    out = tmp_path_factory.mktemp("default")
+    with mock.patch.object(simulation, "make_agent", keep):
+        assert main(["sweep", "--out", str(out / "sweep")]) == 0
+        assert main(["debate", "--out", str(out / "debate")]) == 0
+    by_text = {"".join(event.to_json() + "\n" for event in agent.trace): agent for agent in agents}
+    return {path.name: (path, by_text[path.read_text(encoding="utf-8")]) for path in out.glob("*/traces/*.jsonl")}
+
+
+@pytest.fixture(scope="module")
+def default_sweep_trace(default_runs):
     """The default sweep's sweep_u_0.4.jsonl and the line trace-verify
     prints for it."""
-    out = tmp_path_factory.mktemp("default") / "sweep"
-    assert main(["sweep", "--out", str(out)]) == 0
-    trace = out / "traces" / "sweep_u_0.4.jsonl"
+    trace = default_runs["sweep_u_0.4.jsonl"][0]
     events = engine.read_trace(trace)
     final = engine.verify_trace(events)
     return trace, f"trace verified: L={final.log_odds!r} S={final.stance!r} ({len(events)} events)\n"
@@ -422,6 +442,117 @@ def test_trace_verify_streams_the_trace(default_sweep_trace, monkeypatch, capsys
     capsys.readouterr()
     assert main(["trace-verify", str(trace)]) == 0
     assert capsys.readouterr().out == printed
+
+
+def record_fields(store):
+    return [(r.id, r.claim, r.polarity, repr(r.strength), r.role, r.active, r.archived_by) for r in store]
+
+
+def test_store_from_trace_equals_the_run_store_on_every_default_trace(default_runs):
+    """The 10 sweep and 24 debate traces, seed rescales (re-stored ids)
+    and deduplication losers included, rebuild their agents' stores."""
+    assert len(default_runs) == 34
+    restored = 0
+    for path, agent in default_runs.values():
+        rebuilt = engine.store_from_trace(engine._trace_events(path))
+        assert record_fields(rebuilt) == record_fields(agent.memory), path.name
+        assert rebuilt.insertion_counter == agent.memory.insertion_counter
+        restored += sum(e.kind == "stored" for e in agent.trace) - agent.memory.insertion_counter
+    assert restored == 10 + 336
+
+
+DELETE = object()
+
+
+def edited_trace(trace, tmp_path, seq: int, edits: dict):
+    """A copy of the trace whose event seq has the given payload fields;
+    a value of DELETE deletes the field."""
+    rows = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    payload = rows[seq]["payload"]
+    for key, value in edits.items():
+        if value is DELETE:
+            del payload[key]
+        else:
+            payload[key] = value
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
+    return edited
+
+
+# Edits of the default sweep_u_0.4.jsonl.  Seq 7 is the resolved event
+# before record 2 is stored (seq 8), when records 0 and 1 are active; seq
+# 42 stores record 11, which lost deduplication, inactive.
+INCOMPLETE = "stored record 2 needs a string claim, a strength and a boolean active flag"
+TRACE_FIELD_FAULTS = {
+    "polarity-0": (8, {"polarity": 0}, "stored polarity 0 not in {-1, +1}"),
+    "polarity-str": (8, {"polarity": "+1"}, "stored polarity +1 not in {-1, +1}"),
+    "polarity-bool": (8, {"polarity": True}, "stored polarity True not in {-1, +1}"),
+    "strength-2.5": (8, {"strength": 2.5}, "stored strength hint 2.5 is not a finite number in [0, 1]"),
+    "strength-nan": (8, {"strength": math.nan}, "stored strength hint nan is not a finite number in [0, 1]"),
+    "strength-str": (8, {"strength": "0.5"}, "stored strength hint '0.5' is not a finite number in [0, 1]"),
+    "strength-null": (8, {"strength": None}, INCOMPLETE),
+    "strength-missing": (8, {"strength": DELETE}, INCOMPLETE),
+    "role": (8, {"role": "judge"}, "stored 'judge' is not a valid Role"),
+    "claim-blank": (8, {"claim": "  "}, "stored candidate claim is empty"),
+    "claim-number": (8, {"claim": 5}, INCOMPLETE),
+    "active-str": (8, {"active": "no"}, INCOMPLETE),
+    "all-four": (
+        8, {"polarity": 7, "strength": "x", "role": "judge", "claim": ""}, "stored 'judge' is not a valid Role"
+    ),
+    "id-out-of-order": (5, {"id": 2}, "stored id 2 is neither the next id 1 nor one already stored"),
+    "id-negative": (8, {"id": -1}, "stored id -1 is neither the next id 2 nor one already stored"),
+    "archived_id-unknown": (7, {"archived_id": 999}, "resolved archived_id 999 names no active record"),
+    "archived_id-own-id": (7, {"archived_id": 2}, "resolved archived_id 2 names no active record"),
+    "archived_id-bool": (7, {"archived_id": True}, "resolved archived_id True names no active record"),
+    "archived_id-str": (7, {"archived_id": "0"}, "resolved archived_id '0' names no active record"),
+    "archived_id-float": (7, {"archived_id": 0.0}, "resolved archived_id 0.0 names no active record"),
+    "archived_id-archived": (44, {"archived_id": 11}, "resolved archived_id 11 names no active record"),
+}
+
+
+@pytest.mark.parametrize("seq, edits, message", TRACE_FIELD_FAULTS.values(), ids=TRACE_FIELD_FAULTS.keys())
+def test_a_bad_stored_or_resolved_field_fails_verify_and_rebuild(default_sweep_trace, tmp_path, capsys, seq, edits, message):
+    trace, _ = default_sweep_trace
+    assert [engine.read_trace(trace)[s].payload.get("id") for s in (5, 8, 42)] == [1, 2, 11]
+    bad = edited_trace(trace, tmp_path, seq, edits)
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    assert capsys.readouterr().err == f"verification failed: event {seq}: {message}\n"
+    with pytest.raises(TraceVerificationError, match=re.escape(f"event {seq}: {message}")):
+        engine.store_from_trace(engine._trace_events(bad))
+
+
+def test_trace_verify_rejects_a_tampered_s_before(default_sweep_trace, tmp_path, capsys):
+    trace, _ = default_sweep_trace
+    seq = next(e.seq for e in engine.read_trace(trace) if e.kind == "updated" and e.payload["S_before"] > 0)
+    bad = edited_trace(trace, tmp_path, seq, {"S_before": -0.5})
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    assert capsys.readouterr().err == f"verification failed: event {seq}: S_before inconsistent with L_before\n"
+
+
+# Faults only a rebuilt store shows: (trace, seq edited, edits, seq
+# reported, message).  sweep_a_1.0.jsonl re-stores every seed after
+# rescaling it, record 0 at seq 30.  Record 11 of sweep_u_0.4.jsonl lost
+# deduplication at similarity 1.0 (resolved at seq 41, stored at seq 42).
+STORE_FAULTS = {
+    "restore-claim": ("sweep_a_1.0.jsonl", 30, {"claim": "another claim"}, 30, "stored again as another"),
+    "restore-polarity": ("sweep_a_1.0.jsonl", 30, {"polarity": -1}, 30, "stored again as another"),
+    "restore-role": ("sweep_a_1.0.jsonl", 30, {"role": "self"}, 30, "stored again as another"),
+    "restore-active": ("sweep_a_1.0.jsonl", 30, {"active": False}, 30, "stored again as another"),
+    "loser-similarity-ulp": (
+        "sweep_u_0.4.jsonl", 41, {"similarity": math.nextafter(1.0, 0.0)}, 42, "lose to at 0.9999999999999999"
+    ),
+    "loser-similarity-null": ("sweep_u_0.4.jsonl", 41, {"similarity": None}, 42, "lose to at None"),
+    "loser-similarity-missing": ("sweep_u_0.4.jsonl", 41, {"similarity": DELETE}, 42, "lose to at None"),
+}
+
+
+@pytest.mark.parametrize("name, seq, edits, reported, message", STORE_FAULTS.values(), ids=STORE_FAULTS.keys())
+def test_store_from_trace_rejects_what_its_store_contradicts(default_runs, tmp_path, name, seq, edits, reported, message):
+    bad = edited_trace(default_runs[name][0], tmp_path, seq, edits)
+    with pytest.raises(TraceVerificationError, match=f"event {reported}: .*{message}"):
+        engine.store_from_trace(engine._trace_events(bad))
 
 
 def test_trace_verify_skips_a_byte_order_mark_at_the_start(default_sweep_trace, tmp_path, capsys):

@@ -1,14 +1,11 @@
-import json
 import math
-import random
-import re
 
 import pytest
 
 from credence.core import Role
 from credence.exceptions import ContractError
 from credence.judgement import ArgumentRecord, embed_claim
-from credence.memory import MemoryStore, dump_jsonl, load_jsonl, retrieve
+from credence.memory import MemoryStore, retrieve
 
 
 def make_record(claim, polarity=1, strength=0.5, role=Role.OPPONENT):
@@ -114,93 +111,3 @@ def test_rescale_rejects_a_product_outside_0_1_and_changes_nothing(factor):
     assert records[2].strength == 0.8 * math.nextafter(1.0, 2.0)
 
 
-def test_jsonl_roundtrip(tmp_path):
-    rng = random.Random(3)
-    store = MemoryStore()
-    for i in range(20):
-        record = make_record(
-            f"claim {i}",
-            polarity=rng.choice([-1, 1]),
-            strength=rng.random(),
-            role=rng.choice(list(Role)),
-        )
-        store.insert(record)
-        if rng.random() < 0.3:
-            record.active = False
-            record.archived_by = rng.choice([None, *range(i)])  # never the record's own id
-    path = tmp_path / "memory.jsonl"
-    dump_jsonl(store, path)
-    loaded = load_jsonl(path)
-    assert len(loaded) == len(store)
-    for original, copy in zip(store, loaded):
-        assert (original.id, original.claim, original.polarity, original.strength) == (
-            copy.id, copy.claim, copy.polarity, copy.strength
-        )
-        assert (original.role, original.active, original.archived_by) == (
-            copy.role, copy.active, copy.archived_by
-        )
-    assert loaded.insertion_counter == store.insertion_counter
-
-
-def test_load_rejects_out_of_order_id(tmp_path):
-    store = MemoryStore()
-    for i in range(3):
-        store.insert(make_record(f"claim {i}"))
-    path = tmp_path / "memory.jsonl"
-    dump_jsonl(store, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
-    with pytest.raises(ContractError, match="record id 2 is not the next id 1"):
-        load_jsonl(path)
-
-
-@pytest.mark.parametrize("archived_by", [1, True, "0", 2.5], ids=["own-id", "bool", "str", "float"])
-def test_load_rejects_a_bad_archived_by(tmp_path, archived_by):
-    """An archived row's archived_by is null or the id of another record."""
-    store = MemoryStore()
-    for i in range(3):
-        store.insert(make_record(f"claim {i}"))
-    store.archive(store.records[1], archived_by=archived_by)
-    path = tmp_path / "memory.jsonl"
-    dump_jsonl(store, path)
-    message = rf"memory\.jsonl:2: record 1 archived_by {re.escape(repr(archived_by))} is neither null"
-    with pytest.raises(ContractError, match=message):
-        load_jsonl(path)
-    store.records[1].archived_by = 2
-    dump_jsonl(store, path)
-    assert load_jsonl(path).records[1].archived_by == 2
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("polarity", 0, "polarity 0 not in"),
-        ("polarity", "+1", "polarity +1 not in"),
-        ("strength", 2.5, "strength hint 2.5 is not a finite number in"),
-        ("strength", float("nan"), "strength hint nan is not a finite number in"),
-        ("strength", "0.5", "strength hint '0.5' is not a finite number in"),
-        ("strength", None, "record strength is missing"),
-        ("role", "judge", "'judge' is not a valid Role"),
-        ("claim", "  ", "candidate claim is empty"),
-        ("active", "no", "record active flag 'no' is not a boolean"),
-        ("polarity", True, "polarity True not in"),
-        ("archived_by", 7, "record 1 archived_by 7 is neither null"),
-    ],
-    ids=[
-        "polarity-0", "polarity-str", "strength-2.5", "strength-nan", "strength-str", "strength-null", "role", "claim",
-        "active-str", "polarity-bool", "archived_by-on-active",
-    ],
-)
-def test_load_rejects_a_bad_row_naming_file_and_line(tmp_path, field, value, message):
-    store = MemoryStore()
-    for i in range(3):
-        store.insert(make_record(f"claim {i}"))
-    path = tmp_path / "memory.jsonl"
-    dump_jsonl(store, path)
-    lines = path.read_text().splitlines()
-    row = json.loads(lines[1])
-    row[field] = value
-    lines[1] = json.dumps(row)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ContractError, match=rf"memory\.jsonl:2: {re.escape(message)}"):
-        load_jsonl(path)

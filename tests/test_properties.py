@@ -33,6 +33,7 @@ from credence.engine import (
     process_message,
     read_trace,
     stance_to_instruction,
+    store_from_trace,
     verify_trace,
     verify_trace_file,
     write_trace,
@@ -49,7 +50,7 @@ from credence.judgement import (
     resolve_conflict,
     trigram_counts,
 )
-from credence.memory import MemoryStore, _RowSet, dump_jsonl, load_jsonl, retrieve
+from credence.memory import MemoryStore, _RowSet, retrieve
 from credence.replay import CalibrationGrid, EvidenceItem, ReplayCase, build_replay_report, calibrate, replay_case
 from credence.simulation import load_scripted_claims, make_agent, seed_agent
 
@@ -433,26 +434,6 @@ def test_retrieve_matches_brute_force_sort(ops, k):
         assert [r.id for r in context.records] == ranked[1][: context.k_plus] + ranked[-1][: context.k_minus]
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(before=operations, after=operations, theta=thetas, theta_self=thetas)
-def test_reloaded_store_resolves_identically(tmp_path_factory, before, after, theta, theta_self):
-    store = MemoryStore()
-    apply(store, before, theta, theta_self)
-    path = tmp_path_factory.mktemp("memory") / "memory.jsonl"
-    dump_jsonl(store, path)
-    loaded = load_jsonl(path)
-    for op in after:
-        if op[0] == "flip":
-            continue
-        _, phrase, swap, suffix, polarity, role, strength = op
-        claim = _claim(phrase, swap, suffix)
-        original = ingest_and_check(store, make_record(claim, polarity, strength, role), theta, theta_self)
-        reloaded = ingest_and_check(loaded, make_record(claim, polarity, strength, role), theta, theta_self)
-        assert (original.kept_new, original.matched_id) == (reloaded.kept_new, reloaded.matched_id)
-        assert repr(original.similarity) == repr(reloaded.similarity)
-    assert flags(loaded) == flags(store)
-
-
 CORPUS = load_scripted_claims(bundled_text("seeds.txt"))
 
 message_lines = st.lists(
@@ -616,6 +597,51 @@ def test_streamed_verification_equals_verify_trace(tmp_path_factory, profile, se
     assert (final.log_odds.hex(), final.stance.hex()) == (expected.log_odds.hex(), expected.stance.hex())
 
 
+def record_fields(store: MemoryStore):
+    return [(r.id, r.claim, r.polarity, repr(r.strength), r.role, r.active, r.archived_by) for r in store]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    profile=st.builds(UAProfile, uptake=st.floats(0.0, 1.0), anchoring=st.floats(0.0, 1.5)),
+    seedings=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from((0.0, 0.3, -0.5, 0.75, 0.99)), st.integers(0, 1000)),
+        max_size=2,
+    ),
+    rounds=st.lists(st.tuples(message_lines, st.booleans()), min_size=1, max_size=12),
+    after=operations,
+    theta=thetas,
+    theta_self=thetas,
+)
+@example(
+    profile=UAProfile(uptake=0.4, anchoring=0.2),
+    seedings=[(0, 0.3, 1), (1, -0.5, 2)],
+    rounds=ARCHIVING_ROUNDS,
+    after=[("ingest", 0, 0, 0, 1, Role.SELF, 1.0), ("ingest", 1, 0, 0, -1, Role.OPPONENT, 0.5)],
+    theta=0.8,
+    theta_self=0.5,
+)
+def test_store_from_trace_equals_the_live_store(profile, seedings, rounds, after, theta, theta_self):
+    """The store rebuilt from an engine run's trace, with its seed
+    rescales, self turns, superseded records and deduplication losers,
+    equals the run's store field by field, and resolves further ingests
+    as the run's store does."""
+    agent = play_dialogue(profile, seedings, rounds)
+    store, rebuilt = agent.memory, store_from_trace(agent.trace)
+    assert record_fields(rebuilt) == record_fields(store)
+    assert rebuilt.insertion_counter == store.insertion_counter
+    for op in after:
+        if op[0] == "flip":
+            continue
+        _, phrase, swap, suffix, polarity, role, strength = op
+        claim = _claim(phrase, swap, suffix)
+        original = ingest_and_check(store, make_record(claim, polarity, strength, role), theta, theta_self)
+        reloaded = ingest_and_check(rebuilt, make_record(claim, polarity, strength, role), theta, theta_self)
+        assert (original.kept_new, original.matched_id) == (reloaded.kept_new, reloaded.matched_id)
+        assert repr(original.similarity) == repr(reloaded.similarity)
+    assert record_fields(rebuilt) == record_fields(store)
+
+
 def scan_to_the_end(seeds, anchoring: float, target: float) -> float:
     """The seed scale as chosen before the scan stopped early: bisection,
     then all 4096 nextafter steps unless a new candidate is exact."""
@@ -718,20 +744,27 @@ def test_belief_drops_a_record_archived_from_outside():
     assert agent.belief.log_odds == compute_log_odds(active, profile)
 
 
+def stored(seq: int, record_id: int, active: bool, contribution: float) -> TraceEvent:
+    payload = {"id": record_id, "claim": f"claim {record_id}", "polarity": 1, "strength": 0.5, "role": "seed"}
+    return TraceEvent(seq, "stored", {**payload, "active": active, "contribution": contribution})
+
+
 def test_verify_resums_after_non_increasing_id():
     def trace(l_after):
         events = [
-            TraceEvent(0, "stored", {"id": 2, "active": True, "contribution": 1e16}),
-            TraceEvent(1, "stored", {"id": 3, "active": True, "contribution": -1e16}),
-            TraceEvent(2, "stored", {"id": 1, "active": True, "contribution": 1.0}),
+            stored(0, 0, True, 0.5),
+            stored(1, 1, True, 1e16),
+            stored(2, 2, True, -1e16),
+            stored(3, 0, True, 1.0),
         ]
         stance = math.tanh(l_after / 2.0)
         events.append(
-            TraceEvent(3, "updated", {"L_before": 0.0, "L_after": l_after, "S_before": 0.0, "S_after": stance})
+            TraceEvent(4, "updated", {"L_before": 0.0, "L_after": l_after, "S_before": 0.0, "S_after": stance})
         )
         return events
 
-    # In id order the sum is (1 + 1e16) - 1e16 = 0; in stored order it is 1.
+    # Record 0 is stored again.  In id order the sum is (1 + 1e16) - 1e16
+    # = 0; in stored order it is 1.
     assert verify_trace(trace(0.0)).log_odds == 0.0
     with pytest.raises(TraceVerificationError):
         verify_trace(trace(1.0))
@@ -740,11 +773,13 @@ def test_verify_resums_after_non_increasing_id():
 def test_verify_drops_a_record_stored_again_as_inactive():
     def trace(l_after):
         return [
-            TraceEvent(0, "stored", {"id": 0, "active": True, "contribution": 1.0}),
+            stored(0, 0, True, 1.0),
             TraceEvent(1, "updated", {"L_before": 0.0, "L_after": 1.0, "S_before": 0.0, "S_after": math.tanh(0.5)}),
-            TraceEvent(2, "stored", {"id": 0, "active": False, "contribution": 1.0}),
+            stored(2, 0, False, 1.0),
             TraceEvent(
-                3, "updated", {"L_before": 1.0, "L_after": l_after, "S_before": 0.0, "S_after": math.tanh(l_after / 2)}
+                3,
+                "updated",
+                {"L_before": 1.0, "L_after": l_after, "S_before": math.tanh(0.5), "S_after": math.tanh(l_after / 2)},
             ),
         ]
 

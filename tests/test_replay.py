@@ -114,8 +114,9 @@ def test_grid_validation():
         CalibrationGrid(u_values=(0.2, 0.1))
     with pytest.raises(ContractError):
         CalibrationGrid(u_values=())
-    for values in ((-2.0, 0.1), (-0.5, 0.1)):
-        with pytest.raises(ContractError, match=">= 0"):
+    nan, inf = float("nan"), float("inf")
+    for values in ((-2.0, 0.1), (-0.5, 0.1), (nan, 0.1), (0.1, nan), (0.1, nan, 0.2), (0.1, inf), (-inf, 0.1)):
+        with pytest.raises(ContractError, match="finite and >= 0"):
             CalibrationGrid(u_values=values)
         with pytest.raises(ContractError, match=">= 0"):
             CalibrationGrid(a_values=values)
