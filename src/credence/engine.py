@@ -69,6 +69,9 @@ class EngineConfig:
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 _raw_decode = json.JSONDecoder().raw_decode
 
+# How far a recorded L or S may sit from the value the trace replays to.
+TOLERANCE = 1e-12
+
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -149,11 +152,10 @@ def refresh_belief(agent: AgentState) -> TraceEvent:
     """Bring L up to date with the active set, with before/after in the trace.
 
     While the store's revision is unchanged since the last update (no
-    record has left the active set and no stored strength has changed),
+    record has been archived and no stored strength has changed),
     the contributions of the records stored since then are added in id
     order (update_incremental), which equals the batch fold bitwise.
-    Otherwise the whole active set is folded again.  Every way out of the
-    active set bumps the revision, a direct ``active = False`` too.
+    Otherwise the whole active set is folded again.
     """
     before = agent.belief
     memory = agent.memory
@@ -294,28 +296,55 @@ def _field(event: TraceEvent, key: str):
     return value
 
 
-def _check_event(event: TraceEvent, next_id: int, active_ids) -> None:
-    """A stored record passes a candidate argument's checks and has a string
-    claim, a strength, a boolean active flag and an id up to next_id; a
-    resolved archived_id is null or in active_ids.  Else TraceVerificationError."""
-    payload = event.payload
-    try:
-        if event.kind == "resolved":
-            archived_id = payload.get("archived_id")
-            if archived_id is not None and (type(archived_id) is not int or archived_id not in active_ids):
-                raise ContractError(f"archived_id {archived_id!r} names no active record")
-            return
-        record_id, claim, strength = payload.get("id"), payload.get("claim"), payload.get("strength")
-        if type(record_id) is not int or not 0 <= record_id <= next_id:
-            raise ContractError(f"id {record_id!r} is neither the next id {next_id} nor one already stored")
-        if not isinstance(claim, str) or strength is None or type(payload.get("active")) is not bool:
-            raise ContractError(f"record {record_id} needs a string claim, a strength and a boolean active flag")
-        CandidateArgument(claim, payload.get("polarity"), Role(payload.get("role")), strength)
-    except (ContractError, ValueError) as exc:  # Role() raises ValueError
-        raise TraceVerificationError(f"event {event.seq}: {event.kind} {exc}", seq=event.seq) from None
+def _checked(events, active_ids):
+    """Yield each event, with whether it stores a new id, once it keeps the
+    rules both trace readers apply; else raise TraceVerificationError
+    naming it.  active_ids holds the reader's active records by id, which
+    the reader brings up to date before the next event.  Seqs increase.  A
+    resolved event's archived_id is null or in active_ids, and its kept_new
+    is a boolean, true with an archived_id.  A stored record passes a
+    candidate argument's checks and has a string claim, a strength, a
+    boolean active flag and an id up to the next id; an id stored again
+    keeps its active flag.  A new id directly follows its own scored and
+    resolved events: the record's strength, role and stripped claim, and
+    kept_new equal to its active flag."""
+    scored = resolved = TraceEvent(-1, "", {})  # the two events before this one
+    next_id = 0
+    for event in events:
+        if event.seq <= resolved.seq:
+            raise TraceVerificationError(f"event {event.seq}: {event.kind} seq does not increase", seq=event.seq)
+        payload = event.payload
+        new = event.kind == "stored" and payload.get("id") == next_id
+        try:
+            if event.kind == "resolved":
+                archived_id, kept_new = payload.get("archived_id"), payload.get("kept_new")
+                if archived_id is not None and (type(archived_id) is not int or archived_id not in active_ids):
+                    raise ContractError(f"archived_id {archived_id!r} names no active record")
+                if type(kept_new) is not bool or (archived_id is not None and not kept_new):
+                    raise ContractError(f"kept_new {kept_new!r} must be a boolean, true with an archived_id")
+            elif event.kind == "stored":
+                record_id, claim, strength, role, active = map(payload.get, ("id", "claim", "strength", "role", "active"))
+                if type(record_id) is not int or not 0 <= record_id <= next_id:
+                    raise ContractError(f"id {record_id!r} is neither the next id {next_id} nor one already stored")
+                if not isinstance(claim, str) or strength is None or type(active) is not bool:
+                    raise ContractError(f"record {record_id} needs a string claim, a strength and a boolean active flag")
+                CandidateArgument(claim, payload.get("polarity"), Role(role), strength)
+                if not new and active != (record_id in active_ids):
+                    raise ContractError(f"record {record_id} stored again as another: active {active}")
+                said = scored.payload
+                order = (scored.kind, type(said.get("claim")), resolved.kind, resolved.payload.get("kept_new"))
+                if new and order != ("scored", str, "resolved", active):
+                    raise ContractError(f"record {record_id} does not follow its scored event and kept_new {active}")
+                if new and (said["claim"].strip(), said.get("strength"), said.get("role")) != (claim, strength, role):
+                    raise ContractError(f"record {record_id} is not the claim scored at event {scored.seq}")
+        except (ContractError, ValueError) as exc:  # Role() raises ValueError
+            raise TraceVerificationError(f"event {event.seq}: {event.kind} {exc}", seq=event.seq) from None
+        next_id += new
+        yield event, new
+        scored, resolved = resolved, event
 
 
-def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefState:
+def verify_trace(events: list[TraceEvent]) -> BeliefState:
     """Replay stored contributions and confirm every recorded update.
 
     The replayed L is the sum of the active contributions in id order.
@@ -326,13 +355,13 @@ def verify_trace(events: list[TraceEvent], tolerance: float = 1e-12) -> BeliefSt
 
     Raises TraceVerificationError at the first divergent event, at the
     first field it reads that is missing or of the wrong type, at any NaN
-    it compares, and at a stored or resolved event that fails
-    _check_event.  It trusts each stored contribution.
+    it compares, and at the first event that breaks _checked's rules.
+    It trusts each stored contribution.
     """
-    return _replay(events, tolerance)[0]
+    return _replay(events)[0]
 
 
-def verify_trace_file(path, tolerance: float = 1e-12) -> tuple[BeliefState, int]:
+def verify_trace_file(path) -> tuple[BeliefState, int]:
     """verify_trace over a trace file, read one line at a time; returns
     the final state and the number of events.
 
@@ -342,42 +371,26 @@ def verify_trace_file(path, tolerance: float = 1e-12) -> tuple[BeliefState, int]
     is an unreadable line or a divergent event.
     """
     with contextlib.closing(_trace_events(path)) as events:  # the file closes at a fault too
-        return _replay(events, tolerance)
+        return _replay(events)
 
 
-def _replay(events, tolerance: float) -> tuple[BeliefState, int]:
+def _replay(events) -> tuple[BeliefState, int]:
     """verify_trace's rule over any iterable of events, read once; returns
     the final state and the number of events seen."""
     contributions: dict[int, float] = {}  # the active records' only
     pending: list[int] = []  # active ids stored since the last update, increasing
     resum = False
-    next_id = 0
-    previous_seq = -1
     count = 0
     current = BeliefState.zero()
-    for event in events:
-        count += 1
-        if event.seq <= previous_seq:
-            raise TraceVerificationError(
-                f"non-increasing sequence number {event.seq}", seq=event.seq
-            )
-        previous_seq = event.seq
+    for count, (event, new) in enumerate(_checked(events, contributions), 1):
         payload = event.payload
         if event.kind == "stored":
-            _check_event(event, next_id, contributions)
-            record_id = payload["id"]
-            if record_id == next_id:
-                next_id += 1
-            else:
-                resum = True
             contribution = _field(event, "contribution")
+            resum = resum or not new
             if payload["active"]:
-                contributions[record_id] = contribution
-                pending.append(record_id)
-            else:
-                contributions.pop(record_id, None)
+                contributions[payload["id"]] = contribution
+                pending.append(payload["id"])
         elif event.kind == "resolved":
-            _check_event(event, next_id, contributions)
             if payload.get("archived_id") is not None:
                 del contributions[payload["archived_id"]]
                 resum = True
@@ -392,19 +405,19 @@ def _replay(events, tolerance: float) -> tuple[BeliefState, int]:
                     expected += contributions[record_id]
             pending.clear()
             resum = False
-            # Written as `not ... <= tolerance` so that a NaN fails.
+            # Written as `not ... <= TOLERANCE` so that a NaN fails.
             l_before, l_after = _field(event, "L_before"), _field(event, "L_after")
-            if not abs(l_before - current.log_odds) <= tolerance:
+            if not abs(l_before - current.log_odds) <= TOLERANCE:
                 raise TraceVerificationError(
                     f"event {event.seq}: L_before {l_before} != replayed {current.log_odds}", seq=event.seq
                 )
-            if not abs(_field(event, "S_before") - current.stance) <= tolerance:
+            if not abs(_field(event, "S_before") - current.stance) <= TOLERANCE:
                 raise TraceVerificationError(f"event {event.seq}: S_before inconsistent with L_before", seq=event.seq)
-            if not abs(l_after - expected) <= tolerance:
+            if not abs(l_after - expected) <= TOLERANCE:
                 raise TraceVerificationError(
                     f"event {event.seq}: L_after {l_after} != replayed {expected}", seq=event.seq
                 )
-            if not abs(_field(event, "S_after") - stance_from_log_odds(expected)) <= tolerance:
+            if not abs(_field(event, "S_after") - stance_from_log_odds(expected)) <= TOLERANCE:
                 raise TraceVerificationError(
                     f"event {event.seq}: S_after inconsistent with L_after", seq=event.seq
                 )
@@ -419,22 +432,19 @@ def store_from_trace(events) -> MemoryStore:
     resolution searched, which must have the resolved event's similarity,
     bitwise.  A fault raises TraceVerificationError naming the event."""
     store = MemoryStore()
-    similarity = None  # the last resolved event's, until the next stored event
-    for event in events:
-        if event.kind not in ("stored", "resolved"):
-            continue
-        _check_event(event, store.insertion_counter, store._active)
+    for event, new in _checked(events, store._active):
         payload = event.payload
         if event.kind == "resolved":
             if payload.get("archived_id") is not None:  # archived by the record stored next
                 store.archive(store.records[payload["archived_id"]], archived_by=store.insertion_counter)
-            similarity = payload.get("similarity")
+            similarity = payload.get("similarity")  # for the new id stored next
+        if event.kind != "stored":
             continue
         claim, role = payload["claim"], Role(payload["role"])
         record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, store.embed(claim), payload["active"])
-        if payload["id"] < store.insertion_counter:
+        if not new:
             stored = store.records[payload["id"]]
-            if (stored.claim, stored.polarity, stored.role, stored.active) != (claim, record.polarity, role, record.active):
+            if (stored.claim, stored.polarity, stored.role) != (claim, record.polarity, role):
                 raise TraceVerificationError(f"event {event.seq}: record {stored.id} stored again as another", seq=event.seq)
             store.set_strengths([(stored, record.strength)])
         else:
@@ -444,5 +454,4 @@ def store_from_trace(events) -> MemoryStore:
                     raise TraceVerificationError(f"event {event.seq}: no record to lose to at {similarity!r}", seq=event.seq)
                 record.archived_by = nearest[0].id
             store.insert(record)
-        similarity = None
     return store

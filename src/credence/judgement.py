@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,7 +53,9 @@ class ArgumentRecord:
     its store's shared, read-only float32 trigram counts
     (``MemoryStore.embed``); the store searches by claim text, never by
     this field, so a record built with another vector is deduplicated all
-    the same."""
+    the same.  ``active`` may be set only before the record is stored, as
+    deduplication marks a losing new record; then only
+    ``MemoryStore.archive`` clears it, so it never re-enters the active set."""
 
     claim: str
     polarity: int
@@ -64,20 +65,12 @@ class ArgumentRecord:
     active: bool = True  # a property, set below
     id: Optional[int] = None
     archived_by: Optional[int] = None
-    # The holding MemoryStore, set by insert; weak, so there is no cycle.
-    store: Optional[weakref.ref] = field(default=None, init=False, repr=False, compare=False)
 
 
 def _set_active(record: ArgumentRecord, value: bool) -> None:
-    """Clearing ``active`` archives the record and tells its store, if
-    any; an archived record never re-enters the active set."""
-    was = getattr(record, "_active", None)
-    if value and was is not None and not was:
-        raise ContractError(f"archived record {record.id} cannot re-enter the active set")
+    if record.id is not None:
+        raise ContractError(f"record {record.id} is stored: only MemoryStore.archive changes its active flag")
     record._active = value
-    store = record.store() if record.store is not None else None
-    if was and not value and store is not None:
-        store._forget(record)
 
 
 # Set after the dataclass is made, which keeps True as the field default.

@@ -6,8 +6,8 @@ allocates context slots in proportion to the active pro/con composition,
 never by stance.
 
 The store alone owns its active set: ``insert`` indexes an active record
-at once, and a stored record whose ``active`` flag is cleared, through
-``archive`` or directly, tells its store, which drops it from the index.
+at once, and ``archive`` is the one way a stored record leaves it (a
+stored record's ``active`` flag cannot be set directly).
 The index makes deduplication, retrieval and the belief update cost in
 proportion to the active set rather than to everything ever stored:
 
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -170,8 +169,8 @@ class _PolarityIndex:
 class MemoryStore:
     records: list[ArgumentRecord] = field(default_factory=list, init=False)  # filled by insert only
     insertion_counter: int = field(default=0, init=False)
-    # Bumped whenever an indexed record leaves the active set or a stored
-    # strength changes: a running sum over the active set is then stale.
+    # Bumped by archive and set_strengths, the only ways a running sum
+    # over the active set goes stale.
     revision: int = field(default=0, init=False, compare=False)
     _active: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _by_polarity: dict = field(
@@ -185,7 +184,6 @@ class MemoryStore:
         record.id = self.insertion_counter
         self.insertion_counter += 1
         self.records.append(record)
-        record.store = weakref.ref(self)
         if record.active:
             self._active[record.id] = record
             self._by_polarity[record.polarity].add(record, self._text(record.claim))
@@ -210,9 +208,15 @@ class MemoryStore:
         return text
 
     def archive(self, record: ArgumentRecord, archived_by: Optional[int]) -> None:
-        """Move a stored record to the archived partition."""
-        record.active = False
+        """Move an active record of this store to the archived partition;
+        ContractError, and no change, for any other record."""
+        if self._active.get(record.id) is not record:
+            raise ContractError(f"record {record.id} is not an active record of this store")
+        del self._active[record.id]
+        self._by_polarity[record.polarity].remove(record)
+        record._active = False  # behind the property, which refuses a stored record
         record.archived_by = archived_by
+        self.revision += 1
 
     def rescale(self, records, factor: float) -> None:
         """Multiply each given record's strength by factor (set_strengths)."""
@@ -249,12 +253,6 @@ class MemoryStore:
 
     def retrieve(self, k: int) -> "RetrievalContext":
         return retrieve(self, k)
-
-    def _forget(self, record: ArgumentRecord) -> None:
-        """Drop a stored record whose active flag was just cleared."""
-        del self._active[record.id]
-        self._by_polarity[record.polarity].remove(record)
-        self.revision += 1
 
 
 @dataclass

@@ -462,6 +462,7 @@ def test_store_from_trace_equals_the_run_store_on_every_default_trace(default_ru
 
 
 DELETE = object()
+SEQ = object()  # as an edits key, the event's seq rather than a payload field
 
 
 def edited_trace(trace, tmp_path, seq: int, edits: dict):
@@ -470,7 +471,9 @@ def edited_trace(trace, tmp_path, seq: int, edits: dict):
     rows = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
     payload = rows[seq]["payload"]
     for key, value in edits.items():
-        if value is DELETE:
+        if key is SEQ:
+            rows[seq]["seq"] = value
+        elif value is DELETE:
             del payload[key]
         else:
             payload[key] = value
@@ -479,46 +482,62 @@ def edited_trace(trace, tmp_path, seq: int, edits: dict):
     return edited
 
 
-# Edits of the default sweep_u_0.4.jsonl.  Seq 7 is the resolved event
-# before record 2 is stored (seq 8), when records 0 and 1 are active; seq
-# 42 stores record 11, which lost deduplication, inactive.
+# Edits of the default sweep_u_0.4.jsonl: (seq edited, edits, seq reported,
+# message).  Seqs 6 and 7 are the scored and resolved events before record
+# 2 is stored (seq 8), when records 0 and 1 are active; seq 42 stores
+# record 11, which lost deduplication, inactive.
 INCOMPLETE = "stored record 2 needs a string claim, a strength and a boolean active flag"
 TRACE_FIELD_FAULTS = {
-    "polarity-0": (8, {"polarity": 0}, "stored polarity 0 not in {-1, +1}"),
-    "polarity-str": (8, {"polarity": "+1"}, "stored polarity +1 not in {-1, +1}"),
-    "polarity-bool": (8, {"polarity": True}, "stored polarity True not in {-1, +1}"),
-    "strength-2.5": (8, {"strength": 2.5}, "stored strength hint 2.5 is not a finite number in [0, 1]"),
-    "strength-nan": (8, {"strength": math.nan}, "stored strength hint nan is not a finite number in [0, 1]"),
-    "strength-str": (8, {"strength": "0.5"}, "stored strength hint '0.5' is not a finite number in [0, 1]"),
-    "strength-null": (8, {"strength": None}, INCOMPLETE),
-    "strength-missing": (8, {"strength": DELETE}, INCOMPLETE),
-    "role": (8, {"role": "judge"}, "stored 'judge' is not a valid Role"),
-    "claim-blank": (8, {"claim": "  "}, "stored candidate claim is empty"),
-    "claim-number": (8, {"claim": 5}, INCOMPLETE),
-    "active-str": (8, {"active": "no"}, INCOMPLETE),
+    "polarity-0": (8, {"polarity": 0}, 8, "stored polarity 0 not in {-1, +1}"),
+    "polarity-str": (8, {"polarity": "+1"}, 8, "stored polarity +1 not in {-1, +1}"),
+    "polarity-bool": (8, {"polarity": True}, 8, "stored polarity True not in {-1, +1}"),
+    "strength-2.5": (8, {"strength": 2.5}, 8, "stored strength hint 2.5 is not a finite number in [0, 1]"),
+    "strength-nan": (8, {"strength": math.nan}, 8, "stored strength hint nan is not a finite number in [0, 1]"),
+    "strength-str": (8, {"strength": "0.5"}, 8, "stored strength hint '0.5' is not a finite number in [0, 1]"),
+    "strength-null": (8, {"strength": None}, 8, INCOMPLETE),
+    "strength-missing": (8, {"strength": DELETE}, 8, INCOMPLETE),
+    "role": (8, {"role": "judge"}, 8, "stored 'judge' is not a valid Role"),
+    "claim-blank": (8, {"claim": "  "}, 8, "stored candidate claim is empty"),
+    "claim-number": (8, {"claim": 5}, 8, INCOMPLETE),
+    "active-str": (8, {"active": "no"}, 8, INCOMPLETE),
     "all-four": (
-        8, {"polarity": 7, "strength": "x", "role": "judge", "claim": ""}, "stored 'judge' is not a valid Role"
+        8, {"polarity": 7, "strength": "x", "role": "judge", "claim": ""}, 8, "stored 'judge' is not a valid Role"
     ),
-    "id-out-of-order": (5, {"id": 2}, "stored id 2 is neither the next id 1 nor one already stored"),
-    "id-negative": (8, {"id": -1}, "stored id -1 is neither the next id 2 nor one already stored"),
-    "archived_id-unknown": (7, {"archived_id": 999}, "resolved archived_id 999 names no active record"),
-    "archived_id-own-id": (7, {"archived_id": 2}, "resolved archived_id 2 names no active record"),
-    "archived_id-bool": (7, {"archived_id": True}, "resolved archived_id True names no active record"),
-    "archived_id-str": (7, {"archived_id": "0"}, "resolved archived_id '0' names no active record"),
-    "archived_id-float": (7, {"archived_id": 0.0}, "resolved archived_id 0.0 names no active record"),
-    "archived_id-archived": (44, {"archived_id": 11}, "resolved archived_id 11 names no active record"),
+    "id-out-of-order": (5, {"id": 2}, 5, "stored id 2 is neither the next id 1 nor one already stored"),
+    "id-negative": (8, {"id": -1}, 8, "stored id -1 is neither the next id 2 nor one already stored"),
+    "archived_id-unknown": (7, {"archived_id": 999}, 7, "resolved archived_id 999 names no active record"),
+    "archived_id-own-id": (7, {"archived_id": 2}, 7, "resolved archived_id 2 names no active record"),
+    "archived_id-bool": (7, {"archived_id": True}, 7, "resolved archived_id True names no active record"),
+    "archived_id-str": (7, {"archived_id": "0"}, 7, "resolved archived_id '0' names no active record"),
+    "archived_id-float": (7, {"archived_id": 0.0}, 7, "resolved archived_id 0.0 names no active record"),
+    "archived_id-archived": (44, {"archived_id": 11}, 44, "resolved archived_id 11 names no active record"),
+    "kept_new-str": (
+        7, {"kept_new": "banana"}, 7, "resolved kept_new 'banana' must be a boolean, true with an archived_id"
+    ),
+    "kept_new-false-archiving": (
+        7, {"kept_new": False, "archived_id": 0}, 7, "resolved kept_new False must be a boolean, true with an archived_id"
+    ),
+    "kept_new-false": (7, {"kept_new": False}, 8, "stored record 2 does not follow its scored event and kept_new True"),
+    "scored-three": (
+        6, {"claim": "", "strength": "x", "role": "judge"}, 8, "stored record 2 is not the claim scored at event 6"
+    ),
+    "scored-claim": (6, {"claim": "another claim"}, 8, "stored record 2 is not the claim scored at event 6"),
+    "seq-repeated": (8, {SEQ: 7}, 7, "stored seq does not increase"),
 }
 
 
-@pytest.mark.parametrize("seq, edits, message", TRACE_FIELD_FAULTS.values(), ids=TRACE_FIELD_FAULTS.keys())
-def test_a_bad_stored_or_resolved_field_fails_verify_and_rebuild(default_sweep_trace, tmp_path, capsys, seq, edits, message):
+@pytest.mark.parametrize("seq, edits, reported, message", TRACE_FIELD_FAULTS.values(), ids=TRACE_FIELD_FAULTS.keys())
+def test_a_bad_stored_or_resolved_field_fails_verify_and_rebuild(
+    default_sweep_trace, tmp_path, capsys, seq, edits, reported, message
+):
     trace, _ = default_sweep_trace
     assert [engine.read_trace(trace)[s].payload.get("id") for s in (5, 8, 42)] == [1, 2, 11]
+    assert [engine.read_trace(trace)[s].kind for s in (6, 7)] == ["scored", "resolved"]
     bad = edited_trace(trace, tmp_path, seq, edits)
     capsys.readouterr()
     assert main(["trace-verify", str(bad)]) == 3
-    assert capsys.readouterr().err == f"verification failed: event {seq}: {message}\n"
-    with pytest.raises(TraceVerificationError, match=re.escape(f"event {seq}: {message}")):
+    assert capsys.readouterr().err == f"verification failed: event {reported}: {message}\n"
+    with pytest.raises(TraceVerificationError, match=re.escape(f"event {reported}: {message}")):
         engine.store_from_trace(engine._trace_events(bad))
 
 
@@ -531,10 +550,11 @@ def test_trace_verify_rejects_a_tampered_s_before(default_sweep_trace, tmp_path,
     assert capsys.readouterr().err == f"verification failed: event {seq}: S_before inconsistent with L_before\n"
 
 
-# Faults only a rebuilt store shows: (trace, seq edited, edits, seq
-# reported, message).  sweep_a_1.0.jsonl re-stores every seed after
-# rescaling it, record 0 at seq 30.  Record 11 of sweep_u_0.4.jsonl lost
-# deduplication at similarity 1.0 (resolved at seq 41, stored at seq 42).
+# Faults a rebuilt store shows; of them, trace-verify sees only
+# restore-active.  (trace, seq edited, edits, seq reported, message).
+# sweep_a_1.0.jsonl re-stores every seed after rescaling it, record 0 at
+# seq 30.  Record 11 of sweep_u_0.4.jsonl lost deduplication at similarity
+# 1.0 (resolved at seq 41, stored at seq 42).
 STORE_FAULTS = {
     "restore-claim": ("sweep_a_1.0.jsonl", 30, {"claim": "another claim"}, 30, "stored again as another"),
     "restore-polarity": ("sweep_a_1.0.jsonl", 30, {"polarity": -1}, 30, "stored again as another"),

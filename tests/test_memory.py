@@ -34,7 +34,7 @@ def test_active_partition():
     drop = make_record("b")
     store.insert(keep)
     store.insert(drop)
-    drop.active = False
+    store.archive(drop, archived_by=None)
     assert store.active_records() == [keep]
     assert len(store) == 2
 
@@ -47,6 +47,40 @@ def test_archived_record_never_reenters():
     with pytest.raises(ContractError):
         record.active = True
     assert not record.active and store.active_records() == []
+
+
+def state(store):
+    return [(r.active, r.archived_by) for r in store], [r.id for r in store.active_records()], store.revision
+
+
+def test_archive_takes_only_an_active_record_of_its_own_store():
+    store, other = MemoryStore(), MemoryStore()
+    record = make_record("a")
+    store.insert(record)
+    other.insert(make_record("a"))
+    before = state(store), state(other)
+    with pytest.raises(ContractError, match="record 0 is not an active record of this store"):
+        other.archive(record, archived_by=1)
+    with pytest.raises(ContractError, match="record None is not an active record of this store"):
+        store.archive(make_record("b"), archived_by=1)
+    assert (state(store), state(other)) == before
+
+    store.archive(record, archived_by=1)
+    before = state(store)
+    with pytest.raises(ContractError, match="record 0 is not an active record of this store"):
+        store.archive(record, archived_by=7)
+    assert state(store) == before and record.archived_by == 1
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_a_stored_records_active_flag_is_set_only_by_archive(value):
+    store = MemoryStore()
+    record = make_record("a")
+    store.insert(record)
+    before = state(store)
+    with pytest.raises(ContractError, match="record 0 is stored: only MemoryStore.archive changes its active flag"):
+        record.active = value
+    assert state(store) == before and record.active
 
 
 def test_retrieve_rejects_nonpositive_k():
@@ -88,7 +122,7 @@ def test_retrieve_ignores_archived():
     strong = make_record("pro a", strength=0.9)
     store.insert(strong)
     store.insert(make_record("pro b", strength=0.2))
-    strong.active = False
+    store.archive(strong, archived_by=None)
     context = retrieve(store, 1)
     assert [r.claim for r in context.records] == ["pro b"]
 
@@ -99,7 +133,7 @@ def test_rescale_rejects_a_product_outside_0_1_and_changes_nothing(factor):
     records = [make_record(f"claim {i}", strength=strength) for i, strength in enumerate((0.2, 0.5, 0.8))]
     for record in records:
         store.insert(record)
-    records[1].active = False  # archived records are rescaled too
+    store.archive(records[1], archived_by=None)  # archived records are rescaled too
     revision = store.revision
     with pytest.raises(ContractError, match="rescaled strength of record .* is not a finite number in"):
         store.rescale(records, factor)

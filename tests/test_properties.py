@@ -151,8 +151,9 @@ def ingest_and_check(store: MemoryStore, record: ArgumentRecord, theta: float, t
 def apply(store: MemoryStore, ops, theta: float, theta_self: float):
     for op in ops:
         if op[0] == "flip":
-            if store.records:
-                store.records[op[1] % len(store.records)].active = False  # archived from outside
+            active = store.active_records()
+            if active:
+                store.archive(active[op[1] % len(active)], archived_by=None)  # archived from outside
             continue
         _, phrase, swap, suffix, polarity, role, strength = op
         record = make_record(_claim(phrase, swap, suffix), polarity, strength, role)
@@ -406,20 +407,27 @@ retrieve_ops = st.lists(
     k=2,
 )
 def test_retrieve_matches_brute_force_sort(ops, k):
-    """After every insert, archive, direct flip or rescale of one record
-    or of several at once, archived ones included (as seeding rescales
-    every seed), retrieval from the index pools equals a (-strength, id)
-    sort of each polarity's active records."""
+    """After every insert, archive or rescale of one record or of several
+    at once, archived ones included (as seeding rescales every seed),
+    retrieval from the index pools equals a (-strength, id) sort of each
+    polarity's active records.  A direct flip of a stored record's flag,
+    or an archive of an archived record, raises and changes nothing."""
     store = MemoryStore()
     for op in ops:
         if op[0] == "insert":
             store.insert(make_record(f"claim {len(store)}", op[1], op[2], op[3]))
         elif store.records:
             record = store.records[op[1] % len(store.records)]
-            if op[0] == "archive":
+            if op[0] == "archive" and record.active:
                 store.archive(record, archived_by=None)
-            elif op[0] == "flip":
-                record.active = False
+            elif op[0] in ("archive", "flip"):
+                before = flags(store), store.revision
+                with pytest.raises(ContractError):
+                    if op[0] == "archive":
+                        store.archive(record, archived_by=None)
+                    else:
+                        record.active = False
+                assert (flags(store), store.revision) == before
             elif op[0] == "rescale":
                 store.rescale([record], op[2])
             else:
@@ -737,7 +745,7 @@ def test_belief_drops_a_record_archived_from_outside():
     agent = make_agent("prop", DEFAULT_TOPIC, profile, theta=0.8, theta_self=0.5)
     text = "\n".join(f"CLAIM +0.{4 + i}: {_claim(i, 0, 0)}" for i in range(len(PHRASES)))
     process_message(agent, Message(text=text, author_role="opponent", order=agent.next_order()))
-    agent.memory.records[1].active = False  # archived without MemoryStore.archive
+    agent.memory.archive(agent.memory.records[1], archived_by=None)  # archived outside the engine
     process_message(agent, Message(text=f"CLAIM -0.3: {_claim(0, 0, 1)}", author_role="opponent", order=agent.next_order()))
     active = [r for r in agent.memory.records if r.active]
     assert len(active) == len(PHRASES)
@@ -749,17 +757,22 @@ def stored(seq: int, record_id: int, active: bool, contribution: float) -> Trace
     return TraceEvent(seq, "stored", {**payload, "active": active, "contribution": contribution})
 
 
+def new_record(seq: int, record_id: int, contribution: float) -> list:
+    """The scored, resolved and stored events, from seq on, of a new active
+    record as the engine writes them."""
+    return [
+        TraceEvent(seq, "scored", {"claim": f"claim {record_id}", "strength": 0.5, "role": "seed"}),
+        TraceEvent(seq + 1, "resolved", {"kept_new": True, "similarity": None, "archived_id": None}),
+        stored(seq + 2, record_id, True, contribution),
+    ]
+
+
 def test_verify_resums_after_non_increasing_id():
     def trace(l_after):
-        events = [
-            stored(0, 0, True, 0.5),
-            stored(1, 1, True, 1e16),
-            stored(2, 2, True, -1e16),
-            stored(3, 0, True, 1.0),
-        ]
+        events = [*new_record(0, 0, 0.5), *new_record(3, 1, 1e16), *new_record(6, 2, -1e16), stored(9, 0, True, 1.0)]
         stance = math.tanh(l_after / 2.0)
         events.append(
-            TraceEvent(4, "updated", {"L_before": 0.0, "L_after": l_after, "S_before": 0.0, "S_after": stance})
+            TraceEvent(10, "updated", {"L_before": 0.0, "L_after": l_after, "S_before": 0.0, "S_after": stance})
         )
         return events
 
@@ -770,23 +783,22 @@ def test_verify_resums_after_non_increasing_id():
         verify_trace(trace(1.0))
 
 
-def test_verify_drops_a_record_stored_again_as_inactive():
-    def trace(l_after):
-        return [
-            stored(0, 0, True, 1.0),
-            TraceEvent(1, "updated", {"L_before": 0.0, "L_after": 1.0, "S_before": 0.0, "S_after": math.tanh(0.5)}),
-            stored(2, 0, False, 1.0),
-            TraceEvent(
-                3,
-                "updated",
-                {"L_before": 1.0, "L_after": l_after, "S_before": math.tanh(0.5), "S_after": math.tanh(l_after / 2)},
-            ),
-        ]
-
-    # The second stored event takes id 0 out of the active set.
-    assert verify_trace(trace(0.0)).log_odds == 0.0
-    with pytest.raises(TraceVerificationError):
-        verify_trace(trace(1.0))
+def test_verify_rejects_a_record_stored_again_as_inactive():
+    """Only a resolved event's archived_id takes a stored record out of the
+    active set; a new record comes after its scored and resolved events."""
+    events = [
+        *new_record(0, 0, 1.0),
+        TraceEvent(3, "updated", {"L_before": 0.0, "L_after": 1.0, "S_before": 0.0, "S_after": math.tanh(0.5)}),
+        stored(4, 0, False, 1.0),
+    ]
+    assert verify_trace(events[:4]).log_odds == 1.0
+    message = "event 4: stored record 0 stored again as another: active False"
+    with pytest.raises(TraceVerificationError, match=message):
+        verify_trace(events)
+    with pytest.raises(TraceVerificationError, match=message):
+        store_from_trace(events)
+    with pytest.raises(TraceVerificationError, match="event 0: stored record 0 does not follow its scored event"):
+        verify_trace([stored(0, 0, True, 1.0)])
 
 
 def test_embeddings_are_shared_and_read_only():
