@@ -10,7 +10,9 @@ trace event; the trace alone reconstructs the final belief state.
 from __future__ import annotations
 
 import bisect
+import codecs
 import contextlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -64,9 +66,30 @@ class EngineConfig:
     k: int = 5
 
 
-# One encoder and one decoder serve every trace line; json.dumps with
-# ensure_ascii=False would build a new encoder per event.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+# One encoder, built here once, writes every trace line, as
+# json.dumps(row, ensure_ascii=False) would byte for byte; json.dumps and
+# JSONEncoder.encode build a new encoder per call.  It skips the
+# circular-reference check: the engine builds every payload, and none
+# refers to itself.  One decoder reads every line.
+_line_settings = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+if json.encoder.c_make_encoder is not None:
+    _iterencode = json.encoder.c_make_encoder(
+        None,  # no circular-reference markers
+        _line_settings.default,
+        json.encoder.encode_basestring,
+        None,  # no indent
+        _line_settings.key_separator,
+        _line_settings.item_separator,
+        _line_settings.sort_keys,
+        _line_settings.skipkeys,
+        _line_settings.allow_nan,
+    )
+
+    def _encode_line(row: dict) -> str:
+        return "".join(_iterencode(row, 0))
+
+else:  # json without its C accelerator
+    _encode_line = _line_settings.encode
 _raw_decode = json.JSONDecoder().raw_decode
 
 # How far a recorded L or S may sit from the value the trace replays to.
@@ -80,7 +103,7 @@ class TraceEvent:
     payload: dict
 
     def to_json(self) -> str:
-        return _encode({"seq": self.seq, "kind": self.kind, "payload": self.payload})
+        return _encode_line({"seq": self.seq, "kind": self.kind, "payload": self.payload})
 
 
 @dataclass
@@ -235,50 +258,43 @@ def write_trace(path, events: list[TraceEvent]) -> None:
             handle.write(event.to_json() + "\n")
 
 
-def _decode(line: str):
-    """json.loads of a stripped line, through the shared decoder.  A line
-    it cannot read whole goes to json.loads, which fails with its own
-    message (extra data, a byte-order mark)."""
-    try:
-        row, end = _raw_decode(line)
-        if end == len(line):
-            return row
-    except ValueError:
-        pass
-    return json.loads(line)
-
-
 def _trace_events(path):
     """Yield a trace file's events one line at a time.
 
     Lines end at LF, CRLF or a lone CR, as in text mode.  Each line is
     decoded on its own as UTF-8, so bytes that are not UTF-8 fail with the
     number of their line; a byte-order mark is skipped at the start of the
-    file only.  Each non-blank line must be a JSON object with an integer
-    seq, a string kind and an object payload; else TraceVerificationError.
+    file only.  Each non-blank line, stripped, must hold exactly one JSON
+    value (else it fails with json.loads's message): an object with an
+    integer seq, a string kind and an object payload; else
+    TraceVerificationError.
     """
     line_number = 0
     with open(path, "rb") as handle:
-        for chunk in handle:
+        first = handle.readline().removeprefix(codecs.BOM_UTF8)
+        for chunk in itertools.chain((first,), handle):
             for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
                 line_number += 1
                 try:
-                    line = raw.decode("utf-8-sig" if line_number == 1 else "utf-8").strip()
+                    line = raw.decode().strip()
                     if not line:
                         continue
-                    row = _decode(line)
+                    try:
+                        row, end = _raw_decode(line)
+                    except ValueError:
+                        end = -1
+                    if end != len(line):
+                        row = json.loads(line)  # fails, with its own message (extra data, a byte-order mark)
                 except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
                     raise TraceVerificationError(f"unreadable trace line {line_number}: {exc}") from exc
-                if not (
-                    isinstance(row, dict)
-                    and type(row.get("seq")) is int
-                    and isinstance(row.get("kind"), str)
-                    and isinstance(row.get("payload"), dict)
-                ):
-                    raise TraceVerificationError(
-                        f"trace line {line_number} is not an object with an integer seq, a string kind and an object payload"
-                    )
-                yield TraceEvent(seq=row["seq"], kind=row["kind"], payload=row["payload"])
+                if type(row) is dict:
+                    seq, kind, payload = row.get("seq"), row.get("kind"), row.get("payload")
+                    if type(seq) is int and type(kind) is str and type(payload) is dict:
+                        yield TraceEvent(seq, kind, payload)
+                        continue
+                raise TraceVerificationError(
+                    f"trace line {line_number} is not an object with an integer seq, a string kind and an object payload"
+                )
 
 
 def read_trace(path) -> list[TraceEvent]:
@@ -307,41 +323,53 @@ def _checked(events, active_ids):
     boolean active flag and an id up to the next id; an id stored again
     keeps its active flag.  A new id directly follows its own scored and
     resolved events: the record's strength, role and stripped claim, and
-    kept_new equal to its active flag."""
+    kept_new equal to its active flag.  A scored event is directly
+    followed by a resolved event, and that by the stored event of the next
+    id; the trace does not end between them."""
     scored = resolved = TraceEvent(-1, "", {})  # the two events before this one
     next_id = 0
     for event in events:
-        if event.seq <= resolved.seq:
-            raise TraceVerificationError(f"event {event.seq}: {event.kind} seq does not increase", seq=event.seq)
-        payload = event.payload
-        new = event.kind == "stored" and payload.get("id") == next_id
+        seq, kind, payload = event.seq, event.kind, event.payload
+        if seq <= resolved.seq:
+            raise TraceVerificationError(f"event {seq}: {kind} seq does not increase", seq=seq)
+        new = kind == "stored" and payload.get("id") == next_id
         try:
-            if event.kind == "resolved":
+            if kind == "resolved":
                 archived_id, kept_new = payload.get("archived_id"), payload.get("kept_new")
                 if archived_id is not None and (type(archived_id) is not int or archived_id not in active_ids):
                     raise ContractError(f"archived_id {archived_id!r} names no active record")
                 if type(kept_new) is not bool or (archived_id is not None and not kept_new):
                     raise ContractError(f"kept_new {kept_new!r} must be a boolean, true with an archived_id")
-            elif event.kind == "stored":
+            elif kind == "stored":
                 record_id, claim, strength, role, active = map(payload.get, ("id", "claim", "strength", "role", "active"))
                 if type(record_id) is not int or not 0 <= record_id <= next_id:
                     raise ContractError(f"id {record_id!r} is neither the next id {next_id} nor one already stored")
                 if not isinstance(claim, str) or strength is None or type(active) is not bool:
                     raise ContractError(f"record {record_id} needs a string claim, a strength and a boolean active flag")
                 CandidateArgument(claim, payload.get("polarity"), Role(role), strength)
-                if not new and active != (record_id in active_ids):
-                    raise ContractError(f"record {record_id} stored again as another: active {active}")
-                said = scored.payload
-                order = (scored.kind, type(said.get("claim")), resolved.kind, resolved.payload.get("kept_new"))
-                if new and order != ("scored", str, "resolved", active):
-                    raise ContractError(f"record {record_id} does not follow its scored event and kept_new {active}")
-                if new and (said["claim"].strip(), said.get("strength"), said.get("role")) != (claim, strength, role):
-                    raise ContractError(f"record {record_id} is not the claim scored at event {scored.seq}")
+                if not new:
+                    if active != (record_id in active_ids):
+                        raise ContractError(f"record {record_id} stored again as another: active {active}")
+                else:
+                    said = scored.payload
+                    order = (scored.kind, type(said.get("claim")), resolved.kind, resolved.payload.get("kept_new"))
+                    if order != ("scored", str, "resolved", active):
+                        raise ContractError(f"record {record_id} does not follow its scored event and kept_new {active}")
+                    if (said["claim"].strip(), said.get("strength"), said.get("role")) != (claim, strength, role):
+                        raise ContractError(f"record {record_id} is not the claim scored at event {scored.seq}")
+            if resolved.kind == "scored" and kind != "resolved":
+                raise ContractError(f"follows scored event {resolved.seq} in place of its resolved event")
+            if resolved.kind == "resolved" and not new:
+                raise ContractError(f"follows resolved event {resolved.seq} in place of the stored event of record {next_id}")
         except (ContractError, ValueError) as exc:  # Role() raises ValueError
-            raise TraceVerificationError(f"event {event.seq}: {event.kind} {exc}", seq=event.seq) from None
+            raise TraceVerificationError(f"event {seq}: {kind} {exc}", seq=seq) from None
         next_id += new
         yield event, new
         scored, resolved = resolved, event
+    if resolved.kind in ("scored", "resolved"):
+        raise TraceVerificationError(
+            f"event {resolved.seq}: {resolved.kind} ends the trace before record {next_id} is stored", seq=resolved.seq
+        )
 
 
 def verify_trace(events: list[TraceEvent]) -> BeliefState:

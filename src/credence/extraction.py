@@ -16,8 +16,11 @@ from .core import Role
 from .exceptions import ContractError, ExtractionBackendError
 from .judgement import CandidateArgument, ServiceClient
 
-# One claim per line: CLAIM <sign><strength-hint>: <text>
-CLAIM_LINE = re.compile(r"^\s*CLAIM\s*([+\-−])\s*(\S+?)\s*:\s*(.+?)\s*$")
+# One claim per line: CLAIM <sign><strength-hint>: <text>.  The text group
+# runs from its first non-blank character to its last, and is None when
+# the text is blank.  It backtracks once, from the end of the line to its
+# last non-blank character, so a match takes time linear in the line.
+CLAIM_LINE = re.compile(r"^\s*CLAIM\s*([+\-−])\s*(\S+?)\s*:\s*(.*\S)?")
 _DECIMAL = re.compile(r"^\d*\.?\d+$")
 
 _ROLE_BY_AUTHOR = {
@@ -50,8 +53,9 @@ class ExtractorPort:
 
 
 def parse_scripted_message(message: Message, on_warning: Optional[Callable[[str], None]] = None) -> list[CandidateArgument]:
-    """Parse CLAIM lines; non-matching lines are ignored, malformed
-    strength hints reject only their own line."""
+    """Parse CLAIM lines; non-matching lines are ignored.  A malformed
+    strength hint or a blank claim text rejects only its own line, with a
+    warning."""
     role = role_for_author(message.author_role)
     candidates = []
     for line in message.text.splitlines():
@@ -67,6 +71,10 @@ def parse_scripted_message(message: Message, on_warning: Optional[Callable[[str]
         if hint > 1.0:
             if on_warning:
                 on_warning(f"strength hint {hint} outside [0, 1] in line {line.strip()!r}")
+            continue
+        if claim is None:
+            if on_warning:
+                on_warning(f"blank claim text in line {line.strip()!r}")
             continue
         polarity = 1 if sign == "+" else -1
         candidates.append(CandidateArgument(claim=claim, polarity=polarity, role=role, strength_hint=hint))

@@ -444,6 +444,14 @@ def test_trace_verify_streams_the_trace(default_sweep_trace, monkeypatch, capsys
     assert capsys.readouterr().out == printed
 
 
+def test_every_default_trace_line_is_json_dumps_of_its_event(default_runs):
+    assert len(default_runs) == 34
+    for path, agent in default_runs.values():
+        rows = [{"seq": e.seq, "kind": e.kind, "payload": e.payload} for e in agent.trace]
+        expected = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8"), path.name
+
+
 def record_fields(store):
     return [(r.id, r.claim, r.polarity, repr(r.strength), r.role, r.active, r.archived_by) for r in store]
 
@@ -538,6 +546,45 @@ def test_a_bad_stored_or_resolved_field_fails_verify_and_rebuild(
     assert main(["trace-verify", str(bad)]) == 3
     assert capsys.readouterr().err == f"verification failed: event {reported}: {message}\n"
     with pytest.raises(TraceVerificationError, match=re.escape(f"event {reported}: {message}")):
+        engine.store_from_trace(engine._trace_events(bad))
+
+
+# Events appended to the default sweep_u_0.4.jsonl, whose records 0 to 99
+# are stored and record 0 is active at its end: (kinds appended, index of
+# the event reported, message).
+SCORED = {"claim": "an unstored claim", "strength": 0.5, "role": "opponent"}
+RESOLVED = {"kept_new": True, "similarity": 0.25, "archived_id": 0}
+UNFINISHED_INGESTS = {
+    "scored-resolved-end": (["scored", "resolved"], 1, "resolved ends the trace before record 100 is stored"),
+    "scored-end": (["scored"], 0, "scored ends the trace before record 100 is stored"),
+    "resolved-updated": (
+        ["scored", "resolved", "updated"], 2, "updated follows resolved event {1} in place of the stored event of record 100"
+    ),
+    "scored-warning": (["scored", "warning"], 1, "warning follows scored event {0} in place of its resolved event"),
+    "resolved-restore": (
+        ["scored", "resolved", "stored"], 2, "stored follows resolved event {1} in place of the stored event of record 100"
+    ),
+}
+
+
+@pytest.mark.parametrize("kinds, reported, message", UNFINISHED_INGESTS.values(), ids=UNFINISHED_INGESTS.keys())
+def test_an_unfinished_ingest_fails_verify_and_rebuild(default_runs, tmp_path, capsys, kinds, reported, message):
+    trace, agent = default_runs["sweep_u_0.4.jsonl"]
+    assert agent.memory.insertion_counter == 100 and agent.memory.records[0].active
+    rows = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    record_0 = next(row["payload"] for row in rows if row["kind"] == "stored" and row["payload"]["id"] == 0)
+    # The stored event re-stores record 0, archived by the resolved event before it.
+    payloads = {"scored": SCORED, "resolved": RESOLVED, "updated": {}, "warning": {"message": "x"}}
+    payloads["stored"] = {**record_0, "active": False}
+    seqs = [len(rows) + i for i in range(len(kinds))]
+    rows += [{"seq": seq, "kind": kind, "payload": payloads[kind]} for seq, kind in zip(seqs, kinds)]
+    bad = tmp_path / "unfinished.jsonl"
+    bad.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
+    expected = f"event {seqs[reported]}: {message.format(*seqs)}"
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    assert capsys.readouterr().err == f"verification failed: {expected}\n"
+    with pytest.raises(TraceVerificationError, match=re.escape(expected)):
         engine.store_from_trace(engine._trace_events(bad))
 
 

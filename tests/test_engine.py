@@ -9,6 +9,7 @@ from credence.core import Role, UAProfile
 from credence.engine import (
     AgentState,
     EngineConfig,
+    TraceEvent,
     compose_response,
     ingest_candidate,
     process_message,
@@ -62,6 +63,14 @@ def test_extraction_warnings_enter_trace():
     agent = make_agent()
     process_message(agent, Message(text="CLAIM +9: way too strong", author_role="opponent", order=0))
     assert any(e.kind == "warning" for e in agent.trace)
+
+
+def test_blank_claim_text_is_a_warning_event_not_an_error():
+    agent = make_agent()
+    process_message(agent, Message(text="CLAIM +0.5:   \nCLAIM -0.2: kept", author_role="opponent", order=0))
+    warnings = [e.payload["message"] for e in agent.trace if e.kind == "warning"]
+    assert warnings == ["blank claim text in line 'CLAIM +0.5:'"]
+    assert [r.claim for r in agent.memory.records] == ["kept"]
 
 
 def test_belief_recomputed_after_supersession():
@@ -209,3 +218,38 @@ def test_trace_text_round_trips_byte_identically(tmp_path_factory, claims):
         {"seq": e.seq, "kind": e.kind, "payload": e.payload} for e in events
     ]
     assert [e.payload for e in events] == [e.payload for e in agent.trace]
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from("\x00\x1f\x7f\x85\xa0\u2028\ufeff\"\\"))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(), _TEXT, st.dictionaries(_TEXT, _JSON_VALUES, max_size=5)), max_size=6))
+@example(
+    rows=[
+        (
+            0,
+            "stored",
+            {
+                "claim": "na\u00efve \u65e5\u672c \u2028 \x00\x1f\x7f \\ \"",
+                "floats": [-0.0, 5e-324, 1.7976931348623157e308, 0.1, -1.5],
+                "ints": [0, -7, 2**70],
+                "none": None,
+                "flags": [True, False],
+            },
+        )
+    ]
+)
+def test_trace_lines_are_json_dumps_bytes(tmp_path_factory, rows):
+    events = [TraceEvent(seq, kind, payload) for seq, kind, payload in rows]
+    lines = [json.dumps({"seq": e.seq, "kind": e.kind, "payload": e.payload}, ensure_ascii=False) for e in events]
+    assert [event.to_json() for event in events] == lines
+    path = tmp_path_factory.mktemp("trace") / "events.jsonl"
+    write_trace(path, events)
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+    assert read_trace(path) == events

@@ -1,9 +1,14 @@
+import re
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from credence import judgement
 from credence.core import Role
 from credence.exceptions import ContractError, ExtractionBackendError
 from credence.extraction import (
+    CLAIM_LINE,
     Message,
     ScriptedExtractor,
     ServiceExtractor,
@@ -47,6 +52,38 @@ def test_malformed_hint_warns_and_skips_line():
     candidates = parse_scripted_message(msg(text), warnings.append)
     assert [c.claim for c in candidates] == ["fine"]
     assert len(warnings) == 2
+
+
+@pytest.mark.parametrize("line", ["CLAIM +0.5:", "CLAIM +0.5:   ", "CLAIM +0.5: \t"])
+def test_blank_claim_text_warns_and_skips_line(line):
+    warnings = []
+    candidates = parse_scripted_message(msg(f"{line}\nCLAIM -0.2: kept"), warnings.append)
+    assert [c.claim for c in candidates] == ["kept"]
+    assert warnings == [f"blank claim text in line {line.strip()!r}"]
+
+
+# The claim-line pattern whose lazy claim group, (.+?)\s*$, backtracked at
+# every character: the oracle for every line whose claim text is not blank.
+ORACLE_CLAIM_LINE = re.compile(r"^\s*CLAIM\s*([+\-−])\s*(\S+?)\s*:\s*(.+?)\s*$")
+_PIECES = ["CLAIM", "CLAIM +0.5: ", " ", "\t", "\xa0", "\u3000", "\x1c", "\n", "+", "-", "−", ":", "0.5", "1", ".", "x", "é y"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=14).map("".join))
+@example("CLAIM +0.5: a claim \xa0\u3000\t")
+@example(" CLAIM − .25 :\u3000x : y \x1c CLAIM +1:z")
+def test_claim_lines_parse_as_the_oracle_reads_them(text):
+    expected = []
+    for line in text.splitlines():
+        oracle, match = ORACLE_CLAIM_LINE.match(line), CLAIM_LINE.match(line)
+        if oracle is None or not oracle[3].strip():
+            assert match is None or match[3] is None
+            continue
+        assert match is not None and match.groups() == oracle.groups()
+        sign, hint, claim = oracle.groups()
+        if re.fullmatch(r"\d*\.?\d+", hint) and float(hint) <= 1.0:
+            expected.append((1 if sign == "+" else -1, float(hint), claim))
+    candidates = parse_scripted_message(msg(text))
+    assert [(c.polarity, c.strength_hint, c.claim) for c in candidates] == expected
 
 
 def test_author_role_maps_to_record_role():
