@@ -9,7 +9,7 @@ from .core import (
     UAProfile,
     clip_stance,
     compute_log_odds,
-    init_prior_from_stance,
+    left_sum,
     log_odds_from_stance,
     record_contribution,
     record_weight,

@@ -94,31 +94,43 @@ def check_polarity(value, what: str = "polarity") -> None:
         raise ContractError(f"{what} {value} not in {{-1, +1}}")
 
 
+def number_in(value, low, high) -> bool:
+    """Whether value is an int or a float in [low, high]; a boolean and NaN
+    are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and low <= value <= high
+
+
 def check_strength(value, what: str) -> None:
     """Reject a given strength that is not a finite number in [0, 1]."""
-    try:
-        valid = value is None or (not isinstance(value, bool) and 0.0 <= value <= 1.0)  # NaN fails
-    except TypeError:  # not a number
-        valid = False
-    if not valid:
+    if not (value is None or number_in(value, 0.0, 1.0)):
         raise ContractError(f"{what} {value!r} is not a finite number in [0, 1]")
 
 
-def _check_record(record) -> None:
+def left_sum(terms) -> float:
+    """Add the terms left to right from 0.0, the order update_incremental
+    extends.  Every float sum that reaches an output goes through here, not
+    through builtin sum, which compensates rounding from Python 3.12 on."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _checked_contribution(record, profile: UAProfile) -> float:
+    """record_contribution of an active record with a strength in [0, 1]
+    and a polarity of -1 or +1; else ContractError."""
     if not record.active:
         raise ContractError("compute_log_odds received an archived record; pre-filter to the active set")
     if not 0.0 <= record.strength <= 1.0:
         raise ContractError(f"record strength {record.strength} outside [0, 1]")
     check_polarity(record.polarity, "record polarity")
+    return record_contribution(record, profile)
 
 
 def compute_log_odds(active_records, profile: UAProfile) -> float:
-    """Batch recompute of L over the full active set (insertion order)."""
-    total = 0.0
-    for record in active_records:
-        _check_record(record)
-        total += record_contribution(record, profile)
-    return total
+    """Batch recompute of L: the left_sum of the active records'
+    contributions in insertion (id) order, each record checked first."""
+    return left_sum(_checked_contribution(record, profile) for record in active_records)
 
 
 def update_incremental(state: BeliefState, new_record, profile: UAProfile) -> BeliefState:
@@ -127,13 +139,4 @@ def update_incremental(state: BeliefState, new_record, profile: UAProfile) -> Be
     Only valid when nothing was archived or replaced since the last
     update; otherwise the caller must recompute from the active set.
     """
-    _check_record(new_record)
-    return BeliefState.from_log_odds(state.log_odds + record_contribution(new_record, profile))
-
-
-def init_prior_from_stance(
-    initial_stance: float, profile: UAProfile, clip_bound: float = STANCE_CLIP
-) -> BeliefState:
-    """Replay prior: anchoring-scaled log-odds of the clipped initial stance."""
-    log_odds = profile.anchoring * log_odds_from_stance(clip_stance(initial_stance, clip_bound))
-    return BeliefState.from_log_odds(log_odds)
+    return BeliefState.from_log_odds(state.log_odds + _checked_contribution(new_record, profile))

@@ -14,6 +14,7 @@ import codecs
 import contextlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,6 +23,8 @@ from .core import (
     Role,
     UAProfile,
     compute_log_odds,
+    left_sum,
+    number_in,
     record_contribution,
     stance_from_log_odds,
     update_incremental,
@@ -57,6 +60,17 @@ def template_response(stance_instruction: str, retrieved: RetrievalContext) -> s
     return "\n".join(lines)
 
 
+def check_ranges(settings, counts: tuple) -> None:
+    """Reject a theta or theta_self that is not a number in [0, 1] and a
+    named count below 1: EngineConfig's check, and the run configs'."""
+    for name in ("theta", "theta_self"):
+        if not number_in(getattr(settings, name), 0.0, 1.0):
+            raise ContractError(f"{name} must be in [0, 1], got {getattr(settings, name)!r}")
+    for name in counts:
+        if not number_in(getattr(settings, name), 1, math.inf):
+            raise ContractError(f"{name} must be >= 1, got {getattr(settings, name)!r}")
+
+
 @dataclass
 class EngineConfig:
     extractor: ExtractorPort
@@ -64,6 +78,9 @@ class EngineConfig:
     theta: float = 0.80
     theta_self: float = 0.50
     k: int = 5
+
+    def __post_init__(self):
+        check_ranges(self, ("k",))
 
 
 # One encoder, built here once, writes every trace line, as
@@ -375,11 +392,11 @@ def _checked(events, active_ids):
 def verify_trace(events: list[TraceEvent]) -> BeliefState:
     """Replay stored contributions and confirm every recorded update.
 
-    The replayed L is the sum of the active contributions in id order.
-    Contributions stored since the last update are added to the running
-    sum; the whole active set is summed again after an archival or after
-    an id is stored again, as a seed rescale does.  Both give the same L
-    bitwise.
+    The replayed L is the left_sum of the active contributions in id
+    order.  Contributions stored since the last update are added to the
+    running sum; the whole active set is folded again after an archival
+    or after an id is stored again, as a seed rescale does.  Both give
+    the same L bitwise.
 
     Raises TraceVerificationError at the first divergent event, at the
     first field it reads that is missing or of the wrong type, at any NaN
@@ -405,7 +422,7 @@ def verify_trace_file(path) -> tuple[BeliefState, int]:
 def _replay(events) -> tuple[BeliefState, int]:
     """verify_trace's rule over any iterable of events, read once; returns
     the final state and the number of events seen."""
-    contributions: dict[int, float] = {}  # the active records' only
+    contributions: dict[int, float] = {}  # the active records' only, in id order: a re-store keeps its place
     pending: list[int] = []  # active ids stored since the last update, increasing
     resum = False
     count = 0
@@ -424,9 +441,7 @@ def _replay(events) -> tuple[BeliefState, int]:
                 resum = True
         elif event.kind == "updated":
             if resum:
-                expected = 0.0
-                for record_id in sorted(contributions):
-                    expected += contributions[record_id]
+                expected = left_sum(contributions.values())
             else:
                 expected = current.log_odds
                 for record_id in pending:

@@ -28,7 +28,9 @@ from .core import (
     check_polarity,
     check_strength,
     clip_stance,
+    left_sum,
     log_odds_from_stance,
+    number_in,
 )
 from .exceptions import ContractError
 from .extraction import ExtractorPort, Message
@@ -82,9 +84,7 @@ class ReplayCase:
         if self.final_likert is not None:
             _check_likert(self.final_likert, "final_likert")
         stance = self.final_stance
-        if stance is not None and (
-            isinstance(stance, bool) or not isinstance(stance, (int, float)) or not -1.0 <= stance <= 1.0  # NaN fails
-        ):
+        if stance is not None and not number_in(stance, -1.0, 1.0):
             raise ContractError(f"final_stance {stance!r} is not a finite number in [-1, 1]")
 
     @property
@@ -167,10 +167,6 @@ def _predict(anchoring, prior_logits, evidence) -> np.ndarray:
     return np.fromiter(map(math.tanh, memoryview(half.ravel())), np.float64, half.size).reshape(half.shape)
 
 
-def _evidence_term(records: list[ArgumentRecord], uptake: float) -> float:
-    return sum(r.polarity * math.log1p(r.strength * uptake) for r in records)
-
-
 def replay_case(
     case: ReplayCase,
     profile: UAProfile,
@@ -180,11 +176,10 @@ def replay_case(
     clip_bound: float = STANCE_CLIP,
 ) -> float:
     """Predicted final stance for one case under one (u, a) profile: the
-    anchoring-scaled prior logit plus the u-weighted accepted evidence."""
-    records = accepted_records(case, theta, scorer, extractor)
-    prior_logit = log_odds_from_stance(clip_stance(case.initial_stance, clip_bound))
-    evidence = _evidence_term(records, profile.uptake)
-    return float(_predict(profile.anchoring, np.array([prior_logit]), evidence)[0])
+    anchoring-scaled prior logit plus the evidence term, as _case_terms
+    forms them."""
+    _, prior_logits, evidence, _ = _case_terms([case], [profile.uptake], theta, scorer, extractor, clip_bound)
+    return float(_predict(profile.anchoring, prior_logits, evidence[:, 0])[0])
 
 
 def net_evidence(
@@ -193,8 +188,9 @@ def net_evidence(
     theta: float = 0.85,
     extractor: Optional[ExtractorPort] = None,
 ) -> float:
-    """Signed sum of p*s over the records that survive the judgement filter."""
-    return sum(r.polarity * r.strength for r in accepted_records(case, theta, scorer, extractor))
+    """The left_sum of p*s over the records that survive the judgement
+    filter, in the order they were received."""
+    return left_sum(r.polarity * r.strength for r in accepted_records(case, theta, scorer, extractor))
 
 
 def fit_linear_baseline(samples) -> float:
@@ -302,15 +298,16 @@ def _fold_splits(fold_ids) -> list:
 def _case_terms(cases, u_values, theta, scorer, extractor, clip_bound):
     """Judge each case's stream once.  Returns, as arrays over cases, the
     observed finals, the prior logits, the evidence term at each u value
-    (case x u) and the net evidence."""
+    (case x u) and the net evidence: the left_sums of p*log1p(s*u) and
+    of p*s over the accepted records, in the order they were received."""
     finals = np.array([c.observed_final for c in cases])
     prior_logits = np.array([log_odds_from_stance(clip_stance(c.initial_stance, clip_bound)) for c in cases])
     evidence = np.empty((len(cases), len(u_values)))
     net = np.empty(len(cases))
     for i, case in enumerate(cases):
         records = accepted_records(case, theta, scorer, extractor)
-        evidence[i] = [_evidence_term(records, u) for u in u_values]
-        net[i] = sum(r.polarity * r.strength for r in records)
+        evidence[i] = [left_sum(r.polarity * math.log1p(r.strength * u) for r in records) for u in u_values]
+        net[i] = left_sum(r.polarity * r.strength for r in records)
     return finals, prior_logits, evidence, net
 
 

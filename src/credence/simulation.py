@@ -13,11 +13,12 @@ import random
 from dataclasses import astuple, dataclass, field
 from typing import Optional
 
-from .core import Role, UAProfile, stance_from_log_odds
+from .core import Role, UAProfile, left_sum, number_in, stance_from_log_odds
 from .engine import (
     AgentState,
     EngineConfig,
     _stored_payload,
+    check_ranges,
     ingest_candidate,
     process_message,
     compose_response,
@@ -94,7 +95,11 @@ def seed_agent(
     adds) scans the next 4096 ulps above lo for a scale that lands
     nearer, stopping at an exact hit.  The rule assumes the platform's
     log1p and tanh are monotone; a property test checks the factor
-    bitwise against the full scan on single-polarity pools."""
+    bitwise against the full scan on single-polarity pools.  The stance
+    at a scale is that of the left_sum of the active seeds' terms in id
+    order, as refresh_belief folds them.  A target that is not a number
+    in [-1, 1] raises ContractError before anything is stored."""
+    _check_target(target)
     pool = seed_pool(seed_corpus, n, target)
     if rng is not None:
         rng.shuffle(pool)
@@ -112,9 +117,7 @@ def seed_agent(
     active_seeds = [r for r in seeds if r.active]
 
     def stance_at(scale: float) -> float:
-        log_odds = sum(
-            r.polarity * math.log1p(scale * r.strength * anchoring) for r in active_seeds
-        )
+        log_odds = left_sum(r.polarity * math.log1p(scale * r.strength * anchoring) for r in active_seeds)
         return stance_from_log_odds(log_odds)
 
     full = stance_at(1.0)
@@ -171,18 +174,9 @@ class SweepRun:
         return self.stances[-1]
 
 
-def _check_ranges(config, counts: tuple, targets) -> None:
-    """Range checks shared by the sweep and debate configs: thresholds in
-    [0, 1], the named counts >= 1, seed targets in [-1, 1]."""
-    for name in ("theta", "theta_self"):
-        if not 0.0 <= getattr(config, name) <= 1.0:  # NaN fails too
-            raise ContractError(f"{name} must be in [0, 1], got {getattr(config, name)!r}")
-    for name in counts:
-        if getattr(config, name) < 1:
-            raise ContractError(f"{name} must be >= 1, got {getattr(config, name)!r}")
-    for target in targets:
-        if not -1.0 <= target <= 1.0:
-            raise ContractError(f"seed target {target!r} outside [-1, 1]")
+def _check_target(target) -> None:
+    if not number_in(target, -1.0, 1.0):
+        raise ContractError(f"seed target {target!r} outside [-1, 1]")
 
 
 @dataclass
@@ -200,7 +194,8 @@ class SweepConfig:
     grid: tuple = (0.2, 0.4, 0.6, 0.8, 1.0)  # the u and a values the CLI sweeps, checked here
 
     def __post_init__(self):
-        _check_ranges(self, ("rounds", "seeds_per_side", "k"), [self.target])
+        check_ranges(self, ("rounds", "seeds_per_side", "k"))
+        _check_target(self.target)
         if not self.grid or min(*self.grid, self.fixed_u, self.fixed_a) < 0.0:
             raise ContractError(f"sweep grid {list(self.grid)!r} must be non-empty, and it, fixed_u and fixed_a >= 0")
 
@@ -264,7 +259,9 @@ class DebateConfig:
     def __post_init__(self):
         if len(self.targets) != 2:
             raise ContractError(f"a debate needs two seed targets (pro, con), got {self.targets!r}")
-        _check_ranges(self, ("rounds", "seeds_per_side", "trials", "k"), self.targets)
+        check_ranges(self, ("rounds", "seeds_per_side", "trials", "k"))
+        for target in self.targets:
+            _check_target(target)
 
 
 @dataclass
@@ -327,14 +324,7 @@ def run_two_agent_debate(
             process_message(speaker, Message(text=message.text, author_role="self", order=speaker.next_order()))
             series.append((pro.belief.stance, con.belief.stance))
         all_series.append(series)
-        all_trials.append(
-            TrialStances(
-                pro_init=series[0][0],
-                con_init=series[0][1],
-                pro_final=series[-1][0],
-                con_final=series[-1][1],
-            )
-        )
+        all_trials.append(TrialStances(*series[0], *series[-1]))  # (pro, con) initial, then final
         all_traces.append((list(pro.trace), list(con.trace)))
     summary, per_trial = compute_metrics(all_trials)
     return DebateResult(
@@ -348,7 +338,8 @@ def run_two_agent_debate(
 
 
 def compute_metrics(trials: list[TrialStances]) -> tuple[MetricSummary, list[MetricSummary]]:
-    """Per-trial debate metrics and their trial average."""
+    """Per-trial debate metrics and their trial means: each field's
+    left_sum in trial order over the number of trials."""
     if not trials:
         raise ContractError("compute_metrics needs at least one trial")
     per_trial = []
@@ -357,9 +348,7 @@ def compute_metrics(trials: list[TrialStances]) -> tuple[MetricSummary, list[Met
         final_gap = abs(t.pro_final - t.con_final)
         shift_pro = t.pro_final - t.pro_init
         shift_con = t.con_final - t.con_init
-        crossing = float(
-            _sign(t.pro_final) != _sign(t.pro_init) or _sign(t.con_final) != _sign(t.con_init)
-        )
+        crossing = float(_sign(t.pro_final) != _sign(t.pro_init) or _sign(t.con_final) != _sign(t.con_init))
         per_trial.append(
             MetricSummary(
                 final_pro=t.pro_final,
@@ -371,14 +360,9 @@ def compute_metrics(trials: list[TrialStances]) -> tuple[MetricSummary, list[Met
                 crossing_rate=crossing,
             )
         )
-    # Each field averaged over the trials, summed in trial order.
-    summary = MetricSummary(*(sum(column) / len(per_trial) for column in zip(*map(astuple, per_trial))))
+    summary = MetricSummary(*(left_sum(column) / len(per_trial) for column in zip(*map(astuple, per_trial))))
     return summary, per_trial
 
 
 def _sign(x: float) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return (x > 0) - (x < 0)

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -398,6 +399,69 @@ def test_trace_verify_rejects_extra_data_after_an_event(tmp_path, capsys, extra)
     err = capsys.readouterr().err
     assert err.startswith("verification failed: unreadable trace line 3: Extra data")
     assert "Traceback" not in err
+
+
+def sum_as_in_python_3_12(iterable, /, start=0):
+    """CPython 3.12's builtin sum: ints add exactly; once the total is a
+    float, float and int terms are added with Neumaier's compensation,
+    whose running correction is added when the float run ends, if it is
+    non-zero and finite; any other term is added as it is."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            if type(item) not in (int, bool):
+                total = total + item
+                break
+            total += item
+        else:
+            return total
+    if type(total) is float:
+        correction, other = 0.0, None
+        for item in items:
+            if type(item) is not float and not (type(item) in (int, bool) and -(2**63) <= item < 2**63):
+                other = [item]
+                break
+            term = float(item)
+            added = total + term
+            if abs(total) >= abs(term):
+                correction += (total - added) + term
+            else:
+                correction += (term - added) + total
+            total = added
+        if correction and math.isfinite(correction):
+            total += correction
+        if other is None:
+            return total
+        total = total + other[0]
+    for item in items:
+        total = total + item
+    return total
+
+
+def test_sum_as_in_python_3_12_compensates_float_rounding():
+    assert sum_as_in_python_3_12([0.1] * 10) == 1.0  # a left fold gives 0.9999999999999999
+    assert sum_as_in_python_3_12([1e100, 1.0, -1e100]) == 1.0
+    assert sum_as_in_python_3_12([2**70, 1]) == 2**70 + 1
+    assert sum_as_in_python_3_12([math.inf, 1.0]) == math.inf
+    assert math.copysign(1.0, sum_as_in_python_3_12([-0.0], -0.0)) == -1.0
+    if sys.version_info >= (3, 12):  # the emulation is the builtin here
+        rng = random.Random(12)
+        for _ in range(2000):
+            terms = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(rng.randint(0, 12))]
+            assert repr(sum_as_in_python_3_12(terms)) == repr(sum(terms))
+
+
+@pytest.mark.parametrize("command", [["debate"], ["replay", "--cases", "{cases}"]], ids=["debate", "replay"])
+def test_outputs_do_not_depend_on_how_builtin_sum_adds_floats(tmp_path, monkeypatch, command):
+    """The default debate and a replay write the same bytes when builtin
+    sum compensates float rounding, as it does from Python 3.12 on, since
+    every float sum that reaches an output is core.left_sum."""
+    args = [arg.format(cases=write_cases(tmp_path / "cases.jsonl")) for arg in command]
+    assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setattr(builtins, "sum", sum_as_in_python_3_12)
+    assert main([*args, "--out", str(tmp_path / "compensated")]) == 0
+    assert tree_bytes(tmp_path / "compensated") == tree_bytes(tmp_path / "plain")
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,11 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
+
+import credence
 
 from credence.core import (
     BeliefState,
@@ -9,7 +13,7 @@ from credence.core import (
     UAProfile,
     clip_stance,
     compute_log_odds,
-    init_prior_from_stance,
+    left_sum,
     log_odds_from_stance,
     record_contribution,
     record_weight,
@@ -108,10 +112,29 @@ def test_incremental_matches_batch():
     assert state.log_odds == pytest.approx(compute_log_odds(records, profile), abs=1e-12)
 
 
-def test_prior_from_stance_scales_by_anchoring():
-    profile = UAProfile(uptake=0.4, anchoring=0.5)
-    prior = init_prior_from_stance(0.6, profile)
-    assert prior.log_odds == pytest.approx(0.5 * math.log(1.6 / 0.4))
-    # Saturated initial stances are clipped before inversion.
-    saturated = init_prior_from_stance(1.0, profile)
-    assert math.isfinite(saturated.log_odds)
+def test_left_sum_adds_left_to_right_from_zero():
+    assert left_sum([0.1] * 10) == 0.9999999999999999  # a compensated sum gives 1.0
+    assert left_sum([1e100, 1.0, -1e100]) == 0.0
+    assert left_sum(iter([-0.0])) == 0.0 and type(left_sum([])) is float
+    rng = random.Random(19)
+    records = [make_record(rng.choice([-1, 1]), rng.random(), claim=f"claim {i}") for i in range(30)]
+    profile = UAProfile(uptake=0.35, anchoring=0.6)
+    state = BeliefState.zero()
+    for record in records:
+        state = update_incremental(state, record, profile)
+    contributions = [record_contribution(r, profile) for r in records]
+    assert state.log_odds == compute_log_odds(records, profile) == left_sum(contributions)
+
+
+def test_the_package_calls_no_builtin_sum():
+    """Builtin sum compensates float rounding from Python 3.12 on, so a
+    float sum through it could read differently by interpreter; every
+    float sum goes through core.left_sum instead."""
+    package = Path(credence.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert calls == []

@@ -31,6 +31,24 @@ def make_agent(uptake=0.4, anchoring=0.2, k=5):
     return AgentState(agent_id="a", topic="the topic", profile=profile, config=config)
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"theta": math.nan}, "theta must be in [0, 1], got nan"),
+        ({"theta": -0.2}, "theta must be in [0, 1], got -0.2"),
+        ({"theta": "0.8"}, "theta must be in [0, 1], got '0.8'"),
+        ({"theta_self": 1.5}, "theta_self must be in [0, 1], got 1.5"),
+        ({"theta_self": True}, "theta_self must be in [0, 1], got True"),
+        ({"k": 0}, "k must be >= 1, got 0"),
+        ({"k": math.nan}, "k must be >= 1, got nan"),
+    ],
+)
+def test_engine_config_checks_its_values_when_built(setting, message):
+    with pytest.raises(ContractError) as caught:
+        EngineConfig(extractor=ScriptedExtractor(), scorer=None, **setting)
+    assert str(caught.value) == message
+
+
 def test_stance_bins_cover_the_interval():
     assert stance_to_instruction(-1.0)[0] == 0
     assert stance_to_instruction(-0.81)[0] == 0

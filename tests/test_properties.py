@@ -654,8 +654,11 @@ def scan_to_the_end(seeds, anchoring: float, target: float) -> float:
     """The seed scale as chosen before the scan stopped early: bisection,
     then all 4096 nextafter steps unless a new candidate is exact."""
 
-    def stance_at(scale):
-        return math.tanh(sum(p * math.log1p(scale * s * anchoring) for p, s in seeds) / 2.0)
+    def stance_at(scale):  # the seeds' terms added left to right from 0.0, as the engine folds them
+        log_odds = 0.0
+        for p, s in seeds:
+            log_odds += p * math.log1p(scale * s * anchoring)
+        return math.tanh(log_odds / 2.0)
 
     lo, hi = 1e-12, 1.0
     for _ in range(200):

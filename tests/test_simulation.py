@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 
 import pytest
@@ -59,6 +60,20 @@ def test_seed_agent_needs_enough_claims():
     agent = make_agent("x", "t", OPEN_MINDED, 0.6, 0.45)
     with pytest.raises(ContractError):
         seed_agent(agent, CORPUS, 15, 0.75)
+
+
+@pytest.mark.parametrize("target", [math.nan, 1.5, -1.01, "0.5", None])
+def test_seed_agent_rejects_a_target_outside_the_stance_range_before_storing(target):
+    agent = make_agent("x", "t", OPEN_MINDED, 0.6, 0.45)
+    with pytest.raises(ContractError, match=r"seed target .* outside \[-1, 1\]"):
+        seed_agent(agent, CORPUS, 5, target)
+    assert len(agent.memory) == 0 and agent.trace == []
+
+
+def test_make_agent_rejects_thresholds_outside_the_unit_interval():
+    for theta in (math.nan, -0.2):
+        with pytest.raises(ContractError, match=r"theta must be in \[0, 1\]"):
+            make_agent("x", "t", OPEN_MINDED, theta, 0.45)
 
 
 def test_sweep_validates_inputs():
