@@ -11,6 +11,7 @@ which equals ``tanh(L/2)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,9 +40,10 @@ class UAProfile:
     anchoring: float
 
     def __post_init__(self):
-        if not (0.0 <= self.uptake < math.inf and 0.0 <= self.anchoring < math.inf):  # NaN fails too
+        # A number in [0, the largest float] is finite and >= 0.
+        if not all(number_in(value, 0.0, sys.float_info.max) for value in (self.uptake, self.anchoring)):
             raise ConfigError(
-                f"uptake and anchoring must be finite and >= 0, got ({self.uptake}, {self.anchoring})"
+                f"uptake and anchoring must be finite numbers >= 0, got ({self.uptake!r}, {self.anchoring!r})"
             )
 
 

@@ -62,13 +62,17 @@ def template_response(stance_instruction: str, retrieved: RetrievalContext) -> s
 
 def check_ranges(settings, counts: tuple) -> None:
     """Reject a theta or theta_self that is not a number in [0, 1] and a
-    named count below 1: EngineConfig's check, and the run configs'."""
+    named count that is not an integer >= 1 (a boolean is none):
+    EngineConfig's check, and the run configs'."""
     for name in ("theta", "theta_self"):
         if not number_in(getattr(settings, name), 0.0, 1.0):
             raise ContractError(f"{name} must be in [0, 1], got {getattr(settings, name)!r}")
     for name in counts:
-        if not number_in(getattr(settings, name), 1, math.inf):
-            raise ContractError(f"{name} must be >= 1, got {getattr(settings, name)!r}")
+        value = getattr(settings, name)
+        if not (number_in(value, 1, math.inf) or isinstance(value, bool)):
+            raise ContractError(f"{name} must be >= 1, got {value!r}")
+        if type(value) is not int:
+            raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass

@@ -23,9 +23,9 @@ from .exceptions import ContractError, ScoringBackendError
 EMBED_DIM = 512
 # Entries the process-wide trigram memo takes before it stops growing.  The
 # largest vocabulary measured (the replay and dialogue benchmark inputs) has
-# about 13,200 distinct trigrams; a full memo holds 1.2-1.7 MiB.  Twice the
-# limit would hold 2.5-3.4 MiB and, through the dict's growth, add about
-# 6 MiB of peak RSS.
+# about 13,200 distinct trigrams.  Measured with tracemalloc, a full memo
+# holds 1.56 MiB of ASCII trigrams or 1.60 MiB of CJK ones; twice the limit
+# would hold 3.25 MiB of either, room those inputs do not use.
 GRAM_MEMO_LIMIT = 1 << 14
 # Delay before the first retry of a service call; each later one doubles,
 # up to the cap.
@@ -78,20 +78,31 @@ ArgumentRecord.active = property(lambda record: record._active, _set_active)
 
 
 class _GramBuckets(dict):
-    """Trigram -> bucket memo: a miss hashes the gram and keeps it while
-    the memo holds fewer than GRAM_MEMO_LIMIT entries; nothing is evicted.
-    Values are the shared ints of _BUCKETS, so an entry costs its key and
-    a slot."""
+    """Trigram -> bucket memo, keyed by the gram's characters: the triple
+    that zip(text, text[1:], text[2:]) yields, or (text,) for a text
+    shorter than 3 characters.  A hit builds no string; the builtin hash
+    of the key only finds the dict slot.  A miss joins the characters and
+    hashes the gram's UTF-8 bytes with blake2b, so no bucket depends on
+    the builtin hash, and keeps the key while the memo holds fewer than
+    GRAM_MEMO_LIMIT entries; nothing is evicted.  Values are the shared
+    ints of _BUCKETS.  A non-ASCII key is stored with the canonical
+    characters of _CHARS: iterating a string makes a new object for each
+    character outside Latin-1, and one object per distinct character
+    keeps a CJK entry about as small as an ASCII one."""
 
-    def __missing__(self, gram: str) -> int:
+    def __missing__(self, chars: tuple) -> int:
+        gram = "".join(chars)
         digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
         bucket = _BUCKETS[int.from_bytes(digest, "big") % EMBED_DIM]
         if len(self) < GRAM_MEMO_LIMIT:
-            self[gram] = bucket
+            if not gram.isascii():
+                chars = tuple(map(_CHARS.setdefault, chars, chars))
+            self[chars] = bucket
         return bucket
 
 
 _BUCKETS = tuple(range(EMBED_DIM))
+_CHARS: dict[str, str] = {}
 _GRAM_BUCKETS = _GramBuckets()
 
 
@@ -100,7 +111,7 @@ def _bincount(text: str) -> np.ndarray:
     is max(len(text) - 2, 1)."""
     if not text:
         raise ContractError("cannot embed an empty claim")
-    grams = map("".join, zip(text, text[1:], text[2:])) if len(text) >= 3 else (text,)
+    grams = zip(text, text[1:], text[2:]) if len(text) >= 3 else ((text,),)
     buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, max(len(text) - 2, 1))
     return np.bincount(buckets, minlength=EMBED_DIM)
 
@@ -108,8 +119,9 @@ def _bincount(text: str) -> np.ndarray:
 def trigram_counts(claim: str) -> np.ndarray:
     """Hashed character-trigram counts of a claim, as a float64 vector.
 
-    Deterministic across processes (no use of the builtin hash).  Each
-    distinct trigram is hashed once per process, through _GRAM_BUCKETS.
+    Deterministic across processes: each distinct trigram is hashed
+    with blake2b once per process, through _GRAM_BUCKETS, whose keys the
+    builtin hash only places in the dict; no bucket depends on it.
     The counts are small integers, so the vector is exact, and so is any
     dot product of two count vectors, in any summation order.
     """

@@ -27,7 +27,7 @@ proportion to the active set rather than to everything ever stored:
   T = max(len(text) - 2, 1).
 
 A query multiplies in float32 while T_query * T_max < 2**24, T_max being
-the largest total a row set has held.  A row's dot product with the
+the largest total among a row set's rows.  A row's dot product with the
 query is then a sum of products of non-negative integers whose total is
 at most T_row * T_query, so every product and partial sum is an integer
 below 2**24 and exact in float32, in any summation order, fused
@@ -59,12 +59,13 @@ _FLOAT32_EXACT = 1 << 24
 class _RowSet:
     """Active records with their trigram counts as the float32 rows of one
     matrix, each row's squared norm (float64, from the cache entry) and
-    the largest trigram total any row has held (total_max).
+    trigram total, and the largest of those totals (total_max).
 
     Rows are unordered: removing a record moves the last row into its
-    place.  The first add makes room for FIRST_ROWS rows, so an empty set
-    allocates nothing and a small one allocates once; after that the
-    matrix doubles when full.
+    place, and removing the row that held total_max finds it again.  The
+    first add makes room for FIRST_ROWS rows, so an empty set allocates
+    nothing and a small one allocates once; after that the matrix
+    doubles when full.
     """
 
     FIRST_ROWS = 8
@@ -72,12 +73,14 @@ class _RowSet:
     # never writes them.
     _NO_COUNTS = np.empty((0, EMBED_DIM), dtype=np.float32)
     _NO_SQUARES = np.empty(0)
+    _NO_TOTALS = np.empty(0, dtype=np.int64)
 
     def __init__(self):
         self.records: list[ArgumentRecord] = []
         self.row_of: dict[int, int] = {}
         self.counts = self._NO_COUNTS
         self.squares = self._NO_SQUARES
+        self.totals = self._NO_TOTALS
         self.total_max = 0
 
     def add(self, record: ArgumentRecord, text: tuple) -> None:
@@ -87,11 +90,13 @@ class _RowSet:
         n = len(self.records)
         if n == len(self.squares):
             capacity = max(self.FIRST_ROWS, 2 * n)
-            grown, grown_squares = np.empty((capacity, EMBED_DIM), dtype=np.float32), np.empty(capacity)
-            grown[:n], grown_squares[:n] = self.counts, self.squares
-            self.counts, self.squares = grown, grown_squares
+            grown = np.empty((capacity, EMBED_DIM), dtype=np.float32)
+            grown_squares, grown_totals = np.empty(capacity), np.empty(capacity, dtype=np.int64)
+            grown[:n], grown_squares[:n], grown_totals[:n] = self.counts, self.squares, self.totals
+            self.counts, self.squares, self.totals = grown, grown_squares, grown_totals
         self.counts[n] = counts
         self.squares[n] = square
+        self.totals[n] = total
         if total > self.total_max:
             self.total_max = total
         self.records.append(record)
@@ -100,13 +105,17 @@ class _RowSet:
     def remove(self, record: ArgumentRecord) -> None:
         row = self.row_of.pop(record.id)
         last = len(self.records) - 1
+        total = self.totals[row]
         if row != last:
             moved = self.records[last]
             self.records[row] = moved
             self.row_of[moved.id] = row
             self.counts[row] = self.counts[last]
             self.squares[row] = self.squares[last]
+            self.totals[row] = self.totals[last]
         self.records.pop()
+        if total == self.total_max:
+            self.total_max = int(self.totals[:last].max(initial=0))
 
     def nearest(self, query: tuple) -> Optional[tuple[ArgumentRecord, float]]:
         """The record whose counts are the most cosine-similar to the

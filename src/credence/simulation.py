@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import astuple, dataclass, field
 from typing import Optional
 
@@ -196,8 +197,13 @@ class SweepConfig:
     def __post_init__(self):
         check_ranges(self, ("rounds", "seeds_per_side", "k"))
         _check_target(self.target)
-        if not self.grid or min(*self.grid, self.fixed_u, self.fixed_a) < 0.0:
-            raise ContractError(f"sweep grid {list(self.grid)!r} must be non-empty, and it, fixed_u and fixed_a >= 0")
+        # A number in [0, the largest float] is finite and >= 0.
+        controls = (*self.grid, self.fixed_u, self.fixed_a)
+        if not self.grid or not all(number_in(value, 0.0, sys.float_info.max) for value in controls):
+            raise ContractError(
+                f"sweep grid {list(self.grid)!r} must be non-empty, and it, fixed_u and fixed_a finite numbers >= 0, "
+                f"got fixed_u {self.fixed_u!r} and fixed_a {self.fixed_a!r}"
+            )
 
 
 def check_script_length(opponent_script: list[str], rounds: int) -> None:

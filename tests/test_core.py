@@ -70,6 +70,12 @@ def test_profile_rejects_non_finite_controls(value):
         UAProfile(uptake=0.5, anchoring=value)
 
 
+@pytest.mark.parametrize("controls", [(True, False), (0.5, True), (False, 0.5)])
+def test_profile_rejects_boolean_controls(controls):
+    with pytest.raises(ConfigError, match="finite numbers >= 0"):
+        UAProfile(*controls)
+
+
 def test_record_weight_by_role():
     profile = UAProfile(uptake=0.4, anchoring=0.2)
     assert record_weight(Role.SEED, profile) == 0.2

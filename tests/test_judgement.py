@@ -1,5 +1,10 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -140,7 +145,51 @@ def test_gram_memo_is_bounded_and_exact(limit, claims):
                 vec[_gram_bucket(gram)] += 1.0
             assert embed_claim(claim).tobytes() == (vec / np.linalg.norm(vec)).tobytes()
             assert len(memo) <= limit
-    assert all(bucket is judgement._BUCKETS[_gram_bucket(gram)] for gram, bucket in memo.items())
+    assert all(bucket is judgement._BUCKETS[_gram_bucket("".join(chars))] for chars, bucket in memo.items())
+
+
+# ASCII, Latin-1, CJK, and 1- and 2-character claims.
+HASH_SEED_CLAIMS = ["parks need lights", "Straße über Ærø", "日本語のテキスト", "x", "ab", "é", "日本", "ça va ☃"]
+_COUNTS_SCRIPT = """
+import json, sys
+from credence.judgement import trigram_counts
+print(json.dumps([trigram_counts(claim).tobytes().hex() for claim in json.loads(sys.argv[1])]))
+"""
+
+
+def test_counts_do_not_depend_on_the_builtin_hash():
+    """The memo's keys hash with the builtin hash, which PYTHONHASHSEED
+    changes; the buckets come from blake2b alone, so two interpreters
+    with different hash seeds give the per-gram oracle's counts bytewise."""
+    expected = []
+    for claim in HASH_SEED_CLAIMS:
+        text = claim.strip().lower()
+        grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
+        vec = np.zeros(512)
+        for gram in grams:
+            vec[_gram_bucket(gram)] += 1.0
+        expected.append(vec.tobytes().hex())
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(Path(judgement.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", _COUNTS_SCRIPT, json.dumps(HASH_SEED_CLAIMS)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(run.stdout) == expected
+
+
+def test_a_cjk_memo_holds_one_object_per_character():
+    """Iterating a string makes a new object for each character outside
+    Latin-1; the memo's keys share one object per distinct character."""
+    rng = random.Random(3)
+    memo = judgement._GramBuckets()
+    with mock.patch.object(judgement, "_GRAM_BUCKETS", memo):
+        for _ in range(200):
+            trigram_counts("".join(chr(rng.randint(0x4E00, 0x4E00 + 60)) for _ in range(30)))
+        trigram_counts("日本")
+    chars = [char for key in memo for char in key]
+    assert len(memo) > 1000 and ("日本",) in memo
+    assert len({id(char) for char in chars}) == len(set(chars))
 
 
 def test_similar_texts_score_higher():

@@ -374,6 +374,39 @@ def test_long_claim_similarity_bits_equal_an_integer_oracle(claims, query, short
             assert outcome.similarity == 1.0
 
 
+def test_total_max_follows_the_active_rows():
+    """total_max is the largest total among the active rows: archiving the
+    only 5001-character record brings it down to the next one, and archiving
+    a shorter record leaves it.  A 5090-character query then multiplies in
+    float32 (5088 * 2999 < 2**24; with 4999 it would not) and still gets
+    the integer oracle's match and similarity bits."""
+    store = MemoryStore()
+    claims = ["a" * 5001, "a" * 3000 + "b", "a short claim", "b" + "a" * 1200]
+    for claim in claims:
+        store.insert(make_record(claim, 1, 0.5, Role.OPPONENT))
+    rows = store._by_polarity[1].every
+    assert rows.total_max == 4999
+    store.archive(store.records[0], archived_by=None)
+    assert rows.total_max == 2999
+    store.archive(store.records[2], archived_by=None)
+    assert rows.total_max == 2999
+    assert sorted(rows.totals[: len(rows.records)].tolist()) == sorted(len(r.claim) - 2 for r in rows.records)
+
+    query = "a" * 5000 + "b" * 90
+    assert (len(query) - 2) * rows.total_max < 2**24
+    best, best_sim = None, -1.0
+    for record in store.active_records():
+        sim = oracle_similarity(query, record.claim)
+        if sim > best_sim:
+            best, best_sim = record, sim
+    outcome = resolve_conflict(make_record(query, 1, 0.5, Role.OPPONENT), store, 2.0)
+    assert outcome.matched_id == best.id
+    assert repr(outcome.similarity) == repr(best_sim)
+    store.archive(store.records[1], archived_by=None)
+    store.archive(store.records[3], archived_by=None)
+    assert rows.total_max == 0
+
+
 retrieve_ops = st.lists(
     st.one_of(
         st.tuples(

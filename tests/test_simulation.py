@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import re
 
 import pytest
 
@@ -82,6 +83,29 @@ def test_sweep_validates_inputs():
         run_scripted_opponent_sweep(config, [0.2], "b", CORPUS, SCRIPT)
     with pytest.raises(ContractError):
         run_scripted_opponent_sweep(config, [0.2], "u", CORPUS, SCRIPT[:3])
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_counts_must_be_integers(value):
+    """A count that is a float or a boolean is refused when the agent or
+    run config is built, not inside a run."""
+    message = re.escape(f"must be an integer >= 1, got {value!r}")
+    with pytest.raises(ContractError, match="k " + message):
+        make_agent("x", "t", OPEN_MINDED, 0.6, 0.45, k=value)
+    for name in ("rounds", "seeds_per_side", "k"):
+        with pytest.raises(ContractError, match=f"{name} {message}"):
+            SweepConfig(topic="t", **{name: value})
+    for name in ("rounds", "seeds_per_side", "trials", "k"):
+        with pytest.raises(ContractError, match=f"{name} {message}"):
+            DebateConfig(topic="t", pro_profile=OPEN_MINDED, con_profile=STUBBORN, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "setting", [{"grid": (math.nan,)}, {"grid": (0.2, math.inf)}, {"fixed_u": math.inf}, {"fixed_a": math.nan}, {"fixed_a": True}]
+)
+def test_sweep_controls_must_be_finite_when_built(setting):
+    with pytest.raises(ContractError, match="fixed_u and fixed_a finite numbers >= 0"):
+        SweepConfig(topic="t", **setting)
 
 
 def test_sweep_trajectory_shape_and_determinism():
