@@ -135,7 +135,7 @@ def load_config(path=None) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             loaded = yaml.safe_load(handle) or {}
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
@@ -158,5 +158,8 @@ def bundled_text(name: str) -> str:
 
 def load_corpus_text(path_or_none, default_name: str) -> str:
     if path_or_none:
-        return Path(path_or_none).read_text(encoding="utf-8")
+        try:
+            return Path(path_or_none).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read {path_or_none}: {exc}") from exc
     return bundled_text(default_name)

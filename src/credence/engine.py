@@ -4,7 +4,8 @@ For every incoming message the engine extracts candidates, scores them,
 runs conflict resolution, stores the records, brings the belief state up
 to date with the active set, and (for its own turns) composes a response
 from a stance instruction plus retrieved memory.  Every sub-step emits a
-trace event; the trace alone reconstructs the final belief state.
+trace event after the header that opens the trace; the trace alone
+reconstructs the final belief state.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import contextlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     BeliefState,
     Role,
     UAProfile,
+    check_strength,
     compute_log_odds,
     left_sum,
     number_in,
@@ -29,7 +32,7 @@ from .core import (
     stance_from_log_odds,
     update_incremental,
 )
-from .exceptions import ContractError, TraceVerificationError
+from .exceptions import ConfigError, ContractError, TraceVerificationError
 from .extraction import ExtractorPort, Message
 from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, judge
 from .memory import MemoryStore, RetrievalContext
@@ -113,8 +116,11 @@ else:  # json without its C accelerator
     _encode_line = _line_settings.encode
 _raw_decode = json.JSONDecoder().raw_decode
 
-# How far a recorded L or S may sit from the value the trace replays to.
+# How far a recorded contribution, L or S may sit from the value the trace
+# replays to.
 TOLERANCE = 1e-12
+# The trace format's version, which the header event holds.
+TRACE_SCHEMA = 2
 
 
 @dataclass(slots=True)
@@ -140,6 +146,22 @@ class AgentState:
     # (store, records folded, store revision) as of the last belief update.
     folded: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        """Open the trace with its header: what a reader needs to re-derive
+        every contribution and to know the thresholds the run used."""
+        profile, config = self.profile, self.config
+        self.emit(
+            "header",
+            schema=TRACE_SCHEMA,
+            agent_id=self.agent_id,
+            topic=self.topic,
+            uptake=profile.uptake,
+            anchoring=profile.anchoring,
+            theta=config.theta,
+            theta_self=config.theta_self,
+            k=config.k,
+        )
+
     def next_order(self) -> int:
         return self.last_order + 1
 
@@ -163,33 +185,25 @@ def stance_to_instruction(stance: float) -> tuple[int, str]:
 
 
 def ingest_candidate(agent: AgentState, candidate: CandidateArgument) -> ArgumentRecord:
-    """Judge and store one candidate; emits scored/resolved/stored."""
+    """Judge and store one candidate; emits its one stored event: the
+    record, its contribution, and the deduplication outcome (the nearest
+    active record's similarity and id, and the record it archived)."""
     config = agent.config
     record, outcome = judge(agent.memory, candidate, agent.topic, config.scorer, config.theta, config.theta_self)
-    agent.emit("scored", claim=candidate.claim, strength=record.strength, role=candidate.role.value)
-    # Only a superseded pre-existing record goes here; a losing new record
-    # is announced through its own stored event (active=False).
-    archived_id = outcome.superseded.id if outcome.superseded is not None else None
     agent.emit(
-        "resolved",
-        kept_new=outcome.kept_new,
+        "stored",
+        id=record.id,
+        claim=record.claim,
+        polarity=record.polarity,
+        strength=record.strength,
+        role=record.role.value,
+        active=record.active,
+        contribution=record_contribution(record, agent.profile),
         similarity=outcome.similarity,
-        archived_id=archived_id,
+        matched_id=outcome.matched_id,
+        archived_id=outcome.superseded.id if outcome.superseded is not None else None,
     )
-    agent.emit("stored", **_stored_payload(record, agent.profile))
     return record
-
-
-def _stored_payload(record: ArgumentRecord, profile: UAProfile) -> dict:
-    return {
-        "id": record.id,
-        "claim": record.claim,
-        "polarity": record.polarity,
-        "strength": record.strength,
-        "role": record.role.value,
-        "active": record.active,
-        "contribution": record_contribution(record, profile),
-    }
 
 
 def refresh_belief(agent: AgentState) -> TraceEvent:
@@ -234,7 +248,7 @@ def process_message(agent: AgentState, incoming: Message) -> list[TraceEvent]:
     candidates = agent.config.extractor.extract(agent.topic, incoming, on_warning=warnings.append)
     for message in warnings:
         agent.emit("warning", message=message)
-    agent.emit("extracted", count=len(candidates), claims=[c.claim for c in candidates])
+    agent.emit("extracted", count=len(candidates))
 
     for candidate in candidates:
         ingest_candidate(agent, candidate)
@@ -279,6 +293,14 @@ def write_trace(path, events: list[TraceEvent]) -> None:
             handle.write(event.to_json() + "\n")
 
 
+def split_lines(chunks):
+    """The lines of a binary file's chunks (as iterating the file yields
+    them), split where text mode splits them: at LF, CRLF or a lone CR.
+    A line may keep its LF; callers strip each line."""
+    for chunk in chunks:
+        yield from chunk.splitlines() if b"\r" in chunk else (chunk,)
+
+
 def _trace_events(path):
     """Yield a trace file's events one line at a time.
 
@@ -290,32 +312,29 @@ def _trace_events(path):
     integer seq, a string kind and an object payload; else
     TraceVerificationError.
     """
-    line_number = 0
     with open(path, "rb") as handle:
         first = handle.readline().removeprefix(codecs.BOM_UTF8)
-        for chunk in itertools.chain((first,), handle):
-            for raw in chunk.splitlines() if b"\r" in chunk else (chunk,):
-                line_number += 1
+        for line_number, raw in enumerate(split_lines(itertools.chain((first,), handle)), 1):
+            try:
+                line = raw.decode().strip()
+                if not line:
+                    continue
                 try:
-                    line = raw.decode().strip()
-                    if not line:
-                        continue
-                    try:
-                        row, end = _raw_decode(line)
-                    except ValueError:
-                        end = -1
-                    if end != len(line):
-                        row = json.loads(line)  # fails, with its own message (extra data, a byte-order mark)
-                except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-                    raise TraceVerificationError(f"unreadable trace line {line_number}: {exc}") from exc
-                if type(row) is dict:
-                    seq, kind, payload = row.get("seq"), row.get("kind"), row.get("payload")
-                    if type(seq) is int and type(kind) is str and type(payload) is dict:
-                        yield TraceEvent(seq, kind, payload)
-                        continue
-                raise TraceVerificationError(
-                    f"trace line {line_number} is not an object with an integer seq, a string kind and an object payload"
-                )
+                    row, end = _raw_decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    row = json.loads(line)  # fails, with its own message (extra data, a byte-order mark)
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+                raise TraceVerificationError(f"unreadable trace line {line_number}: {exc}") from exc
+            if type(row) is dict:
+                seq, kind, payload = row.get("seq"), row.get("kind"), row.get("payload")
+                if type(seq) is int and type(kind) is str and type(payload) is dict:
+                    yield TraceEvent(seq, kind, payload)
+                    continue
+            raise TraceVerificationError(
+                f"trace line {line_number} is not an object with an integer seq, a string kind and an object payload"
+            )
 
 
 def read_trace(path) -> list[TraceEvent]:
@@ -324,88 +343,118 @@ def read_trace(path) -> list[TraceEvent]:
     return list(_trace_events(path))
 
 
-def _field(event: TraceEvent, key: str):
-    """A number field of the payload that verify_trace reads (a boolean is
-    not a number); else TraceVerificationError."""
+def _field(event: TraceEvent, key: str) -> float:
+    """A number field of the payload that a trace reader reads, as a float
+    (a boolean is not a number, nor is an integer outside float range);
+    else TraceVerificationError."""
     value = event.payload.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TraceVerificationError(f"event {event.seq}: {event.kind} {key} {value!r} is not a number", seq=event.seq)
-    return value
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise TraceVerificationError(f"event {event.seq}: {event.kind} {key} {value!r} is not a number", seq=event.seq)
+
+
+def _check_header(event: TraceEvent) -> None:
+    """The header's schema is TRACE_SCHEMA, its agent id and topic are
+    strings, its (u, a) make a UAProfile, its thresholds are in [0, 1] and
+    its k is an integer >= 1; else ContractError or ConfigError."""
+    payload = event.payload
+    if payload.get("schema") != TRACE_SCHEMA:
+        raise ContractError(f"schema {payload.get('schema')!r} is not {TRACE_SCHEMA}")
+    if not (isinstance(payload.get("agent_id"), str) and isinstance(payload.get("topic"), str)):
+        raise ContractError("needs a string agent_id and topic")
+    UAProfile(_field(event, "uptake"), _field(event, "anchoring"))
+    for name in ("theta", "theta_self"):
+        if not 0.0 <= _field(event, name) <= 1.0:
+            raise ContractError(f"{name} {payload[name]!r} is not in [0, 1]")
+    if type(payload.get("k")) is not int or payload["k"] < 1:
+        raise ContractError(f"k {payload.get('k')!r} is not an integer >= 1")
 
 
 def _checked(events, active_ids):
-    """Yield each event, with whether it stores a new id, once it keeps the
-    rules both trace readers apply; else raise TraceVerificationError
-    naming it.  active_ids holds the reader's active records by id, which
-    the reader brings up to date before the next event.  Seqs increase.  A
-    resolved event's archived_id is null or in active_ids, and its kept_new
-    is a boolean, true with an archived_id.  A stored record passes a
-    candidate argument's checks and has a string claim, a strength, a
-    boolean active flag and an id up to the next id; an id stored again
-    keeps its active flag.  A new id directly follows its own scored and
-    resolved events: the record's strength, role and stripped claim, and
-    kept_new equal to its active flag.  A scored event is directly
-    followed by a resolved event, and that by the stored event of the next
-    id; the trace does not end between them."""
-    scored = resolved = TraceEvent(-1, "", {})  # the two events before this one
+    """Yield each event once it keeps the rules both trace readers apply;
+    else raise TraceVerificationError naming it.  active_ids holds the
+    reader's active records by id, which the reader brings up to date
+    before the next event.
+
+    The first event is the header (see _check_header), and no other
+    event is one.  Seqs increase.  A stored event holds the next id and a
+    record that passes a candidate argument's checks, with a string claim,
+    a strength and a boolean active flag.  Its matched_id is null or an
+    active record, and its archived_id null or that same record; a record
+    stored inactive archives nothing and has a matched_id.  A
+    rescaled event holds a finite factor >= 0 and increasing ids of
+    stored records."""
+    seq = None  # the previous event's
     next_id = 0
     for event in events:
-        seq, kind, payload = event.seq, event.kind, event.payload
-        if seq <= resolved.seq:
-            raise TraceVerificationError(f"event {seq}: {kind} seq does not increase", seq=seq)
-        new = kind == "stored" and payload.get("id") == next_id
+        kind, payload = event.kind, event.payload
+        if seq is None and kind != "header":
+            raise TraceVerificationError(
+                f"event {event.seq}: the trace has no header: its first event is {kind}", seq=event.seq
+            )
+        if seq is not None and event.seq <= seq:
+            raise TraceVerificationError(f"event {event.seq}: {kind} seq does not increase", seq=event.seq)
         try:
-            if kind == "resolved":
-                archived_id, kept_new = payload.get("archived_id"), payload.get("kept_new")
-                if archived_id is not None and (type(archived_id) is not int or archived_id not in active_ids):
-                    raise ContractError(f"archived_id {archived_id!r} names no active record")
-                if type(kept_new) is not bool or (archived_id is not None and not kept_new):
-                    raise ContractError(f"kept_new {kept_new!r} must be a boolean, true with an archived_id")
-            elif kind == "stored":
-                record_id, claim, strength, role, active = map(payload.get, ("id", "claim", "strength", "role", "active"))
-                if type(record_id) is not int or not 0 <= record_id <= next_id:
-                    raise ContractError(f"id {record_id!r} is neither the next id {next_id} nor one already stored")
+            if kind == "stored":
+                record_id, claim, strength, active, matched_id, archived_id = map(
+                    payload.get, ("id", "claim", "strength", "active", "matched_id", "archived_id")
+                )
+                if type(record_id) is not int or record_id != next_id:
+                    raise ContractError(f"id {record_id!r} is not the next id {next_id}")
                 if not isinstance(claim, str) or strength is None or type(active) is not bool:
                     raise ContractError(f"record {record_id} needs a string claim, a strength and a boolean active flag")
-                CandidateArgument(claim, payload.get("polarity"), Role(role), strength)
-                if not new:
-                    if active != (record_id in active_ids):
-                        raise ContractError(f"record {record_id} stored again as another: active {active}")
-                else:
-                    said = scored.payload
-                    order = (scored.kind, type(said.get("claim")), resolved.kind, resolved.payload.get("kept_new"))
-                    if order != ("scored", str, "resolved", active):
-                        raise ContractError(f"record {record_id} does not follow its scored event and kept_new {active}")
-                    if (said["claim"].strip(), said.get("strength"), said.get("role")) != (claim, strength, role):
-                        raise ContractError(f"record {record_id} is not the claim scored at event {scored.seq}")
-            if resolved.kind == "scored" and kind != "resolved":
-                raise ContractError(f"follows scored event {resolved.seq} in place of its resolved event")
-            if resolved.kind == "resolved" and not new:
-                raise ContractError(f"follows resolved event {resolved.seq} in place of the stored event of record {next_id}")
-        except (ContractError, ValueError) as exc:  # Role() raises ValueError
-            raise TraceVerificationError(f"event {seq}: {kind} {exc}", seq=seq) from None
-        next_id += new
-        yield event, new
-        scored, resolved = resolved, event
-    if resolved.kind in ("scored", "resolved"):
-        raise TraceVerificationError(
-            f"event {resolved.seq}: {resolved.kind} ends the trace before record {next_id} is stored", seq=resolved.seq
-        )
+                CandidateArgument(claim, payload.get("polarity"), Role(payload.get("role")), strength)
+                for name, value in (("matched_id", matched_id), ("archived_id", archived_id)):
+                    if value is not None and (type(value) is not int or value not in active_ids):
+                        raise ContractError(f"{name} {value!r} names no active record")
+                if archived_id is not None and archived_id != matched_id:
+                    raise ContractError(f"archived_id {archived_id} is not its matched_id {matched_id!r}")
+                if not active and (archived_id is not None or matched_id is None):
+                    raise ContractError(f"record {record_id} is inactive, so it archives nothing and has a matched_id")
+                next_id += 1
+            elif kind == "rescaled":
+                ids = payload.get("ids")
+                if not number_in(_field(event, "factor"), 0.0, sys.float_info.max):
+                    raise ContractError(f"factor {payload['factor']!r} is not a finite number >= 0")
+                if not (
+                    type(ids) is list
+                    and all(type(i) is int for i in ids)
+                    and all(a < b for a, b in zip([-1, *ids], ids))
+                    and (not ids or ids[-1] < next_id)
+                ):
+                    raise ContractError(f"ids {ids!r} are not increasing ids of stored records")
+            elif kind == "header":
+                if seq is not None:
+                    raise ContractError("is not the first event")
+                _check_header(event)
+        except (ContractError, ConfigError, ValueError) as exc:  # Role() raises ValueError
+            raise TraceVerificationError(f"event {event.seq}: {kind} {exc}", seq=event.seq) from None
+        seq = event.seq
+        yield event
+    if seq is None:
+        raise TraceVerificationError("the trace has no header: it holds no event")
 
 
 def verify_trace(events: list[TraceEvent]) -> BeliefState:
-    """Replay stored contributions and confirm every recorded update.
+    """Re-derive every contribution and confirm every recorded update.
 
-    The replayed L is the left_sum of the active contributions in id
-    order.  Contributions stored since the last update are added to the
-    running sum; the whole active set is folded again after an archival
-    or after an id is stored again, as a seed rescale does.  Both give
-    the same L bitwise.
+    Each stored record's contribution is derived again as
+    p*log1p(s*gamma(role)) from the header's (u, a), and a rescaled event
+    multiplies its active ids' strengths by its factor; a recorded
+    contribution further than TOLERANCE from its derived value fails.  The
+    replayed L is the left_sum of the derived contributions of the active
+    records in id order: those stored since the last update are added to
+    the running sum, and the whole active set is folded again after an
+    archival or a rescale.  Both give the same L bitwise.
 
     Raises TraceVerificationError at the first divergent event, at the
     first field it reads that is missing or of the wrong type, at any NaN
     it compares, and at the first event that breaks _checked's rules.
-    It trusts each stored contribution.
+    It trusts each deduplication decision: a record's active flag and the
+    archived_id it names.
     """
     return _replay(events)[0]
 
@@ -414,44 +463,63 @@ def verify_trace_file(path) -> tuple[BeliefState, int]:
     """verify_trace over a trace file, read one line at a time; returns
     the final state and the number of events.
 
-    Nothing but the active records' contributions is kept, so memory
-    grows with the active set, not with the trace.  A line is checked as
-    it is read, so the first fault in file order is reported, whether it
-    is an unreadable line or a divergent event.
+    Nothing but the active records' polarity, strength, role and derived
+    contribution is kept, so memory grows with the active set, not with
+    the trace.  A line is checked as it is read, so the first fault in
+    file order is reported, whether it is an unreadable line or a
+    divergent event.
     """
     with contextlib.closing(_trace_events(path)) as events:  # the file closes at a fault too
         return _replay(events)
 
 
+class _Held(NamedTuple):
+    """A stored record as the verifier holds it, all record_contribution
+    reads."""
+
+    polarity: int
+    strength: float
+    role: Role
+
+
 def _replay(events) -> tuple[BeliefState, int]:
     """verify_trace's rule over any iterable of events, read once; returns
     the final state and the number of events seen."""
-    contributions: dict[int, float] = {}  # the active records' only, in id order: a re-store keeps its place
-    pending: list[int] = []  # active ids stored since the last update, increasing
+    active: dict[int, tuple] = {}  # id: (_Held, derived contribution), in id order
+    profile = None  # the header's, set by the first event
     resum = False
     count = 0
     current = BeliefState.zero()
-    for count, (event, new) in enumerate(_checked(events, contributions), 1):
+    extended = 0.0  # current L plus the contributions stored since
+    for count, event in enumerate(_checked(events, active), 1):
         payload = event.payload
         if event.kind == "stored":
-            contribution = _field(event, "contribution")
-            resum = resum or not new
-            if payload["active"]:
-                contributions[payload["id"]] = contribution
-                pending.append(payload["id"])
-        elif event.kind == "resolved":
-            if payload.get("archived_id") is not None:
-                del contributions[payload["archived_id"]]
+            held = _Held(payload["polarity"], payload["strength"], Role(payload["role"]))
+            contribution, recorded = record_contribution(held, profile), _field(event, "contribution")
+            if not abs(recorded - contribution) <= TOLERANCE:
+                raise TraceVerificationError(
+                    f"event {event.seq}: stored contribution {recorded!r} != re-derived {contribution!r}", seq=event.seq
+                )
+            if payload["archived_id"] is not None:
+                del active[payload["archived_id"]]
                 resum = True
+            if payload["active"]:
+                active[payload["id"]] = held, contribution
+                extended += contribution
+        elif event.kind == "rescaled":
+            factor = _field(event, "factor")
+            for record_id in payload["ids"]:
+                if record_id in active:  # an archived record's strength no longer counts
+                    held = active[record_id][0]
+                    held = held._replace(strength=held.strength * factor)
+                    try:
+                        check_strength(held.strength, f"rescaled strength of record {record_id}")
+                    except ContractError as exc:
+                        raise TraceVerificationError(f"event {event.seq}: rescaled {exc}", seq=event.seq) from None
+                    active[record_id] = held, record_contribution(held, profile)
+            resum = True
         elif event.kind == "updated":
-            if resum:
-                expected = left_sum(contributions.values())
-            else:
-                expected = current.log_odds
-                for record_id in pending:
-                    expected += contributions[record_id]
-            pending.clear()
-            resum = False
+            expected = left_sum(contribution for _, contribution in active.values()) if resum else extended
             # Written as `not ... <= TOLERANCE` so that a NaN fails.
             l_before, l_after = _field(event, "L_before"), _field(event, "L_after")
             if not abs(l_before - current.log_odds) <= TOLERANCE:
@@ -469,36 +537,43 @@ def _replay(events) -> tuple[BeliefState, int]:
                     f"event {event.seq}: S_after inconsistent with L_after", seq=event.seq
                 )
             current = BeliefState.from_log_odds(expected)
+            extended = expected
+            resum = False
+        elif event.kind == "header":
+            profile = UAProfile(_field(event, "uptake"), _field(event, "anchoring"))
     return current, count
 
 
 def store_from_trace(events) -> MemoryStore:
     """The store an agent's trace describes, rebuilt in one pass over its
-    events (any iterable).  An id stored again is a seed rescale.  A record
-    stored inactive lost deduplication to the nearest active record its
-    resolution searched, which must have the resolved event's similarity,
-    bitwise.  A fault raises TraceVerificationError naming the event."""
+    events (any iterable).  A stored event inserts its record, then
+    archives its archived_id, archived_by the new record.  A record stored
+    inactive lost deduplication to its matched_id, which must be the
+    nearest active record its resolution searched, with the event's
+    similarity, bitwise.  A rescaled event multiplies its records'
+    strengths by its factor.  A fault raises TraceVerificationError naming
+    the event."""
     store = MemoryStore()
-    for event, new in _checked(events, store._active):
+    for event in _checked(events, store._active):
         payload = event.payload
-        if event.kind == "resolved":
-            if payload.get("archived_id") is not None:  # archived by the record stored next
-                store.archive(store.records[payload["archived_id"]], archived_by=store.insertion_counter)
-            similarity = payload.get("similarity")  # for the new id stored next
+        if event.kind == "rescaled":
+            try:
+                store.rescale([store.records[i] for i in payload["ids"]], payload["factor"])
+            except ContractError as exc:
+                raise TraceVerificationError(f"event {event.seq}: rescaled {exc}", seq=event.seq) from None
         if event.kind != "stored":
             continue
         claim, role = payload["claim"], Role(payload["role"])
         record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, store.embed(claim), payload["active"])
-        if not new:
-            stored = store.records[payload["id"]]
-            if (stored.claim, stored.polarity, stored.role) != (claim, record.polarity, role):
-                raise TraceVerificationError(f"event {event.seq}: record {stored.id} stored again as another", seq=event.seq)
-            store.set_strengths([(stored, record.strength)])
-        else:
-            if not record.active:
-                nearest = store.nearest(record, own_only=role is Role.SELF)
-                if nearest is None or repr(nearest[1]) != repr(similarity):
-                    raise TraceVerificationError(f"event {event.seq}: no record to lose to at {similarity!r}", seq=event.seq)
-                record.archived_by = nearest[0].id
-            store.insert(record)
+        if not record.active:
+            nearest = store.nearest(record, own_only=role is Role.SELF)
+            similarity = payload.get("similarity")
+            if nearest is None or nearest[0].id != payload["matched_id"] or repr(nearest[1]) != repr(similarity):
+                raise TraceVerificationError(
+                    f"event {event.seq}: no record {payload['matched_id']} to lose to at {similarity!r}", seq=event.seq
+                )
+            record.archived_by = payload["matched_id"]
+        store.insert(record)
+        if payload["archived_id"] is not None:
+            store.archive(store.records[payload["archived_id"]], archived_by=record.id)
     return store

@@ -32,6 +32,7 @@ from .core import (
     log_odds_from_stance,
     number_in,
 )
+from .engine import split_lines
 from .exceptions import ContractError
 from .extraction import ExtractorPort, Message
 from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, judge
@@ -528,17 +529,18 @@ def case_from_dict(row: dict) -> ReplayCase:
 
 
 def load_cases_jsonl(path) -> tuple[list[ReplayCase], list[tuple[int, str]]]:
-    """Load cases; malformed lines are returned as (line number, error)."""
+    """Load cases; malformed lines, bytes that are not UTF-8 included, are
+    returned as (line number, error).  Each line is decoded on its own, so
+    the other lines still load."""
     cases = []
     errors = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(split_lines(handle), start=1):
             try:
-                cases.append(case_from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError, ContractError) as exc:
+                line = raw.decode().strip()
+                if line:
+                    cases.append(case_from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError, ContractError) as exc:  # UnicodeDecodeError is a ValueError
                 errors.append((line_number, str(exc)))
     return cases, errors
 

@@ -18,7 +18,6 @@ from .core import Role, UAProfile, left_sum, number_in, stance_from_log_odds
 from .engine import (
     AgentState,
     EngineConfig,
-    _stored_payload,
     check_ranges,
     ingest_candidate,
     process_message,
@@ -156,8 +155,7 @@ def seed_agent(
                     if error < best:
                         scale, best = candidate, error
             agent.memory.rescale(seeds, scale)
-            for record in seeds:
-                agent.emit("stored", **_stored_payload(record, agent.profile))
+            agent.emit("rescaled", factor=scale, ids=[r.id for r in seeds])
             if abs(stance_at(1.0) - target) > SEED_TOLERANCE:
                 agent.emit("warning", message=f"seeded stance missed target {target} beyond {SEED_TOLERANCE}")
     refresh_belief(agent)

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -254,13 +255,48 @@ def test_command_is_deterministic(tmp_path, command):
 
 def test_replay_strict_rejects_bad_lines(tmp_path):
     cases = write_cases(tmp_path / "cases.jsonl", n=5)
-    row = json.loads(open(cases).readline())
+    with open(cases) as handle:
+        row = json.loads(handle.readline())
     row["evidence"][0]["polarity"] = None  # a line error, not a crash
     with open(cases, "a") as handle:
         handle.write("garbage\n")
         handle.write(json.dumps(row) + "\n")
     assert main(["replay", "--cases", cases, "--out", str(tmp_path / "a")]) == 0
     assert main(["replay", "--cases", cases, "--strict", "--out", str(tmp_path / "b")]) == 1
+
+
+def test_replay_reports_a_case_line_that_is_not_utf8(tmp_path, capsys):
+    """Each case line is decoded on its own: a line with a byte that is not
+    UTF-8 is a malformed line, and the others still load."""
+    cases = Path(write_cases(tmp_path / "cases.jsonl", n=5))
+    lines = cases.read_bytes().splitlines()
+    lines[2] = lines[2].replace(b'"p2"', b'"p\xff"')
+    cases.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["replay", "--cases", str(cases), "--out", str(tmp_path / "a")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cases}:3: 'utf-8' codec can't decode byte 0xff")
+    participants = [line.split(",")[0] for line in (tmp_path / "a" / "predictions.csv").read_text().splitlines()[1:]]
+    assert participants == ["p0", "p1", "p3", "p4"]
+    assert main(["replay", "--cases", str(cases), "--strict", "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert "error: 1 malformed case lines (strict mode)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["config", "seed_file", "opponent_file"])
+def test_an_input_file_that_is_not_utf8_is_a_validation_error(tmp_path, capsys, key):
+    bad = tmp_path / "bad.txt"
+    if key == "config":
+        bad.write_bytes(b"sweep:\n  topic: caf\xff\n")
+        config = str(bad)
+    else:
+        bad.write_bytes(b"CLAIM +0.5: caf\xff\n")
+        config = write_yaml(tmp_path / "c.yaml", {"sweep": {key: str(bad)}})
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    named = f"config {bad}" if key == "config" else str(bad)
+    assert err.startswith(f"error: cannot read {named}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("folds", [0, "3", 2.5])
@@ -343,10 +379,11 @@ def test_trace_verify_roundtrip_and_tamper(tmp_path):
     assert main(["trace-verify", str(tampered)]) == 3
 
 
-def test_trace_verify_empty_trace(tmp_path):
+def test_trace_verify_empty_trace(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert main(["trace-verify", str(empty)]) == 0
+    assert main(["trace-verify", str(empty)]) == 3
+    assert capsys.readouterr().err == "verification failed: the trace has no header: it holds no event\n"
 
 
 def test_trace_verify_unreadable_trace(tmp_path):
@@ -373,15 +410,17 @@ def test_trace_verify_rejects_nan(tmp_path, kind, field):
     "line",
     [
         "[1, 2]",
-        '{"seq": 0, "kind": "stored", "payload": {"claim": "x", "active": true, "contribution": 0.1}}',
-        '{"seq": 0, "kind": "updated", "payload": {"L_before": "x", "L_after": 0.0, "S_before": 0.0, "S_after": 0.0}}',
+        '{"seq": 1, "kind": "stored", "payload": {"claim": "x", "active": true, "contribution": 0.1}}',
+        '{"seq": 1, "kind": "updated", "payload": {"L_before": "x", "L_after": 0.0, "S_before": 0.0, "S_after": 0.0}}',
         '{"seq": "a", "kind": "stored", "payload": {}}',
     ],
     ids=["array", "stored-without-id", "string-L_before", "string-seq"],
 )
 def test_trace_verify_rejects_malformed_event(tmp_path, capsys, line):
+    """Each line follows a well-formed header."""
+    header = make_header()
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(line + "\n")
+    bad.write_text(header.to_json() + "\n" + line + "\n")
     assert main(["trace-verify", str(bad)]) == 3
     assert "Traceback" not in capsys.readouterr().err
 
@@ -399,6 +438,11 @@ def test_trace_verify_rejects_extra_data_after_an_event(tmp_path, capsys, extra)
     err = capsys.readouterr().err
     assert err.startswith("verification failed: unreadable trace line 3: Extra data")
     assert "Traceback" not in err
+
+
+def make_header():
+    """The header event of a default-config agent."""
+    return simulation.make_agent("a", "t", simulation.OPEN_MINDED, 0.8, 0.5).trace[0]
 
 
 def sum_as_in_python_3_12(iterable, /, start=0):
@@ -521,16 +565,17 @@ def record_fields(store):
 
 
 def test_store_from_trace_equals_the_run_store_on_every_default_trace(default_runs):
-    """The 10 sweep and 24 debate traces, seed rescales (re-stored ids)
-    and deduplication losers included, rebuild their agents' stores."""
+    """The 10 sweep and 24 debate traces, seed rescales and deduplication
+    losers included, rebuild their agents' stores."""
     assert len(default_runs) == 34
-    restored = 0
+    rescaled = 0
     for path, agent in default_runs.values():
         rebuilt = engine.store_from_trace(engine._trace_events(path))
         assert record_fields(rebuilt) == record_fields(agent.memory), path.name
         assert rebuilt.insertion_counter == agent.memory.insertion_counter
-        restored += sum(e.kind == "stored" for e in agent.trace) - agent.memory.insertion_counter
-    assert restored == 10 + 336
+        assert sum(e.kind == "stored" for e in agent.trace) == agent.memory.insertion_counter
+        rescaled += sum(len(e.payload["ids"]) for e in agent.trace if e.kind == "rescaled")
+    assert rescaled == 10 + 336
 
 
 DELETE = object()
@@ -555,46 +600,48 @@ def edited_trace(trace, tmp_path, seq: int, edits: dict):
 
 
 # Edits of the default sweep_u_0.4.jsonl: (seq edited, edits, seq reported,
-# message).  Seqs 6 and 7 are the scored and resolved events before record
-# 2 is stored (seq 8), when records 0 and 1 are active; seq 42 stores
-# record 11, which lost deduplication, inactive.
+# message).  Seq 3 stores record 2 while records 0 and 1 are active; its
+# nearest is record 0.  Seq 1 stores record 0, which had nothing to match.
+# Seq 19 stores record 11, which lost deduplication to record 9 and is
+# inactive.  The kept_new rows edit the stored event's active flag, which
+# carries what the resolved event's kept_new did before ingests became one
+# event.
 INCOMPLETE = "stored record 2 needs a string claim, a strength and a boolean active flag"
 TRACE_FIELD_FAULTS = {
-    "polarity-0": (8, {"polarity": 0}, 8, "stored polarity 0 not in {-1, +1}"),
-    "polarity-str": (8, {"polarity": "+1"}, 8, "stored polarity +1 not in {-1, +1}"),
-    "polarity-bool": (8, {"polarity": True}, 8, "stored polarity True not in {-1, +1}"),
-    "strength-2.5": (8, {"strength": 2.5}, 8, "stored strength hint 2.5 is not a finite number in [0, 1]"),
-    "strength-nan": (8, {"strength": math.nan}, 8, "stored strength hint nan is not a finite number in [0, 1]"),
-    "strength-str": (8, {"strength": "0.5"}, 8, "stored strength hint '0.5' is not a finite number in [0, 1]"),
-    "strength-null": (8, {"strength": None}, 8, INCOMPLETE),
-    "strength-missing": (8, {"strength": DELETE}, 8, INCOMPLETE),
-    "role": (8, {"role": "judge"}, 8, "stored 'judge' is not a valid Role"),
-    "claim-blank": (8, {"claim": "  "}, 8, "stored candidate claim is empty"),
-    "claim-number": (8, {"claim": 5}, 8, INCOMPLETE),
-    "active-str": (8, {"active": "no"}, 8, INCOMPLETE),
+    "polarity-0": (3, {"polarity": 0}, 3, "stored polarity 0 not in {-1, +1}"),
+    "polarity-str": (3, {"polarity": "+1"}, 3, "stored polarity +1 not in {-1, +1}"),
+    "polarity-bool": (3, {"polarity": True}, 3, "stored polarity True not in {-1, +1}"),
+    "strength-2.5": (3, {"strength": 2.5}, 3, "stored strength hint 2.5 is not a finite number in [0, 1]"),
+    "strength-nan": (3, {"strength": math.nan}, 3, "stored strength hint nan is not a finite number in [0, 1]"),
+    "strength-str": (3, {"strength": "0.5"}, 3, "stored strength hint '0.5' is not a finite number in [0, 1]"),
+    "strength-null": (3, {"strength": None}, 3, INCOMPLETE),
+    "strength-missing": (3, {"strength": DELETE}, 3, INCOMPLETE),
+    "role": (3, {"role": "judge"}, 3, "stored 'judge' is not a valid Role"),
+    "claim-blank": (3, {"claim": "  "}, 3, "stored candidate claim is empty"),
+    "claim-number": (3, {"claim": 5}, 3, INCOMPLETE),
+    "active-str": (3, {"active": "no"}, 3, INCOMPLETE),
     "all-four": (
-        8, {"polarity": 7, "strength": "x", "role": "judge", "claim": ""}, 8, "stored 'judge' is not a valid Role"
+        3, {"polarity": 7, "strength": "x", "role": "judge", "claim": ""}, 3, "stored 'judge' is not a valid Role"
     ),
-    "id-out-of-order": (5, {"id": 2}, 5, "stored id 2 is neither the next id 1 nor one already stored"),
-    "id-negative": (8, {"id": -1}, 8, "stored id -1 is neither the next id 2 nor one already stored"),
-    "archived_id-unknown": (7, {"archived_id": 999}, 7, "resolved archived_id 999 names no active record"),
-    "archived_id-own-id": (7, {"archived_id": 2}, 7, "resolved archived_id 2 names no active record"),
-    "archived_id-bool": (7, {"archived_id": True}, 7, "resolved archived_id True names no active record"),
-    "archived_id-str": (7, {"archived_id": "0"}, 7, "resolved archived_id '0' names no active record"),
-    "archived_id-float": (7, {"archived_id": 0.0}, 7, "resolved archived_id 0.0 names no active record"),
-    "archived_id-archived": (44, {"archived_id": 11}, 44, "resolved archived_id 11 names no active record"),
+    "id-out-of-order": (2, {"id": 2}, 2, "stored id 2 is not the next id 1"),
+    "id-negative": (3, {"id": -1}, 3, "stored id -1 is not the next id 2"),
+    "archived_id-unknown": (3, {"archived_id": 999}, 3, "stored archived_id 999 names no active record"),
+    "archived_id-own-id": (3, {"archived_id": 2}, 3, "stored archived_id 2 names no active record"),
+    "archived_id-bool": (3, {"archived_id": True}, 3, "stored archived_id True names no active record"),
+    "archived_id-str": (3, {"archived_id": "0"}, 3, "stored archived_id '0' names no active record"),
+    "archived_id-float": (3, {"archived_id": 0.0}, 3, "stored archived_id 0.0 names no active record"),
+    "archived_id-archived": (26, {"archived_id": 11}, 26, "stored archived_id 11 names no active record"),
+    "archived_id-unmatched": (3, {"archived_id": 1}, 3, "stored archived_id 1 is not its matched_id 0"),
+    "matched_id-str": (3, {"matched_id": "0"}, 3, "stored matched_id '0' names no active record"),
+    "matched_id-archived": (26, {"matched_id": 11}, 26, "stored matched_id 11 names no active record"),
     "kept_new-str": (
-        7, {"kept_new": "banana"}, 7, "resolved kept_new 'banana' must be a boolean, true with an archived_id"
+        19, {"active": "banana"}, 19, "stored record 11 needs a string claim, a strength and a boolean active flag"
     ),
     "kept_new-false-archiving": (
-        7, {"kept_new": False, "archived_id": 0}, 7, "resolved kept_new False must be a boolean, true with an archived_id"
+        3, {"active": False, "archived_id": 0}, 3, "stored record 2 is inactive, so it archives nothing and has a matched_id"
     ),
-    "kept_new-false": (7, {"kept_new": False}, 8, "stored record 2 does not follow its scored event and kept_new True"),
-    "scored-three": (
-        6, {"claim": "", "strength": "x", "role": "judge"}, 8, "stored record 2 is not the claim scored at event 6"
-    ),
-    "scored-claim": (6, {"claim": "another claim"}, 8, "stored record 2 is not the claim scored at event 6"),
-    "seq-repeated": (8, {SEQ: 7}, 7, "stored seq does not increase"),
+    "kept_new-false": (1, {"active": False}, 1, "stored record 0 is inactive, so it archives nothing and has a matched_id"),
+    "seq-repeated": (3, {SEQ: 2}, 2, "stored seq does not increase"),
 }
 
 
@@ -602,9 +649,10 @@ TRACE_FIELD_FAULTS = {
 def test_a_bad_stored_or_resolved_field_fails_verify_and_rebuild(
     default_sweep_trace, tmp_path, capsys, seq, edits, reported, message
 ):
+    """A stored event carries what the resolved event did (the
+    deduplication outcome), so both readers check those fields on it."""
     trace, _ = default_sweep_trace
-    assert [engine.read_trace(trace)[s].payload.get("id") for s in (5, 8, 42)] == [1, 2, 11]
-    assert [engine.read_trace(trace)[s].kind for s in (6, 7)] == ["scored", "resolved"]
+    assert [engine.read_trace(trace)[s].payload.get("id") for s in (1, 2, 3, 19)] == [0, 1, 2, 11]
     bad = edited_trace(trace, tmp_path, seq, edits)
     capsys.readouterr()
     assert main(["trace-verify", str(bad)]) == 3
@@ -614,37 +662,33 @@ def test_a_bad_stored_or_resolved_field_fails_verify_and_rebuild(
 
 
 # Events appended to the default sweep_u_0.4.jsonl, whose records 0 to 99
-# are stored and record 0 is active at its end: (kinds appended, index of
-# the event reported, message).
-SCORED = {"claim": "an unstored claim", "strength": 0.5, "role": "opponent"}
-RESOLVED = {"kept_new": True, "similarity": 0.25, "archived_id": 0}
-UNFINISHED_INGESTS = {
-    "scored-resolved-end": (["scored", "resolved"], 1, "resolved ends the trace before record 100 is stored"),
-    "scored-end": (["scored"], 0, "scored ends the trace before record 100 is stored"),
-    "resolved-updated": (
-        ["scored", "resolved", "updated"], 2, "updated follows resolved event {1} in place of the stored event of record 100"
+# are stored: (kind, payload, message).
+APPENDED_EVENTS = {
+    "stored-again": ("stored", {"record 0 inactive"}, "stored id 0 is not the next id 100"),
+    "header-again": ("header", {"the header"}, "header is not the first event"),
+    "rescaled-unknown-id": (
+        "rescaled", {"factor": 0.5, "ids": [99, 100]}, "rescaled ids [99, 100] are not increasing ids of stored records"
     ),
-    "scored-warning": (["scored", "warning"], 1, "warning follows scored event {0} in place of its resolved event"),
-    "resolved-restore": (
-        ["scored", "resolved", "stored"], 2, "stored follows resolved event {1} in place of the stored event of record 100"
-    ),
+    "rescaled-unsorted": ("rescaled", {"factor": 0.5, "ids": [1, 0]}, "rescaled ids [1, 0] are not increasing ids of stored records"),
+    "rescaled-ids-str": ("rescaled", {"factor": 0.5, "ids": "0"}, "rescaled ids '0' are not increasing ids of stored records"),
+    "rescaled-factor-negative": ("rescaled", {"factor": -0.5, "ids": [0]}, "rescaled factor -0.5 is not a finite number >= 0"),
+    "rescaled-factor-str": ("rescaled", {"factor": "0.5", "ids": [0]}, "rescaled factor '0.5' is not a number"),
 }
 
 
-@pytest.mark.parametrize("kinds, reported, message", UNFINISHED_INGESTS.values(), ids=UNFINISHED_INGESTS.keys())
-def test_an_unfinished_ingest_fails_verify_and_rebuild(default_runs, tmp_path, capsys, kinds, reported, message):
+@pytest.mark.parametrize("kind, payload, message", APPENDED_EVENTS.values(), ids=APPENDED_EVENTS.keys())
+def test_an_appended_event_fails_verify_and_rebuild(default_runs, tmp_path, capsys, kind, payload, message):
     trace, agent = default_runs["sweep_u_0.4.jsonl"]
-    assert agent.memory.insertion_counter == 100 and agent.memory.records[0].active
+    assert agent.memory.insertion_counter == 100
     rows = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
-    record_0 = next(row["payload"] for row in rows if row["kind"] == "stored" and row["payload"]["id"] == 0)
-    # The stored event re-stores record 0, archived by the resolved event before it.
-    payloads = {"scored": SCORED, "resolved": RESOLVED, "updated": {}, "warning": {"message": "x"}}
-    payloads["stored"] = {**record_0, "active": False}
-    seqs = [len(rows) + i for i in range(len(kinds))]
-    rows += [{"seq": seq, "kind": kind, "payload": payloads[kind]} for seq, kind in zip(seqs, kinds)]
-    bad = tmp_path / "unfinished.jsonl"
+    if payload == {"record 0 inactive"}:
+        payload = {**next(row["payload"] for row in rows if row["kind"] == "stored"), "active": False, "matched_id": 0}
+    elif payload == {"the header"}:
+        payload = rows[0]["payload"]
+    rows.append({"seq": len(rows), "kind": kind, "payload": payload})
+    bad = tmp_path / "appended.jsonl"
     bad.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
-    expected = f"event {seqs[reported]}: {message.format(*seqs)}"
+    expected = f"event {len(rows) - 1}: {message}"
     capsys.readouterr()
     assert main(["trace-verify", str(bad)]) == 3
     assert capsys.readouterr().err == f"verification failed: {expected}\n"
@@ -661,21 +705,98 @@ def test_trace_verify_rejects_a_tampered_s_before(default_sweep_trace, tmp_path,
     assert capsys.readouterr().err == f"verification failed: event {seq}: S_before inconsistent with L_before\n"
 
 
-# Faults a rebuilt store shows; of them, trace-verify sees only
-# restore-active.  (trace, seq edited, edits, seq reported, message).
-# sweep_a_1.0.jsonl re-stores every seed after rescaling it, record 0 at
-# seq 30.  Record 11 of sweep_u_0.4.jsonl lost deduplication at similarity
-# 1.0 (resolved at seq 41, stored at seq 42).
-STORE_FAULTS = {
-    "restore-claim": ("sweep_a_1.0.jsonl", 30, {"claim": "another claim"}, 30, "stored again as another"),
-    "restore-polarity": ("sweep_a_1.0.jsonl", 30, {"polarity": -1}, 30, "stored again as another"),
-    "restore-role": ("sweep_a_1.0.jsonl", 30, {"role": "self"}, 30, "stored again as another"),
-    "restore-active": ("sweep_a_1.0.jsonl", 30, {"active": False}, 30, "stored again as another"),
-    "loser-similarity-ulp": (
-        "sweep_u_0.4.jsonl", 41, {"similarity": math.nextafter(1.0, 0.0)}, 42, "lose to at 0.9999999999999999"
+def flip_bit_40(value: float) -> float:
+    (bits,) = struct.unpack("<Q", struct.pack("<d", value))
+    (flipped,) = struct.unpack("<d", struct.pack("<Q", bits ^ (1 << 40)))
+    return flipped
+
+
+# Edits that trace-verify catches only by deriving each contribution again
+# from the header's (u, a): (trace, seq edited, edits, seq reported,
+# message).  Seq 1 of either sweep trace stores seed record 0, whose
+# contribution the edit keeps; seq 14 of sweep_u_0.4.jsonl stores the
+# first opponent record.  sweep_a_1.0.jsonl rescales its seeds at seq 11,
+# so record 0's contribution at seq 1 is never folded into an updated L.
+REDERIVED = "stored contribution {} != re-derived {}"
+CONTRIBUTION_EDITS = {
+    "polarity": ("sweep_u_0.4.jsonl", 1, {"polarity": -1}, 1, REDERIVED.format(0.45805755822733496, -0.45805755822733496)),
+    "strength": ("sweep_u_0.4.jsonl", 1, {"strength": 0.5}, 1, REDERIVED.format(0.45805755822733496, math.log1p(0.5 * 0.7))),
+    "role": ("sweep_u_0.4.jsonl", 1, {"role": "opponent"}, 1, REDERIVED.format(0.45805755822733496, math.log1p(0.83 * 0.4))),
+    "uptake": ("sweep_u_0.4.jsonl", 0, {"uptake": 0.5}, 14, REDERIVED.format(-0.28367405105424215, -math.log1p(0.82 * 0.5))),
+    "anchoring": ("sweep_u_0.4.jsonl", 0, {"anchoring": 0.5}, 1, REDERIVED.format(0.45805755822733496, math.log1p(0.83 * 0.5))),
+    "rescaled-seed-bit-40": (
+        "sweep_a_1.0.jsonl", 1, {"contribution": flip_bit_40(0.6043159668533296)}, 1,
+        REDERIVED.format(flip_bit_40(0.6043159668533296), 0.6043159668533296),
     ),
-    "loser-similarity-null": ("sweep_u_0.4.jsonl", 41, {"similarity": None}, 42, "lose to at None"),
-    "loser-similarity-missing": ("sweep_u_0.4.jsonl", 41, {"similarity": DELETE}, 42, "lose to at None"),
+}
+
+
+@pytest.mark.parametrize("name, seq, edits, reported, message", CONTRIBUTION_EDITS.values(), ids=CONTRIBUTION_EDITS.keys())
+def test_trace_verify_rederives_each_contribution(default_runs, tmp_path, capsys, name, seq, edits, reported, message):
+    trace = default_runs[name][0]
+    assert main(["trace-verify", str(trace)]) == 0
+    bad = edited_trace(trace, tmp_path, seq, edits)
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    assert capsys.readouterr().err == f"verification failed: event {reported}: {message}\n"
+
+
+def test_trace_verify_rederives_a_record_superseded_within_its_message(tmp_path, capsys):
+    """Record 0 is archived by record 1 of its own message, so its
+    contribution never reaches an updated L; its bit 40 still counts."""
+    agent = simulation.make_agent("a", "t", simulation.OPEN_MINDED, 0.8, 0.5)
+    text = "CLAIM +0.3: the same claim twice\nCLAIM +0.9: the same claim twice"
+    engine.process_message(agent, credence.Message(text=text, author_role="opponent", order=0))
+    first, second = (event for event in agent.trace if event.kind == "stored")
+    assert second.payload["archived_id"] == first.payload["id"] == 0
+    path = tmp_path / "superseded.jsonl"
+    engine.write_trace(path, agent.trace)
+    assert main(["trace-verify", str(path)]) == 0
+    contribution = first.payload["contribution"]
+    bad = edited_trace(path, tmp_path, first.seq, {"contribution": flip_bit_40(contribution)})
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    message = REDERIVED.format(flip_bit_40(contribution), contribution)
+    assert capsys.readouterr().err == f"verification failed: event {first.seq}: {message}\n"
+
+
+# A number field set to an integer outside float range: (trace, seq, kind).
+HUGE = 10**400
+HUGE_FIELDS = {
+    "uptake": ("sweep_u_0.4.jsonl", 0, "header"),
+    "anchoring": ("sweep_u_0.4.jsonl", 0, "header"),
+    "contribution": ("sweep_u_0.4.jsonl", 1, "stored"),
+    "factor": ("sweep_a_1.0.jsonl", 11, "rescaled"),
+    "L_before": ("sweep_u_0.4.jsonl", 12, "updated"),
+}
+
+
+@pytest.mark.parametrize("field", HUGE_FIELDS)
+def test_trace_verify_rejects_an_integer_outside_float_range(default_runs, tmp_path, capsys, field):
+    name, seq, kind = HUGE_FIELDS[field]
+    bad = edited_trace(default_runs[name][0], tmp_path, seq, {field: HUGE})
+    assert engine.read_trace(bad)[seq].kind == kind
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    assert capsys.readouterr().err == f"verification failed: event {seq}: {kind} {field} {HUGE!r} is not a number\n"
+
+
+# Faults a rebuilt store shows: (trace, seq edited, edits, seq reported,
+# message).  Of them, trace-verify sees only rescaled-above-1; the others
+# edit a deduplication decision, which it trusts.  sweep_a_1.0.jsonl
+# rescales its seeds, record 0 with strength 0.83 first, at seq 11.
+# Record 11 of sweep_u_0.4.jsonl lost deduplication to record 9 at
+# similarity 1.0 (stored at seq 19).
+STORE_FAULTS = {
+    "rescaled-above-1": (
+        "sweep_a_1.0.jsonl", 11, {"factor": 2.0}, 11, r"rescaled strength of record 0 1.66 is not a finite number in \[0, 1\]"
+    ),
+    "loser-similarity-ulp": (
+        "sweep_u_0.4.jsonl", 19, {"similarity": math.nextafter(1.0, 0.0)}, 19, "no record 9 to lose to at 0.9999999999999999"
+    ),
+    "loser-similarity-null": ("sweep_u_0.4.jsonl", 19, {"similarity": None}, 19, "no record 9 to lose to at None"),
+    "loser-similarity-missing": ("sweep_u_0.4.jsonl", 19, {"similarity": DELETE}, 19, "no record 9 to lose to at None"),
+    "loser-matched_id": ("sweep_u_0.4.jsonl", 19, {"matched_id": 8}, 19, "no record 8 to lose to at 1.0"),
 }
 
 

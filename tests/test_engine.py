@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from credence.core import Role, UAProfile
+from credence.core import BeliefState, Role, UAProfile
 from credence.engine import (
+    TRACE_SCHEMA,
     AgentState,
     EngineConfig,
     TraceEvent,
@@ -66,8 +67,22 @@ def test_process_message_updates_belief():
     agent = make_agent()
     events = process_message(agent, Message(text="CLAIM +0.5: x", author_role="opponent", order=0))
     kinds = [e.kind for e in events]
-    assert kinds == ["extracted", "scored", "resolved", "stored", "updated"]
+    assert kinds == ["extracted", "stored", "updated"]
     assert agent.belief.log_odds == pytest.approx(math.log1p(0.5 * 0.4))
+    assert events[0].payload == {"count": 1}
+    assert events[1].payload == {
+        "id": 0, "claim": "x", "polarity": 1, "strength": 0.5, "role": "opponent", "active": True,
+        "contribution": math.log1p(0.5 * 0.4), "similarity": None, "matched_id": None, "archived_id": None,
+    }
+
+
+def test_an_agent_trace_opens_with_its_header():
+    agent = make_agent(uptake=0.3, anchoring=0.6, k=4)
+    assert [(e.seq, e.kind) for e in agent.trace] == [(0, "header")]
+    assert agent.trace[0].payload == {
+        "schema": TRACE_SCHEMA, "agent_id": "a", "topic": "the topic", "uptake": 0.3, "anchoring": 0.6,
+        "theta": 0.8, "theta_self": 0.5, "k": 4,
+    }
 
 
 def test_process_message_rejects_stale_order():
@@ -151,9 +166,16 @@ def test_verify_rejects_nonmonotone_seq():
         verify_trace(agent.trace)
 
 
-def test_verify_empty_trace_is_zero_state():
-    final = verify_trace([])
-    assert (final.log_odds, final.stance) == (0.0, 0.0)
+def test_verify_rejects_a_trace_without_a_header():
+    agent = make_agent()
+    assert verify_trace(agent.trace) == BeliefState.zero()  # a header alone is the zero state
+    process_message(agent, Message(text="CLAIM +0.5: x", author_role="opponent", order=0))
+    with pytest.raises(TraceVerificationError, match="^the trace has no header: it holds no event$"):
+        verify_trace([])
+    with pytest.raises(TraceVerificationError, match="^event 1: the trace has no header: its first event is extracted$"):
+        verify_trace(agent.trace[1:])
+    with pytest.raises(TraceVerificationError, match="^event 4: header is not the first event$"):
+        verify_trace([*agent.trace, TraceEvent(4, "header", agent.trace[0].payload)])
 
 
 def test_read_trace_rejects_garbage(tmp_path):

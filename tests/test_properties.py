@@ -28,6 +28,7 @@ from credence.config import DEFAULT_TOPIC, bundled_text
 from credence.core import Role, UAProfile, compute_log_odds, stance_from_log_odds
 from credence.engine import (
     BIN_LABELS,
+    TRACE_SCHEMA,
     TraceEvent,
     compose_response,
     process_message,
@@ -491,19 +492,29 @@ message_lines = st.lists(
 
 
 def resummed_log_odds(events) -> float:
-    """L from the last stored contribution of each id still active at the
-    end of the trace, summed in id order from zero."""
-    contributions, active = {}, {}
+    """L re-derived from the trace alone: each id's polarity, strength and
+    role from its stored event, its strength times each rescaled factor
+    that names it, and p*log1p(s*gamma) under the header's (u, a), summed
+    in id order from zero over the ids still active at the end."""
+    records, active = {}, {}
     for event in events:
-        if event.kind == "stored":
-            contributions[event.payload["id"]] = event.payload["contribution"]
-            active[event.payload["id"]] = event.payload["active"]
-        elif event.kind == "resolved" and event.payload.get("archived_id") is not None:
-            active[event.payload["archived_id"]] = False
+        payload = event.payload
+        if event.kind == "header":
+            profile = UAProfile(payload["uptake"], payload["anchoring"])
+        elif event.kind == "stored":
+            records[payload["id"]] = [payload["polarity"], payload["strength"], payload["role"]]
+            active[payload["id"]] = payload["active"]
+            if payload["archived_id"] is not None:
+                active[payload["archived_id"]] = False
+        elif event.kind == "rescaled":
+            for record_id in payload["ids"]:
+                records[record_id][1] *= payload["factor"]
     total = 0.0
-    for record_id in sorted(contributions):
-        if active.get(record_id):
-            total += contributions[record_id]
+    for record_id in sorted(records):
+        if active[record_id]:
+            polarity, strength, role = records[record_id]
+            gamma = profile.anchoring if role == "seed" else profile.uptake
+            total += polarity * math.log1p(strength * gamma)
     return total
 
 
@@ -559,7 +570,11 @@ def test_incremental_belief_equals_batch_fold(uptake, anchoring, seedings, round
 TRACE_FIELD_EDITS = {
     "contribution": ("stored", lambda v: (v + 1e-6, -v, 0.0, math.nan)),
     "active": ("stored", lambda v: (not v, not v, None, 1)),
-    "archived_id": ("resolved", lambda v: (None, 0, (v or 0) + 1, 2.5)),
+    "archived_id": ("stored", lambda v: (None, 0, (v or 0) + 1, 2.5)),
+    "polarity": ("stored", lambda v: (-v, -v, 0, True)),
+    "strength": ("stored", lambda v: (v / 2, 1.0 - v, 2.0, "0.5")),
+    "role": ("stored", lambda v: ("seed" if v != "seed" else "opponent", "self", "judge", None)),
+    "factor": ("rescaled", lambda v: (v * 2, v / 2, -v, math.nan)),
     "L_after": ("updated", lambda v: (v + 1e-13, v + 1e-9, math.nan, True)),
     "seq": (None, lambda v: (v - 1, v + 1, v + 1000, 0)),
 }
@@ -788,53 +803,62 @@ def test_belief_drops_a_record_archived_from_outside():
     assert agent.belief.log_odds == compute_log_odds(active, profile)
 
 
-def stored(seq: int, record_id: int, active: bool, contribution: float) -> TraceEvent:
-    payload = {"id": record_id, "claim": f"claim {record_id}", "polarity": 1, "strength": 0.5, "role": "seed"}
-    return TraceEvent(seq, "stored", {**payload, "active": active, "contribution": contribution})
+# A header whose seeds weigh anchoring 1.0.
+HEADER = TraceEvent(
+    0,
+    "header",
+    {"schema": TRACE_SCHEMA, "agent_id": "a", "topic": "t", "uptake": 0.5, "anchoring": 1.0,
+     "theta": 0.8, "theta_self": 0.5, "k": 5},
+)
 
 
-def new_record(seq: int, record_id: int, contribution: float) -> list:
-    """The scored, resolved and stored events, from seq on, of a new active
-    record as the engine writes them."""
-    return [
-        TraceEvent(seq, "scored", {"claim": f"claim {record_id}", "strength": 0.5, "role": "seed"}),
-        TraceEvent(seq + 1, "resolved", {"kept_new": True, "similarity": None, "archived_id": None}),
-        stored(seq + 2, record_id, True, contribution),
-    ]
+def stored(seq: int, record_id: int, active: bool, strength: float, matched_id=None) -> TraceEvent:
+    """The stored event of a new seed record as the engine writes it under
+    HEADER."""
+    payload = {"id": record_id, "claim": f"claim {record_id}", "polarity": 1, "strength": strength, "role": "seed"}
+    return TraceEvent(
+        seq,
+        "stored",
+        {**payload, "active": active, "contribution": math.log1p(strength), "similarity": None if matched_id is None else 1.0,
+         "matched_id": matched_id, "archived_id": None},
+    )
 
 
-def test_verify_resums_after_non_increasing_id():
-    def trace(l_after):
-        events = [*new_record(0, 0, 0.5), *new_record(3, 1, 1e16), *new_record(6, 2, -1e16), stored(9, 0, True, 1.0)]
-        stance = math.tanh(l_after / 2.0)
-        events.append(
-            TraceEvent(10, "updated", {"L_before": 0.0, "L_after": l_after, "S_before": 0.0, "S_after": stance})
-        )
-        return events
+def updated(seq: int, l_before: float, l_after: float) -> TraceEvent:
+    payload = {"L_before": l_before, "L_after": l_after, "S_before": math.tanh(l_before / 2.0)}
+    return TraceEvent(seq, "updated", {**payload, "S_after": math.tanh(l_after / 2.0)})
 
-    # Record 0 is stored again.  In id order the sum is (1 + 1e16) - 1e16
-    # = 0; in stored order it is 1.
-    assert verify_trace(trace(0.0)).log_odds == 0.0
-    with pytest.raises(TraceVerificationError):
-        verify_trace(trace(1.0))
+
+def test_verify_resums_after_a_rescale():
+    """A rescaled event multiplies its active ids' strengths by its factor,
+    and the next update folds the active set again in id order, from the
+    contributions derived at the new strengths."""
+    seeds = [stored(1, 0, True, 0.5), stored(2, 1, True, 0.25), stored(3, 2, False, 0.2, matched_id=0)]
+    seeds[2].payload["claim"] = "claim 0"  # a repeat, at similarity 1.0, loses to the stronger record 0
+    factor = 0.75
+    rescaled = TraceEvent(4, "rescaled", {"factor": factor, "ids": [0, 1, 2]})
+    first = math.log1p(0.5) + math.log1p(0.25)
+    again = math.log1p(0.5 * factor) + math.log1p(0.25 * factor)
+    assert verify_trace([HEADER, *seeds, rescaled, updated(5, 0.0, again)]).log_odds == again
+    with pytest.raises(TraceVerificationError, match=f"event 5: L_after {first} != replayed {again}"):
+        verify_trace([HEADER, *seeds, rescaled, updated(5, 0.0, first)])
+    store = store_from_trace([HEADER, *seeds, rescaled])
+    assert [r.strength for r in store] == [0.5 * factor, 0.25 * factor, 0.2 * factor]
 
 
 def test_verify_rejects_a_record_stored_again_as_inactive():
-    """Only a resolved event's archived_id takes a stored record out of the
-    active set; a new record comes after its scored and resolved events."""
-    events = [
-        *new_record(0, 0, 1.0),
-        TraceEvent(3, "updated", {"L_before": 0.0, "L_after": 1.0, "S_before": 0.0, "S_after": math.tanh(0.5)}),
-        stored(4, 0, False, 1.0),
-    ]
-    assert verify_trace(events[:4]).log_odds == 1.0
-    message = "event 4: stored record 0 stored again as another: active False"
+    """A stored event holds the next id: a record stored again, as the old
+    format's seed rescale did, fails in both readers, and a trace needs
+    its header first."""
+    events = [HEADER, stored(1, 0, True, 0.5), updated(2, 0.0, math.log1p(0.5)), stored(3, 0, False, 0.5)]
+    assert verify_trace(events[:3]).log_odds == math.log1p(0.5)
+    message = "event 3: stored id 0 is not the next id 1"
     with pytest.raises(TraceVerificationError, match=message):
         verify_trace(events)
     with pytest.raises(TraceVerificationError, match=message):
         store_from_trace(events)
-    with pytest.raises(TraceVerificationError, match="event 0: stored record 0 does not follow its scored event"):
-        verify_trace([stored(0, 0, True, 1.0)])
+    with pytest.raises(TraceVerificationError, match="event 1: the trace has no header: its first event is stored"):
+        verify_trace(events[1:])
 
 
 def test_embeddings_are_shared_and_read_only():

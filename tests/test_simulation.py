@@ -68,7 +68,7 @@ def test_seed_agent_rejects_a_target_outside_the_stance_range_before_storing(tar
     agent = make_agent("x", "t", OPEN_MINDED, 0.6, 0.45)
     with pytest.raises(ContractError, match=r"seed target .* outside \[-1, 1\]"):
         seed_agent(agent, CORPUS, 5, target)
-    assert len(agent.memory) == 0 and agent.trace == []
+    assert len(agent.memory) == 0 and [e.kind for e in agent.trace] == ["header"]
 
 
 def test_make_agent_rejects_thresholds_outside_the_unit_interval():
