@@ -16,7 +16,11 @@ re-recorded once, when the unread ``engine`` section and
 trace digests were re-recorded once, when deduplication similarity
 became the exact cosine of integer trigram counts; only ``similarity``
 values in ``resolved`` events changed then (1,338 of 11,777 events, by
-at most 4.6e-16 relative), and every CSV and config digest held.
+at most 4.6e-16 relative), and every CSV and config digest held.  They
+were re-recorded once more when the trace format gained its header and
+wrote one ``stored`` event per ingest and one ``rescaled`` event per seed
+rescale: 11,777 events became 5,218, and again every CSV and config
+digest held.
 
 That ``resolved_config.json`` holds every config key with its default,
 and most defaults are read from the signatures of the run objects that
@@ -39,16 +43,16 @@ GOLDEN_SHA256 = {
         'resolved_config.json': 'f7825cb1861c345c561480ffd2c082ef7cdcaba2a13709e8682522aef5687216',
         'sweep_finals.csv': '128a45da4f24917b7dd9fe0c85525c53ad6430e8804de46e4c4967eea1522c4b',
         'sweep_trajectories.csv': 'd0dd720dfff16598f3b3f03ff13f34c6004d8845b813ebf74eda25ed594ad967',
-        'traces/sweep_a_0.2.jsonl': '3357f064f90003c864e16f2849b87e5f66af527a8ece2a25223415a7a624d1c4',
-        'traces/sweep_a_0.4.jsonl': '947262b739e0d6115f3e353f1ab473a1aff6f5d7321c9c3edac629bc650a2dbf',
-        'traces/sweep_a_0.6.jsonl': '649863841aef2f0dfe099a91c58c356d854fd72ef2669375c1aed12a28b97fa3',
-        'traces/sweep_a_0.8.jsonl': '59f055e01e4d40b47786354199ccf908c260b211a65b68026603086ec9c4a49e',
-        'traces/sweep_a_1.0.jsonl': 'd27692c5d8bf510220086d36cae05fed5021ca0b0a72ff0e0e645b182ebd43b4',
-        'traces/sweep_u_0.2.jsonl': '8dd9f5be44e348bcd2abb1ad05f3fe055ba00016db6b94128617fe88a9bd0787',
-        'traces/sweep_u_0.4.jsonl': 'bb0508cc2453087c949d1b07ca203ad6ecfac7fb5cceac578558d6189ec8f9ac',
-        'traces/sweep_u_0.6.jsonl': '3265c1358f41f5c71887a551538603d25260decab86561e50169d8c3bca1c4ca',
-        'traces/sweep_u_0.8.jsonl': 'b412963ee6c3c4e1727b917cbfd8b6646229d608e4574df4ef0211fb0f2e9810',
-        'traces/sweep_u_1.0.jsonl': 'b81231cac6103dc0fc04e8b28d5a2a17ffb5b18ccc31a7420d6c492340d9973a',
+        'traces/sweep_a_0.2.jsonl': 'b4931ff0b3c1b423d7e661897fc20babbdaa7cc718c0df78e961d2a2b3ef0cdc',
+        'traces/sweep_a_0.4.jsonl': '7ef054c1c715628a8c78a1fb77c0d1756458ecedd51b88ea98487dbecf109dbb',
+        'traces/sweep_a_0.6.jsonl': 'ddacc6c9c1e83a1bdf1bf1cfeced17baa1b247ec29ca19b46000a48cd3b6ccb2',
+        'traces/sweep_a_0.8.jsonl': 'a9272e6dcb05d033e72ec89f4dead2ef1a19e0a97fc92ec667a6d146d8d93a31',
+        'traces/sweep_a_1.0.jsonl': 'b2bc6963380da332d90573f53620c0ab7d1fed5ab1fa50d5347ee156fa0f96ce',
+        'traces/sweep_u_0.2.jsonl': '3402c115bcf13da4c613d72ecef9a9ba5bbb76e3e0938995d26fade13675111e',
+        'traces/sweep_u_0.4.jsonl': '73698f9970ec65ba7061aa59bed383e26cb0f5126326a4f691954fe55c0ee6dd',
+        'traces/sweep_u_0.6.jsonl': '566d65dae0647f4ba52843d1e859bfd26a514e8e7d2978214bc00491e624ec4c',
+        'traces/sweep_u_0.8.jsonl': '63b6ea1606b11783342eb3cf9e5ca457bbaa3552121fac4c4e4594118b008b1f',
+        'traces/sweep_u_1.0.jsonl': '8266469944bd0ba227a587846560c913454ff2e287a7bc53ea39e31b57efe189',
     },
     'debate': {
         'convergence.csv': '0334eb51d0efb47bbda0d5aa7b1eb145c7fa265e9a99891d17768a794e1abd63',
@@ -56,30 +60,30 @@ GOLDEN_SHA256 = {
         'debate_summary.csv': '0838039debd1a3e1ccfeffff39bb50abc4c470e90099f2122b598c75168d8fdd',
         'resolved_config.json': 'f7825cb1861c345c561480ffd2c082ef7cdcaba2a13709e8682522aef5687216',
         'series.csv': 'a7a1964ed41ec09f5aa9405c72566cc68cb5b4f84ef697babdbf7c7f874fcc6b',
-        'traces/debate_open-open_t0_con.jsonl': 'd876d404e26386e3ee1d8e377b4768e212d08f6900f40ee380317b36d096b5c0',
-        'traces/debate_open-open_t0_pro.jsonl': '8f2dd7d0f61de0439365ef0dc6b3cac2694d2659df0b30fb8cafdf1f7bee0001',
-        'traces/debate_open-open_t1_con.jsonl': '1c7436c8723d6e74dc13cb3c0c748682977a126a9066a09b03ca439b44373a86',
-        'traces/debate_open-open_t1_pro.jsonl': '47ed745ea77295b2278019eae38520f8d7210e9ccbaa54d0e3d65d676430bb63',
-        'traces/debate_open-open_t2_con.jsonl': '434c76da324fb07336f6cfadc30014491656bfb4f619e5ac60bf97342592d899',
-        'traces/debate_open-open_t2_pro.jsonl': '8da68ec5f759fb35556c4bdc16ebcaadb1726022f49e5960d44b9f68244c8f6b',
-        'traces/debate_open-stubborn_t0_con.jsonl': '7a3a7e9a6dc68bb1f85a40ecbd5f4bc254dd61fc57215b201171c9e8784c8347',
-        'traces/debate_open-stubborn_t0_pro.jsonl': '49238627ad21fa61fdc51f2ab2d25595c76964c2eb0a65bc7fa6894fe4d6e81e',
-        'traces/debate_open-stubborn_t1_con.jsonl': 'e2d726234949142d42239b46c738577e167245a4d523132cd9824229768bccb7',
-        'traces/debate_open-stubborn_t1_pro.jsonl': '67baac1448a9bd44fabff5099d6a362c58a411752b34a550e525cd0bef48707f',
-        'traces/debate_open-stubborn_t2_con.jsonl': 'df9adef17ce39483378c722b5f008f68314565253279cebef7568a78356cc4d0',
-        'traces/debate_open-stubborn_t2_pro.jsonl': 'ef75e614d603975e6cd20fdd81fb0e8ea61d18a1cf81fc59c2960030430c73e9',
-        'traces/debate_stubborn-open_t0_con.jsonl': '9d41098ded146dc4dc5e33242e3abe2121e523abaff9c2901cf9d7029a2e6039',
-        'traces/debate_stubborn-open_t0_pro.jsonl': 'db0c375b5df65a7ba326a626adb14f301ae8625ac52ac7f97588fea081c00f20',
-        'traces/debate_stubborn-open_t1_con.jsonl': '23380040bd4d27f71581604b7f90ea2511dfbb531885d6e4911b995197fb3262',
-        'traces/debate_stubborn-open_t1_pro.jsonl': '91c521f3fa0780086908603f33d5c7e90e72c5b938678b62b8e4586a640bae8b',
-        'traces/debate_stubborn-open_t2_con.jsonl': 'ba39e148d1746a032e199549b767e059e28ecb05e10145df9d6df512e46432ba',
-        'traces/debate_stubborn-open_t2_pro.jsonl': 'b02ad3cd2e3e49670927bcc07d333c3da9c840d70773a27fb1d1a980afb254a4',
-        'traces/debate_stubborn-stubborn_t0_con.jsonl': '07828a179af374658260f50be9e6e05487b94c9bfa72b762a2a436eaab39ad9b',
-        'traces/debate_stubborn-stubborn_t0_pro.jsonl': '15394c9b27b71f87ae35aa10d16847a79f3295d2223c79932c2b188945d5653e',
-        'traces/debate_stubborn-stubborn_t1_con.jsonl': '62b65c2012b84220345bf15f9b831253ca42610b6653dac44bdcec7d6a30ee11',
-        'traces/debate_stubborn-stubborn_t1_pro.jsonl': 'e98fb73ac2ff397660156cce4e80e93438644091895004008e5b20a5e0f4afec',
-        'traces/debate_stubborn-stubborn_t2_con.jsonl': '045363735b7b125d6e96552cec7c3893eb9d3b8d2945fce9c0c2b4ad1d994748',
-        'traces/debate_stubborn-stubborn_t2_pro.jsonl': '38a8b1de434bb34f1ee5d039658a5fcda86693deecc03a6cdae7627aa74a41f7',
+        'traces/debate_open-open_t0_con.jsonl': '93c659741bbeec5c1e85738e1c1799fcce014646f34639866479a14f074dfbb1',
+        'traces/debate_open-open_t0_pro.jsonl': '64f38965d06c7e294610092e955c6bc78951e3f145cc5bfa4fdbdd9d8be8b904',
+        'traces/debate_open-open_t1_con.jsonl': 'c95352ffa93d7c22719dac163557643c2540b692f4fb7e53bd81440e76dbcad4',
+        'traces/debate_open-open_t1_pro.jsonl': '383ce0d002197c26755c0012ac58bdbff786a435e5d60b7365375343ab1c2b70',
+        'traces/debate_open-open_t2_con.jsonl': '3afbe73c1cb19a095a8c7dba63381588833bf413aafd057a696e2894493292b1',
+        'traces/debate_open-open_t2_pro.jsonl': '76efb7ff88def4fd964ecab1fcc5a9e8692ce8a4cab66977258ffc8109ef59ca',
+        'traces/debate_open-stubborn_t0_con.jsonl': 'b4e6838b55e1882d8bcdd241625aa584b685ae20ad7ed1b1ef18728a9967a324',
+        'traces/debate_open-stubborn_t0_pro.jsonl': 'c374e78febe85bf836981b51a938810bac4ad5b704af04a4efb9c84aebfeffaf',
+        'traces/debate_open-stubborn_t1_con.jsonl': '93ea41c93e044d7a2871f299d29d2aac32c018001b2411120446b3dd8d9293e4',
+        'traces/debate_open-stubborn_t1_pro.jsonl': '914fe66586849e8ec35e5037a0be7a4485e5a7632cd306b9145fbde6368ff451',
+        'traces/debate_open-stubborn_t2_con.jsonl': '8632c436abbd31918926212bb7681c22d2b0229df9d8035a30800d49e7863e5f',
+        'traces/debate_open-stubborn_t2_pro.jsonl': '45dd6f894d5c593ea99c12e8bf9f8e5710d2284aa8e3d14d3285b4ab0ddf4c4a',
+        'traces/debate_stubborn-open_t0_con.jsonl': '2d2c525ba300a7f69620c2836e3e83deb4586364db9d70c3133caac117149e8e',
+        'traces/debate_stubborn-open_t0_pro.jsonl': 'e820b5f48f9c255b4fe486ff839663ee08dc50caba40972067e1e0e90bc23806',
+        'traces/debate_stubborn-open_t1_con.jsonl': 'd450b5218880962d941bdc79009d13e2e905702b6fa3f46d1ca1dbeda457116a',
+        'traces/debate_stubborn-open_t1_pro.jsonl': '0d71d127d3e3ae9deb63043d51314ec25920f054b398d97b5eec85667304d8b7',
+        'traces/debate_stubborn-open_t2_con.jsonl': '4843aa82b356d1e5cebedf68d228a3b62c54c09e8b6e3cad6cd248ac7df26986',
+        'traces/debate_stubborn-open_t2_pro.jsonl': 'a94aed0a3f29cc49728d8e4a78d4e063663eed0ba145105e22b00bc305e19227',
+        'traces/debate_stubborn-stubborn_t0_con.jsonl': '7c8df4512f5535040fc183c33851dae987e2fba0e7bfeb9f0f903cff624940e1',
+        'traces/debate_stubborn-stubborn_t0_pro.jsonl': '682053775dd55a6e67e4f38a8c43aac7f5a077b9167143bda0a6d70cc1799d26',
+        'traces/debate_stubborn-stubborn_t1_con.jsonl': '151816c4f344035d101a4d6020f28c17e4a0c7ebafeb478aa23c3888ee20ca81',
+        'traces/debate_stubborn-stubborn_t1_pro.jsonl': 'e17cfdea8a5c349baccf6ccf5179af172f431d009f23fdec18ef8c08b498dc05',
+        'traces/debate_stubborn-stubborn_t2_con.jsonl': 'a97afcbbd1ed63c43c2a02ab62a667231c3eb5ce0fe725463f2f109ad3cb1b1a',
+        'traces/debate_stubborn-stubborn_t2_pro.jsonl': '4c04e1e4d7e76c308de2bf0303b0715a4925651a1eef7480f6de2f954f01625e',
     },
 }
 
