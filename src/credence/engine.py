@@ -515,7 +515,7 @@ def _replay(events) -> tuple[BeliefState, int]:
                     try:
                         check_strength(held.strength, f"rescaled strength of record {record_id}")
                     except ContractError as exc:
-                        raise TraceVerificationError(f"event {event.seq}: rescaled {exc}", seq=event.seq) from None
+                        raise TraceVerificationError(f"event {event.seq}: {exc}", seq=event.seq) from None
                     active[record_id] = held, record_contribution(held, profile)
             resum = True
         elif event.kind == "updated":
@@ -560,7 +560,7 @@ def store_from_trace(events) -> MemoryStore:
             try:
                 store.rescale([store.records[i] for i in payload["ids"]], payload["factor"])
             except ContractError as exc:
-                raise TraceVerificationError(f"event {event.seq}: rescaled {exc}", seq=event.seq) from None
+                raise TraceVerificationError(f"event {event.seq}: {exc}", seq=event.seq) from None
         if event.kind != "stored":
             continue
         claim, role = payload["claim"], Role(payload["role"])

@@ -662,17 +662,26 @@ def test_a_bad_stored_or_resolved_field_fails_verify_and_rebuild(
 
 
 # Events appended to the default sweep_u_0.4.jsonl, whose records 0 to 99
-# are stored: (kind, payload, message).
+# are stored: (kind, payload from the trace's rows, message).
 APPENDED_EVENTS = {
-    "stored-again": ("stored", {"record 0 inactive"}, "stored id 0 is not the next id 100"),
-    "header-again": ("header", {"the header"}, "header is not the first event"),
-    "rescaled-unknown-id": (
-        "rescaled", {"factor": 0.5, "ids": [99, 100]}, "rescaled ids [99, 100] are not increasing ids of stored records"
+    "stored-again": (
+        "stored", lambda rows: {**rows[1]["payload"], "active": False, "matched_id": 0}, "stored id 0 is not the next id 100"
     ),
-    "rescaled-unsorted": ("rescaled", {"factor": 0.5, "ids": [1, 0]}, "rescaled ids [1, 0] are not increasing ids of stored records"),
-    "rescaled-ids-str": ("rescaled", {"factor": 0.5, "ids": "0"}, "rescaled ids '0' are not increasing ids of stored records"),
-    "rescaled-factor-negative": ("rescaled", {"factor": -0.5, "ids": [0]}, "rescaled factor -0.5 is not a finite number >= 0"),
-    "rescaled-factor-str": ("rescaled", {"factor": "0.5", "ids": [0]}, "rescaled factor '0.5' is not a number"),
+    "header-again": ("header", lambda rows: rows[0]["payload"], "header is not the first event"),
+    "rescaled-unknown-id": (
+        "rescaled", lambda rows: {"factor": 0.5, "ids": [99, 100]},
+        "rescaled ids [99, 100] are not increasing ids of stored records",
+    ),
+    "rescaled-unsorted": (
+        "rescaled", lambda rows: {"factor": 0.5, "ids": [1, 0]}, "rescaled ids [1, 0] are not increasing ids of stored records"
+    ),
+    "rescaled-ids-str": (
+        "rescaled", lambda rows: {"factor": 0.5, "ids": "0"}, "rescaled ids '0' are not increasing ids of stored records"
+    ),
+    "rescaled-factor-negative": (
+        "rescaled", lambda rows: {"factor": -0.5, "ids": [0]}, "rescaled factor -0.5 is not a finite number >= 0"
+    ),
+    "rescaled-factor-str": ("rescaled", lambda rows: {"factor": "0.5", "ids": [0]}, "rescaled factor '0.5' is not a number"),
 }
 
 
@@ -681,11 +690,8 @@ def test_an_appended_event_fails_verify_and_rebuild(default_runs, tmp_path, caps
     trace, agent = default_runs["sweep_u_0.4.jsonl"]
     assert agent.memory.insertion_counter == 100
     rows = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
-    if payload == {"record 0 inactive"}:
-        payload = {**next(row["payload"] for row in rows if row["kind"] == "stored"), "active": False, "matched_id": 0}
-    elif payload == {"the header"}:
-        payload = rows[0]["payload"]
-    rows.append({"seq": len(rows), "kind": kind, "payload": payload})
+    assert (rows[0]["kind"], rows[1]["payload"]["id"]) == ("header", 0)
+    rows.append({"seq": len(rows), "kind": kind, "payload": payload(rows)})
     bad = tmp_path / "appended.jsonl"
     bad.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
     expected = f"event {len(rows) - 1}: {message}"
