@@ -788,12 +788,20 @@ def test_trace_verify_rejects_an_integer_outside_float_range(default_runs, tmp_p
 
 
 # Faults a rebuilt store shows: (trace, seq edited, edits, seq reported,
-# message).  Of them, trace-verify sees only rescaled-above-1; the others
-# edit a deduplication decision, which it trusts.  sweep_a_1.0.jsonl
-# rescales its seeds, record 0 with strength 0.83 first, at seq 11.
-# Record 11 of sweep_u_0.4.jsonl lost deduplication to record 9 at
-# similarity 1.0 (stored at seq 19).
+# message).  Of them, trace-verify sees only the restore rows and
+# rescaled-above-1; the others edit a deduplication decision, which it
+# trusts.  sweep_a_1.0.jsonl rescales its seeds, record 0 with strength
+# 0.83 first, at seq 11, and stores record 10 at seq 14.  The restore rows
+# turn that event into a store of record 0 again, with one field the store
+# holds for it changed, as a seed rescale's re-store did before a rescale
+# became one event.  Record 11 of sweep_u_0.4.jsonl lost deduplication to
+# record 9 at similarity 1.0 (stored at seq 19).
+RESTORED = "stored id 0 is not the next id 10"
 STORE_FAULTS = {
+    "restore-claim": ("sweep_a_1.0.jsonl", 14, {"id": 0, "claim": "another claim"}, 14, RESTORED),
+    "restore-polarity": ("sweep_a_1.0.jsonl", 14, {"id": 0, "polarity": -1}, 14, RESTORED),
+    "restore-role": ("sweep_a_1.0.jsonl", 14, {"id": 0, "role": "self"}, 14, RESTORED),
+    "restore-active": ("sweep_a_1.0.jsonl", 14, {"id": 0, "active": False}, 14, RESTORED),
     "rescaled-above-1": (
         "sweep_a_1.0.jsonl", 11, {"factor": 2.0}, 11, r"rescaled strength of record 0 1.66 is not a finite number in \[0, 1\]"
     ),

@@ -166,9 +166,14 @@ def test_verify_rejects_nonmonotone_seq():
         verify_trace(agent.trace)
 
 
+def test_verify_empty_trace_is_zero_state():
+    """A trace that holds its header and nothing more gives the zero state."""
+    final = verify_trace(make_agent().trace)
+    assert (final.log_odds, final.stance) == (0.0, 0.0)
+
+
 def test_verify_rejects_a_trace_without_a_header():
     agent = make_agent()
-    assert verify_trace(agent.trace) == BeliefState.zero()  # a header alone is the zero state
     process_message(agent, Message(text="CLAIM +0.5: x", author_role="opponent", order=0))
     with pytest.raises(TraceVerificationError, match="^the trace has no header: it holds no event$"):
         verify_trace([])

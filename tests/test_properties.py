@@ -846,6 +846,24 @@ def test_verify_resums_after_a_rescale():
     assert [r.strength for r in store] == [0.5 * factor, 0.25 * factor, 0.2 * factor]
 
 
+def test_verify_resums_after_non_increasing_id():
+    """A rescaled event names an id below the last one stored, so the
+    next update folds the active set again in id order: the replayed L is
+    that left_sum bitwise, not the sum with record 0's new contribution
+    last, which differs from it in the last bit."""
+    seeds = [stored(1, 0, True, 0.2), stored(2, 1, True, 0.6), stored(3, 2, True, 0.2)]
+    before = math.log1p(0.2) + math.log1p(0.6) + math.log1p(0.2)
+    factor = 0.5
+    contributions = [math.log1p(0.2 * factor), math.log1p(0.6), math.log1p(0.2)]
+    in_id_order = contributions[0] + contributions[1] + contributions[2]
+    rescaled_last = contributions[1] + contributions[2] + contributions[0]
+    assert in_id_order != rescaled_last
+    rescaled = TraceEvent(5, "rescaled", {"factor": factor, "ids": [0]})
+    for recorded in (in_id_order, rescaled_last):  # one ulp apart, within TOLERANCE
+        events = [HEADER, *seeds, updated(4, 0.0, before), rescaled, updated(6, before, recorded)]
+        assert verify_trace(events).log_odds == in_id_order
+
+
 def test_verify_rejects_a_record_stored_again_as_inactive():
     """A stored event holds the next id: a record stored again, as the old
     format's seed rescale did, fails in both readers, and a trace needs
