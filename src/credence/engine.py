@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -34,7 +35,7 @@ from .core import (
 )
 from .exceptions import ConfigError, ContractError, TraceVerificationError
 from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, judge
+from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, ingest_record, judge
 from .memory import MemoryStore, RetrievalContext
 
 BIN_LABELS = (
@@ -356,39 +357,66 @@ def _field(event: TraceEvent, key: str) -> float:
     raise TraceVerificationError(f"event {event.seq}: {event.kind} {key} {value!r} is not a number", seq=event.seq)
 
 
-def _check_header(event: TraceEvent) -> None:
-    """The header's schema is TRACE_SCHEMA, its agent id and topic are
-    strings, its (u, a) make a UAProfile, its thresholds are in [0, 1] and
-    its k is an integer >= 1; else ContractError or ConfigError."""
+def _check_header(event: TraceEvent) -> UAProfile:
+    """The profile of a header whose schema is TRACE_SCHEMA, whose agent
+    id and topic are strings, whose (u, a) make a UAProfile and whose
+    theta, theta_self and k pass check_ranges; else ContractError or
+    ConfigError."""
     payload = event.payload
     if payload.get("schema") != TRACE_SCHEMA:
         raise ContractError(f"schema {payload.get('schema')!r} is not {TRACE_SCHEMA}")
     if not (isinstance(payload.get("agent_id"), str) and isinstance(payload.get("topic"), str)):
         raise ContractError("needs a string agent_id and topic")
-    UAProfile(_field(event, "uptake"), _field(event, "anchoring"))
-    for name in ("theta", "theta_self"):
-        if not 0.0 <= _field(event, name) <= 1.0:
-            raise ContractError(f"{name} {payload[name]!r} is not in [0, 1]")
-    if type(payload.get("k")) is not int or payload["k"] < 1:
-        raise ContractError(f"k {payload.get('k')!r} is not an integer >= 1")
+    profile = UAProfile(_field(event, "uptake"), _field(event, "anchoring"))
+    check_ranges(SimpleNamespace(**{name: payload.get(name) for name in ("theta", "theta_self", "k")}), ("k",))
+    return profile
 
 
-def _checked(events, active_ids):
-    """Yield each event once it keeps the rules both trace readers apply;
-    else raise TraceVerificationError naming it.  active_ids holds the
-    reader's active records by id, which the reader brings up to date
-    before the next event.
+class _Held(NamedTuple):
+    """A stored record as the replay holds it, all record_contribution
+    reads."""
+
+    polarity: int
+    strength: float
+    role: Role
+
+
+def replay_trace(events):
+    """Check and replay a trace's events (any iterable, read once): yield
+    each event that keeps every rule below with the belief state after
+    it; else raise TraceVerificationError naming the event.
 
     The first event is the header (see _check_header), and no other
     event is one.  Seqs increase.  A stored event holds the next id and a
     record that passes a candidate argument's checks, with a string claim,
     a strength and a boolean active flag.  Its matched_id is null or an
     active record, and its archived_id null or that same record; a record
-    stored inactive archives nothing and has a matched_id.  A
-    rescaled event holds a finite factor >= 0 and increasing ids of
-    stored records."""
+    stored inactive archives nothing and has a matched_id.  A rescaled
+    event holds a finite factor >= 0 and increasing ids of stored records.
+
+    Each stored record's contribution is derived again as
+    p*log1p(s*gamma(role)) from the header's (u, a), and a rescaled event
+    multiplies its active ids' strengths by its factor; a recorded
+    contribution further than TOLERANCE from its derived value fails.  The
+    replayed L is the left_sum of the derived contributions of the active
+    records in id order: those stored since the last update are added to
+    the running sum, and the whole active set is folded again after an
+    archival or a rescale.  Both give the same L bitwise.  An updated
+    event's L and S must be within TOLERANCE of the replay's, and every
+    number read must be an int or float within float range (a NaN fails).
+
+    Only the active records' polarity, strength, role and derived
+    contribution are kept, so memory grows with the active set, not with
+    the trace.  Each deduplication decision (a record's active flag,
+    similarity, matched_id and archived_id) is taken as recorded.
+    """
+    active: dict[int, tuple] = {}  # id: (_Held, derived contribution), in id order
+    profile = None  # the header's, set by the first event
     seq = None  # the previous event's
     next_id = 0
+    resum = False
+    current = BeliefState.zero()
+    extended = 0.0  # current L plus the contributions stored since
     for event in events:
         kind, payload = event.kind, event.payload
         if seq is None and kind != "header":
@@ -399,25 +427,36 @@ def _checked(events, active_ids):
             raise TraceVerificationError(f"event {event.seq}: {kind} seq does not increase", seq=event.seq)
         try:
             if kind == "stored":
-                record_id, claim, strength, active, matched_id, archived_id = map(
+                record_id, claim, strength, kept, matched_id, archived_id = map(
                     payload.get, ("id", "claim", "strength", "active", "matched_id", "archived_id")
                 )
                 if type(record_id) is not int or record_id != next_id:
                     raise ContractError(f"id {record_id!r} is not the next id {next_id}")
-                if not isinstance(claim, str) or strength is None or type(active) is not bool:
+                if not isinstance(claim, str) or strength is None or type(kept) is not bool:
                     raise ContractError(f"record {record_id} needs a string claim, a strength and a boolean active flag")
-                CandidateArgument(claim, payload.get("polarity"), Role(payload.get("role")), strength)
+                role = Role(payload.get("role"))
+                CandidateArgument(claim, payload.get("polarity"), role, strength)
                 for name, value in (("matched_id", matched_id), ("archived_id", archived_id)):
-                    if value is not None and (type(value) is not int or value not in active_ids):
+                    if value is not None and (type(value) is not int or value not in active):
                         raise ContractError(f"{name} {value!r} names no active record")
                 if archived_id is not None and archived_id != matched_id:
                     raise ContractError(f"archived_id {archived_id} is not its matched_id {matched_id!r}")
-                if not active and (archived_id is not None or matched_id is None):
+                if not kept and (archived_id is not None or matched_id is None):
                     raise ContractError(f"record {record_id} is inactive, so it archives nothing and has a matched_id")
+                held = _Held(payload["polarity"], strength, role)
+                contribution, recorded = record_contribution(held, profile), _field(event, "contribution")
+                if not abs(recorded - contribution) <= TOLERANCE:
+                    raise ContractError(f"contribution {recorded!r} != re-derived {contribution!r}")
+                if archived_id is not None:
+                    del active[archived_id]
+                    resum = True
+                if kept:
+                    active[record_id] = held, contribution
+                    extended += contribution
                 next_id += 1
             elif kind == "rescaled":
-                ids = payload.get("ids")
-                if not number_in(_field(event, "factor"), 0.0, sys.float_info.max):
+                ids, factor = payload.get("ids"), _field(event, "factor")
+                if not number_in(factor, 0.0, sys.float_info.max):
                     raise ContractError(f"factor {payload['factor']!r} is not a finite number >= 0")
                 if not (
                     type(ids) is list
@@ -426,154 +465,103 @@ def _checked(events, active_ids):
                     and (not ids or ids[-1] < next_id)
                 ):
                     raise ContractError(f"ids {ids!r} are not increasing ids of stored records")
+                for record_id in ids:
+                    if record_id in active:  # an archived record's strength no longer counts
+                        held = active[record_id][0]
+                        held = held._replace(strength=held.strength * factor)
+                        check_strength(held.strength, f"strength of record {record_id}")
+                        active[record_id] = held, record_contribution(held, profile)
+                resum = True
+            elif kind == "updated":
+                expected = left_sum(contribution for _, contribution in active.values()) if resum else extended
+                # Written as `not ... <= TOLERANCE` so that a NaN fails.
+                l_before, l_after = _field(event, "L_before"), _field(event, "L_after")
+                if not abs(l_before - current.log_odds) <= TOLERANCE:
+                    raise TraceVerificationError(
+                        f"event {event.seq}: L_before {l_before} != replayed {current.log_odds}", seq=event.seq
+                    )
+                if not abs(_field(event, "S_before") - current.stance) <= TOLERANCE:
+                    raise TraceVerificationError(f"event {event.seq}: S_before inconsistent with L_before", seq=event.seq)
+                if not abs(l_after - expected) <= TOLERANCE:
+                    raise TraceVerificationError(
+                        f"event {event.seq}: L_after {l_after} != replayed {expected}", seq=event.seq
+                    )
+                if not abs(_field(event, "S_after") - stance_from_log_odds(expected)) <= TOLERANCE:
+                    raise TraceVerificationError(
+                        f"event {event.seq}: S_after inconsistent with L_after", seq=event.seq
+                    )
+                current = BeliefState.from_log_odds(expected)
+                extended = expected
+                resum = False
             elif kind == "header":
                 if seq is not None:
                     raise ContractError("is not the first event")
-                _check_header(event)
+                profile = _check_header(event)
         except (ContractError, ConfigError, ValueError) as exc:  # Role() raises ValueError
             raise TraceVerificationError(f"event {event.seq}: {kind} {exc}", seq=event.seq) from None
         seq = event.seq
-        yield event
+        yield event, current
     if seq is None:
         raise TraceVerificationError("the trace has no header: it holds no event")
 
 
+def _final_state(events) -> tuple[BeliefState, int]:
+    """The belief state after replay_trace's last event, and the number of
+    events."""
+    count = 0
+    for count, (_, state) in enumerate(replay_trace(events), 1):
+        pass
+    return state, count
+
+
 def verify_trace(events: list[TraceEvent]) -> BeliefState:
-    """Re-derive every contribution and confirm every recorded update.
-
-    Each stored record's contribution is derived again as
-    p*log1p(s*gamma(role)) from the header's (u, a), and a rescaled event
-    multiplies its active ids' strengths by its factor; a recorded
-    contribution further than TOLERANCE from its derived value fails.  The
-    replayed L is the left_sum of the derived contributions of the active
-    records in id order: those stored since the last update are added to
-    the running sum, and the whole active set is folded again after an
-    archival or a rescale.  Both give the same L bitwise.
-
-    Raises TraceVerificationError at the first divergent event, at the
-    first field it reads that is missing or of the wrong type, at any NaN
-    it compares, and at the first event that breaks _checked's rules.
-    It trusts each deduplication decision: a record's active flag and the
-    archived_id it names.
-    """
-    return _replay(events)[0]
+    """The final belief state of a list of events, each checked by
+    replay_trace: every contribution re-derived and every recorded update
+    confirmed.  It trusts each deduplication decision; store_from_trace
+    re-derives them."""
+    return _final_state(events)[0]
 
 
 def verify_trace_file(path) -> tuple[BeliefState, int]:
     """verify_trace over a trace file, read one line at a time; returns
-    the final state and the number of events.
-
-    Nothing but the active records' polarity, strength, role and derived
-    contribution is kept, so memory grows with the active set, not with
-    the trace.  A line is checked as it is read, so the first fault in
-    file order is reported, whether it is an unreadable line or a
-    divergent event.
-    """
+    the final state and the number of events.  A line is checked as it is
+    read, so the first fault in file order is reported, whether it is an
+    unreadable line or a divergent event."""
     with contextlib.closing(_trace_events(path)) as events:  # the file closes at a fault too
-        return _replay(events)
-
-
-class _Held(NamedTuple):
-    """A stored record as the verifier holds it, all record_contribution
-    reads."""
-
-    polarity: int
-    strength: float
-    role: Role
-
-
-def _replay(events) -> tuple[BeliefState, int]:
-    """verify_trace's rule over any iterable of events, read once; returns
-    the final state and the number of events seen."""
-    active: dict[int, tuple] = {}  # id: (_Held, derived contribution), in id order
-    profile = None  # the header's, set by the first event
-    resum = False
-    count = 0
-    current = BeliefState.zero()
-    extended = 0.0  # current L plus the contributions stored since
-    for count, event in enumerate(_checked(events, active), 1):
-        payload = event.payload
-        if event.kind == "stored":
-            held = _Held(payload["polarity"], payload["strength"], Role(payload["role"]))
-            contribution, recorded = record_contribution(held, profile), _field(event, "contribution")
-            if not abs(recorded - contribution) <= TOLERANCE:
-                raise TraceVerificationError(
-                    f"event {event.seq}: stored contribution {recorded!r} != re-derived {contribution!r}", seq=event.seq
-                )
-            if payload["archived_id"] is not None:
-                del active[payload["archived_id"]]
-                resum = True
-            if payload["active"]:
-                active[payload["id"]] = held, contribution
-                extended += contribution
-        elif event.kind == "rescaled":
-            factor = _field(event, "factor")
-            for record_id in payload["ids"]:
-                if record_id in active:  # an archived record's strength no longer counts
-                    held = active[record_id][0]
-                    held = held._replace(strength=held.strength * factor)
-                    try:
-                        check_strength(held.strength, f"rescaled strength of record {record_id}")
-                    except ContractError as exc:
-                        raise TraceVerificationError(f"event {event.seq}: {exc}", seq=event.seq) from None
-                    active[record_id] = held, record_contribution(held, profile)
-            resum = True
-        elif event.kind == "updated":
-            expected = left_sum(contribution for _, contribution in active.values()) if resum else extended
-            # Written as `not ... <= TOLERANCE` so that a NaN fails.
-            l_before, l_after = _field(event, "L_before"), _field(event, "L_after")
-            if not abs(l_before - current.log_odds) <= TOLERANCE:
-                raise TraceVerificationError(
-                    f"event {event.seq}: L_before {l_before} != replayed {current.log_odds}", seq=event.seq
-                )
-            if not abs(_field(event, "S_before") - current.stance) <= TOLERANCE:
-                raise TraceVerificationError(f"event {event.seq}: S_before inconsistent with L_before", seq=event.seq)
-            if not abs(l_after - expected) <= TOLERANCE:
-                raise TraceVerificationError(
-                    f"event {event.seq}: L_after {l_after} != replayed {expected}", seq=event.seq
-                )
-            if not abs(_field(event, "S_after") - stance_from_log_odds(expected)) <= TOLERANCE:
-                raise TraceVerificationError(
-                    f"event {event.seq}: S_after inconsistent with L_after", seq=event.seq
-                )
-            current = BeliefState.from_log_odds(expected)
-            extended = expected
-            resum = False
-        elif event.kind == "header":
-            profile = UAProfile(_field(event, "uptake"), _field(event, "anchoring"))
-    return current, count
+        return _final_state(events)
 
 
 def store_from_trace(events) -> MemoryStore:
-    """The store an agent's trace describes, rebuilt in one pass over its
-    events (any iterable).  A stored event inserts its record, then
-    archives its archived_id, archived_by the new record.  A record stored
-    inactive lost deduplication to its matched_id, which must be the
-    nearest active record its resolution searched, with the event's
-    similarity, bitwise.  A rescaled event multiplies its records'
-    strengths by its factor.  A fault raises TraceVerificationError naming
-    the event."""
+    """The store an agent's trace describes, rebuilt in one replay_trace
+    pass over its events (any iterable), so it fails wherever
+    verify_trace does.  Each stored record goes through ingest_record at
+    the header's theta and theta_self, and the decision it makes (active
+    flag, similarity by repr, matched_id and archived_id) must be the
+    event's.  A rescaled event multiplies its records' strengths by its
+    factor.  A fault raises TraceVerificationError naming the event."""
     store = MemoryStore()
-    for event in _checked(events, store._active):
+    for event, _ in replay_trace(events):
         payload = event.payload
-        if event.kind == "rescaled":
+        if event.kind == "stored":
+            claim, role = payload["claim"], Role(payload["role"])
+            record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, store.embed(claim))
+            outcome = ingest_record(store, record, *thresholds)
+            derived = (
+                ("active", record.active),
+                ("similarity", outcome.similarity),
+                ("matched_id", outcome.matched_id),
+                ("archived_id", outcome.superseded.id if outcome.superseded is not None else None),
+            )
+            for name, value in derived:
+                if repr(payload.get(name)) != repr(value):
+                    raise TraceVerificationError(
+                        f"event {event.seq}: stored {name} {payload.get(name)!r} != re-derived {value!r}", seq=event.seq
+                    )
+        elif event.kind == "rescaled":
             try:
                 store.rescale([store.records[i] for i in payload["ids"]], payload["factor"])
             except ContractError as exc:
                 raise TraceVerificationError(f"event {event.seq}: {exc}", seq=event.seq) from None
-        if event.kind != "stored":
-            continue
-        claim, role = payload["claim"], Role(payload["role"])
-        record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, store.embed(claim), payload["active"])
-        if not record.active:
-            nearest = store.nearest(record, own_only=role is Role.SELF)
-            similarity = payload.get("similarity")
-            if nearest is None or nearest[0].id != payload["matched_id"] or repr(nearest[1]) != repr(similarity):
-                raise TraceVerificationError(
-                    f"event {event.seq}: no record {payload['matched_id']} to lose to at {similarity!r}", seq=event.seq
-                )
-            record.archived_by = payload["matched_id"]
-        store.insert(record)
-        if payload["archived_id"] is not None:
-            store.archive(store.records[payload["archived_id"]], archived_by=record.id)
+        elif event.kind == "header":
+            thresholds = payload["theta"], payload["theta_self"]
     return store

@@ -787,6 +787,54 @@ def test_trace_verify_rejects_an_integer_outside_float_range(default_runs, tmp_p
     assert capsys.readouterr().err == f"verification failed: event {seq}: {kind} {field} {HUGE!r} is not a number\n"
 
 
+# Edits that trace-verify rejects: (trace, seq edited, edits); a seq of
+# None edits the first updated event with a positive S_before.
+VERIFY_FAULTS = {
+    **{f"contribution-{key}": row[:3] for key, row in CONTRIBUTION_EDITS.items()},
+    "S_before": ("sweep_u_0.4.jsonl", None, {"S_before": -0.5}),
+    **{f"huge-{field}": (name, seq, {field: HUGE}) for field, (name, seq, _) in HUGE_FIELDS.items()},
+}
+
+
+@pytest.mark.parametrize("name, seq, edits", VERIFY_FAULTS.values(), ids=VERIFY_FAULTS.keys())
+def test_store_from_trace_fails_where_trace_verify_does(default_runs, tmp_path, name, seq, edits):
+    """The rebuild replays the trace with trace-verify's checks, so it
+    fails at the same event with the same message."""
+    trace = default_runs[name][0]
+    if seq is None:
+        seq = next(e.seq for e in engine.read_trace(trace) if e.kind == "updated" and e.payload["S_before"] > 0)
+    bad = edited_trace(trace, tmp_path, seq, edits)
+    with pytest.raises(TraceVerificationError, match=r"^event \d+: ") as verified:
+        engine.verify_trace_file(bad)
+    with pytest.raises(TraceVerificationError) as rebuilt:
+        engine.store_from_trace(engine._trace_events(bad))
+    assert str(rebuilt.value) == str(verified.value)
+
+
+# Header edits of the default sweep_u_0.4.jsonl: (edits, message).
+HEADER_FAULTS = {
+    "schema-1": ({"schema": 1}, "header schema 1 is not 2"),
+    "agent_id-number": ({"agent_id": 7}, "header needs a string agent_id and topic"),
+    "topic-null": ({"topic": None}, "header needs a string agent_id and topic"),
+    "theta-1.5": ({"theta": 1.5}, "header theta must be in [0, 1], got 1.5"),
+    "theta_self-nan": ({"theta_self": math.nan}, "header theta_self must be in [0, 1], got nan"),
+    "k-2.5": ({"k": 2.5}, "header k must be an integer >= 1, got 2.5"),
+    "k-true": ({"k": True}, "header k must be an integer >= 1, got True"),
+    "k-0": ({"k": 0}, "header k must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("edits, message", HEADER_FAULTS.values(), ids=HEADER_FAULTS.keys())
+def test_a_bad_header_fails_verify_and_rebuild(default_sweep_trace, tmp_path, capsys, edits, message):
+    trace, _ = default_sweep_trace
+    bad = edited_trace(trace, tmp_path, 0, edits)
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    assert capsys.readouterr().err == f"verification failed: event 0: {message}\n"
+    with pytest.raises(TraceVerificationError, match=re.escape(f"event 0: {message}")):
+        engine.store_from_trace(engine._trace_events(bad))
+
+
 # Faults a rebuilt store shows: (trace, seq edited, edits, seq reported,
 # message).  Of them, trace-verify sees only the restore rows and
 # rescaled-above-1; the others edit a deduplication decision, which it
@@ -806,11 +854,14 @@ STORE_FAULTS = {
         "sweep_a_1.0.jsonl", 11, {"factor": 2.0}, 11, r"rescaled strength of record 0 1.66 is not a finite number in \[0, 1\]"
     ),
     "loser-similarity-ulp": (
-        "sweep_u_0.4.jsonl", 19, {"similarity": math.nextafter(1.0, 0.0)}, 19, "no record 9 to lose to at 0.9999999999999999"
+        "sweep_u_0.4.jsonl", 19, {"similarity": math.nextafter(1.0, 0.0)}, 19,
+        "stored similarity 0.9999999999999999 != re-derived 1.0",
     ),
-    "loser-similarity-null": ("sweep_u_0.4.jsonl", 19, {"similarity": None}, 19, "no record 9 to lose to at None"),
-    "loser-similarity-missing": ("sweep_u_0.4.jsonl", 19, {"similarity": DELETE}, 19, "no record 9 to lose to at None"),
-    "loser-matched_id": ("sweep_u_0.4.jsonl", 19, {"matched_id": 8}, 19, "no record 8 to lose to at 1.0"),
+    "loser-similarity-null": ("sweep_u_0.4.jsonl", 19, {"similarity": None}, 19, "stored similarity None != re-derived 1.0"),
+    "loser-similarity-missing": (
+        "sweep_u_0.4.jsonl", 19, {"similarity": DELETE}, 19, "stored similarity None != re-derived 1.0"
+    ),
+    "loser-matched_id": ("sweep_u_0.4.jsonl", 19, {"matched_id": 8}, 19, "stored matched_id 8 != re-derived 9"),
 }
 
 

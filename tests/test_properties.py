@@ -518,11 +518,11 @@ def resummed_log_odds(events) -> float:
     return total
 
 
-def play_dialogue(profile, seedings, rounds, check=lambda agent: None):
+def play_dialogue(profile, seedings, rounds, check=lambda agent: None, theta=0.8, theta_self=0.5):
     """An agent seeded at the drawn rounds that hears each drawn opponent
     message and, where drawn, replies to itself; check runs after every
     seeding and every processed message."""
-    agent = make_agent("prop", DEFAULT_TOPIC, profile, theta=0.8, theta_self=0.5)
+    agent = make_agent("prop", DEFAULT_TOPIC, profile, theta=theta, theta_self=theta_self)
     for index, (lines, reply) in enumerate(rounds):
         for seed_round, target, rng_seed in seedings:
             if seed_round == index:
@@ -698,6 +698,80 @@ def test_store_from_trace_equals_the_live_store(profile, seedings, rounds, after
     assert record_fields(rebuilt) == record_fields(store)
 
 
+# Lines of paraphrases of two phrases: their similarities run from about
+# 0.08 to 0.98, so they fall on both sides of the thresholds drawn, where
+# the default traces hold only 1.0 and values up to 0.459.
+paraphrase_lines = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.integers(0, len(SWAPS)),
+        st.integers(0, 2),
+        st.sampled_from("+-"),
+        st.sampled_from(("0.1", "0.35", "0.5", "0.8125", "0.9")),
+    ),
+    min_size=1,
+    max_size=4,
+)
+PARAPHRASE_ROUNDS = [
+    ([(0, 0, 0, "+", "0.5"), (0, 1, 0, "+", "0.35"), (0, 2, 1, "+", "0.9")], True),
+    ([(0, 3, 0, "+", "0.8125"), (1, 0, 0, "-", "0.5"), (1, 4, 2, "-", "0.1")], True),
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    profile=st.builds(UAProfile, uptake=st.floats(0.0, 1.0), anchoring=st.floats(0.0, 1.5)),
+    seedings=st.lists(st.tuples(st.integers(0, 3), st.sampled_from((0.0, 0.3, -0.5)), st.integers(0, 1000)), max_size=1),
+    rounds=st.lists(st.tuples(paraphrase_lines, st.booleans()), min_size=1, max_size=10),
+    theta=thetas,
+    theta_self=thetas,
+    moved=st.sampled_from(("theta", "theta_self")),
+    pick=st.integers(0, 10**6),
+)
+@example(
+    profile=UAProfile(uptake=0.4, anchoring=0.2),
+    seedings=[],
+    rounds=PARAPHRASE_ROUNDS,
+    theta=0.8,
+    theta_self=0.8,
+    moved="theta",
+    pick=0,
+)
+def test_store_from_trace_rederives_each_deduplication_decision(
+    profile, seedings, rounds, theta, theta_self, moved, pick
+):
+    """The store rebuilt from a dialogue of paraphrases equals the live
+    store.  With the header's theta (or theta_self) moved across one
+    recorded similarity of a non-self (or self) record, the rebuild fails
+    at the first stored event whose decision the move flips, while
+    verify_trace, which trusts the decisions, still passes."""
+    agent = play_dialogue(profile, seedings, rounds, theta=theta, theta_self=theta_self)
+    assert record_fields(store_from_trace(agent.trace)) == record_fields(agent.memory)
+
+    threshold = agent.trace[0].payload[moved]
+    searched = [
+        event
+        for event in agent.trace
+        if event.kind == "stored"
+        and event.payload["similarity"] is not None
+        and (event.payload["role"] == "self") == (moved == "theta_self")
+    ]
+    crossable = [event.payload["similarity"] for event in searched if event.payload["similarity"] < 1.0]
+    if not crossable:
+        return
+    similarity = crossable[pick % len(crossable)]
+    moved_to = similarity if similarity < threshold else math.nextafter(similarity, math.inf)
+    flipped = next(
+        event
+        for event in searched
+        if (event.payload["similarity"] >= threshold) != (event.payload["similarity"] >= moved_to)
+    )
+    events = [TraceEvent(0, "header", {**agent.trace[0].payload, moved: moved_to}), *agent.trace[1:]]
+    assert verify_trace(events) == verify_trace(agent.trace)
+    with pytest.raises(TraceVerificationError, match=f"^event {flipped.seq}: stored (active|archived_id) "):
+        store_from_trace(events)
+
+
 def scan_to_the_end(seeds, anchoring: float, target: float) -> float:
     """The seed scale as chosen before the scan stopped early: bisection,
     then all 4096 nextafter steps unless a new candidate is exact."""
@@ -834,6 +908,8 @@ def test_verify_resums_after_a_rescale():
     and the next update folds the active set again in id order, from the
     contributions derived at the new strengths."""
     seeds = [stored(1, 0, True, 0.5), stored(2, 1, True, 0.25), stored(3, 2, False, 0.2, matched_id=0)]
+    # "claim 1" sits at similarity 0.8 to "claim 0", which theta 0.8 would archive; this claim shares no trigram with it.
+    seeds[1].payload.update(claim="a second seed", similarity=0.0, matched_id=0)
     seeds[2].payload["claim"] = "claim 0"  # a repeat, at similarity 1.0, loses to the stronger record 0
     factor = 0.75
     rescaled = TraceEvent(4, "rescaled", {"factor": factor, "ids": [0, 1, 2]})
