@@ -123,8 +123,8 @@ def _checked_contribution(record, profile: UAProfile) -> float:
     and a polarity of -1 or +1; else ContractError."""
     if not record.active:
         raise ContractError("compute_log_odds received an archived record; pre-filter to the active set")
-    if not 0.0 <= record.strength <= 1.0:
-        raise ContractError(f"record strength {record.strength} outside [0, 1]")
+    if not number_in(record.strength, 0.0, 1.0):
+        raise ContractError(f"record strength {record.strength!r} is not a finite number in [0, 1]")
     check_polarity(record.polarity, "record polarity")
     return record_contribution(record, profile)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import codecs
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -297,8 +296,13 @@ def write_trace(path, events: list[TraceEvent]) -> None:
 def split_lines(chunks):
     """The lines of a binary file's chunks (as iterating the file yields
     them), split where text mode splits them: at LF, CRLF or a lone CR.
-    A line may keep its LF; callers strip each line."""
+    A UTF-8 byte-order mark is dropped at the start of the first chunk,
+    the file's start, and nowhere else.  A line may keep its LF; callers
+    strip each line."""
+    bom = codecs.BOM_UTF8
     for chunk in chunks:
+        if bom:
+            chunk, bom = chunk.removeprefix(bom), b""
         yield from chunk.splitlines() if b"\r" in chunk else (chunk,)
 
 
@@ -314,8 +318,7 @@ def _trace_events(path):
     TraceVerificationError.
     """
     with open(path, "rb") as handle:
-        first = handle.readline().removeprefix(codecs.BOM_UTF8)
-        for line_number, raw in enumerate(split_lines(itertools.chain((first,), handle)), 1):
+        for line_number, raw in enumerate(split_lines(handle), 1):
             try:
                 line = raw.decode().strip()
                 if not line:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Role, check_polarity, check_strength
+from .core import Role, check_polarity, check_strength, number_in
 from .exceptions import ContractError, ScoringBackendError
 
 EMBED_DIM = 512
@@ -163,12 +164,17 @@ class BuiltinScorer(ScorerPort):
 
 class ServiceClient:
     """One HTTP backend, shared by the service scorer and extractor: a
-    per-call timeout (> 0) and ``retries`` (>= 0) extra attempts, with a
-    bounded exponential backoff between them."""
+    per-call timeout (a finite number > 0) and ``retries`` (an integer
+    >= 0, not a boolean) extra attempts, with a bounded exponential
+    backoff between them."""
 
     def __init__(self, url: str, timeout: float = 5.0, retries: int = 2, transport: Optional[Callable] = None):
-        if not timeout > 0.0 or retries < 0:  # NaN fails too
-            raise ContractError(f"service timeout must be > 0 and retries >= 0, got {timeout!r} and {retries!r}")
+        valid_timeout = number_in(timeout, 0.0, sys.float_info.max) and timeout > 0.0
+        if not (valid_timeout and type(retries) is int and retries >= 0):
+            raise ContractError(
+                "service timeout must be > 0 and retries >= 0, a finite number and an integer,"
+                f" got {timeout!r} and {retries!r}"
+            )
         self.url = url
         self.timeout = timeout
         self.retries = retries

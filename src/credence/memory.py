@@ -18,23 +18,23 @@ proportion to the active set rather than to everything ever stored:
   for 8 rows, the matrix doubles when full after that, and a query looks
   for the lowest id only when several rows tie for the best similarity;
 - per polarity, the active records in (-strength, id) order, which
-  ``set_strengths`` sorts again, so top-k retrieval is a slice;
+  ``rescale`` sorts again, so top-k retrieval is a slice;
 - the active records in id order;
 - one entry per distinct claim text seen by this store, made once: the
   read-only float32 trigram counts (which ``embed`` returns and a judged
-  record holds as its ``embedding``), their squared norm |c|^2 as a
-  float64 taken from the integer counts, and the trigram total
-  T = max(len(text) - 2, 1).
+  record holds as its ``embedding``) and their squared norm |c|^2 as a
+  float64 taken from the integer counts.
 
-A query multiplies in float32 while T_query * T_max < 2**24, T_max being
-the largest total among a row set's rows.  A row's dot product with the
-query is then a sum of products of non-negative integers whose total is
-at most T_row * T_query, so every product and partial sum is an integer
-below 2**24 and exact in float32, in any summation order, fused
-multiply-adds included.  Above the bound the query goes in as float64 and
-the matvec runs in float64.  Either way the dot products are the exact
-integers and each similarity has the bits of ``cosine_similarity``.
-(Counts stay exact in float32 for any text under 2**24 characters.)
+A query q multiplies in float32 while |q|^2 * square_max < 2**48,
+square_max being the largest |c|^2 among a row set's rows.  A row's dot
+product with the query is a sum of products of non-negative integers, so
+each product and partial sum is at most q.c, which by Cauchy-Schwarz is
+at most |q||c| < 2**24: an integer exact in float32, in any summation
+order, fused multiply-adds included.  Above the bound the query goes in
+as float64 and the matvec runs in float64.  Either way the dot products
+are the exact integers and each similarity has the bits of
+``cosine_similarity``.  (Counts stay exact in float32 for any text under
+2**24 characters.)
 """
 
 from __future__ import annotations
@@ -52,17 +52,17 @@ from .exceptions import ContractError
 from .judgement import EMBED_DIM, ArgumentRecord, _bincount
 
 _OWN_ROLES = (Role.SELF, Role.SEED)
-# A float32 dot product of counts is exact while T_query * T_max is below this.
-_FLOAT32_EXACT = 1 << 24
+# A float32 dot product of counts is exact while |q|^2 * square_max is below this.
+_FLOAT32_EXACT = 2.0**48
 
 
 class _RowSet:
     """Active records with their trigram counts as the float32 rows of one
-    matrix, each row's squared norm (float64, from the cache entry) and
-    trigram total, and the largest of those totals (total_max).
+    matrix, each row's squared norm (float64, from the cache entry), and
+    the largest of those squares (square_max).
 
     Rows are unordered: removing a record moves the last row into its
-    place, and removing the row that held total_max finds it again.  The
+    place, and removing the row that held square_max finds it again.  The
     first add makes room for FIRST_ROWS rows, so an empty set allocates
     nothing and a small one allocates once; after that the matrix
     doubles when full.
@@ -73,58 +73,53 @@ class _RowSet:
     # never writes them.
     _NO_COUNTS = np.empty((0, EMBED_DIM), dtype=np.float32)
     _NO_SQUARES = np.empty(0)
-    _NO_TOTALS = np.empty(0, dtype=np.int64)
 
     def __init__(self):
         self.records: list[ArgumentRecord] = []
         self.row_of: dict[int, int] = {}
         self.counts = self._NO_COUNTS
         self.squares = self._NO_SQUARES
-        self.totals = self._NO_TOTALS
-        self.total_max = 0
+        self.square_max = 0.0
 
     def add(self, record: ArgumentRecord, text: tuple) -> None:
         """Add an active record with its text's cache entry, (counts,
-        |counts|^2, trigram total)."""
-        counts, square, total = text
+        |counts|^2)."""
+        counts, square = text
         n = len(self.records)
         if n == len(self.squares):
             capacity = max(self.FIRST_ROWS, 2 * n)
-            grown = np.empty((capacity, EMBED_DIM), dtype=np.float32)
-            grown_squares, grown_totals = np.empty(capacity), np.empty(capacity, dtype=np.int64)
-            grown[:n], grown_squares[:n], grown_totals[:n] = self.counts, self.squares, self.totals
-            self.counts, self.squares, self.totals = grown, grown_squares, grown_totals
+            grown, grown_squares = np.empty((capacity, EMBED_DIM), dtype=np.float32), np.empty(capacity)
+            grown[:n], grown_squares[:n] = self.counts, self.squares
+            self.counts, self.squares = grown, grown_squares
         self.counts[n] = counts
         self.squares[n] = square
-        self.totals[n] = total
-        if total > self.total_max:
-            self.total_max = total
+        if square > self.square_max:
+            self.square_max = square
         self.records.append(record)
         self.row_of[record.id] = n
 
     def remove(self, record: ArgumentRecord) -> None:
         row = self.row_of.pop(record.id)
         last = len(self.records) - 1
-        total = self.totals[row]
+        square = self.squares[row]
         if row != last:
             moved = self.records[last]
             self.records[row] = moved
             self.row_of[moved.id] = row
             self.counts[row] = self.counts[last]
             self.squares[row] = self.squares[last]
-            self.totals[row] = self.totals[last]
         self.records.pop()
-        if total == self.total_max:
-            self.total_max = int(self.totals[:last].max(initial=0))
+        if square == self.square_max:
+            self.square_max = float(self.squares[:last].max(initial=0.0))
 
     def nearest(self, query: tuple) -> Optional[tuple[ArgumentRecord, float]]:
         """The record whose counts are the most cosine-similar to the
         query's, the lowest id among equals, and that similarity; None
         when the set is empty.  The query is a cache entry, (counts,
-        |counts|^2, trigram total).
+        |counts|^2).
 
         Every dot product of counts is exact: in float32 while the query's
-        total times total_max is below 2**24, else in float64 (see the
+        square times square_max is below 2**48, else in float64 (see the
         module docstring).  numpy's elementwise multiply, sqrt and divide
         round as cosine_similarity's scalar ones do, so each similarity
         equals cosine_similarity bitwise.  Rows are not in id order, so
@@ -134,8 +129,8 @@ class _RowSet:
         n = len(self.records)
         if not n:
             return None
-        counts, square, total = query
-        if total * self.total_max >= _FLOAT32_EXACT:
+        counts, square = query
+        if square * self.square_max >= _FLOAT32_EXACT:
             counts = counts.astype(np.float64)
         similarities = (self.counts[:n] @ counts) / np.sqrt(self.squares[:n] * square)
         row = int(similarities.argmax())
@@ -154,7 +149,7 @@ class _PolarityIndex:
     """The active records of one polarity: every one and the agent's own
     (self and seed) as two row sets, and every one in rank order, the
     strongest first.  The rank order holds while strengths change only
-    through MemoryStore.set_strengths, which sorts it again."""
+    through MemoryStore.rescale, which sorts it again."""
 
     def __init__(self):
         self.every = _RowSet()
@@ -178,7 +173,7 @@ class _PolarityIndex:
 class MemoryStore:
     records: list[ArgumentRecord] = field(default_factory=list, init=False)  # filled by insert only
     insertion_counter: int = field(default=0, init=False)
-    # Bumped by archive and set_strengths, the only ways a running sum
+    # Bumped by archive and rescale, the only ways a running sum
     # over the active set goes stale.
     revision: int = field(default=0, init=False, compare=False)
     _active: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -205,14 +200,14 @@ class MemoryStore:
 
     def _text(self, claim: str) -> tuple:
         """The cache entry of claim's text, made on its first use: (float32
-        counts, read-only; |counts|^2 from the integer counts; trigram
-        total).  A plain tuple: with a NamedTuple, judging the cases of a
-        2000-case replay took about 2% longer."""
+        counts, read-only; |counts|^2 from the integer counts).  A plain
+        tuple: with a NamedTuple, judging the cases of a 2000-case replay
+        took about 2% longer."""
         key = claim.strip().lower()
         text = self._texts.get(key)
         if text is None:
             counts = _bincount(key)
-            text = self._texts[key] = (counts.astype(np.float32), float(counts @ counts), max(len(key) - 2, 1))
+            text = self._texts[key] = (counts.astype(np.float32), float(counts @ counts))
             text[0].flags.writeable = False
         return text
 
@@ -228,12 +223,10 @@ class MemoryStore:
         self.revision += 1
 
     def rescale(self, records, factor: float) -> None:
-        """Multiply each given record's strength by factor (set_strengths)."""
-        self.set_strengths([(record, record.strength * factor) for record in records])
-
-    def set_strengths(self, pairs: list) -> None:
-        """Give each (record, strength) pair's record, active or archived,
-        its strength; ContractError, and no change, unless each is in [0, 1]."""
+        """Multiply each given record's strength, active or archived, by
+        factor; ContractError, and no change, unless every product is in
+        [0, 1]."""
+        pairs = [(record, record.strength * factor) for record in records]
         for record, strength in pairs:
             check_strength(strength, f"rescaled strength of record {record.id}")
         for record, strength in pairs:

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -125,8 +126,8 @@ class CalibrationGrid:
     def __post_init__(self):
         self.u_values, self.a_values = tuple(self.u_values), tuple(self.a_values)  # a config file gives lists
         for name, values in (("u", self.u_values), ("a", self.a_values)):
-            finite = all(0.0 <= value < math.inf for value in values)  # NaN fails too
-            if not values or list(values) != sorted(values) or len(set(values)) != len(values) or not finite:
+            finite = all(number_in(value, 0.0, sys.float_info.max) for value in values)
+            if not values or not finite or list(values) != sorted(values) or len(set(values)) != len(values):
                 raise ContractError(f"{name} grid {list(values)!r} must be non-empty, strictly increasing, finite and >= 0")
 
 
@@ -137,8 +138,10 @@ def accepted_records(
     extractor: Optional[ExtractorPort] = None,
 ) -> list[ArgumentRecord]:
     """Run the case's stream through judgement (scoring plus dedup at
-    theta) and return the records that stay active, in stream order."""
-    if not 0.0 <= theta <= 1.0:  # NaN fails too
+    theta) and return the records that stay active, in stream order.  An
+    extractor's warnings about a raw-text item (a malformed hint, a blank
+    claim) go to the module logger, naming the participant and the item."""
+    if not number_in(theta, 0.0, 1.0):
         raise ContractError(f"replay theta must be in [0, 1], got {theta!r}")
     store = MemoryStore()
     for index, item in enumerate(case.evidence):
@@ -146,7 +149,10 @@ def accepted_records(
             if extractor is None:
                 raise ContractError("raw-text evidence items need an extractor port")
             message = Message(text=item.text, author_role="opponent", order=index)
-            candidates = extractor.extract(case.topic, message)
+            where = f"participant {case.participant}, evidence item {index}"
+            candidates = extractor.extract(
+                case.topic, message, on_warning=lambda text: logger.warning("%s: %s", where, text)
+            )
         else:
             candidates = [CandidateArgument(item.claim, item.polarity, Role.OPPONENT, item.strength)]
         for candidate in candidates:
@@ -232,8 +238,8 @@ def assign_folds(cases: list[ReplayCase], key: str = "group", folds: int = 5, se
 
 def classify_subgroup(case: ReplayCase, evidence: float, eps_weak: float = 0.05) -> str:
     """Outcome-conditioned diagnostic label for one case."""
-    if not eps_weak >= 0.0:  # NaN fails too
-        raise ContractError(f"eps_weak must be >= 0, got {eps_weak!r}")
+    if not number_in(eps_weak, 0.0, sys.float_info.max):
+        raise ContractError(f"eps_weak must be >= 0 and finite, got {eps_weak!r}")
     if case.delta == 0.0:
         return "stable"
     if abs(evidence) < eps_weak:
@@ -531,7 +537,8 @@ def case_from_dict(row: dict) -> ReplayCase:
 def load_cases_jsonl(path) -> tuple[list[ReplayCase], list[tuple[int, str]]]:
     """Load cases; malformed lines, bytes that are not UTF-8 included, are
     returned as (line number, error).  Each line is decoded on its own, so
-    the other lines still load."""
+    the other lines still load.  split_lines skips a byte-order mark at the
+    start of the file, as it does for a trace."""
     cases = []
     errors = []
     with open(path, "rb") as handle:

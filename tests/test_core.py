@@ -99,6 +99,8 @@ def test_compute_log_odds_rejects_bad_records():
         compute_log_odds([archived], profile)
     with pytest.raises(ContractError):
         compute_log_odds([make_record(1, 1.5)], profile)
+    with pytest.raises(ContractError, match="strength True"):  # True == 1, but a boolean is no strength
+        compute_log_odds([make_record(1, True)], profile)
     with pytest.raises(ContractError, match="polarity True"):  # True == 1, but a boolean is no polarity
         compute_log_odds([make_record(True, 0.5)], profile)
     with pytest.raises(ContractError, match="polarity True"):

@@ -258,6 +258,17 @@ def test_service_scorer_does_not_retry_a_malformed_body(body, monkeypatch):
     assert len(calls) == 1 and delays == []
 
 
+@pytest.mark.parametrize(
+    "timeout, retries",
+    [(True, 2), (0.0, 2), (float("nan"), 2), (float("inf"), 2), (5.0, 2.5), (5.0, True), (5.0, -1)],
+)
+def test_service_client_rejects_bad_timeout_and_retries(timeout, retries):
+    # A boolean is neither a timeout nor a count; a fractional count would
+    # build and then fail at its first retry.
+    with pytest.raises(ContractError, match="service timeout must be > 0 and retries >= 0"):
+        ServiceScorer("http://scores.invalid", timeout=timeout, retries=retries)
+
+
 def test_service_scorer_success():
     scorer = ServiceScorer("http://scores.invalid", transport=lambda u, p, t: {"score": 0.42})
     assert scorer.score("t", "claim") == 0.42

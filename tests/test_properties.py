@@ -10,6 +10,7 @@ integer oracle: on trigram counts it has the same bits on every IEEE-754
 machine.
 """
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -169,6 +170,32 @@ def test_indexed_resolve_matches_brute_force(ops, theta, theta_self):
     assert store.active_records() == [r for r in store.records if r.active]
 
 
+@contextlib.contextmanager
+def observed_matvecs():
+    """Record the store's matvecs run inside the block.  The matvec is
+    `matrix @ query`, the query being the counts of the store's cache
+    entry for the claim; a query of this subclass records the shape and
+    dtype of the matrix it meets.  Yields the list of shapes and the list
+    of (matrix, query) dtypes."""
+    shapes = []
+    dtypes = []
+
+    class Query(np.ndarray):
+        def __rmatmul__(self, matrix):
+            shapes.append(matrix.shape)
+            dtypes.append((matrix.dtype, self.dtype))
+            return matrix @ self.view(np.ndarray)
+
+    text_of = MemoryStore._text
+
+    def query_text(store, claim):
+        counts, square = text_of(store, claim)
+        return counts.view(Query), square
+
+    with mock.patch.object(MemoryStore, "_text", query_text):
+        yield shapes, dtypes
+
+
 def test_self_query_multiplies_only_own_rows():
     """A self query's matvec reads the agent's own rows of the polarity,
     not the opponent rows beside them, and decides as the loop does."""
@@ -180,29 +207,11 @@ def test_self_query_multiplies_only_own_rows():
     store.insert(make_record(_claim(0, 0, 0), -1, 0.5, Role.SELF))  # the other polarity
     own_rows = sum(r.active and r.polarity == 1 and r.role != Role.OPPONENT for r in store.records)
 
-    shapes = []
-    dtypes = []
-
-    # The matvec is `matrix @ query`, the query being the counts of the
-    # store's cache entry for the claim; a query of this subclass records
-    # the shape and dtype of the matrix it meets.
-    class Query(np.ndarray):
-        def __rmatmul__(self, matrix):
-            shapes.append(matrix.shape)
-            dtypes.append((matrix.dtype, self.dtype))
-            return matrix @ self.view(np.ndarray)
-
-    text_of = MemoryStore._text
-
-    def query_text(store, claim):
-        counts, square, total = text_of(store, claim)
-        return counts.view(Query), square, total
-
-    with mock.patch.object(MemoryStore, "_text", query_text):
+    with observed_matvecs() as (shapes, dtypes):
         # An exact repeat of an opponent claim, near one of the agent's own.
         ingest_and_check(store, make_record(_claim(1, 0, 1), 1, 0.25, Role.SELF), 0.8, 0.5)
     assert shapes == [(own_rows, EMBED_DIM)]
-    assert dtypes == [(np.float32, np.float32)]  # short claims stay under the 2**24 bound
+    assert dtypes == [(np.float32, np.float32)]  # short claims stay under the 2**48 bound
 
 
 # Row counts around the first allocation (8 rows) and each doubling.
@@ -335,10 +344,11 @@ def _long_claim(length: int, edits: list) -> str:
     return "".join(text)
 
 
-# Claims of about 4096 characters, mostly "a": the trigram totals T of a
-# query and of the longest row straddle T_query * T_max = 2**24 (T = 4096
-# each), and the "aaa" bucket makes a dot product close to that product,
-# so above the bound a float32 one would round.
+# Claims of about 4096 characters, mostly "a", so nearly all of a claim's
+# counts sit in the "aaa" bucket and its norm |c| is close to its length:
+# the norms of a query and of the longest row straddle |q| * |c| = 2**24
+# (|q|^2 * square_max = 2**48, at 4096 each), and a dot product is close
+# to |q| * |c|, so above the bound a float32 one would round.
 long_claims = st.builds(
     _long_claim, st.integers(4080, 4112), st.lists(st.tuples(st.integers(0, 5000), st.sampled_from("bB c")), max_size=4)
 )
@@ -349,14 +359,16 @@ long_claims = st.builds(
 # An exact repeat of "a" * 5001: in float32 its dot product, 4999**2,
 # rounds.
 @example(claims=["a" * 5001], query="a" * 5001, short=False)
-# T_query * T_max = 4095 * 4096, just below the bound, then 4096 * 4096.
+# |q| * |c| = 4095 * 4096 for the longest row, just below the bound, then
+# 4096 * 4096.
 @example(claims=["a" * 4098, "a" * 4097], query="a" * 4097, short=True)
 @example(claims=["a" * 4098, "a" * 4097], query="a" * 4098, short=True)
 def test_long_claim_similarity_bits_equal_an_integer_oracle(claims, query, short):
-    """Around and above T_query * T_max = 2**24 the store's nearest record
-    and similarity, bitwise, are still the integer oracle's, whether the
-    matvec ran in float32 (below the bound) or float64 (at or above it);
-    and so is the similarity of each claim queried against all."""
+    """Around and above |q|^2 * square_max = 2**48 the store's nearest
+    record and similarity, bitwise, are still the integer oracle's,
+    whether the matvec ran in float32 (below the bound) or float64 (at or
+    above it); and so is the similarity of each claim queried against
+    all."""
     store = MemoryStore()
     if short:
         store.insert(make_record("a short claim", 1, 0.5, Role.OPPONENT))
@@ -375,37 +387,82 @@ def test_long_claim_similarity_bits_equal_an_integer_oracle(claims, query, short
             assert outcome.similarity == 1.0
 
 
-def test_total_max_follows_the_active_rows():
-    """total_max is the largest total among the active rows: archiving the
-    only 5001-character record brings it down to the next one, and archiving
-    a shorter record leaves it.  A 5090-character query then multiplies in
-    float32 (5088 * 2999 < 2**24; with 4999 it would not) and still gets
-    the integer oracle's match and similarity bits."""
+def oracle_square(claim: str) -> int:
+    """|c|^2 of a claim's counts, from the integer oracle."""
+    return sum(n * n for n in oracle_counts(claim).values())
+
+
+def assert_oracle_nearest(store: MemoryStore, probe: str) -> None:
+    """resolve_conflict finds for probe the record, and the similarity
+    bits, that the integer oracle finds looping over the active records
+    in id order."""
+    best, best_sim = None, -1.0
+    for record in store.active_records():
+        sim = oracle_similarity(probe, record.claim)
+        if sim > best_sim:
+            best, best_sim = record, sim
+    outcome = resolve_conflict(make_record(probe, 1, 0.5, Role.OPPONENT), store, 2.0)
+    assert outcome.matched_id == best.id
+    assert outcome.similarity.hex() == best_sim.hex()
+
+
+def test_square_max_follows_the_active_rows():
+    """square_max is the largest |c|^2 among the active rows: archiving
+    the only 5001-character record brings it down to the next one's, and
+    archiving a shorter record leaves it.  Beside "a" * 5001 (|c| = 4999)
+    a 4097-character query (|q| = 4095) multiplies in float64, since
+    4095 * 4999 > 2**24.  Once that record is gone a 5090-character query
+    multiplies in float32 (|q|^2 * square_max < 2**48; with 4999**2 it
+    would not).  Both get the integer oracle's match and similarity bits."""
     store = MemoryStore()
     claims = ["a" * 5001, "a" * 3000 + "b", "a short claim", "b" + "a" * 1200]
     for claim in claims:
         store.insert(make_record(claim, 1, 0.5, Role.OPPONENT))
     rows = store._by_polarity[1].every
-    assert rows.total_max == 4999
+    assert rows.square_max == 4999**2
+    with observed_matvecs() as (_, dtypes):
+        assert_oracle_nearest(store, "a" * 4097)
+    assert dtypes == [(np.float32, np.float64)]
     store.archive(store.records[0], archived_by=None)
-    assert rows.total_max == 2999
+    assert rows.square_max == oracle_square(claims[1])
     store.archive(store.records[2], archived_by=None)
-    assert rows.total_max == 2999
-    assert sorted(rows.totals[: len(rows.records)].tolist()) == sorted(len(r.claim) - 2 for r in rows.records)
+    assert rows.square_max == oracle_square(claims[1])
+    assert sorted(rows.squares[: len(rows.records)].tolist()) == sorted(oracle_square(r.claim) for r in rows.records)
 
     query = "a" * 5000 + "b" * 90
-    assert (len(query) - 2) * rows.total_max < 2**24
-    best, best_sim = None, -1.0
-    for record in store.active_records():
-        sim = oracle_similarity(query, record.claim)
-        if sim > best_sim:
-            best, best_sim = record, sim
-    outcome = resolve_conflict(make_record(query, 1, 0.5, Role.OPPONENT), store, 2.0)
-    assert outcome.matched_id == best.id
-    assert repr(outcome.similarity) == repr(best_sim)
+    assert oracle_square(query) * rows.square_max < 2**48 <= oracle_square(query) * 4999**2
+    with observed_matvecs() as (_, dtypes):
+        assert_oracle_nearest(store, query)
+    assert dtypes == [(np.float32, np.float32)]
     store.archive(store.records[1], archived_by=None)
     store.archive(store.records[3], archived_by=None)
-    assert rows.total_max == 0
+    assert rows.square_max == 0
+
+
+def _words_claim(seed: int, length: int) -> str:
+    """length characters of seed-corpus words in a seeded random order."""
+    words = [word for candidate in CORPUS for word in candidate.claim.split()]
+    rng = random.Random(seed)
+    text = ""
+    while len(text) < length:
+        text += rng.choice(words) + " "
+    return text[:length]
+
+
+def test_long_claims_of_words_multiply_in_float32():
+    """Claims of 8,000 characters of seed-corpus words have norms |c| near
+    530, far below their lengths, so a query of one against rows of
+    others multiplies in float32 (|q|^2 * square_max < 2**48) and gets the
+    integer oracle's match and similarity bits."""
+    store = MemoryStore()
+    claims = [_words_claim(seed, 8000) for seed in range(3)] + ["a short claim"]
+    for claim in claims:
+        store.insert(make_record(claim, 1, 0.5, Role.OPPONENT))
+    assert store._by_polarity[1].every.square_max < 1000**2
+    for probe in [_words_claim(3, 8000), *claims]:
+        with observed_matvecs() as (_, dtypes):
+            assert_oracle_nearest(store, probe)
+        assert dtypes == [(np.float32, np.float32)]
 
 
 retrieve_ops = st.lists(

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import random
 
@@ -115,7 +116,8 @@ def test_grid_validation():
     with pytest.raises(ContractError):
         CalibrationGrid(u_values=())
     nan, inf = float("nan"), float("inf")
-    for values in ((-2.0, 0.1), (-0.5, 0.1), (nan, 0.1), (0.1, nan), (0.1, nan, 0.2), (0.1, inf), (-inf, 0.1)):
+    bad_grids = ((-2.0, 0.1), (-0.5, 0.1), (nan, 0.1), (0.1, nan), (0.1, nan, 0.2), (0.1, inf), (-inf, 0.1), (False, True))
+    for values in bad_grids:
         with pytest.raises(ContractError, match="finite and >= 0"):
             CalibrationGrid(u_values=values)
         with pytest.raises(ContractError, match=">= 0"):
@@ -132,6 +134,9 @@ def test_accepted_records_dedups_same_polarity():
     )
     records = accepted_records(case, theta=0.85)
     assert [(r.polarity, r.strength) for r in records] == [(1, 0.8), (-1, 0.5)]
+    for theta in (True, 1.5, float("nan")):  # True == 1, but a boolean is no threshold
+        with pytest.raises(ContractError, match="replay theta must be in \\[0, 1\\]"):
+            accepted_records(case, theta=theta)
 
 
 def test_prior_fidelity_identity_profile():
@@ -161,6 +166,24 @@ def test_raw_text_items_route_through_extractor():
     assert [(r.polarity, r.strength) for r in records] == [(-1, 0.7)]
     with pytest.raises(ContractError):
         accepted_records(case, theta=0.85)
+
+
+def test_raw_text_item_warnings_reach_the_log(caplog):
+    text = "CLAIM +0.x: a hint that is no number\nCLAIM +0.5:   \nCLAIM -0.7: the audit found overruns"
+    case = make_case(
+        participant="p7", evidence=[EvidenceItem(claim="x", polarity=1, strength=0.5), EvidenceItem(text=text)]
+    )
+    with caplog.at_level(logging.WARNING, logger="credence.replay"):
+        records = accepted_records(case, theta=0.85, extractor=ScriptedExtractor())
+    assert [(r.polarity, r.strength) for r in records] == [(1, 0.5), (-1, 0.7)]
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        (
+            "credence.replay",
+            "WARNING",
+            "participant p7, evidence item 1: malformed strength hint '0.x' in line 'CLAIM +0.x: a hint that is no number'",
+        ),
+        ("credence.replay", "WARNING", "participant p7, evidence item 1: blank claim text in line 'CLAIM +0.5:'"),
+    ]
 
 
 def test_unscored_items_need_scorer():
@@ -218,6 +241,9 @@ def test_subgroup_classification():
     assert classify_subgroup(mover, evidence=0.01) == "weak_signal"
     stayer = make_case(initial=3, final=3)
     assert classify_subgroup(stayer, evidence=2.0) == "stable"
+    for eps_weak in (True, math.inf, -1.0, math.nan):  # True == 1, but a boolean is no width
+        with pytest.raises(ContractError, match="eps_weak must be >= 0"):
+            classify_subgroup(mover, evidence=2.0, eps_weak=eps_weak)
 
 
 def test_evaluate_rmse_arithmetic():
@@ -302,6 +328,12 @@ def test_jsonl_roundtrip_and_error_reporting(tmp_path):
         handle.write(json.dumps({"participant": "p", "group": "g"}) + "\n")
     cases, errors = load_cases_jsonl(path)
     assert len(cases) == 1 and [line for line, _ in errors] == [2, 3]
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # a byte-order mark at the start only
+    assert load_cases_jsonl(path) == (cases, errors)
+    path.write_bytes(path.read_bytes() + b"\xef\xbb\xbf" + json.dumps(good).encode() + b"\n")
+    cases, errors = load_cases_jsonl(path)
+    assert len(cases) == 1 and [line for line, _ in errors] == [2, 3, 4]
+    assert "Unexpected UTF-8 BOM" in errors[-1][1]
     rebuilt = case_from_dict(case_to_dict(cases[0]))
     assert rebuilt.participant == cases[0].participant
     assert rebuilt.evidence[0].strength == 0.5
