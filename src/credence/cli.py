@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import astuple, fields
@@ -33,7 +34,13 @@ from .simulation import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on the first call
+    and shared by every later one, so a process that runs many commands
+    through main pays for it once.  Parsing leaves it unchanged, so no
+    flag of one command carries over to the next; callers must not
+    mutate it."""
     parser = argparse.ArgumentParser(prog="credence", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

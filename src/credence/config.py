@@ -16,8 +16,6 @@ import math
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .exceptions import ConfigError
 from .judgement import ServiceClient
 from .replay import CalibrationGrid, build_replay_report
@@ -132,6 +130,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 def load_config(path=None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULTS)
+    import yaml  # only a config file needs PyYAML, so a run without one never loads it
+
     try:
         with open(path, encoding="utf-8") as handle:
             loaded = yaml.safe_load(handle) or {}

@@ -547,8 +547,9 @@ def store_from_trace(events) -> MemoryStore:
         payload = event.payload
         if event.kind == "stored":
             claim, role = payload["claim"], Role(payload["role"])
-            record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, store.embed(claim))
-            outcome = ingest_record(store, record, *thresholds)
+            text = store._text(claim)
+            record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, text[0])
+            outcome = ingest_record(store, record, *thresholds, text)
             derived = (
                 ("active", record.active),
                 ("similarity", outcome.similarity),

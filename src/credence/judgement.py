@@ -256,26 +256,34 @@ def _settle(new: ArgumentRecord, nearest: Optional[tuple], threshold: float) -> 
     return ResolutionOutcome(kept_new=False, similarity=similarity, matched_id=best.id)
 
 
-def resolve_conflict(new: ArgumentRecord, memory, threshold: float) -> ResolutionOutcome:
-    """Soft-deduplicate against all active same-polarity records."""
-    return _settle(new, memory.nearest(new), threshold)
+def resolve_conflict(new: ArgumentRecord, memory, threshold: float, text: Optional[tuple] = None) -> ResolutionOutcome:
+    """Soft-deduplicate against all active same-polarity records.  text
+    is the store's cache entry of new's claim, when the caller holds it."""
+    return _settle(new, memory.nearest(new, text=text), threshold)
 
 
-def resolve_self_conflict(new: ArgumentRecord, memory, threshold_self: float) -> ResolutionOutcome:
+def resolve_self_conflict(
+    new: ArgumentRecord, memory, threshold_self: float, text: Optional[tuple] = None
+) -> ResolutionOutcome:
     """Same rule for self-generated arguments, compared only against the
     agent's own active claims (self and seed) of the same polarity."""
     if new.role != Role.SELF:
         raise ContractError("resolve_self_conflict requires a role=self record")
-    return _settle(new, memory.nearest(new, own_only=True), threshold_self)
+    return _settle(new, memory.nearest(new, own_only=True, text=text), threshold_self)
 
 
-def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_self: float) -> ResolutionOutcome:
-    """Resolve, insert, and finalise archival flags for one record."""
+def ingest_record(
+    memory, record: ArgumentRecord, threshold: float, threshold_self: float, text: Optional[tuple] = None
+) -> ResolutionOutcome:
+    """Resolve, insert, and finalise archival flags for one record.  The
+    store's cache entry of its claim is looked up once, here unless the
+    caller passes it as text, and serves both the search and the insert."""
+    text = text or memory._text(record.claim)
     if record.role == Role.SELF:
-        outcome = resolve_self_conflict(record, memory, threshold_self)
+        outcome = resolve_self_conflict(record, memory, threshold_self, text)
     else:
-        outcome = resolve_conflict(record, memory, threshold)
-    record_id = memory.insert(record)
+        outcome = resolve_conflict(record, memory, threshold, text)
+    record_id = memory.insert(record, text)
     if outcome.superseded is not None:
         memory.archive(outcome.superseded, archived_by=record_id)
     return outcome
@@ -295,11 +303,12 @@ def judge(
         raise ContractError(f"no strength for claim {candidate.claim!r} and no scorer configured")
     else:
         strength = score_strength(candidate, topic, scorer)
+    text = memory._text(candidate.claim)  # the one cache lookup of this claim
     record = ArgumentRecord(
         claim=candidate.claim.strip(),
         polarity=candidate.polarity,
         strength=strength,
         role=candidate.role,
-        embedding=memory.embed(candidate.claim),
+        embedding=text[0],
     )
-    return record, ingest_record(memory, record, theta, theta_self)
+    return record, ingest_record(memory, record, theta, theta_self, text)

@@ -182,7 +182,9 @@ class MemoryStore:
     )
     _texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def insert(self, record: ArgumentRecord) -> int:
+    def insert(self, record: ArgumentRecord, text: Optional[tuple] = None) -> int:
+        """Store record under the next id; an active one is indexed with
+        text, its claim's cache entry, looked up here when not given."""
         if record.id is not None:
             raise ContractError(f"record already has id {record.id}")
         record.id = self.insertion_counter
@@ -190,7 +192,7 @@ class MemoryStore:
         self.records.append(record)
         if record.active:
             self._active[record.id] = record
-            self._by_polarity[record.polarity].add(record, self._text(record.claim))
+            self._by_polarity[record.polarity].add(record, text or self._text(record.claim))
         return record.id
 
     def embed(self, claim: str) -> np.ndarray:
@@ -238,14 +240,17 @@ class MemoryStore:
     def active_records(self) -> list[ArgumentRecord]:
         return list(self._active.values())
 
-    def nearest(self, record: ArgumentRecord, own_only: bool = False) -> Optional[tuple[ArgumentRecord, float]]:
+    def nearest(
+        self, record: ArgumentRecord, own_only: bool = False, text: Optional[tuple] = None
+    ) -> Optional[tuple[ArgumentRecord, float]]:
         """The active record of record's polarity (only the agent's own,
         self and seed, if own_only) most cosine-similar to record's claim,
         by trigram counts, with the lowest id among equals, and that
-        similarity; None when there is none."""
+        similarity; None when there is none.  text is the claim's cache
+        entry, looked up here when not given."""
         index = self._by_polarity[record.polarity]
         rows = index.own if own_only else index.every
-        return rows.nearest(self._text(record.claim))
+        return rows.nearest(text or self._text(record.claim))
 
     def __len__(self) -> int:
         return len(self.records)

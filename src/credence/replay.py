@@ -236,10 +236,14 @@ def assign_folds(cases: list[ReplayCase], key: str = "group", folds: int = 5, se
     return [fold_of_key[getattr(case, key)] for case in cases]
 
 
-def classify_subgroup(case: ReplayCase, evidence: float, eps_weak: float = 0.05) -> str:
-    """Outcome-conditioned diagnostic label for one case."""
+def _check_eps_weak(eps_weak: float) -> None:
     if not number_in(eps_weak, 0.0, sys.float_info.max):
         raise ContractError(f"eps_weak must be >= 0 and finite, got {eps_weak!r}")
+
+
+def classify_subgroup(case: ReplayCase, evidence: float, eps_weak: float = 0.05) -> str:
+    """Outcome-conditioned diagnostic label for one case."""
+    _check_eps_weak(eps_weak)
     if case.delta == 0.0:
         return "stable"
     if abs(evidence) < eps_weak:
@@ -432,6 +436,7 @@ def build_replay_report(
 ) -> ReplayReport:
     if not cases:
         raise ContractError("no valid replay cases")
+    _check_eps_weak(eps_weak)  # before any case is judged
     fold_ids = assign_folds(cases, key=key, folds=folds, seed=seed)
     finals, prior_logits, evidence, net = _case_terms(cases, grid.u_values, theta, scorer, extractor, clip_bound)
     initials = np.array([c.initial_stance for c in cases])

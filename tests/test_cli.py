@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 import credence
-from credence import engine, judgement, simulation
+from credence import cli, engine, judgement, simulation
 from credence.cli import main
 from credence.config import DEFAULTS
 from credence.exceptions import TraceVerificationError
@@ -933,3 +933,43 @@ def test_module_entry_point_reports_failure(tmp_path):
     )
     assert run.returncode == 1
     assert run.stderr.startswith("error: ")
+
+
+def test_main_reuses_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_strict_does_not_carry_over_to_the_next_command(tmp_path, capsys):
+    cases = write_cases(tmp_path / "cases.jsonl", n=5)
+    with open(cases, "a") as handle:
+        handle.write("garbage\n")
+    assert main(["replay", "--cases", cases, "--strict", "--out", str(tmp_path / "a")]) == 1
+    assert "error: 1 malformed case lines (strict mode)" in capsys.readouterr().err
+    assert main(["replay", "--cases", cases, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "predictions.csv").exists()
+
+
+def test_seed_does_not_carry_over_to_the_next_command(tmp_path):
+    config = small_sweep_config(tmp_path)
+    assert main(["sweep", "--config", config, "--seed", "11", "--out", str(tmp_path / "a")]) == 0
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "b")]) == 0
+    seeds = [json.loads((tmp_path / name / "resolved_config.json").read_text())["sweep"]["rng_seed"] for name in "ab"]
+    assert seeds == [11, DEFAULTS["sweep"]["rng_seed"]] and seeds[0] != seeds[1]
+
+
+def test_importing_the_package_and_cli_leaves_yaml_unloaded():
+    # PyYAML is imported only when a --config file is read.
+    env = {**os.environ, "PYTHONPATH": str(Path(credence.__file__).parents[1])}
+    code = "import sys, credence, credence.cli; print('yaml' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "False\n"
+
+
+def test_config_that_is_not_yaml_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("a: [1,\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid YAML in {bad}: ") and "Traceback" not in err
+    assert not out.exists()

@@ -246,6 +246,17 @@ def test_subgroup_classification():
             classify_subgroup(mover, evidence=2.0, eps_weak=eps_weak)
 
 
+def test_report_checks_eps_weak_before_judging_any_case(monkeypatch):
+    def not_judged(*args, **kwargs):
+        raise AssertionError("a case was judged before eps_weak was checked")
+
+    monkeypatch.setattr(replay_mod, "accepted_records", not_judged)
+    cases = [random_case(random.Random(4), i) for i in range(6)]
+    for eps_weak in (-1.0, math.inf, math.nan, True):
+        with pytest.raises(ContractError, match=r"eps_weak must be >= 0 and finite, got "):
+            build_replay_report(cases, CalibrationGrid(), folds=2, eps_weak=eps_weak)
+
+
 def test_evaluate_rmse_arithmetic():
     cases = [make_case(initial=3, final_stance=0.0), make_case(initial=3, final_stance=0.0)]
     result = evaluate(cases, [0.3, 0.4])
