@@ -22,6 +22,7 @@ from .engine import (
     TraceEvent,
     compose_response,
     ingest_candidate,
+    ingest_candidates,
     process_message,
     read_trace,
     refresh_belief,
@@ -58,6 +59,7 @@ from .judgement import (
     embed_claim,
     ingest_record,
     judge,
+    judge_batch,
     resolve_conflict,
     resolve_self_conflict,
     score_strength,

@@ -34,7 +34,7 @@ from .core import (
 )
 from .exceptions import ConfigError, ContractError, TraceVerificationError
 from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, ingest_record, judge
+from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, ingest_record, judge_batch
 from .memory import MemoryStore, RetrievalContext
 
 BIN_LABELS = (
@@ -184,25 +184,36 @@ def stance_to_instruction(stance: float) -> tuple[int, str]:
     return bin_index, BIN_LABELS[bin_index]
 
 
-def ingest_candidate(agent: AgentState, candidate: CandidateArgument) -> ArgumentRecord:
-    """Judge and store one candidate; emits its one stored event: the
-    record, its contribution, and the deduplication outcome (the nearest
-    active record's similarity and id, and the record it archived)."""
+def ingest_candidates(agent: AgentState, candidates: list) -> list[ArgumentRecord]:
+    """Judge and store candidates as one batch; each emits its one stored
+    event as soon as it is settled: the record, its contribution, and the
+    deduplication outcome (the nearest active record's similarity and id,
+    and the record it archived)."""
     config = agent.config
-    record, outcome = judge(agent.memory, candidate, agent.topic, config.scorer, config.theta, config.theta_self)
-    agent.emit(
-        "stored",
-        id=record.id,
-        claim=record.claim,
-        polarity=record.polarity,
-        strength=record.strength,
-        role=record.role.value,
-        active=record.active,
-        contribution=record_contribution(record, agent.profile),
-        similarity=outcome.similarity,
-        matched_id=outcome.matched_id,
-        archived_id=outcome.superseded.id if outcome.superseded is not None else None,
-    )
+    records = []
+    for record, outcome in judge_batch(
+        agent.memory, candidates, agent.topic, config.scorer, config.theta, config.theta_self
+    ):
+        agent.emit(
+            "stored",
+            id=record.id,
+            claim=record.claim,
+            polarity=record.polarity,
+            strength=record.strength,
+            role=record.role.value,
+            active=record.active,
+            contribution=record_contribution(record, agent.profile),
+            similarity=outcome.similarity,
+            matched_id=outcome.matched_id,
+            archived_id=outcome.superseded.id if outcome.superseded is not None else None,
+        )
+        records.append(record)
+    return records
+
+
+def ingest_candidate(agent: AgentState, candidate: CandidateArgument) -> ArgumentRecord:
+    """ingest_candidates of one candidate."""
+    (record,) = ingest_candidates(agent, [candidate])
     return record
 
 
@@ -249,9 +260,7 @@ def process_message(agent: AgentState, incoming: Message) -> list[TraceEvent]:
     for message in warnings:
         agent.emit("warning", message=message)
     agent.emit("extracted", count=len(candidates))
-
-    for candidate in candidates:
-        ingest_candidate(agent, candidate)
+    ingest_candidates(agent, candidates)
 
     refresh_belief(agent)
     agent.last_order = incoming.order
@@ -547,9 +556,8 @@ def store_from_trace(events) -> MemoryStore:
         payload = event.payload
         if event.kind == "stored":
             claim, role = payload["claim"], Role(payload["role"])
-            text = store._text(claim)
-            record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, text[0])
-            outcome = ingest_record(store, record, *thresholds, text)
+            record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, store.embed(claim))
+            outcome = ingest_record(store, record, *thresholds)
             derived = (
                 ("active", record.active),
                 ("similarity", outcome.similarity),

@@ -5,6 +5,8 @@ has one and otherwise the score of a pluggable scorer, then passes soft
 deduplication: if an active same-polarity record is more similar than
 the threshold, only the stronger of the two stays active.  Archived
 records are kept for audit but never re-enter the active set.
+Candidates are judged in batches (judge_batch): a message, a replay
+case, a seeding; each is settled in turn, as if it were judged alone.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,8 +53,8 @@ class CandidateArgument:
 
 @dataclass
 class ArgumentRecord:
-    """A judged claim.  A record made by ``judge`` holds in ``embedding``
-    its store's shared, read-only float32 trigram counts
+    """A judged claim.  A record made by ``judge_batch`` holds in
+    ``embedding`` its store's shared, read-only float32 trigram counts
     (``MemoryStore.embed``); the store searches by claim text, never by
     this field, so a record built with another vector is deduplicated all
     the same.  ``active`` may be set only before the record is stored, as
@@ -107,14 +110,22 @@ _CHARS: dict[str, str] = {}
 _GRAM_BUCKETS = _GramBuckets()
 
 
-def _bincount(text: str) -> np.ndarray:
-    """Integer trigram counts of a stripped, lower-cased text; their total
-    is max(len(text) - 2, 1)."""
-    if not text:
-        raise ContractError("cannot embed an empty claim")
-    grams = zip(text, text[1:], text[2:]) if len(text) >= 3 else ((text,),)
-    buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, max(len(text) - 2, 1))
-    return np.bincount(buckets, minlength=EMBED_DIM)
+def _bincounts(texts) -> np.ndarray:
+    """Integer trigram counts of stripped, lower-cased texts, one row per
+    text, from one pass over all their trigrams; a row's total is
+    max(len(text) - 2, 1)."""
+    sizes = []
+    total = 0
+    for text in texts:
+        if not text:
+            raise ContractError("cannot embed an empty claim")
+        sizes.append(max(len(text) - 2, 1))
+        total += sizes[-1]
+    grams = chain.from_iterable(zip(text, text[1:], text[2:]) if len(text) >= 3 else ((text,),) for text in texts)
+    buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, total)
+    if len(sizes) > 1:  # each text's buckets to its own row
+        buckets += np.repeat(np.arange(0, len(sizes) * EMBED_DIM, EMBED_DIM), sizes)
+    return np.bincount(buckets, minlength=len(sizes) * EMBED_DIM).reshape(len(sizes), EMBED_DIM)
 
 
 def trigram_counts(claim: str) -> np.ndarray:
@@ -126,7 +137,7 @@ def trigram_counts(claim: str) -> np.ndarray:
     The counts are small integers, so the vector is exact, and so is any
     dot product of two count vectors, in any summation order.
     """
-    return _bincount(claim.strip().lower()).astype(np.float64)
+    return _bincounts((claim.strip().lower(),))[0].astype(np.float64)
 
 
 def embed_claim(claim: str) -> np.ndarray:
@@ -256,59 +267,75 @@ def _settle(new: ArgumentRecord, nearest: Optional[tuple], threshold: float) -> 
     return ResolutionOutcome(kept_new=False, similarity=similarity, matched_id=best.id)
 
 
-def resolve_conflict(new: ArgumentRecord, memory, threshold: float, text: Optional[tuple] = None) -> ResolutionOutcome:
-    """Soft-deduplicate against all active same-polarity records.  text
-    is the store's cache entry of new's claim, when the caller holds it."""
-    return _settle(new, memory.nearest(new, text=text), threshold)
+def resolve_conflict(new: ArgumentRecord, memory, threshold: float) -> ResolutionOutcome:
+    """Soft-deduplicate against all active same-polarity records, without
+    storing new."""
+    return _settle(new, memory.nearest(new), threshold)
 
 
-def resolve_self_conflict(
-    new: ArgumentRecord, memory, threshold_self: float, text: Optional[tuple] = None
-) -> ResolutionOutcome:
+def resolve_self_conflict(new: ArgumentRecord, memory, threshold_self: float) -> ResolutionOutcome:
     """Same rule for self-generated arguments, compared only against the
     agent's own active claims (self and seed) of the same polarity."""
     if new.role != Role.SELF:
         raise ContractError("resolve_self_conflict requires a role=self record")
-    return _settle(new, memory.nearest(new, own_only=True, text=text), threshold_self)
+    return _settle(new, memory.nearest(new, own_only=True), threshold_self)
 
 
-def ingest_record(
-    memory, record: ArgumentRecord, threshold: float, threshold_self: float, text: Optional[tuple] = None
-) -> ResolutionOutcome:
-    """Resolve, insert, and finalise archival flags for one record.  The
-    store's cache entry of its claim is looked up once, here unless the
-    caller passes it as text, and serves both the search and the insert."""
-    text = text or memory._text(record.claim)
-    if record.role == Role.SELF:
-        outcome = resolve_self_conflict(record, memory, threshold_self, text)
-    else:
-        outcome = resolve_conflict(record, memory, threshold, text)
-    record_id = memory.insert(record, text)
+def _ingest(batch, record: ArgumentRecord, theta: float, theta_self: float) -> ResolutionOutcome:
+    """The one search-and-settle rule: record, the open batch's next, is
+    settled against its nearest active record (a self record only against
+    the agent's own, at theta_self), then stored, and the record it
+    supersedes is archived."""
+    own_only = record.role == Role.SELF
+    outcome = _settle(record, batch.nearest(record, own_only), theta_self if own_only else theta)
+    record_id = batch.store.insert(record)
     if outcome.superseded is not None:
-        memory.archive(outcome.superseded, archived_by=record_id)
+        batch.store.archive(outcome.superseded, archived_by=record_id)
     return outcome
+
+
+def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_self: float) -> ResolutionOutcome:
+    """Resolve, insert, and finalise archival flags for one record: a
+    batch of one."""
+    with memory.batch((record.claim,)) as batch:
+        return _ingest(batch, record, threshold, threshold_self)
+
+
+def _strength(candidate: CandidateArgument, topic: str, scorer: Optional[ScorerPort]) -> float:
+    """The candidate's hint if it has one, else the scorer's clamped
+    score; with neither, the candidate cannot be judged."""
+    if candidate.strength_hint is not None:
+        return float(candidate.strength_hint)
+    if scorer is None:
+        raise ContractError(f"no strength for claim {candidate.claim!r} and no scorer configured")
+    return score_strength(candidate, topic, scorer)
+
+
+def judge_batch(memory, candidates: list, topic: str, scorer: Optional[ScorerPort], theta: float, theta_self: float):
+    """The one judgement path: strength, record, deduplication, storage,
+    for a batch of candidates judged in order (MemoryStore.batch).
+
+    Yields (record, outcome) for each candidate as soon as it is settled
+    and stored, so its outcome and active flag are those of that moment;
+    a later candidate may still archive it.  The strength is taken (and
+    a scorer called) at that candidate's turn, so a failing scorer stops
+    the batch there, with the earlier records stored.
+    """
+    with memory.batch([candidate.claim for candidate in candidates]) as batch:
+        for candidate, (counts, _) in zip(candidates, batch.texts):
+            record = ArgumentRecord(
+                claim=candidate.claim.strip(),
+                polarity=candidate.polarity,
+                strength=_strength(candidate, topic, scorer),
+                role=candidate.role,
+                embedding=counts,
+            )
+            yield record, _ingest(batch, record, theta, theta_self)
 
 
 def judge(
     memory, candidate: CandidateArgument, topic: str, scorer: Optional[ScorerPort], theta: float, theta_self: float
 ) -> tuple[ArgumentRecord, ResolutionOutcome]:
-    """The one judgement path: strength, record, deduplication, storage.
-
-    The strength is the candidate's hint if it has one, else the scorer's
-    clamped score; with neither, the candidate cannot be judged.
-    """
-    if candidate.strength_hint is not None:
-        strength = float(candidate.strength_hint)
-    elif scorer is None:
-        raise ContractError(f"no strength for claim {candidate.claim!r} and no scorer configured")
-    else:
-        strength = score_strength(candidate, topic, scorer)
-    text = memory._text(candidate.claim)  # the one cache lookup of this claim
-    record = ArgumentRecord(
-        claim=candidate.claim.strip(),
-        polarity=candidate.polarity,
-        strength=strength,
-        role=candidate.role,
-        embedding=text[0],
-    )
-    return record, ingest_record(memory, record, theta, theta_self, text)
+    """judge_batch of one candidate."""
+    (judged,) = judge_batch(memory, [candidate], topic, scorer, theta, theta_self)
+    return judged

@@ -19,7 +19,7 @@ from .engine import (
     AgentState,
     EngineConfig,
     check_ranges,
-    ingest_candidate,
+    ingest_candidates,
     process_message,
     compose_response,
     refresh_belief,
@@ -103,14 +103,16 @@ def seed_agent(
     pool = seed_pool(seed_corpus, n, target)
     if rng is not None:
         rng.shuffle(pool)
-    for candidate in pool[:n]:
-        seeded = CandidateArgument(
+    seeded = [
+        CandidateArgument(
             claim=candidate.claim,
             polarity=candidate.polarity,
             role=Role.SEED,
             strength_hint=candidate.strength_hint,
         )
-        ingest_candidate(agent, seeded)
+        for candidate in pool[:n]
+    ]
+    ingest_candidates(agent, seeded)
 
     anchoring = agent.profile.anchoring
     seeds = [r for r in agent.memory.records if r.role == Role.SEED]

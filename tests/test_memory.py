@@ -72,6 +72,31 @@ def test_archive_takes_only_an_active_record_of_its_own_store():
     assert state(store) == before and record.archived_by == 1
 
 
+def test_rescale_takes_only_records_of_its_own_store():
+    """Another store's record or an unstored one, alone or beside a record
+    of the store, raises and changes no strength, rank order or revision
+    of either store; an archived record of the store is rescaled."""
+    store, other = MemoryStore(), MemoryStore()
+    mine, theirs = make_record("a", strength=0.8), make_record("b", strength=0.4)
+    store.insert(mine)
+    store.insert(make_record("c", strength=0.6))
+    other.insert(theirs)
+
+    def strengths():
+        ranked = [[r.id for r in s._index(p).ranked] for s in (store, other) for p in (1, -1)]
+        return [r.strength for r in [*store, *other]], ranked, store.revision, other.revision
+
+    before = strengths()
+    for records, name in (([theirs], 0), ([mine, theirs], 0), ([mine, make_record("d")], None)):
+        with pytest.raises(ContractError, match=f"record {name} is not a record of this store"):
+            store.rescale(records, 0.5)
+        assert strengths() == before
+
+    store.archive(mine, archived_by=None)
+    store.rescale([mine], 0.5)
+    assert mine.strength == 0.4 and store.revision == before[2] + 2
+
+
 @pytest.mark.parametrize("value", [False, True])
 def test_a_stored_records_active_flag_is_set_only_by_archive(value):
     store = MemoryStore()

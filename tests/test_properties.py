@@ -49,6 +49,7 @@ from credence.judgement import (
     cosine_similarity,
     embed_claim,
     ingest_record,
+    judge_batch,
     resolve_conflict,
     trigram_counts,
 )
@@ -174,7 +175,8 @@ def test_indexed_resolve_matches_brute_force(ops, theta, theta_self):
 def observed_matvecs():
     """Record the store's matvecs run inside the block.  The matvec is
     `matrix @ query`, the query being the counts of the store's cache
-    entry for the claim; a query of this subclass records the shape and
+    entry for the claim, which every lookup (a batch's, or one claim's)
+    gets from `_texts_of`; a query of this subclass records the shape and
     dtype of the matrix it meets.  Yields the list of shapes and the list
     of (matrix, query) dtypes."""
     shapes = []
@@ -186,13 +188,13 @@ def observed_matvecs():
             dtypes.append((matrix.dtype, self.dtype))
             return matrix @ self.view(np.ndarray)
 
-    text_of = MemoryStore._text
+    texts_of = MemoryStore._texts_of
 
-    def query_text(store, claim):
-        counts, square = text_of(store, claim)
-        return counts.view(Query), square
+    def query_texts(store, claims):
+        texts, rows = texts_of(store, claims)
+        return [(counts.view(Query), square) for counts, square in texts], rows
 
-    with mock.patch.object(MemoryStore, "_text", query_text):
+    with mock.patch.object(MemoryStore, "_texts_of", query_texts):
         yield shapes, dtypes
 
 
@@ -463,6 +465,129 @@ def test_long_claims_of_words_multiply_in_float32():
         with observed_matvecs() as (_, dtypes):
             assert_oracle_nearest(store, probe)
         assert dtypes == [(np.float32, np.float32)]
+
+
+# Claims of about 4100 characters whose |c|^2 straddles 2**24, the bound at
+# which a batch's product leaves float32 ("a" * 4098 has |c|^2 = 2**24); an
+# exact repeat of "a" * 5001 has the odd dot product 4999**2, which float32
+# would round.  They differ in composition, so similarities between them
+# are not all 1.
+LONG_CLAIMS = ("a" * 4097, "a" * 4098, "a" * 5001, "a" * 4000 + "b" * 97, "b" + "a" * 4096 + "c")
+
+
+@functools.lru_cache(maxsize=None)
+def _counts(claim: str) -> np.ndarray:
+    return trigram_counts(claim)
+
+
+batch_claims = st.one_of(
+    st.tuples(st.integers(0, len(PHRASES) - 1), st.integers(0, len(SWAPS)), st.integers(0, 2)).map(
+        lambda drawn: _claim(*drawn)
+    ),
+    st.sampled_from(LONG_CLAIMS),
+)
+batch_candidates = st.tuples(
+    batch_claims,
+    st.sampled_from((-1, 1)),
+    st.sampled_from((Role.SEED, Role.SELF, Role.OPPONENT)),
+    st.sampled_from((0.25, 0.5, 0.75, 1.0)),
+)
+
+
+def oracle_batches(batches, theta: float, theta_self: float):
+    """The brute-force rule, one candidate at a time: its pool is every
+    active record of its polarity (only self and seed ones for a self
+    candidate), its match the cosine_similarity maximum over that pool in
+    id order (the first strictly greater wins, so ties keep the lowest
+    id), and the _settle rule decides.  Returns each candidate's expected
+    (active, similarity, matched_id, archived_id) as it is settled, and
+    every record's final (active, archived_by)."""
+    records = []  # [claim, polarity, role, strength, active, archived_by]
+    decisions = []
+    for batch in batches:
+        for claim, polarity, role, strength in batch:
+            best, best_sim = None, None
+            for index, (other, other_polarity, other_role, _, active, _) in enumerate(records):
+                if not active or other_polarity != polarity:
+                    continue
+                if role == Role.SELF and other_role not in (Role.SELF, Role.SEED):
+                    continue
+                sim = cosine_similarity(_counts(claim), _counts(other))
+                if best is None or sim > best_sim:
+                    best, best_sim = index, sim
+            new = [claim, polarity, role, strength, True, None]
+            archived = None
+            if best is not None and best_sim >= (theta_self if role == Role.SELF else theta):
+                if strength > records[best][3]:
+                    records[best][4:] = [False, len(records)]
+                    archived = best
+                else:
+                    new[4:] = [False, best]
+            records.append(new)
+            decisions.append((new[4], best_sim, best, archived))
+    return decisions, [(active, archived_by) for *_, active, archived_by in records]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    batches=st.lists(st.lists(batch_candidates, min_size=1, max_size=7), min_size=1, max_size=5),
+    theta=thetas,
+    theta_self=thetas,
+)
+# One batch: paraphrase 1 supersedes the weaker base claim, and the later
+# exact repeat of the base claim, whose best match would be the archived
+# record, matches the paraphrase instead; a self repeat sees only the
+# seed and self records; the long repeats take the float64 product.
+@example(
+    batches=[
+        [
+            (_claim(0, 0, 0), 1, Role.OPPONENT, 0.25),
+            (_claim(0, 1, 0), 1, Role.SEED, 0.75),
+            (_claim(0, 0, 0), 1, Role.OPPONENT, 0.5),
+            (_claim(0, 0, 0), 1, Role.SELF, 1.0),
+            (_claim(0, 0, 0), -1, Role.OPPONENT, 0.5),
+            ("a" * 5001, 1, Role.OPPONENT, 0.5),
+            ("a" * 5001, 1, Role.OPPONENT, 0.75),
+        ],
+        [(_claim(0, 2, 0), 1, Role.SELF, 0.25), ("a" * 4097, 1, Role.OPPONENT, 0.5)],
+    ],
+    theta=BOUNDARY_THETAS[0],
+    theta_self=0.5,
+)
+# Every claim below |c|^2 = 2**24: the product stays in float32.
+@example(
+    batches=[[("a" * 4097, 1, Role.OPPONENT, 0.25), ("b" + "a" * 4096 + "c", 1, Role.OPPONENT, 0.5)]],
+    theta=0.9,
+    theta_self=0.5,
+)
+def test_batches_equal_a_brute_force_oracle(batches, theta, theta_self):
+    """Candidates judged in batches, across several batches, take the
+    oracle's decisions: each one's active flag as it is settled, its
+    nearest record's id and similarity bits, and the record it archives;
+    and every record ends with the oracle's flags.  A batch record is
+    searched for among the rows stored before the batch and among the
+    batch's earlier records, whose similarities come from one product.
+    After the last batch the index holds exactly the active records."""
+    expected, final = oracle_batches(batches, theta, theta_self)
+    store = MemoryStore()
+    decisions = []
+    for batch in batches:
+        candidates = [CandidateArgument(claim, polarity, role, strength) for claim, polarity, role, strength in batch]
+        for record, outcome in judge_batch(store, candidates, DEFAULT_TOPIC, None, theta, theta_self):
+            superseded = outcome.superseded.id if outcome.superseded is not None else None
+            decisions.append((record.active, outcome.similarity, outcome.matched_id, superseded))
+    def bits(decision):
+        active, similarity, matched_id, archived_id = decision
+        return active, similarity if similarity is None else similarity.hex(), matched_id, archived_id
+
+    assert list(map(bits, decisions)) == list(map(bits, expected))
+    assert flags(store) == final
+    for polarity in (1, -1):
+        index = store._index(polarity)
+        active = [r for r in store.records if r.active and r.polarity == polarity]
+        assert sorted(r.id for r in index.every.records) == [r.id for r in active]
+        assert sorted(r.id for r in index.own.records) == [r.id for r in active if r.role != Role.OPPONENT]
+        assert index.ranked == sorted(active, key=lambda r: (-r.strength, r.id))
 
 
 retrieve_ops = st.lists(
