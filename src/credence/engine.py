@@ -51,15 +51,24 @@ BIN_LABELS = (
 )
 
 
+def _decimal(strength: float) -> str:
+    """A strength in [0, 1] in fixed-point notation, as the CLAIM grammar
+    reads it (no exponent), that parses back to the same float: 17
+    significant digits, which pin down any double, subnormals included,
+    and never fewer than 17 digits after the point."""
+    exponent = int(f"{strength:.16e}".partition("e")[2])
+    return f"{strength:.{max(17, 16 - exponent)}f}"
+
+
 def template_response(stance_instruction: str, retrieved: RetrievalContext) -> str:
     """The deterministic, model-free response: the stance instruction
     followed by the retrieved claims in the scripted-claim grammar, so a
-    listening agent can re-extract them.  Strengths are printed with
-    enough digits to round-trip."""
+    listening agent can re-extract them.  Every strength parses back to
+    the same float (see _decimal)."""
     lines = [stance_instruction]
     for record in retrieved.records:
         sign = "+" if record.polarity > 0 else "-"
-        lines.append(f"CLAIM {sign}{record.strength:.17f}: {record.claim}")
+        lines.append(f"CLAIM {sign}{_decimal(record.strength)}: {record.claim}")
     return "\n".join(lines)
 
 

@@ -18,12 +18,14 @@ from credence.engine import (
     refresh_belief,
     stance_to_instruction,
     take_turn,
+    template_response,
     verify_trace,
     write_trace,
 )
 from credence.exceptions import ContractError, TraceVerificationError
-from credence.extraction import Message, ScriptedExtractor
-from credence.judgement import CandidateArgument
+from credence.extraction import Message, ScriptedExtractor, parse_scripted_message
+from credence.judgement import ArgumentRecord, CandidateArgument
+from credence.memory import RetrievalContext
 
 
 def make_agent(uptake=0.4, anchoring=0.2, k=5):
@@ -298,3 +300,38 @@ def test_trace_lines_are_json_dumps_bytes(tmp_path_factory, rows):
     write_trace(path, events)
     assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
     assert read_trace(path) == events
+
+
+@settings(max_examples=500, deadline=None)
+@given(strengths=st.lists(st.floats(0.0, 1.0, allow_subnormal=True), min_size=1, max_size=5))
+# .17f printed this one as 0.05442292252959519, which parses back larger.
+@example(strengths=[0.054422922529595186])
+@example(strengths=[5e-324, 2.2250738585072014e-308, 0.1, 0.09999999999999999, 1.0, 0.0])
+def test_template_claim_lines_return_every_strength_bitwise(strengths):
+    """Each retrieved strength, printed by template_response and read back
+    by the scripted parser, is the same float, for every strength in
+    [0, 1]; strengths from 0.1 up print as they always did (.17f)."""
+    records = [ArgumentRecord(f"claim {i}", 1, s, Role.OPPONENT, None) for i, s in enumerate(strengths)]
+    text = template_response("lean toward the proposition", RetrievalContext(records, len(records), 0))
+    parsed = parse_scripted_message(Message(text=text, author_role="self", order=0))
+    assert [c.strength_hint.hex() for c in parsed] == [s.hex() for s in strengths]
+    for line, strength in zip(text.splitlines()[1:], strengths):
+        if strength >= 0.1 or strength == 0.0:
+            assert line.startswith(f"CLAIM +{strength:.17f}:")
+
+
+@settings(max_examples=200, deadline=None)
+@given(strength=st.floats(0.0, 1.0, allow_subnormal=True))
+@example(strength=0.054422922529595186)
+def test_a_seed_is_never_archived_by_its_own_echo(strength):
+    """The agent's own turn echoes its seed with the same strength, so the
+    echo ties and the seed stays active: L does not move."""
+    agent = make_agent(anchoring=0.7)
+    seed = ingest_candidate(agent, CandidateArgument("founding reason", 1, Role.SEED, strength))
+    refresh_belief(agent)
+    before = agent.belief.log_odds
+    take_turn(agent)
+    echo = agent.memory.records[-1]
+    assert (echo.role, echo.strength) == (Role.SELF, strength)
+    assert seed.active and not echo.active and echo.archived_by == seed.id
+    assert agent.belief.log_odds == before
