@@ -54,10 +54,12 @@ BIN_LABELS = (
 def _decimal(strength: float) -> str:
     """A strength in [0, 1] in fixed-point notation, as the CLAIM grammar
     reads it (no exponent), that parses back to the same float: 17
-    significant digits, which pin down any double, subnormals included,
-    and never fewer than 17 digits after the point."""
+    digits after the point, and below 0.1 as many more as keep 17
+    significant digits, which pin down any double, subnormals included."""
+    if strength >= 0.1 or strength == 0.0:
+        return f"{strength:.17f}"
     exponent = int(f"{strength:.16e}".partition("e")[2])
-    return f"{strength:.{max(17, 16 - exponent)}f}"
+    return f"{strength:.{16 - exponent}f}"
 
 
 def template_response(stance_instruction: str, retrieved: RetrievalContext) -> str:

@@ -301,32 +301,30 @@ def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_se
         return _ingest(batch, record, threshold, threshold_self)
 
 
-def _strength(candidate: CandidateArgument, topic: str, scorer: Optional[ScorerPort]) -> float:
-    """The candidate's hint if it has one, else the scorer's clamped
-    score; with neither, the candidate cannot be judged."""
-    if candidate.strength_hint is not None:
-        return float(candidate.strength_hint)
-    if scorer is None:
-        raise ContractError(f"no strength for claim {candidate.claim!r} and no scorer configured")
-    return score_strength(candidate, topic, scorer)
-
-
 def judge_batch(memory, candidates: list, topic: str, scorer: Optional[ScorerPort], theta: float, theta_self: float):
     """The one judgement path: strength, record, deduplication, storage,
     for a batch of candidates judged in order (MemoryStore.batch).
 
     Yields (record, outcome) for each candidate as soon as it is settled
     and stored, so its outcome and active flag are those of that moment;
-    a later candidate may still archive it.  The strength is taken (and
-    a scorer called) at that candidate's turn, so a failing scorer stops
-    the batch there, with the earlier records stored.
+    a later candidate may still archive it.  The strength is the
+    candidate's hint if it has one, else the scorer's clamped score, taken
+    at that candidate's turn, so a failing scorer stops the batch there,
+    with the earlier records stored; with neither, the candidate cannot be
+    judged.
     """
     with memory.batch([candidate.claim for candidate in candidates]) as batch:
         for candidate, (counts, _) in zip(candidates, batch.texts):
+            if candidate.strength_hint is not None:
+                strength = float(candidate.strength_hint)
+            elif scorer is None:
+                raise ContractError(f"no strength for claim {candidate.claim!r} and no scorer configured")
+            else:
+                strength = score_strength(candidate, topic, scorer)
             record = ArgumentRecord(
                 claim=candidate.claim.strip(),
                 polarity=candidate.polarity,
-                strength=_strength(candidate, topic, scorer),
+                strength=strength,
                 role=candidate.role,
                 embedding=counts,
             )

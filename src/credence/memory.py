@@ -33,9 +33,9 @@ batch is open, so a batch record is searched for among the rows that
 existed before the batch (``nearest``) and among the batch's own
 earlier records, whose dot products come from one product of the
 batch's counts.  The rows of a closed batch's records still active join
-the index when it is next read (a search, an archive, a rescale, a
-retrieval or an insert outside a batch), once per polarity; a store
-that is never read again, as a replay case's, never builds them.
+the index, in id order, when it is next read (a search, an archive, a
+rescale, a retrieval or an insert outside a batch); a store that is
+never read again, as a replay case's, never builds them.
 
 A query q multiplies in float32 while |q|^2 * square_max < 2**48,
 square_max being the largest |c|^2 among a row set's rows.  A row's dot
@@ -97,29 +97,19 @@ class _RowSet:
     def add(self, record: ArgumentRecord, text: tuple) -> None:
         """Add an active record with its text's cache entry, (counts,
         |counts|^2)."""
-        self.extend([record], [text])
-
-    def extend(self, records: list, texts: list) -> None:
-        """Add active records with their texts' cache entries.  The matrix
-        grows at most once, to the capacity that adding them one at a time
-        would reach."""
+        counts, square = text
         n = len(self.records)
-        end = n + len(records)
-        capacity = len(self.squares)
-        if end > capacity:
-            while capacity < end:
-                capacity = max(self.FIRST_ROWS, 2 * capacity)
+        if n == len(self.squares):
+            capacity = max(self.FIRST_ROWS, 2 * n)
             grown, grown_squares = np.empty((capacity, EMBED_DIM), dtype=np.float32), np.empty(capacity)
-            if n:
-                grown[:n], grown_squares[:n] = self.counts[:n], self.squares[:n]
+            grown[:n], grown_squares[:n] = self.counts, self.squares
             self.counts, self.squares = grown, grown_squares
-        for row, (record, (counts, square)) in enumerate(zip(records, texts), n):
-            self.counts[row] = counts
-            self.squares[row] = square
-            if square > self.square_max:
-                self.square_max = square
-            self.row_of[record.id] = row
-        self.records += records
+        self.counts[n] = counts
+        self.squares[n] = square
+        if square > self.square_max:
+            self.square_max = square
+        self.records.append(record)
+        self.row_of[record.id] = n
 
     def remove(self, record: ArgumentRecord) -> None:
         row = self.row_of.pop(record.id)
@@ -179,17 +169,11 @@ class _PolarityIndex:
         self.own = _RowSet()
         self.ranked: list[ArgumentRecord] = []
 
-    def extend(self, records: list, texts: list) -> None:
-        """Add active records of this polarity with their texts' cache
-        entries."""
-        self.every.extend(records, texts)
-        own = [row for row, record in enumerate(records) if record.role in _OWN_ROLES]
-        if len(own) == len(records):
-            self.own.extend(records, texts)
-        elif own:
-            self.own.extend([records[row] for row in own], [texts[row] for row in own])
-        for record in records:
-            bisect.insort(self.ranked, record, key=_rank)
+    def add(self, record: ArgumentRecord, text: tuple) -> None:
+        self.every.add(record, text)
+        if record.role in _OWN_ROLES:
+            self.own.add(record, text)
+        bisect.insort(self.ranked, record, key=_rank)
 
     def remove(self, record: ArgumentRecord) -> None:
         self.every.remove(record)
@@ -214,11 +198,10 @@ class MemoryStore:
     # The closed batches' (record, cache entry) pairs not yet in the index.
     _joining: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def insert(self, record: ArgumentRecord, text: Optional[tuple] = None) -> int:
-        """Store record under the next id; an active one is indexed with
-        text, its claim's cache entry, looked up here when not given.
-        While a batch is open, record is the batch's next one, and its row
-        joins the index only after the batch has closed."""
+    def insert(self, record: ArgumentRecord) -> int:
+        """Store record under the next id, and index an active one.  While
+        a batch is open, record is the batch's next one, and its row joins
+        the index only after the batch has closed."""
         if record.id is not None:
             raise ContractError(f"record already has id {record.id}")
         record.id = self.insertion_counter
@@ -229,7 +212,7 @@ class MemoryStore:
         if self._batch is not None:
             self._batch.records.append(record)
         elif record.active:
-            self._index(record.polarity).extend([record], [text or self._text(record.claim)])
+            self._index(record.polarity).add(record, self._text(record.claim))
         return record.id
 
     def batch(self, claims) -> "_Batch":
@@ -256,15 +239,16 @@ class MemoryStore:
         2000-case replay took about 2% longer."""
         texts = self._texts
         keys = [claim.strip().lower() for claim in claims]
-        new = [key for key in dict.fromkeys(keys) if key not in texts]
-        rows = None
-        if new:
-            counts = _bincounts(new)
-            squares = np.einsum("ij,ij->i", counts, counts).tolist()
-            rows = counts.astype(np.float32)
-            rows.flags.writeable = False  # and so every row of it
-            for key, row, square in zip(new, rows, squares):
-                texts[key] = (row, float(square))
+        try:
+            return [texts[key] for key in keys], None
+        except KeyError:
+            new = [key for key in dict.fromkeys(keys) if key not in texts]
+        counts = _bincounts(new)
+        squares = np.einsum("ij,ij->i", counts, counts).tolist()
+        rows = counts.astype(np.float32)
+        rows.flags.writeable = False  # and so every row of it
+        for key, row, square in zip(new, rows, squares):
+            texts[key] = (row, float(square))
         return [texts[key] for key in keys], rows if len(new) == len(keys) else None
 
     def archive(self, record: ArgumentRecord, archived_by: Optional[int]) -> None:
@@ -307,17 +291,11 @@ class MemoryStore:
 
     def _join(self) -> None:
         """Add the closed batches' records still active to the index, in id
-        order, once per polarity."""
-        joining = {1: ([], []), -1: ([], [])}
-        for record, text in self._joining:
+        order."""
+        joining, self._joining = self._joining, []
+        for record, text in joining:
             if record.active:
-                records, texts = joining[record.polarity]
-                records.append(record)
-                texts.append(text)
-        self._joining = []
-        for polarity, (records, texts) in joining.items():
-            if records:
-                self._by_polarity[polarity].extend(records, texts)
+                self._by_polarity[record.polarity].add(record, text)
 
     def active_records(self) -> list[ArgumentRecord]:
         return list(self._active.values())
@@ -348,9 +326,10 @@ class MemoryStore:
 class _Batch:
     """Claims judged together against one store, in order: their texts'
     cache entries, counted in one pass; the dot products among their
-    counts, from one product; and the batch's records, which the store's
-    insert appends, one per claim in the claims' order, while the batch
-    is open (a context manager; a store has one open batch at most).
+    counts, from one product made when a search first needs one; and the
+    batch's records, which the store's insert appends, one per claim in
+    the claims' order, while the batch is open (a context manager; a store
+    has one open batch at most).
 
     While the batch is open the store indexes none of its records.  On
     closing, whether the batch ended or failed part way, its records go
@@ -360,14 +339,9 @@ class _Batch:
 
     def __init__(self, store: MemoryStore, claims):
         self.store = store
-        self.texts, counts = store._texts_of(claims)
-        self.squares = [square for _, square in self.texts]
+        self.texts, self.counts = store._texts_of(claims)
         self.records: list[ArgumentRecord] = []
         self.dots = None
-        if len(self.texts) > 1:
-            if counts is None:
-                counts = np.stack([counts for counts, _ in self.texts])
-            self.dots = _dot_products(counts, max(self.squares))
 
     def __enter__(self) -> "_Batch":
         store = self.store
@@ -380,7 +354,7 @@ class _Batch:
 
     def __exit__(self, *exc) -> None:
         self.store._batch = None
-        self.store._joining += zip(self.records, self.texts)
+        self.store._joining += [(record, text) for record, text in zip(self.records, self.texts) if record.active]
 
     def nearest(self, record: ArgumentRecord, own_only: bool) -> Optional[tuple[ArgumentRecord, float]]:
         """MemoryStore.nearest for the batch's next record, over the rows
@@ -392,24 +366,28 @@ class _Batch:
         correctly rounded, as in cosine_similarity."""
         i = len(self.records)
         found = self.store.nearest(record, own_only, self.texts[i]) if self.search_rows else None
-        if i:
-            dots, squares, square = self.dots[i], self.squares, self.squares[i]
-            for j, other in enumerate(self.records):
-                if other.active and other.polarity == record.polarity and (not own_only or other.role in _OWN_ROLES):
-                    similarity = dots[j] / math.sqrt(square * squares[j])
-                    if found is None or similarity > found[1]:
-                        found = other, similarity
+        for j, other in enumerate(self.records):
+            if other._active and other.polarity == record.polarity and (not own_only or other.role in _OWN_ROLES):
+                similarity = self._dot(i, j) / math.sqrt(self.texts[i][1] * self.texts[j][1])
+                if found is None or similarity > found[1]:
+                    found = other, similarity
         return found
 
-
-def _dot_products(counts: np.ndarray, square_max: float) -> list:
-    """Every pair of rows' dot products, as nested lists of exact
-    integers, from one product: float32 while square_max, the largest
-    |c|^2 among the rows, is below 2**24 (each dot product is then at
-    most |c_i||c_j| < 2**24, see the module docstring), else float64."""
-    if square_max * square_max >= _FLOAT32_EXACT:
-        counts = counts.astype(np.float64)
-    return (counts @ counts.T).tolist()
+    def _dot(self, i: int, j: int) -> float:
+        """The exact dot product of claims i and j's counts.  The first
+        call takes every pair's from one product of the batch's counts:
+        float32 while the batch's largest |c|^2 is below 2**24 (each dot
+        product is then at most |c_i||c_j| < 2**24, see the module
+        docstring), else float64."""
+        if self.dots is None:
+            counts = self.counts
+            if counts is None:
+                counts = np.concatenate([counts for counts, _ in self.texts]).reshape(len(self.texts), EMBED_DIM)
+            square_max = max(square for _, square in self.texts)
+            if square_max * square_max >= _FLOAT32_EXACT:
+                counts = counts.astype(np.float64)
+            self.dots = (counts @ counts.T).tolist()
+        return self.dots[i][j]
 
 
 @dataclass
