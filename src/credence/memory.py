@@ -6,8 +6,9 @@ allocates context slots in proportion to the active pro/con composition,
 never by stance.
 
 The store alone owns its active set: ``insert`` indexes an active record
-at once, and ``archive`` is the one way a stored record leaves it (a
-stored record's ``active`` flag cannot be set directly).
+(outside a batch at once, see below), and ``archive`` is the one way a
+stored record leaves it (a stored record's ``active`` flag cannot be set
+directly).
 The index makes deduplication, retrieval and the belief update cost in
 proportion to the active set rather than to everything ever stored:
 
@@ -239,16 +240,16 @@ class MemoryStore:
         2000-case replay took about 2% longer."""
         texts = self._texts
         keys = [claim.strip().lower() for claim in claims]
-        try:
+        new = [key for key in keys if key not in texts]
+        if not new:
             return [texts[key] for key in keys], None
-        except KeyError:
-            new = [key for key in dict.fromkeys(keys) if key not in texts]
+        if len(new) > 1:
+            new = list(dict.fromkeys(new))
         counts = _bincounts(new)
-        squares = np.einsum("ij,ij->i", counts, counts).tolist()
         rows = counts.astype(np.float32)
         rows.flags.writeable = False  # and so every row of it
-        for key, row, square in zip(new, rows, squares):
-            texts[key] = (row, float(square))
+        for key, row, integers in zip(new, rows, counts):
+            texts[key] = (row, float(integers @ integers))
         return [texts[key] for key in keys], rows if len(new) == len(keys) else None
 
     def archive(self, record: ArgumentRecord, archived_by: Optional[int]) -> None:
