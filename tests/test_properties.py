@@ -576,6 +576,7 @@ def test_batches_equal_a_brute_force_oracle(batches, theta, theta_self):
         for record, outcome in judge_batch(store, candidates, DEFAULT_TOPIC, None, theta, theta_self):
             superseded = outcome.superseded.id if outcome.superseded is not None else None
             decisions.append((record.active, outcome.similarity, outcome.matched_id, superseded))
+
     def bits(decision):
         active, similarity, matched_id, archived_id = decision
         return active, similarity if similarity is None else similarity.hex(), matched_id, archived_id
