@@ -16,7 +16,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -110,22 +109,14 @@ _CHARS: dict[str, str] = {}
 _GRAM_BUCKETS = _GramBuckets()
 
 
-def _bincounts(texts) -> np.ndarray:
-    """Integer trigram counts of stripped, lower-cased texts, one row per
-    text, from one pass over all their trigrams; a row's total is
-    max(len(text) - 2, 1)."""
-    sizes = []
-    total = 0
-    for text in texts:
-        if not text:
-            raise ContractError("cannot embed an empty claim")
-        sizes.append(max(len(text) - 2, 1))
-        total += sizes[-1]
-    grams = chain.from_iterable(zip(text, text[1:], text[2:]) if len(text) >= 3 else ((text,),) for text in texts)
-    buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, total)
-    if len(sizes) > 1:  # each text's buckets to its own row
-        buckets += np.repeat(np.arange(0, len(sizes) * EMBED_DIM, EMBED_DIM), sizes)
-    return np.bincount(buckets, minlength=len(sizes) * EMBED_DIM).reshape(len(sizes), EMBED_DIM)
+def _bincount(text: str) -> np.ndarray:
+    """Integer trigram counts of a stripped, lower-cased text; their total
+    is max(len(text) - 2, 1)."""
+    if not text:
+        raise ContractError("cannot embed an empty claim")
+    grams = zip(text, text[1:], text[2:]) if len(text) >= 3 else ((text,),)
+    buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, max(len(text) - 2, 1))
+    return np.bincount(buckets, minlength=EMBED_DIM)
 
 
 def trigram_counts(claim: str) -> np.ndarray:
@@ -137,7 +128,7 @@ def trigram_counts(claim: str) -> np.ndarray:
     The counts are small integers, so the vector is exact, and so is any
     dot product of two count vectors, in any summation order.
     """
-    return _bincounts((claim.strip().lower(),))[0].astype(np.float64)
+    return _bincount(claim.strip().lower()).astype(np.float64)
 
 
 def embed_claim(claim: str) -> np.ndarray:
@@ -288,7 +279,7 @@ def _ingest(batch, record: ArgumentRecord, theta: float, theta_self: float) -> R
     supersedes is archived."""
     own_only = record.role == Role.SELF
     outcome = _settle(record, batch.nearest(record, own_only), theta_self if own_only else theta)
-    record_id = batch.store.insert(record)
+    record_id = batch.insert(record)
     if outcome.superseded is not None:
         batch.store.archive(outcome.superseded, archived_by=record_id)
     return outcome
@@ -311,7 +302,9 @@ def judge_batch(memory, candidates: list, topic: str, scorer: Optional[ScorerPor
     candidate's hint if it has one, else the scorer's clamped score, taken
     at that candidate's turn, so a failing scorer stops the batch there,
     with the earlier records stored; with neither, the candidate cannot be
-    judged.
+    judged.  The batch holds the store until the generator is exhausted
+    or closed: nothing else may insert into it or judge against it
+    before then (ContractError).
     """
     with memory.batch([candidate.claim for candidate in candidates]) as batch:
         for candidate, (counts, _) in zip(candidates, batch.texts):

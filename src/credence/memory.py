@@ -24,19 +24,18 @@ proportion to the active set rather than to everything ever stored:
 - one entry per distinct claim text seen by this store, made once: the
   read-only float32 trigram counts (which ``embed`` returns and a judged
   record holds as its ``embedding``) and their squared norm |c|^2 as a
-  float64 taken from the integer counts.  The texts a batch brings that
-  the store has not seen are counted together, in one pass.
+  float64 taken from the integer counts.
 
 Claims are judged in batches (``batch``): a message, a replay case, a
 seeding; a single claim is a batch of one.  A batch's records are
 stored one at a time, in order, but none joins the row sets while the
 batch is open, so a batch record is searched for among the rows that
-existed before the batch (``nearest``) and among the batch's own
-earlier records, whose dot products come from one product of the
-batch's counts.  The rows of a closed batch's records still active join
-the index, in id order, when it is next read (a search, an archive, a
-rescale, a retrieval or an insert outside a batch); a store that is
-never read again, as a replay case's, never builds them.
+existed before the batch and among the batch's own earlier records
+still active in the same pool (see _Batch).  The rows of a closed
+batch's records still active join the index, in id order, when it is
+next read (a search, an archive, a rescale, a retrieval, an insert or
+the next batch); a store that is never read again, as a replay case's,
+never builds them.
 
 A query q multiplies in float32 while |q|^2 * square_max < 2**48,
 square_max being the largest |c|^2 among a row set's rows.  A row's dot
@@ -44,9 +43,10 @@ product with the query is a sum of products of non-negative integers,
 so each product and partial sum is at most q.c, which by Cauchy-Schwarz
 is at most |q||c| < 2**24: an integer exact in float32, in any summation
 order, fused multiply-adds included.  Above the bound the query goes in
-as float64 and the matvec runs in float64.  A batch's product of its own
-counts runs in float32 while its largest |c|^2 is below 2**24, by the
-same bound, else in float64.  Either way the dot products are the exact
+as float64 and the matvec runs in float64.  By the same bound a batch
+takes a dot product of two of its own claims in float32 while
+|c_i|^2 |c_j|^2 < 2**48, and its matrix of their counts is float32
+while its largest |c|^2 is below 2**24; else float64.  Either way the dot products are the exact
 integers and each similarity has the bits of ``cosine_similarity``.
 (Counts stay exact in float32 for any text under 2**24 characters.)
 """
@@ -63,7 +63,7 @@ import numpy as np
 
 from .core import Role, check_strength
 from .exceptions import ContractError
-from .judgement import EMBED_DIM, ArgumentRecord, _bincounts
+from .judgement import EMBED_DIM, ArgumentRecord, _bincount
 
 _OWN_ROLES = (Role.SELF, Role.SEED)
 # A float32 dot product of counts is exact while |q|^2 * square_max is below this.
@@ -196,13 +196,16 @@ class MemoryStore:
     )
     _texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _batch: Optional["_Batch"] = field(default=None, init=False, repr=False, compare=False)
-    # The closed batches' (record, cache entry) pairs not yet in the index.
+    # The closed batches whose records' rows have not joined the index.
     _joining: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def insert(self, record: ArgumentRecord) -> int:
+    def insert(self, record: ArgumentRecord, batch: Optional["_Batch"] = None) -> int:
         """Store record under the next id, and index an active one.  While
-        a batch is open, record is the batch's next one, and its row joins
-        the index only after the batch has closed."""
+        a batch is open only the batch inserts, its next record, passing
+        itself as batch (_Batch.insert); that record's row joins the index
+        after the batch has closed."""
+        if batch is not self._batch:
+            raise ContractError("while a batch of the store is open, only that batch inserts")
         if record.id is not None:
             raise ContractError(f"record already has id {record.id}")
         record.id = self.insertion_counter
@@ -210,9 +213,7 @@ class MemoryStore:
         self.records.append(record)
         if record.active:
             self._active[record.id] = record
-        if self._batch is not None:
-            self._batch.records.append(record)
-        elif record.active:
+        if batch is None and record.active:
             self._index(record.polarity).add(record, self._text(record.claim))
         return record.id
 
@@ -227,40 +228,29 @@ class MemoryStore:
         return self._text(claim)[0]
 
     def _text(self, claim: str) -> tuple:
-        """The cache entry of claim's text (see _texts_of)."""
-        return self._texts_of((claim,))[0][0]
-
-    def _texts_of(self, claims) -> tuple[list, Optional[np.ndarray]]:
-        """The cache entries of the claims' texts, made on a text's first
-        use: (float32 counts, read-only; |counts|^2 from the integer
-        counts).  The texts not seen before are counted together, in one
-        pass.  Also returns, when every claim's text is new and no two
-        are the same, their counts as the rows of one matrix (else None).
-        A plain tuple: with a NamedTuple, judging the cases of a
-        2000-case replay took about 2% longer."""
-        texts = self._texts
-        keys = [claim.strip().lower() for claim in claims]
-        new = [key for key in keys if key not in texts]
-        if not new:
-            return [texts[key] for key in keys], None
-        if len(new) > 1:
-            new = list(dict.fromkeys(new))
-        counts = _bincounts(new)
-        rows = counts.astype(np.float32)
-        rows.flags.writeable = False  # and so every row of it
-        for key, row, integers in zip(new, rows, counts):
-            texts[key] = (row, float(integers @ integers))
-        return [texts[key] for key in keys], rows if len(new) == len(keys) else None
+        """The cache entry of claim's text, made on its first use: (float32
+        counts, read-only; |counts|^2 from the integer counts).  A plain
+        tuple: with a NamedTuple, judging the cases of a 2000-case replay
+        took about 2% longer."""
+        key = claim.strip().lower()
+        text = self._texts.get(key)
+        if text is None:
+            counts = _bincount(key)
+            text = self._texts[key] = (counts.astype(np.float32), float(counts @ counts))
+            text[0].flags.writeable = False
+        return text
 
     def archive(self, record: ArgumentRecord, archived_by: Optional[int]) -> None:
         """Move an active record of this store to the archived partition;
         ContractError, and no change, for any other record.  A record of
-        the open batch has no row yet to drop."""
+        the open batch has no row yet: it leaves the batch's pools."""
         if self._active.get(record.id) is not record:
             raise ContractError(f"record {record.id} is not an active record of this store")
         del self._active[record.id]
         if self._batch is None or record.id < self._batch.first_id:
             self._index(record.polarity).remove(record)
+        else:
+            self._batch.drop(record)
         record._active = False  # behind the property, which refuses a stored record
         record.archived_by = archived_by
         self.revision += 1
@@ -278,25 +268,25 @@ class MemoryStore:
             check_strength(strength, f"rescaled strength of record {record.id}")
         for record, strength in pairs:
             record.strength = strength
-        self._join()
-        for index in self._by_polarity.values():
+        for index in self._indexes().values():
             index.ranked.sort(key=_rank)
         self.revision += 1
 
     def _index(self, polarity: int) -> _PolarityIndex:
         """The index of one polarity, holding the rows of every closed
         batch."""
-        if self._joining:
-            self._join()
-        return self._by_polarity[polarity]
+        return self._indexes()[polarity]
 
-    def _join(self) -> None:
-        """Add the closed batches' records still active to the index, in id
-        order."""
-        joining, self._joining = self._joining, []
-        for record, text in joining:
-            if record.active:
-                self._by_polarity[record.polarity].add(record, text)
+    def _indexes(self) -> dict:
+        """The index by polarity, after the rows of every closed batch's
+        records still active have joined it, in id order."""
+        if self._joining:
+            joining, self._joining = self._joining, []
+            for batch in joining:
+                for record, text in zip(batch.records, batch.texts):
+                    if record._active:
+                        self._by_polarity[record.polarity].add(record, text)
+        return self._by_polarity
 
     def active_records(self) -> list[ArgumentRecord]:
         return list(self._active.values())
@@ -308,11 +298,13 @@ class MemoryStore:
         self and seed, if own_only) most cosine-similar to record's claim,
         by trigram counts, with the lowest id among equals, and that
         similarity; None when there is none.  text is the claim's cache
-        entry, looked up here when not given.  This is the search of a
-        batch of one; an open batch's records have no rows yet."""
+        entry, looked up here when not given.  While a batch is open only
+        the batch searches (_Batch.nearest), since its records have no
+        rows yet."""
+        if self._batch is not None:
+            raise ContractError("the store has an open batch: only the batch searches until it closes")
         index = self._index(record.polarity)
-        rows = index.own if own_only else index.every
-        return rows.nearest(text or self._text(record.claim))
+        return (index.own if own_only else index.every).nearest(text or self._text(record.claim))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -325,70 +317,105 @@ class MemoryStore:
 
 
 class _Batch:
-    """Claims judged together against one store, in order: their texts'
-    cache entries, counted in one pass; the dot products among their
-    counts, from one product made when a search first needs one; and the
-    batch's records, which the store's insert appends, one per claim in
-    the claims' order, while the batch is open (a context manager; a store
-    has one open batch at most).
+    """Claims judged together against one store, in order, while the
+    batch is open as a context manager (a store has one open batch at
+    most): their texts' cache entries and the batch's records, which only
+    the batch inserts, one per claim in the claims' order.
 
-    While the batch is open the store indexes none of its records.  On
-    closing, whether the batch ended or failed part way, its records go
-    to the store, whose index takes the rows of those still active when
-    it is next read.
+    The batch keeps the positions of its records still active in pools,
+    in id order: per polarity, one of every record and one of the agent's
+    own (self and seed).  A pool of up to PAIRWISE_MAX records is searched
+    one dot product at a time; a larger one with one matvec over the
+    matrix of the batch's counts, stacked when first needed.  On closing,
+    whether the batch ended or failed part way, the store takes the
+    batch, and its index the rows of the batch's records still active
+    when it is next read.
     """
+
+    # A pair costs one numpy call and a matrix search about six: on
+    # batches of 6 to 40 claims of one pool, the matrix search took less
+    # time only for pools above about this size.
+    PAIRWISE_MAX = 8
 
     def __init__(self, store: MemoryStore, claims):
         self.store = store
-        self.texts, self.counts = store._texts_of(claims)
+        self.texts = [store._text(claim) for claim in claims]
         self.records: list[ArgumentRecord] = []
-        self.dots = None
+        self.pools: dict[tuple, list[int]] = {}
+        self.counts = None
 
     def __enter__(self) -> "_Batch":
         store = self.store
         if store._batch is not None:
             raise ContractError("the store already has an open batch")
         self.first_id = store.insertion_counter
-        self.search_rows = bool(store._active)  # else no row set has a row
+        # The rows that existed before the batch; None when there are none.
+        self.index = store._indexes() if store._active else None
         store._batch = self
         return self
 
     def __exit__(self, *exc) -> None:
         self.store._batch = None
-        self.store._joining += [(record, text) for record, text in zip(self.records, self.texts) if record.active]
+        self.store._joining.append(self)
+
+    def insert(self, record: ArgumentRecord) -> int:
+        """Store record, the batch's next, and put an active one in its
+        pools."""
+        position = len(self.records)
+        record_id = self.store.insert(record, self)
+        self.records.append(record)
+        if record._active:
+            self.pools.setdefault((record.polarity, False), []).append(position)
+            if record.role in _OWN_ROLES:
+                self.pools.setdefault((record.polarity, True), []).append(position)
+        return record_id
+
+    def drop(self, record: ArgumentRecord) -> None:
+        """Take an archived record of the batch out of its pools."""
+        position = record.id - self.first_id
+        self.pools[record.polarity, False].remove(position)
+        if record.role in _OWN_ROLES:
+            self.pools[record.polarity, True].remove(position)
 
     def nearest(self, record: ArgumentRecord, own_only: bool) -> Optional[tuple[ArgumentRecord, float]]:
         """MemoryStore.nearest for the batch's next record, over the rows
-        that existed before the batch and the batch's earlier records that
-        are still active in the same pool (record's polarity; only self and
-        seed if own_only).  Those come after every row in id order, so a
-        tie keeps the earlier match.  A similarity within the batch is
-        its exact dot product over sqrt(|c_i|^2 |c_j|^2), each step
-        correctly rounded, as in cosine_similarity."""
+        that existed before the batch and the batch's earlier records still
+        active in the same pool (record's polarity; only self and seed if
+        own_only).  Those come after every row in id order, so a tie keeps
+        the earlier match, as it does within a pool.  Each dot product is
+        exact (see the module docstring), and the similarity divides it by
+        sqrt(|c_i|^2 |c_j|^2), each step correctly rounded, as in
+        cosine_similarity."""
         i = len(self.records)
-        found = self.store.nearest(record, own_only, self.texts[i]) if self.search_rows else None
-        for j, other in enumerate(self.records):
-            if other._active and other.polarity == record.polarity and (not own_only or other.role in _OWN_ROLES):
-                similarity = self._dot(i, j) / math.sqrt(self.texts[i][1] * self.texts[j][1])
+        text = self.texts[i]
+        found = None
+        if self.index is not None:
+            index = self.index[record.polarity]
+            found = (index.own if own_only else index.every).nearest(text)
+        pool = self.pools.get((record.polarity, own_only))
+        if not pool:
+            return found
+        counts, square = text
+        if len(pool) <= self.PAIRWISE_MAX:
+            for j in pool:
+                other, other_square = self.texts[j]
+                product = square * other_square
+                if product >= _FLOAT32_EXACT:
+                    other = other.astype(np.float64)
+                similarity = float(counts @ other) / math.sqrt(product)
                 if found is None or similarity > found[1]:
-                    found = other, similarity
+                    found = self.records[j], similarity
+            return found
+        if self.counts is None:
+            self.counts = np.stack([counts for counts, _ in self.texts])
+            self.squares = np.array([square for _, square in self.texts])
+            if self.squares.max() ** 2 >= _FLOAT32_EXACT:
+                self.counts = self.counts.astype(np.float64)
+        similarities = ((self.counts[:i] @ self.counts[i]) / np.sqrt(self.squares[:i] * square))[pool]
+        best = int(similarities.argmax())
+        if found is None or similarities[best] > found[1]:
+            found = self.records[pool[best]], float(similarities[best])
         return found
-
-    def _dot(self, i: int, j: int) -> float:
-        """The exact dot product of claims i and j's counts.  The first
-        call takes every pair's from one product of the batch's counts:
-        float32 while the batch's largest |c|^2 is below 2**24 (each dot
-        product is then at most |c_i||c_j| < 2**24, see the module
-        docstring), else float64."""
-        if self.dots is None:
-            counts = self.counts
-            if counts is None:
-                counts = np.concatenate([counts for counts, _ in self.texts]).reshape(len(self.texts), EMBED_DIM)
-            square_max = max(square for _, square in self.texts)
-            if square_max * square_max >= _FLOAT32_EXACT:
-                counts = counts.astype(np.float64)
-            self.dots = (counts @ counts.T).tolist()
-        return self.dots[i][j]
 
 
 @dataclass
@@ -406,6 +433,8 @@ def retrieve(store: MemoryStore, k: int) -> RetrievalContext:
     """Composition-proportional retrieval of the strongest active records."""
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
+    if store._batch is not None:
+        raise ContractError("the store has an open batch: nothing retrieves until it closes")
     pro = store._index(1).ranked
     con = store._index(-1).ranked
     total = len(pro) + len(con)

@@ -49,11 +49,12 @@ from credence.judgement import (
     cosine_similarity,
     embed_claim,
     ingest_record,
+    judge,
     judge_batch,
     resolve_conflict,
     trigram_counts,
 )
-from credence.memory import MemoryStore, _RowSet, retrieve
+from credence.memory import MemoryStore, _Batch, _RowSet, retrieve
 from credence.replay import CalibrationGrid, EvidenceItem, ReplayCase, build_replay_report, calibrate, replay_case
 from credence.simulation import load_scripted_claims, make_agent, seed_agent
 
@@ -175,8 +176,7 @@ def test_indexed_resolve_matches_brute_force(ops, theta, theta_self):
 def observed_matvecs():
     """Record the store's matvecs run inside the block.  The matvec is
     `matrix @ query`, the query being the counts of the store's cache
-    entry for the claim, which every lookup (a batch's, or one claim's)
-    gets from `_texts_of`; a query of this subclass records the shape and
+    entry for the claim; a query of this subclass records the shape and
     dtype of the matrix it meets.  Yields the list of shapes and the list
     of (matrix, query) dtypes."""
     shapes = []
@@ -188,13 +188,13 @@ def observed_matvecs():
             dtypes.append((matrix.dtype, self.dtype))
             return matrix @ self.view(np.ndarray)
 
-    texts_of = MemoryStore._texts_of
+    text_of = MemoryStore._text
 
-    def query_texts(store, claims):
-        texts, rows = texts_of(store, claims)
-        return [(counts.view(Query), square) for counts, square in texts], rows
+    def query_text(store, claim):
+        counts, square = text_of(store, claim)
+        return counts.view(Query), square
 
-    with mock.patch.object(MemoryStore, "_texts_of", query_texts):
+    with mock.patch.object(MemoryStore, "_text", query_text):
         yield shapes, dtypes
 
 
@@ -468,7 +468,7 @@ def test_long_claims_of_words_multiply_in_float32():
 
 
 # Claims of about 4100 characters whose |c|^2 straddles 2**24, the bound at
-# which a batch's product leaves float32 ("a" * 4098 has |c|^2 = 2**24); an
+# which a batch's matrix leaves float32 ("a" * 4098 has |c|^2 = 2**24); an
 # exact repeat of "a" * 5001 has the odd dot product 4999**2, which float32
 # would round.  They differ in composition, so similarities between them
 # are not all 1.
@@ -528,16 +528,36 @@ def oracle_batches(batches, theta: float, theta_self: float):
     return decisions, [(active, archived_by) for *_, active, archived_by in records]
 
 
+# The last claim is equally similar (7/8) to a row stored before its batch
+# and to an earlier record of its batch: the row, the lower id, wins.
+TIE_BATCHES = [
+    [("xbcdefghij", 1, Role.OPPONENT, 0.5)],
+    [("abcdefghix", 1, Role.OPPONENT, 0.5), ("abcdefghij", 1, Role.OPPONENT, 0.5)],
+]
+
+
+def bits(active, similarity, matched_id, archived_id):
+    return active, similarity if similarity is None else similarity.hex(), matched_id, archived_id
+
+
+def decision(record: ArgumentRecord, outcome) -> tuple:
+    """A judged record's decision, similarity bits included."""
+    superseded = outcome.superseded.id if outcome.superseded is not None else None
+    return bits(record.active, outcome.similarity, outcome.matched_id, superseded)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     batches=st.lists(st.lists(batch_candidates, min_size=1, max_size=7), min_size=1, max_size=5),
     theta=thetas,
     theta_self=thetas,
+    pairwise_max=st.sampled_from((0, _Batch.PAIRWISE_MAX)),
 )
 # One batch: paraphrase 1 supersedes the weaker base claim, and the later
 # exact repeat of the base claim, whose best match would be the archived
 # record, matches the paraphrase instead; a self repeat sees only the
-# seed and self records; the long repeats take the float64 product.
+# seed and self records; the long repeats take float64 dot products, pair
+# by pair or from the batch's matrix.
 @example(
     batches=[
         [
@@ -553,35 +573,36 @@ def oracle_batches(batches, theta: float, theta_self: float):
     ],
     theta=BOUNDARY_THETAS[0],
     theta_self=0.5,
+    pairwise_max=0,
 )
-# Every claim below |c|^2 = 2**24: the product stays in float32.
+# Every claim below |c|^2 = 2**24: the matrix stays in float32.
 @example(
     batches=[[("a" * 4097, 1, Role.OPPONENT, 0.25), ("b" + "a" * 4096 + "c", 1, Role.OPPONENT, 0.5)]],
     theta=0.9,
     theta_self=0.5,
+    pairwise_max=0,
 )
-def test_batches_equal_a_brute_force_oracle(batches, theta, theta_self):
+@example(batches=TIE_BATCHES, theta=0.9, theta_self=0.5, pairwise_max=0)
+@example(batches=TIE_BATCHES, theta=0.9, theta_self=0.5, pairwise_max=_Batch.PAIRWISE_MAX)
+def test_batches_equal_a_brute_force_oracle(batches, theta, theta_self, pairwise_max):
     """Candidates judged in batches, across several batches, take the
     oracle's decisions: each one's active flag as it is settled, its
     nearest record's id and similarity bits, and the record it archives;
     and every record ends with the oracle's flags.  A batch record is
     searched for among the rows stored before the batch and among the
-    batch's earlier records, whose similarities come from one product.
-    After the last batch the index holds exactly the active records."""
+    batch's earlier records, pair by pair or, with pairwise_max 0, with
+    the batch's matrix.  After the last batch the index holds exactly the
+    active records."""
     expected, final = oracle_batches(batches, theta, theta_self)
     store = MemoryStore()
     decisions = []
-    for batch in batches:
-        candidates = [CandidateArgument(claim, polarity, role, strength) for claim, polarity, role, strength in batch]
-        for record, outcome in judge_batch(store, candidates, DEFAULT_TOPIC, None, theta, theta_self):
-            superseded = outcome.superseded.id if outcome.superseded is not None else None
-            decisions.append((record.active, outcome.similarity, outcome.matched_id, superseded))
+    with mock.patch.object(_Batch, "PAIRWISE_MAX", pairwise_max):
+        for batch in batches:
+            candidates = [CandidateArgument(*candidate) for candidate in batch]
+            for record, outcome in judge_batch(store, candidates, DEFAULT_TOPIC, None, theta, theta_self):
+                decisions.append(decision(record, outcome))
 
-    def bits(decision):
-        active, similarity, matched_id, archived_id = decision
-        return active, similarity if similarity is None else similarity.hex(), matched_id, archived_id
-
-    assert list(map(bits, decisions)) == list(map(bits, expected))
+    assert decisions == [bits(*expected_decision) for expected_decision in expected]
     assert flags(store) == final
     for polarity in (1, -1):
         index = store._index(polarity)
@@ -589,6 +610,36 @@ def test_batches_equal_a_brute_force_oracle(batches, theta, theta_self):
         assert sorted(r.id for r in index.every.records) == [r.id for r in active]
         assert sorted(r.id for r in index.own.records) == [r.id for r in active if r.role != Role.OPPONENT]
         assert index.ranked == sorted(active, key=lambda r: (-r.strength, r.id))
+
+
+def test_a_batch_of_thousands_settles_as_batches_of_one():
+    """A batch of 3000 claims, repeats and one-word paraphrases of 500
+    sentences, whose pools grow past PAIRWISE_MAX to hundreds of records,
+    takes every decision and similarity bit of the same claims judged one
+    at a time, each searched for among the store's rows; both stores end
+    with the same flags."""
+    rng = random.Random(11)
+    words = "rent wage tax port tram school lunch light road fare bus rail park levy fund".split()
+    sentences = [[rng.choice(words) for _ in range(6)] for _ in range(500)]
+
+    def claim():
+        sentence = list(rng.choice(sentences))
+        sentence[rng.randrange(6)] = rng.choice(words)
+        return " ".join(sentence)
+
+    candidates = [
+        CandidateArgument(
+            claim(), rng.choice((-1, 1)), rng.choice((Role.SEED, Role.SELF, Role.OPPONENT)), rng.random()
+        )
+        for _ in range(3000)
+    ]
+    theta, theta_self = 0.8, 0.7
+    batched, single = MemoryStore(), MemoryStore()
+    decisions = [decision(*judged) for judged in judge_batch(batched, candidates, DEFAULT_TOPIC, None, theta, theta_self)]
+    for candidate in candidates:
+        assert decision(*judge(single, candidate, DEFAULT_TOPIC, None, theta, theta_self)) == decisions[len(single) - 1]
+    assert flags(batched) == flags(single)
+    assert 300 < sum(r.active for r in batched.records) < 2700
 
 
 retrieve_ops = st.lists(
