@@ -196,7 +196,7 @@ class MemoryStore:
     )
     _texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _batch: Optional["_Batch"] = field(default=None, init=False, repr=False, compare=False)
-    # The closed batches whose records' rows have not joined the index.
+    # The closed batches' records and texts whose rows have not joined the index.
     _joining: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def insert(self, record: ArgumentRecord, batch: Optional["_Batch"] = None) -> int:
@@ -282,8 +282,8 @@ class MemoryStore:
         records still active have joined it, in id order."""
         if self._joining:
             joining, self._joining = self._joining, []
-            for batch in joining:
-                for record, text in zip(batch.records, batch.texts):
+            for records, texts in joining:
+                for record, text in zip(records, texts):
                     if record._active:
                         self._by_polarity[record.polarity].add(record, text)
         return self._by_polarity
@@ -327,9 +327,9 @@ class _Batch:
     own (self and seed).  A pool of up to PAIRWISE_MAX records is searched
     one dot product at a time; a larger one with one matvec over the
     matrix of the batch's counts, stacked when first needed.  On closing,
-    whether the batch ended or failed part way, the store takes the
-    batch, and its index the rows of the batch's records still active
-    when it is next read.
+    whether the batch ended or failed part way, the store takes its
+    records and their texts, and its index the rows of those still
+    active when it is next read.
     """
 
     # A pair costs one numpy call and a matrix search about six: on
@@ -342,7 +342,7 @@ class _Batch:
         self.texts = [store._text(claim) for claim in claims]
         self.records: list[ArgumentRecord] = []
         self.pools: dict[tuple, list[int]] = {}
-        self.counts = None
+        self.counts = self.squares = None  # stacked for the first matrix search
 
     def __enter__(self) -> "_Batch":
         store = self.store
@@ -355,8 +355,11 @@ class _Batch:
         return self
 
     def __exit__(self, *exc) -> None:
+        # The records and their texts, not the batch: the batch refers to
+        # the store, and a cycle would outlive the store until a full
+        # garbage collection.
         self.store._batch = None
-        self.store._joining.append(self)
+        self.store._joining.append((self.records, self.texts))
 
     def insert(self, record: ArgumentRecord) -> int:
         """Store record, the batch's next, and put an active one in its
