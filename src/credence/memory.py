@@ -39,16 +39,17 @@ never builds them.
 
 A query q multiplies in float32 while |q|^2 * square_max < 2**48,
 square_max being the largest |c|^2 among a row set's rows.  A row's dot
-product with the query is a sum of products of non-negative integers,
-so each product and partial sum is at most q.c, which by Cauchy-Schwarz
-is at most |q||c| < 2**24: an integer exact in float32, in any summation
+product with the query is a sum of products of non-negative integers, so
+each product and partial sum is at most q.c, which by Cauchy-Schwarz is
+at most |q||c| < 2**24: an integer exact in float32, in any summation
 order, fused multiply-adds included.  Above the bound the query goes in
 as float64 and the matvec runs in float64.  By the same bound a batch
-takes a dot product of two of its own claims in float32 while
-|c_i|^2 |c_j|^2 < 2**48, and its matrix of their counts is float32
-while its largest |c|^2 is below 2**24; else float64.  Either way the dot products are the exact
-integers and each similarity has the bits of ``cosine_similarity``.
-(Counts stay exact in float32 for any text under 2**24 characters.)
+takes the dot product of two of its claims in float32 while
+|c_i|^2 |c_j|^2 < 2**48, and its matrix of their counts is float32 while
+its largest |c|^2 is below 2**24; else float64.  Either way the dot
+products are the exact integers and each similarity has the bits of
+``cosine_similarity``.  (Counts stay exact in float32 for any text under
+2**24 characters.)
 """
 
 from __future__ import annotations
