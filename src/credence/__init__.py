@@ -59,9 +59,6 @@ from .judgement import (
     embed_claim,
     ingest_record,
     judge,
-    judge_batch,
-    resolve_conflict,
-    resolve_self_conflict,
     score_strength,
     trigram_counts,
 )

@@ -34,7 +34,7 @@ from .core import (
 )
 from .exceptions import ConfigError, ContractError, TraceVerificationError
 from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, ingest_record, judge_batch
+from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, ingest_record, judge
 from .memory import MemoryStore, RetrievalContext
 
 BIN_LABELS = (
@@ -196,15 +196,14 @@ def stance_to_instruction(stance: float) -> tuple[int, str]:
 
 
 def ingest_candidates(agent: AgentState, candidates: list) -> list[ArgumentRecord]:
-    """Judge and store candidates as one batch; each emits its one stored
-    event as soon as it is settled: the record, its contribution, and the
-    deduplication outcome (the nearest active record's similarity and id,
-    and the record it archived)."""
+    """Judge and store candidates one at a time, in order; each emits its
+    one stored event as soon as it is settled: the record, its
+    contribution, and the deduplication outcome (the nearest active
+    record's similarity and id, and the record it archived)."""
     config = agent.config
     records = []
-    for record, outcome in judge_batch(
-        agent.memory, candidates, agent.topic, config.scorer, config.theta, config.theta_self
-    ):
+    for candidate in candidates:
+        record, outcome = judge(agent.memory, candidate, agent.topic, config.scorer, config.theta, config.theta_self)
         agent.emit(
             "stored",
             id=record.id,
@@ -567,8 +566,9 @@ def store_from_trace(events) -> MemoryStore:
         payload = event.payload
         if event.kind == "stored":
             claim, role = payload["claim"], Role(payload["role"])
-            record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, store.embed(claim))
-            outcome = ingest_record(store, record, *thresholds)
+            text = store._text(claim)
+            record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, text[0])
+            outcome = ingest_record(store, record, *thresholds, text)
             derived = (
                 ("active", record.active),
                 ("similarity", outcome.similarity),

@@ -5,8 +5,7 @@ has one and otherwise the score of a pluggable scorer, then passes soft
 deduplication: if an active same-polarity record is more similar than
 the threshold, only the stronger of the two stays active.  Archived
 records are kept for audit but never re-enter the active set.
-Candidates are judged in batches (judge_batch): a message, a replay
-case, a seeding; each is settled in turn, as if it were judged alone.
+Each candidate is judged alone (judge), in the order it arrives.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ class CandidateArgument:
 
 @dataclass
 class ArgumentRecord:
-    """A judged claim.  A record made by ``judge_batch`` holds in
-    ``embedding`` its store's shared, read-only float32 trigram counts
+    """A judged claim.  A record made by ``judge`` holds in ``embedding``
+    its store's shared, read-only float32 trigram counts
     (``MemoryStore.embed``); the store searches by claim text, never by
     this field, so a record built with another vector is deduplicated all
     the same.  ``active`` may be set only before the record is stored, as
@@ -258,75 +257,44 @@ def _settle(new: ArgumentRecord, nearest: Optional[tuple], threshold: float) -> 
     return ResolutionOutcome(kept_new=False, similarity=similarity, matched_id=best.id)
 
 
-def resolve_conflict(new: ArgumentRecord, memory, threshold: float) -> ResolutionOutcome:
-    """Soft-deduplicate against all active same-polarity records, without
-    storing new."""
-    return _settle(new, memory.nearest(new), threshold)
-
-
-def resolve_self_conflict(new: ArgumentRecord, memory, threshold_self: float) -> ResolutionOutcome:
-    """Same rule for self-generated arguments, compared only against the
-    agent's own active claims (self and seed) of the same polarity."""
-    if new.role != Role.SELF:
-        raise ContractError("resolve_self_conflict requires a role=self record")
-    return _settle(new, memory.nearest(new, own_only=True), threshold_self)
-
-
-def _ingest(batch, record: ArgumentRecord, theta: float, theta_self: float) -> ResolutionOutcome:
-    """The one search-and-settle rule: record, the open batch's next, is
-    settled against its nearest active record (a self record only against
-    the agent's own, at theta_self), then stored, and the record it
-    supersedes is archived."""
+def ingest_record(
+    memory, record: ArgumentRecord, threshold: float, threshold_self: float, text: Optional[tuple] = None
+) -> ResolutionOutcome:
+    """The one search-and-settle rule: record is settled against its
+    nearest active same-polarity record (a self record only against the
+    agent's own, self and seed, at threshold_self), then stored, and the
+    record it supersedes is archived.  The store's cache entry of its
+    claim is looked up once, here unless the caller passes it as text,
+    and serves both the search and the insert."""
+    text = text or memory._text(record.claim)
     own_only = record.role == Role.SELF
-    outcome = _settle(record, batch.nearest(record, own_only), theta_self if own_only else theta)
-    record_id = batch.insert(record)
+    outcome = _settle(record, memory.nearest(record, own_only, text), threshold_self if own_only else threshold)
+    record_id = memory.insert(record, text)
     if outcome.superseded is not None:
-        batch.store.archive(outcome.superseded, archived_by=record_id)
+        memory.archive(outcome.superseded, archived_by=record_id)
     return outcome
-
-
-def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_self: float) -> ResolutionOutcome:
-    """Resolve, insert, and finalise archival flags for one record: a
-    batch of one."""
-    with memory.batch((record.claim,)) as batch:
-        return _ingest(batch, record, threshold, threshold_self)
-
-
-def judge_batch(memory, candidates: list, topic: str, scorer: Optional[ScorerPort], theta: float, theta_self: float):
-    """The one judgement path: strength, record, deduplication, storage,
-    for a batch of candidates judged in order (MemoryStore.batch).
-
-    Yields (record, outcome) for each candidate as soon as it is settled
-    and stored, so its outcome and active flag are those of that moment;
-    a later candidate may still archive it.  The strength is the
-    candidate's hint if it has one, else the scorer's clamped score, taken
-    at that candidate's turn, so a failing scorer stops the batch there,
-    with the earlier records stored; with neither, the candidate cannot be
-    judged.  The batch holds the store until the generator is exhausted
-    or closed: nothing else may insert into it or judge against it
-    before then (ContractError).
-    """
-    with memory.batch([candidate.claim for candidate in candidates]) as batch:
-        for candidate, (counts, _) in zip(candidates, batch.texts):
-            if candidate.strength_hint is not None:
-                strength = float(candidate.strength_hint)
-            elif scorer is None:
-                raise ContractError(f"no strength for claim {candidate.claim!r} and no scorer configured")
-            else:
-                strength = score_strength(candidate, topic, scorer)
-            record = ArgumentRecord(
-                claim=candidate.claim.strip(),
-                polarity=candidate.polarity,
-                strength=strength,
-                role=candidate.role,
-                embedding=counts,
-            )
-            yield record, _ingest(batch, record, theta, theta_self)
 
 
 def judge(
     memory, candidate: CandidateArgument, topic: str, scorer: Optional[ScorerPort], theta: float, theta_self: float
 ) -> tuple[ArgumentRecord, ResolutionOutcome]:
-    """judge_batch of one candidate."""
-    (judged,) = judge_batch(memory, [candidate], topic, scorer, theta, theta_self)
-    return judged
+    """The one judgement path: strength, record, deduplication, storage.
+
+    The strength is the candidate's hint if it has one, else the scorer's
+    clamped score; with neither, the candidate cannot be judged.
+    """
+    if candidate.strength_hint is not None:
+        strength = float(candidate.strength_hint)
+    elif scorer is None:
+        raise ContractError(f"no strength for claim {candidate.claim!r} and no scorer configured")
+    else:
+        strength = score_strength(candidate, topic, scorer)
+    text = memory._text(candidate.claim)  # the one cache lookup of this claim
+    record = ArgumentRecord(
+        claim=candidate.claim.strip(),
+        polarity=candidate.polarity,
+        strength=strength,
+        role=candidate.role,
+        embedding=text[0],
+    )
+    return record, ingest_record(memory, record, theta, theta_self, text)

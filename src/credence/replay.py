@@ -36,7 +36,7 @@ from .core import (
 from .engine import split_lines
 from .exceptions import ContractError
 from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, judge_batch
+from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, judge
 from .memory import MemoryStore
 
 logger = logging.getLogger(__name__)
@@ -138,27 +138,26 @@ def accepted_records(
     extractor: Optional[ExtractorPort] = None,
 ) -> list[ArgumentRecord]:
     """Run the case's stream through judgement (scoring plus dedup at
-    theta) as one batch, and return the records that stay active, in
-    stream order.  Raw-text items are extracted first; an extractor's
-    warnings about one (a malformed hint, a blank claim) go to the module
-    logger, naming the participant and the item."""
+    theta), one candidate at a time, and return the records that stay
+    active, in stream order.  A raw-text item is extracted when its turn
+    comes; an extractor's warnings about it (a malformed hint, a blank
+    claim) go to the module logger, naming the participant and the item."""
     if not number_in(theta, 0.0, 1.0):
         raise ContractError(f"replay theta must be in [0, 1], got {theta!r}")
-    candidates = []
+    store = MemoryStore()
     for index, item in enumerate(case.evidence):
         if item.text is not None:
             if extractor is None:
                 raise ContractError("raw-text evidence items need an extractor port")
             message = Message(text=item.text, author_role="opponent", order=index)
             where = f"participant {case.participant}, evidence item {index}"
-            candidates += extractor.extract(
+            candidates = extractor.extract(
                 case.topic, message, on_warning=lambda text: logger.warning("%s: %s", where, text)
             )
         else:
-            candidates.append(CandidateArgument(item.claim, item.polarity, Role.OPPONENT, item.strength))
-    store = MemoryStore()
-    for _ in judge_batch(store, candidates, case.topic, scorer, theta, theta):
-        pass
+            candidates = [CandidateArgument(item.claim, item.polarity, Role.OPPONENT, item.strength)]
+        for candidate in candidates:
+            judge(store, candidate, case.topic, scorer, theta, theta)
     return store.active_records()
 
 

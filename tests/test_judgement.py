@@ -25,8 +25,6 @@ from credence.judgement import (
     embed_claim,
     ingest_record,
     judge,
-    resolve_conflict,
-    resolve_self_conflict,
     score_strength,
     trigram_counts,
 )
@@ -347,11 +345,6 @@ def test_self_pool_includes_seeds():
     assert not outcome.kept_new and not mine.active
 
 
-def test_resolve_self_conflict_requires_self_role():
-    with pytest.raises(ContractError):
-        resolve_self_conflict(make_record("x", role=Role.OPPONENT), MemoryStore(), 0.5)
-
-
 def test_archived_records_never_reenter():
     store = MemoryStore()
     first = make_record("bike lanes cut traffic deaths", strength=0.4)
@@ -360,8 +353,7 @@ def test_archived_records_never_reenter():
     ingest_record(store, second, 0.8, 0.5)
     # A later weak duplicate competes against the survivor, not the archive.
     third = make_record("bike lanes cut traffic deaths", strength=0.5)
-    outcome = resolve_conflict(third, store, 0.8)
-    assert outcome.matched_id == second.id
+    assert store.nearest(third)[0] is second
 
 
 def test_tie_matches_lowest_id():
@@ -370,8 +362,7 @@ def test_tie_matches_lowest_id():
     twin_b = make_record("identical claim text ", strength=0.5)  # same embedding after strip
     store.insert(twin_a)
     store.insert(twin_b)
-    outcome = resolve_conflict(make_record("identical claim text", strength=0.4), store, 0.8)
-    assert outcome.matched_id == twin_a.id
+    assert store.nearest(make_record("identical claim text", strength=0.4))[0] is twin_a
 
 
 def test_random_streams_keep_polarity_partition():

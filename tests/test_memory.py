@@ -4,7 +4,7 @@ import pytest
 
 from credence.core import Role
 from credence.exceptions import ContractError
-from credence.judgement import ArgumentRecord, CandidateArgument, embed_claim, judge, judge_batch
+from credence.judgement import ArgumentRecord, embed_claim
 from credence.memory import MemoryStore, retrieve
 
 
@@ -83,7 +83,7 @@ def test_rescale_takes_only_records_of_its_own_store():
     other.insert(theirs)
 
     def strengths():
-        ranked = [[r.id for r in s._index(p).ranked] for s in (store, other) for p in (1, -1)]
+        ranked = [[r.id for r in s._by_polarity[p].ranked] for s in (store, other) for p in (1, -1)]
         return [r.strength for r in [*store, *other]], ranked, store.revision, other.revision
 
     before = strengths()
@@ -95,41 +95,6 @@ def test_rescale_takes_only_records_of_its_own_store():
     store.archive(mine, archived_by=None)
     store.rescale([mine], 0.5)
     assert mine.strength == 0.4 and store.revision == before[2] + 2
-
-
-def test_an_open_batch_holds_its_store_until_it_closes():
-    """Between the yields of judge_batch nothing else inserts, searches,
-    retrieves or judges against the store, and the store is unchanged by
-    the attempt; once the generator is closed, the batch's rows have
-    joined and the store takes a claim again."""
-    store = MemoryStore()
-    judge(store, CandidateArgument("the tax is fair", 1, Role.OPPONENT, 0.5), "t", None, 0.8, 0.8)
-    batch = judge_batch(
-        store,
-        [CandidateArgument(claim, 1, Role.OPPONENT, 0.5) for claim in ("rents are high", "wages are low")],
-        "t",
-        None,
-        0.8,
-        0.8,
-    )
-    next(batch)
-    before = state(store)
-    stray = make_record("a stray claim")
-    attempts = (
-        (lambda: store.insert(stray), "only that batch inserts"),
-        (lambda: store.nearest(stray), "only the batch searches"),
-        (lambda: store.retrieve(2), "nothing retrieves"),
-        (lambda: judge(store, CandidateArgument("x y z", 1, Role.OPPONENT, 0.5), "t", None, 0.8, 0.8), "open batch"),
-    )
-    for attempt, message in attempts:
-        with pytest.raises(ContractError, match=message):
-            attempt()
-        assert state(store) == before and stray.id is None
-
-    batch.close()
-    assert [r.id for r in store.retrieve(2).records] == [0, 1]
-    assert store.insert(stray) == 2
-    assert [r.id for r in store._index(1).every.records] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("value", [False, True])

@@ -50,11 +50,9 @@ from credence.judgement import (
     embed_claim,
     ingest_record,
     judge,
-    judge_batch,
-    resolve_conflict,
     trigram_counts,
 )
-from credence.memory import MemoryStore, _Batch, _RowSet, retrieve
+from credence.memory import MemoryStore, _RowSet, retrieve
 from credence.replay import CalibrationGrid, EvidenceItem, ReplayCase, build_replay_report, calibrate, replay_case
 from credence.simulation import load_scripted_claims, make_agent, seed_agent
 
@@ -174,11 +172,12 @@ def test_indexed_resolve_matches_brute_force(ops, theta, theta_self):
 
 @contextlib.contextmanager
 def observed_matvecs():
-    """Record the store's matvecs run inside the block.  The matvec is
-    `matrix @ query`, the query being the counts of the store's cache
-    entry for the claim; a query of this subclass records the shape and
-    dtype of the matrix it meets.  Yields the list of shapes and the list
-    of (matrix, query) dtypes."""
+    """Record the store's similarity products run inside the block: the
+    matvec `matrix @ query` and the pairwise `query @ row`, the query
+    being the counts of the store's cache entry for the claim (or their
+    float64 copy).  A query of this subclass records the shape and dtype
+    of the matrix or row it meets.  Yields the list of shapes and the
+    list of (matrix or row, query) dtypes."""
     shapes = []
     dtypes = []
 
@@ -187,6 +186,11 @@ def observed_matvecs():
             shapes.append(matrix.shape)
             dtypes.append((matrix.dtype, self.dtype))
             return matrix @ self.view(np.ndarray)
+
+        def __matmul__(self, row):
+            shapes.append(row.shape)
+            dtypes.append((row.dtype, self.dtype))
+            return self.view(np.ndarray) @ row
 
     text_of = MemoryStore._text
 
@@ -216,8 +220,9 @@ def test_self_query_multiplies_only_own_rows():
     assert dtypes == [(np.float32, np.float32)]  # short claims stay under the 2**48 bound
 
 
-# Row counts around the first allocation (8 rows) and each doubling.
-ROW_COUNTS = (0, 1, 7, 8, 9, 16, 17)
+# Row counts around the pairwise limit (8 rows, no matrix; 9, a matrix)
+# and the matrix's first growth (32 rows).
+ROW_COUNTS = (0, 1, 7, 8, 9, 32, 33)
 # Two phrases and a paraphrase of each, so rows repeat often; a query may
 # also be the last, a claim of no row.
 ROW_CLAIMS = tuple(_claim(p, s, 0) for p in (0, 1) for s in (0, 1)) + ("an unrelated query",)
@@ -227,19 +232,23 @@ MAX_REMOVALS = 6
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.sampled_from(ROW_COUNTS),
-    claims=st.lists(st.integers(0, len(ROW_CLAIMS) - 2), min_size=17 + MAX_REMOVALS, max_size=17 + MAX_REMOVALS),
-    removals=st.lists(st.integers(0, 16), max_size=MAX_REMOVALS),
+    claims=st.lists(st.integers(0, len(ROW_CLAIMS) - 2), min_size=33 + MAX_REMOVALS, max_size=33 + MAX_REMOVALS),
+    removals=st.lists(st.integers(0, 32), max_size=MAX_REMOVALS),
     query=st.integers(0, len(ROW_CLAIMS) - 1),
 )
 # Removing id 0 moves the last row, id 8, into row 0, ahead of id 1, an
 # exact repeat of it: the lowest id is not the first row that is best.
-@example(rows=8, claims=[1, 0, 2, 3, 2, 3, 2, 3, 0] + [0] * 14, removals=[0], query=0)
+# With 8 rows added the set has no matrix and searches pair by pair; with
+# 9 it searches its matrix.
+@example(rows=7, claims=[1, 0, 2, 3, 2, 3, 2, 0] + [0] * 31, removals=[0], query=0)
+@example(rows=8, claims=[1, 0, 2, 3, 2, 3, 2, 3, 0] + [0] * 30, removals=[0], query=0)
 def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query):
     """_RowSet.nearest returns what a loop over its live records in id
     order finds (the first strictly greater similarity wins, so the
-    lowest id among equals), with the same similarity bits; and its
-    matrix holds nothing before the first add, 8 rows after it and
-    doubles when full, in float32."""
+    lowest id among equals), with the same similarity bits; and a set
+    that has had at most 8 rows holds no matrix, while the 9th row
+    stacks the rows into a float32 matrix with room for 32, which grows
+    fourfold when full."""
     texts = MemoryStore()  # only its per-text cache entries are used
     row_set = _RowSet()
     live = []
@@ -263,11 +272,14 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
     else:
         assert found[0] is best and found[1].hex() == best_sim.hex()
 
-    capacity = 0
-    while capacity < adds:
-        capacity = max(8, 2 * capacity)
-    assert len(row_set.counts) == len(row_set.squares) == capacity
-    assert row_set.counts.dtype == np.float32
+    if adds <= 8:
+        assert row_set.counts is None and row_set.squares is None
+    else:
+        capacity = 8
+        while capacity < adds:
+            capacity *= 4
+        assert len(row_set.counts) == len(row_set.squares) == capacity
+        assert row_set.counts.dtype == np.float32
 
 
 @functools.lru_cache(maxsize=1024)  # long claims are looked up many times; callers only read
@@ -324,12 +336,12 @@ def test_similarity_bits_equal_an_integer_oracle(claims, archived, query):
         if sim > best_sim:
             best, best_sim = record, sim
 
-    outcome = resolve_conflict(make_record(query, 1, 0.5, Role.OPPONENT), store, 2.0)
+    found = store.nearest(make_record(query, 1, 0.5, Role.OPPONENT))
     if best is None:
-        assert outcome.similarity is None
+        assert found is None
     else:
-        assert outcome.matched_id == best.id
-        assert outcome.similarity.hex() == best_sim.hex()
+        assert found[0] is best
+        assert found[1].hex() == best_sim.hex()
     for claim in claims:
         expected = oracle_similarity(query, claim)
         assert cosine_similarity(trigram_counts(query), trigram_counts(claim)).hex() == expected.hex()
@@ -382,11 +394,11 @@ def test_long_claim_similarity_bits_equal_an_integer_oracle(claims, query, short
             sim = oracle_similarity(probe, record.claim)
             if sim > best_sim:
                 best, best_sim = record, sim
-        outcome = resolve_conflict(make_record(probe, 1, 0.5, Role.OPPONENT), store, 2.0)
-        assert outcome.matched_id == best.id
-        assert outcome.similarity.hex() == best_sim.hex()
+        found, similarity = store.nearest(make_record(probe, 1, 0.5, Role.OPPONENT))
+        assert found is best
+        assert similarity.hex() == best_sim.hex()
         if probe in claims:
-            assert outcome.similarity == 1.0
+            assert similarity == 1.0
 
 
 def oracle_square(claim: str) -> int:
@@ -395,7 +407,7 @@ def oracle_square(claim: str) -> int:
 
 
 def assert_oracle_nearest(store: MemoryStore, probe: str) -> None:
-    """resolve_conflict finds for probe the record, and the similarity
+    """MemoryStore.nearest finds for probe the record, and the similarity
     bits, that the integer oracle finds looping over the active records
     in id order."""
     best, best_sim = None, -1.0
@@ -403,39 +415,43 @@ def assert_oracle_nearest(store: MemoryStore, probe: str) -> None:
         sim = oracle_similarity(probe, record.claim)
         if sim > best_sim:
             best, best_sim = record, sim
-    outcome = resolve_conflict(make_record(probe, 1, 0.5, Role.OPPONENT), store, 2.0)
-    assert outcome.matched_id == best.id
-    assert outcome.similarity.hex() == best_sim.hex()
+    found, similarity = store.nearest(make_record(probe, 1, 0.5, Role.OPPONENT))
+    assert found is best
+    assert similarity.hex() == best_sim.hex()
 
 
 def test_square_max_follows_the_active_rows():
     """square_max is the largest |c|^2 among the active rows: archiving
     the only 5001-character record brings it down to the next one's, and
-    archiving a shorter record leaves it.  Beside "a" * 5001 (|c| = 4999)
-    a 4097-character query (|q| = 4095) multiplies in float64, since
-    4095 * 4999 > 2**24.  Once that record is gone a 5090-character query
-    multiplies in float32 (|q|^2 * square_max < 2**48; with 4999**2 it
-    would not).  Both get the integer oracle's match and similarity bits."""
+    archiving a shorter record leaves it.  The set is small, so a query
+    takes one dot product per row, each in float32 or float64 by its own
+    bound: a 4097-character query (|q| = 4095) multiplies "a" * 5001 (|c|
+    = 4999) in float64, since 4095 * 4999 > 2**24, and the shorter rows
+    in float32.  Once that record is gone a 5090-character query
+    multiplies every row in float32 (|q|^2 * square_max < 2**48; with
+    4999**2 it would not).  Both get the integer oracle's match and
+    similarity bits."""
     store = MemoryStore()
     claims = ["a" * 5001, "a" * 3000 + "b", "a short claim", "b" + "a" * 1200]
     for claim in claims:
         store.insert(make_record(claim, 1, 0.5, Role.OPPONENT))
     rows = store._by_polarity[1].every
     assert rows.square_max == 4999**2
-    with observed_matvecs() as (_, dtypes):
+    with observed_matvecs() as (shapes, dtypes):
         assert_oracle_nearest(store, "a" * 4097)
-    assert dtypes == [(np.float32, np.float64)]
+    assert shapes == [(EMBED_DIM,)] * 4
+    assert dtypes == [(np.float32, np.float64)] + [(np.float32, np.float32)] * 3
     store.archive(store.records[0], archived_by=None)
     assert rows.square_max == oracle_square(claims[1])
     store.archive(store.records[2], archived_by=None)
     assert rows.square_max == oracle_square(claims[1])
-    assert sorted(rows.squares[: len(rows.records)].tolist()) == sorted(oracle_square(r.claim) for r in rows.records)
+    assert sorted(square for _, square in rows.texts) == sorted(oracle_square(r.claim) for r in rows.records)
 
     query = "a" * 5000 + "b" * 90
     assert oracle_square(query) * rows.square_max < 2**48 <= oracle_square(query) * 4999**2
     with observed_matvecs() as (_, dtypes):
         assert_oracle_nearest(store, query)
-    assert dtypes == [(np.float32, np.float32)]
+    assert dtypes == [(np.float32, np.float32)] * 2
     store.archive(store.records[1], archived_by=None)
     store.archive(store.records[3], archived_by=None)
     assert rows.square_max == 0
@@ -453,9 +469,9 @@ def _words_claim(seed: int, length: int) -> str:
 
 def test_long_claims_of_words_multiply_in_float32():
     """Claims of 8,000 characters of seed-corpus words have norms |c| near
-    530, far below their lengths, so a query of one against rows of
-    others multiplies in float32 (|q|^2 * square_max < 2**48) and gets the
-    integer oracle's match and similarity bits."""
+    530, far below their lengths, so a query of one multiplies each row
+    of the others in float32 (|q|^2 |c|^2 < 2**48) and gets the integer
+    oracle's match and similarity bits."""
     store = MemoryStore()
     claims = [_words_claim(seed, 8000) for seed in range(3)] + ["a short claim"]
     for claim in claims:
@@ -464,12 +480,12 @@ def test_long_claims_of_words_multiply_in_float32():
     for probe in [_words_claim(3, 8000), *claims]:
         with observed_matvecs() as (_, dtypes):
             assert_oracle_nearest(store, probe)
-        assert dtypes == [(np.float32, np.float32)]
+        assert dtypes == [(np.float32, np.float32)] * len(claims)
 
 
 # Claims of about 4100 characters whose |c|^2 straddles 2**24, the bound at
-# which a batch's matrix leaves float32 ("a" * 4098 has |c|^2 = 2**24); an
-# exact repeat of "a" * 5001 has the odd dot product 4999**2, which float32
+# which a product with another such claim leaves float32 ("a" * 4098 has
+# |c|^2 = 2**24); an exact repeat of "a" * 5001 has the odd dot product 4999**2, which float32
 # would round.  They differ in composition, so similarities between them
 # are not all 1.
 LONG_CLAIMS = ("a" * 4097, "a" * 4098, "a" * 5001, "a" * 4000 + "b" * 97, "b" + "a" * 4096 + "c")
@@ -480,21 +496,21 @@ def _counts(claim: str) -> np.ndarray:
     return trigram_counts(claim)
 
 
-batch_claims = st.one_of(
+message_claims = st.one_of(
     st.tuples(st.integers(0, len(PHRASES) - 1), st.integers(0, len(SWAPS)), st.integers(0, 2)).map(
         lambda drawn: _claim(*drawn)
     ),
     st.sampled_from(LONG_CLAIMS),
 )
-batch_candidates = st.tuples(
-    batch_claims,
+message_candidates = st.tuples(
+    message_claims,
     st.sampled_from((-1, 1)),
     st.sampled_from((Role.SEED, Role.SELF, Role.OPPONENT)),
     st.sampled_from((0.25, 0.5, 0.75, 1.0)),
 )
 
 
-def oracle_batches(batches, theta: float, theta_self: float):
+def oracle_messages(messages, theta: float, theta_self: float):
     """The brute-force rule, one candidate at a time: its pool is every
     active record of its polarity (only self and seed ones for a self
     candidate), its match the cosine_similarity maximum over that pool in
@@ -504,8 +520,8 @@ def oracle_batches(batches, theta: float, theta_self: float):
     every record's final (active, archived_by)."""
     records = []  # [claim, polarity, role, strength, active, archived_by]
     decisions = []
-    for batch in batches:
-        for claim, polarity, role, strength in batch:
+    for message in messages:
+        for claim, polarity, role, strength in message:
             best, best_sim = None, None
             for index, (other, other_polarity, other_role, _, active, _) in enumerate(records):
                 if not active or other_polarity != polarity:
@@ -528,9 +544,9 @@ def oracle_batches(batches, theta: float, theta_self: float):
     return decisions, [(active, archived_by) for *_, active, archived_by in records]
 
 
-# The last claim is equally similar (7/8) to a row stored before its batch
-# and to an earlier record of its batch: the row, the lower id, wins.
-TIE_BATCHES = [
+# The last claim is equally similar (7/8) to a record of the message before
+# and to an earlier record of its own message: the lower id wins.
+TIE_MESSAGES = [
     [("xbcdefghij", 1, Role.OPPONENT, 0.5)],
     [("abcdefghix", 1, Role.OPPONENT, 0.5), ("abcdefghij", 1, Role.OPPONENT, 0.5)],
 ]
@@ -548,18 +564,18 @@ def decision(record: ArgumentRecord, outcome) -> tuple:
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    batches=st.lists(st.lists(batch_candidates, min_size=1, max_size=7), min_size=1, max_size=5),
+    messages=st.lists(st.lists(message_candidates, min_size=1, max_size=7), min_size=1, max_size=5),
     theta=thetas,
     theta_self=thetas,
-    pairwise_max=st.sampled_from((0, _Batch.PAIRWISE_MAX)),
+    pairwise_max=st.sampled_from((0, _RowSet.PAIRWISE_MAX)),
 )
-# One batch: paraphrase 1 supersedes the weaker base claim, and the later
-# exact repeat of the base claim, whose best match would be the archived
-# record, matches the paraphrase instead; a self repeat sees only the
-# seed and self records; the long repeats take float64 dot products, pair
-# by pair or from the batch's matrix.
+# One message: paraphrase 1 supersedes the weaker base claim, and the
+# later exact repeat of the base claim, whose best match would be the
+# archived record, matches the paraphrase instead; a self repeat sees
+# only the seed and self records; the long repeats take float64 dot
+# products, from the matrix.
 @example(
-    batches=[
+    messages=[
         [
             (_claim(0, 0, 0), 1, Role.OPPONENT, 0.25),
             (_claim(0, 1, 0), 1, Role.SEED, 0.75),
@@ -575,71 +591,58 @@ def decision(record: ArgumentRecord, outcome) -> tuple:
     theta_self=0.5,
     pairwise_max=0,
 )
-# Every claim below |c|^2 = 2**24: the matrix stays in float32.
+# The same, pair by pair.
 @example(
-    batches=[[("a" * 4097, 1, Role.OPPONENT, 0.25), ("b" + "a" * 4096 + "c", 1, Role.OPPONENT, 0.5)]],
+    messages=[
+        [
+            (_claim(0, 0, 0), 1, Role.OPPONENT, 0.25),
+            (_claim(0, 1, 0), 1, Role.SEED, 0.75),
+            (_claim(0, 0, 0), 1, Role.OPPONENT, 0.5),
+            (_claim(0, 0, 0), 1, Role.SELF, 1.0),
+            (_claim(0, 0, 0), -1, Role.OPPONENT, 0.5),
+            ("a" * 5001, 1, Role.OPPONENT, 0.5),
+            ("a" * 5001, 1, Role.OPPONENT, 0.75),
+        ],
+        [(_claim(0, 2, 0), 1, Role.SELF, 0.25), ("a" * 4097, 1, Role.OPPONENT, 0.5)],
+    ],
+    theta=BOUNDARY_THETAS[0],
+    theta_self=0.5,
+    pairwise_max=_RowSet.PAIRWISE_MAX,
+)
+# Every claim below |c|^2 = 2**24: every product stays in float32.
+@example(
+    messages=[[("a" * 4097, 1, Role.OPPONENT, 0.25), ("b" + "a" * 4096 + "c", 1, Role.OPPONENT, 0.5)]],
     theta=0.9,
     theta_self=0.5,
     pairwise_max=0,
 )
-@example(batches=TIE_BATCHES, theta=0.9, theta_self=0.5, pairwise_max=0)
-@example(batches=TIE_BATCHES, theta=0.9, theta_self=0.5, pairwise_max=_Batch.PAIRWISE_MAX)
-def test_batches_equal_a_brute_force_oracle(batches, theta, theta_self, pairwise_max):
-    """Candidates judged in batches, across several batches, take the
+@example(messages=TIE_MESSAGES, theta=0.9, theta_self=0.5, pairwise_max=0)
+@example(messages=TIE_MESSAGES, theta=0.9, theta_self=0.5, pairwise_max=_RowSet.PAIRWISE_MAX)
+def test_claims_judged_one_by_one_equal_a_brute_force_oracle(messages, theta, theta_self, pairwise_max):
+    """Candidates judged one at a time, across several messages, take the
     oracle's decisions: each one's active flag as it is settled, its
     nearest record's id and similarity bits, and the record it archives;
-    and every record ends with the oracle's flags.  A batch record is
-    searched for among the rows stored before the batch and among the
-    batch's earlier records, pair by pair or, with pairwise_max 0, with
-    the batch's matrix.  After the last batch the index holds exactly the
-    active records."""
-    expected, final = oracle_batches(batches, theta, theta_self)
+    and every record ends with the oracle's flags.  Each is searched for
+    among the store's rows, pair by pair up to pairwise_max rows and by
+    matvec above that (with pairwise_max 0, always by matvec).  After the
+    last message the index holds exactly the active records."""
+    expected, final = oracle_messages(messages, theta, theta_self)
     store = MemoryStore()
     decisions = []
-    with mock.patch.object(_Batch, "PAIRWISE_MAX", pairwise_max):
-        for batch in batches:
-            candidates = [CandidateArgument(*candidate) for candidate in batch]
-            for record, outcome in judge_batch(store, candidates, DEFAULT_TOPIC, None, theta, theta_self):
-                decisions.append(decision(record, outcome))
+    with mock.patch.object(_RowSet, "PAIRWISE_MAX", pairwise_max):
+        for message in messages:
+            for candidate in message:
+                judged = judge(store, CandidateArgument(*candidate), DEFAULT_TOPIC, None, theta, theta_self)
+                decisions.append(decision(*judged))
 
     assert decisions == [bits(*expected_decision) for expected_decision in expected]
     assert flags(store) == final
     for polarity in (1, -1):
-        index = store._index(polarity)
+        index = store._by_polarity[polarity]
         active = [r for r in store.records if r.active and r.polarity == polarity]
         assert sorted(r.id for r in index.every.records) == [r.id for r in active]
         assert sorted(r.id for r in index.own.records) == [r.id for r in active if r.role != Role.OPPONENT]
         assert index.ranked == sorted(active, key=lambda r: (-r.strength, r.id))
-
-
-def test_a_batch_of_thousands_settles_as_batches_of_one():
-    """A batch of 3000 claims, repeats and one-word paraphrases of 500
-    sentences, whose pools grow past PAIRWISE_MAX to hundreds of records,
-    takes every decision and similarity bit of the same claims judged one
-    at a time, each searched for among the store's rows; both stores end
-    with the same flags."""
-    rng = random.Random(11)
-    words = "rent wage tax port tram school lunch light road fare bus rail park levy fund".split()
-    sentences = [[rng.choice(words) for _ in range(6)] for _ in range(500)]
-
-    def claim():
-        sentence = list(rng.choice(sentences))
-        sentence[rng.randrange(6)] = rng.choice(words)
-        return " ".join(sentence)
-
-    candidates = [
-        CandidateArgument(
-            claim(), rng.choice((-1, 1)), rng.choice((Role.SEED, Role.SELF, Role.OPPONENT)), rng.random()
-        )
-        for _ in range(3000)
-    ]
-    theta, theta_self = 0.8, 0.7
-    batched, single = MemoryStore(), MemoryStore()
-    decisions = [decision(*judged) for judged in judge_batch(batched, candidates, DEFAULT_TOPIC, None, theta, theta_self)]
-    for candidate in candidates:
-        assert decision(*judge(single, candidate, DEFAULT_TOPIC, None, theta, theta_self)) == decisions[len(single) - 1]
-    assert flags(batched) == flags(single)
-    assert 300 < sum(r.active for r in batched.records) < 2700
 
 
 retrieve_ops = st.lists(

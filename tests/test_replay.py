@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from credence import replay as replay_mod
-from credence.core import UAProfile
+from credence.core import Role, UAProfile
 from credence.exceptions import ContractError, ScoringBackendError
-from credence.extraction import ScriptedExtractor
-from credence.judgement import BuiltinScorer, ScorerPort
+from credence.extraction import ExtractorPort, ScriptedExtractor
+from credence.judgement import BuiltinScorer, CandidateArgument, ScorerPort
 from credence.replay import (
     CalibrationGrid,
     EvidenceItem,
@@ -204,6 +204,33 @@ def test_non_finite_scorer_output_is_a_backend_error():
     case = make_case(evidence=[EvidenceItem(claim="x", polarity=1)])
     with pytest.raises(ScoringBackendError):
         accepted_records(case, theta=0.85, scorer=NanScorer())
+
+
+class CountingExtractor(ExtractorPort):
+    """One unhinted candidate per raw-text item, its text; counts calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def extract(self, topic, message, on_warning=None):
+        self.calls += 1
+        return [CandidateArgument(message.text, 1, Role.OPPONENT)]
+
+
+class FailingScorer(ScorerPort):
+    def score(self, topic, claim):
+        raise ScoringBackendError("scoring service down")
+
+
+def test_a_failing_scorer_stops_the_case_before_the_next_extraction():
+    """Each raw-text item is judged as soon as it is extracted, so a
+    scorer that fails on the first claim stops the case before the
+    extractor is asked about the second item."""
+    case = make_case(evidence=[EvidenceItem(text=f"item {i} of the stream") for i in range(3)])
+    extractor = CountingExtractor()
+    with pytest.raises(ScoringBackendError, match="scoring service down"):
+        accepted_records(case, theta=0.85, scorer=FailingScorer(), extractor=extractor)
+    assert extractor.calls == 1
 
 
 def test_linear_baseline_closed_form():
