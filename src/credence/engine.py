@@ -412,9 +412,14 @@ def replay_trace(events):
     event is one.  Seqs increase.  A stored event holds the next id and a
     record that passes a candidate argument's checks, with a string claim,
     a strength and a boolean active flag.  Its matched_id is null or an
-    active record, and its archived_id null or that same record; a record
-    stored inactive archives nothing and has a matched_id.  A rescaled
-    event holds a finite factor >= 0 and increasing ids of stored records.
+    active record, its similarity null with it and else a number in [0, 1],
+    and its archived_id null or that same record; a record stored inactive
+    archives nothing and has a matched_id.  A rescaled event holds a finite
+    factor >= 0 and increasing ids of stored records.  An extracted event
+    holds an int count >= 0.  A retrieved event holds ints k_plus, k_minus
+    >= 0 summing to the header's k, and at most k distinct ids of active
+    records.  A composed event holds the (bin, label) stance_to_instruction
+    gives for the replayed stance.
 
     Each stored record's contribution is derived again as
     p*log1p(s*gamma(role)) from the header's (u, a), and a rescaled event
@@ -433,7 +438,7 @@ def replay_trace(events):
     similarity, matched_id and archived_id) is taken as recorded.
     """
     active: dict[int, tuple] = {}  # id: (_Held, derived contribution), in id order
-    profile = None  # the header's, set by the first event
+    profile = k = None  # the header's, set by the first event
     seq = None  # the previous event's
     next_id = 0
     resum = False
@@ -449,8 +454,8 @@ def replay_trace(events):
             raise TraceVerificationError(f"event {event.seq}: {kind} seq does not increase", seq=event.seq)
         try:
             if kind == "stored":
-                record_id, claim, strength, kept, matched_id, archived_id = map(
-                    payload.get, ("id", "claim", "strength", "active", "matched_id", "archived_id")
+                record_id, claim, strength, kept, matched_id, archived_id, similarity = map(
+                    payload.get, ("id", "claim", "strength", "active", "matched_id", "archived_id", "similarity")
                 )
                 if type(record_id) is not int or record_id != next_id:
                     raise ContractError(f"id {record_id!r} is not the next id {next_id}")
@@ -461,6 +466,11 @@ def replay_trace(events):
                 for name, value in (("matched_id", matched_id), ("archived_id", archived_id)):
                     if value is not None and (type(value) is not int or value not in active):
                         raise ContractError(f"{name} {value!r} names no active record")
+                if matched_id is None:
+                    if similarity is not None:
+                        raise ContractError(f"similarity {similarity!r} has no matched_id")
+                elif not number_in(similarity, 0.0, 1.0):
+                    raise ContractError(f"similarity {similarity!r} of matched_id {matched_id} is not a number in [0, 1]")
                 if archived_id is not None and archived_id != matched_id:
                     raise ContractError(f"archived_id {archived_id} is not its matched_id {matched_id!r}")
                 if not kept and (archived_id is not None or matched_id is None):
@@ -515,10 +525,30 @@ def replay_trace(events):
                 current = BeliefState.from_log_odds(expected)
                 extended = expected
                 resum = False
+            elif kind == "retrieved":
+                k_plus, k_minus, ids = map(payload.get, ("k_plus", "k_minus", "ids"))
+                if not (type(k_plus) is type(k_minus) is int and k_plus >= 0 and k_minus >= 0 and k_plus + k_minus == k):
+                    raise ContractError(f"k_plus {k_plus!r} and k_minus {k_minus!r} are not ints >= 0 summing to k {k}")
+                if not (
+                    type(ids) is list
+                    and len(ids) <= k
+                    and all(type(i) is int and i in active for i in ids)
+                    and len(set(ids)) == len(ids)
+                ):
+                    raise ContractError(f"ids {ids!r} are not at most {k} distinct ids of active records")
+            elif kind == "composed":
+                instruction = payload.get("bin"), payload.get("label")
+                expected = stance_to_instruction(current.stance)
+                if type(instruction[0]) is not int or instruction != expected:
+                    raise ContractError(f"(bin, label) {instruction!r} is not {expected!r}, of the replayed stance")
+            elif kind == "extracted":
+                count = payload.get("count")
+                if type(count) is not int or count < 0:
+                    raise ContractError(f"count {count!r} is not an int >= 0")
             elif kind == "header":
                 if seq is not None:
                     raise ContractError("is not the first event")
-                profile = _check_header(event)
+                profile, k = _check_header(event), payload["k"]
         except (ContractError, ConfigError, ValueError) as exc:  # Role() raises ValueError
             raise TraceVerificationError(f"event {event.seq}: {kind} {exc}", seq=event.seq) from None
         seq = event.seq

@@ -14,9 +14,10 @@ proportion to the active set rather than to everything ever stored:
 - per polarity, two row sets, every active record and only the agent's
   own (self and seed) for the self pool, each with its records' cache
   entries; a set of up to 8 rows is searched one dot product per row,
-  and a larger one holds the counts as the float32 rows of one matrix,
-  with each row's squared norm, so one exact matvec finds the nearest
-  record (see _RowSet); ties keep the lowest id;
+  and a larger one holds the counts as the float32 rows of blocks of at
+  most 1024 rows (2 MiB), with each row's squared norm, so one exact
+  matvec per block finds the nearest record (see _RowSet); ties keep the
+  lowest id;
 - per polarity, the active records in (-strength, id) order, which
   ``rescale`` sorts again, so top-k retrieval is a slice;
 - the active records in id order;
@@ -25,8 +26,8 @@ proportion to the active set rather than to everything ever stored:
   record holds as its ``embedding``) and their squared norm |c|^2 as a
   float64 taken from the integer counts.
 
-A query q multiplies a row c in float32 while |q|^2 |c|^2 < 2**48, and a
-matrix of rows while |q|^2 * square_max < 2**48, square_max being the
+A query q multiplies a row c in float32 while |q|^2 |c|^2 < 2**48, and
+the blocks of rows while |q|^2 * square_max < 2**48, square_max being the
 largest |c|^2 among a row set's rows.  A row's dot product with the query
 is a sum of products of non-negative integers, so each product and
 partial sum is at most q.c, which by Cauchy-Schwarz is at most |q||c| <
@@ -63,50 +64,68 @@ class _RowSet:
     Rows are unordered: removing a record moves the last row into its
     place, and removing the row that held square_max finds it again.  A
     set of up to PAIRWISE_MAX rows allocates nothing more; the row after
-    that stacks every row's counts into a float32 matrix, and their
+    that copies every row's counts into a float32 block, and their
     squares into a float64 array, with room for GROWTH times as many
-    rows, and a full matrix grows by GROWTH again.  The matrix stays once
-    made, whatever the set's size.
+    rows, and a full first block grows by GROWTH again, up to BLOCK rows.
+    Each later BLOCK rows get a block of their own, so row r is row
+    r % BLOCK of block r // BLOCK and is never copied once the first block
+    holds BLOCK rows.  Blocks stay once made, whatever the set's size.
     """
 
     # A pair costs one numpy call and a matrix search about six: on pools
     # of 6 to 40 rows, the matrix search took less time only above about
     # this size.
     PAIRWISE_MAX = 8
-    # Each growth copies every row into new pages, inside the judgement
-    # of the claim that adds the row; growing fourfold copies less often
-    # than doubling, for about 2% more peak RSS on a 500-round dialogue
-    # of fresh claims (numpy asks for huge pages from 4 MiB, 2048 rows).
+    # Each growth copies the first block's rows into new pages, inside the
+    # judgement of the claim that adds the row; growing fourfold copies
+    # less often than doubling.
     GROWTH = 4
+    # 1024 rows of float32 counts are 2 MiB, half the size from which numpy
+    # asks for transparent huge pages: a single 2048-row matrix got them,
+    # for about 1 MiB more peak RSS on a 500-round dialogue of fresh
+    # claims.  On two BLAS threads a 1024-row matvec takes about as long
+    # as a 512-row one, and a third of a 2048-row one; but each matvec call
+    # has a fixed cost, so a set of 1025 to 2047 rows searches in up to
+    # about twice the time one matrix of its rows would take.
+    BLOCK = 1024
 
     def __init__(self):
         self.records: list[ArgumentRecord] = []
         self.texts: list[tuple] = []
         self.row_of: dict[int, int] = {}
-        self.counts: Optional[np.ndarray] = None
-        self.squares: Optional[np.ndarray] = None
+        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (float32 counts, float64 squares)
         self.square_max = 0.0
 
     def add(self, record: ArgumentRecord, text: tuple) -> None:
         """Add an active record with its text's cache entry, (counts,
         |counts|^2)."""
         n = len(self.records)
-        if self.counts is not None or n == self.PAIRWISE_MAX:
-            if self.counts is None or n == len(self.counts):
-                capacity = self.GROWTH * max(n, 1)  # n is 0 only while PAIRWISE_MAX is
-                counts, squares = np.empty((capacity, EMBED_DIM), dtype=np.float32), np.empty(capacity)
-                if self.counts is None:
-                    for row, (row_counts, row_square) in enumerate(self.texts):
-                        counts[row], squares[row] = row_counts, row_square
-                else:
-                    counts[:n], squares[:n] = self.counts, self.squares
-                self.counts, self.squares = counts, squares
-            self.counts[n], self.squares[n] = text
+        if self.blocks or n == self.PAIRWISE_MAX:
+            if not self.blocks:
+                for row, row_text in enumerate(self.texts):
+                    self._put(row, row_text)
+            self._put(n, text)
         if text[1] > self.square_max:
             self.square_max = text[1]
         self.records.append(record)
         self.texts.append(text)
         self.row_of[record.id] = n
+
+    def _put(self, row: int, text: tuple) -> None:
+        """Write a cache entry's counts and square into row, after the
+        rows before it: the first row of a block makes the block, and a
+        row past a full first block grows it."""
+        index, offset = divmod(row, self.BLOCK)
+        if index == len(self.blocks) or offset == len(self.blocks[index][1]):
+            capacity = min(self.GROWTH * max(offset, self.PAIRWISE_MAX, 1), self.BLOCK) if index == 0 else self.BLOCK
+            block = np.empty((capacity, EMBED_DIM), dtype=np.float32), np.empty(capacity)
+            if offset:  # the first block, full below BLOCK rows
+                block[0][:offset], block[1][:offset] = self.blocks[index]
+                self.blocks[index] = block
+            else:
+                self.blocks.append(block)
+        counts, squares = self.blocks[index]
+        counts[offset], squares[offset] = text
 
     def remove(self, record: ArgumentRecord) -> None:
         row = self.row_of.pop(record.id)
@@ -117,9 +136,8 @@ class _RowSet:
             self.records[row] = moved
             self.texts[row] = self.texts[last]
             self.row_of[moved.id] = row
-            if self.counts is not None:
-                self.counts[row] = self.counts[last]
-                self.squares[row] = self.squares[last]
+            if self.blocks:
+                self._put(row, self.texts[row])
         self.records.pop()
         self.texts.pop()
         if square == self.square_max:
@@ -133,13 +151,14 @@ class _RowSet:
 
         Every dot product of counts is exact (see the module docstring):
         pair by pair, in float32 while the query's square times the row's
-        is below 2**48, else in float64; by matvec, in float32 while the
-        query's square times square_max is below 2**48, else in float64.
-        math's and numpy's multiply, sqrt and divide round as
-        cosine_similarity's do, so each similarity equals it bitwise.  Rows
-        are not in id order, so a tie goes to the lower id: pair by pair
-        as it is met, and after a matvec by looking up the lowest id when
-        more than one row holds the best similarity.
+        is below 2**48, else in float64; by one matvec per block over its
+        live rows, in float32 while the query's square times square_max is
+        below 2**48, else in float64.  math's and numpy's multiply, sqrt
+        and divide round as cosine_similarity's do, so each similarity
+        equals it bitwise.  Rows are not in id order, so a tie goes to the
+        lower id: pair by pair as it is met, and after the matvecs by
+        looking up the lowest id when more than one row holds the best
+        similarity.
         """
         n = len(self.records)
         if not n:
@@ -156,7 +175,15 @@ class _RowSet:
             return found
         if square * self.square_max >= _FLOAT32_EXACT:
             counts = counts.astype(np.float64)
-        similarities = (self.counts[:n] @ counts) / np.sqrt(self.squares[:n] * square)
+        if n <= self.BLOCK:
+            block, squares = self.blocks[0]
+            dots, squares = block[:n] @ counts, squares[:n]
+        else:  # one matvec per block over its live rows, joined
+            starts = range(0, n, self.BLOCK)
+            live = [(block[: n - start], squares[: n - start]) for start, (block, squares) in zip(starts, self.blocks)]
+            dots = np.concatenate([block @ counts for block, _ in live])
+            squares = np.concatenate([squares for _, squares in live])
+        similarities = dots / np.sqrt(squares * square)
         row = int(similarities.argmax())
         best = similarities[row]
         if np.count_nonzero(similarities == best) > 1:

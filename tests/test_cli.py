@@ -564,6 +564,31 @@ def record_fields(store):
     return [(r.id, r.claim, r.polarity, repr(r.strength), r.role, r.active, r.archived_by) for r in store]
 
 
+def test_a_debate_reflection_is_stored_inactive(default_runs):
+    """In the default debate an agent's message quotes its own retrieved
+    records, so the other agent's replies bring its own seed and self
+    claims back as opponent evidence: 396 of the 900 opponent records.
+    Each is stored inactive, archived by an earlier record of its claim
+    (the agent's own, or the same claim stored before as opponent
+    evidence), since strengths round-trip and a tie keeps the existing
+    record, so a reflection never enters L."""
+    opponents = reflections = 0
+    for name, (_, agent) in default_runs.items():
+        if not name.startswith("debate_"):
+            continue
+        own = set()  # the seed and self claims stored so far
+        for record in agent.memory:
+            if record.role != credence.Role.OPPONENT:
+                own.add(record.claim)
+                continue
+            opponents += 1
+            if record.claim in own:
+                reflections += 1
+                kept = agent.memory.records[record.archived_by]
+                assert not record.active and kept.claim == record.claim and kept.id < record.id, (name, record.id)
+    assert (opponents, reflections) == (900, 396)
+
+
 def test_store_from_trace_equals_the_run_store_on_every_default_trace(default_runs):
     """The 10 sweep and 24 debate traces, seed rescales and deduplication
     losers included, rebuild their agents' stores."""
@@ -634,6 +659,11 @@ TRACE_FIELD_FAULTS = {
     "archived_id-unmatched": (3, {"archived_id": 1}, 3, "stored archived_id 1 is not its matched_id 0"),
     "matched_id-str": (3, {"matched_id": "0"}, 3, "stored matched_id '0' names no active record"),
     "matched_id-archived": (26, {"matched_id": 11}, 26, "stored matched_id 11 names no active record"),
+    "similarity-str": (3, {"similarity": "banana"}, 3, "stored similarity 'banana' of matched_id 0 is not a number in [0, 1]"),
+    "similarity-7.5": (3, {"similarity": 7.5}, 3, "stored similarity 7.5 of matched_id 0 is not a number in [0, 1]"),
+    "similarity-null": (3, {"similarity": None}, 3, "stored similarity None of matched_id 0 is not a number in [0, 1]"),
+    "similarity-bool": (3, {"similarity": True}, 3, "stored similarity True of matched_id 0 is not a number in [0, 1]"),
+    "similarity-unmatched": (1, {"similarity": 0.5}, 1, "stored similarity 0.5 has no matched_id"),
     "kept_new-str": (
         19, {"active": "banana"}, 19, "stored record 11 needs a string claim, a strength and a boolean active flag"
     ),
@@ -658,6 +688,52 @@ def test_a_bad_stored_or_resolved_field_fails_verify_and_rebuild(
     assert main(["trace-verify", str(bad)]) == 3
     assert capsys.readouterr().err == f"verification failed: event {reported}: {message}\n"
     with pytest.raises(TraceVerificationError, match=re.escape(f"event {reported}: {message}")):
+        engine.store_from_trace(engine._trace_events(bad))
+
+
+# Edits of the default sweep_u_0.4.jsonl's other events: (seq edited,
+# edits, message).  Seq 13 is the first extracted event, and seqs 16 and 17
+# the first retrieved and composed events, with k 5 and the stance in bin
+# 9; record 11, stored inactive at seq 19, is no active record at seq 28.
+FEW = "retrieved ids {!r} are not at most 5 distinct ids of active records"
+SUMMED = "retrieved k_plus {!r} and k_minus {!r} are not ints >= 0 summing to k 5"
+STRONGLY = "argue strongly for the proposition"
+EVENT_FAULTS = {
+    "count-negative": (13, {"count": -3}, "extracted count -3 is not an int >= 0"),
+    "count-bool": (13, {"count": True}, "extracted count True is not an int >= 0"),
+    "count-float": (13, {"count": 1.0}, "extracted count 1.0 is not an int >= 0"),
+    "count-missing": (13, {"count": DELETE}, "extracted count None is not an int >= 0"),
+    "ids-unknown-and-str": (16, {"ids": [999, "x"]}, FEW.format([999, "x"])),
+    "ids-repeated": (16, {"ids": [9, 9, 0, 5, 3]}, FEW.format([9, 9, 0, 5, 3])),
+    "ids-too-many": (16, {"ids": [9, 8, 0, 5, 3, 1]}, FEW.format([9, 8, 0, 5, 3, 1])),
+    "ids-bool": (16, {"ids": [True]}, FEW.format([True])),
+    "ids-str": (16, {"ids": "9"}, FEW.format("9")),
+    "ids-archived": (28, {"ids": [11]}, FEW.format([11])),
+    "k_plus-short": (16, {"k_plus": 4}, SUMMED.format(4, 0)),
+    "k_minus-negative": (16, {"k_plus": 6, "k_minus": -1}, SUMMED.format(6, -1)),
+    "k_plus-bool": (16, {"k_plus": True, "k_minus": 4}, SUMMED.format(True, 4)),
+    "k_minus-float": (16, {"k_minus": 0.0}, SUMMED.format(5, 0.0)),
+    "bin-42": (17, {"bin": 42}, f"composed (bin, label) (42, {STRONGLY!r}) is not (9, {STRONGLY!r}), of the replayed stance"),
+    "bin-float": (17, {"bin": 9.0}, f"composed (bin, label) (9.0, {STRONGLY!r}) is not (9, {STRONGLY!r}), of the replayed stance"),
+    "label": (
+        17, {"label": "argue for the proposition"},
+        f"composed (bin, label) (9, 'argue for the proposition') is not (9, {STRONGLY!r}), of the replayed stance",
+    ),
+}
+
+
+@pytest.mark.parametrize("seq, edits, message", EVENT_FAULTS.values(), ids=EVENT_FAULTS.keys())
+def test_a_bad_extracted_retrieved_or_composed_event_fails_verify_and_rebuild(
+    default_sweep_trace, tmp_path, capsys, seq, edits, message
+):
+    trace, _ = default_sweep_trace
+    kinds = {s: engine.read_trace(trace)[s].kind for s in (13, 16, 17, 28)}
+    assert kinds == {13: "extracted", 16: "retrieved", 17: "composed", 28: "retrieved"}
+    bad = edited_trace(trace, tmp_path, seq, edits)
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    assert capsys.readouterr().err == f"verification failed: event {seq}: {message}\n"
+    with pytest.raises(TraceVerificationError, match=re.escape(f"event {seq}: {message}")):
         engine.store_from_trace(engine._trace_events(bad))
 
 
@@ -836,15 +912,16 @@ def test_a_bad_header_fails_verify_and_rebuild(default_sweep_trace, tmp_path, ca
 
 
 # Faults a rebuilt store shows: (trace, seq edited, edits, seq reported,
-# message).  Of them, trace-verify sees only the restore rows and
-# rescaled-above-1; the others edit a deduplication decision, which it
-# trusts.  sweep_a_1.0.jsonl rescales its seeds, record 0 with strength
+# message).  Of them, trace-verify sees only the restore rows,
+# rescaled-above-1 and a null similarity beside a matched_id; the others
+# edit a deduplication decision, which it trusts.  sweep_a_1.0.jsonl rescales its seeds, record 0 with strength
 # 0.83 first, at seq 11, and stores record 10 at seq 14.  The restore rows
 # turn that event into a store of record 0 again, with one field the store
 # holds for it changed, as a seed rescale's re-store did before a rescale
 # became one event.  Record 11 of sweep_u_0.4.jsonl lost deduplication to
 # record 9 at similarity 1.0 (stored at seq 19).
 RESTORED = "stored id 0 is not the next id 10"
+UNMATCHED_NULL = r"stored similarity None of matched_id 9 is not a number in \[0, 1\]"
 STORE_FAULTS = {
     "restore-claim": ("sweep_a_1.0.jsonl", 14, {"id": 0, "claim": "another claim"}, 14, RESTORED),
     "restore-polarity": ("sweep_a_1.0.jsonl", 14, {"id": 0, "polarity": -1}, 14, RESTORED),
@@ -857,10 +934,8 @@ STORE_FAULTS = {
         "sweep_u_0.4.jsonl", 19, {"similarity": math.nextafter(1.0, 0.0)}, 19,
         "stored similarity 0.9999999999999999 != re-derived 1.0",
     ),
-    "loser-similarity-null": ("sweep_u_0.4.jsonl", 19, {"similarity": None}, 19, "stored similarity None != re-derived 1.0"),
-    "loser-similarity-missing": (
-        "sweep_u_0.4.jsonl", 19, {"similarity": DELETE}, 19, "stored similarity None != re-derived 1.0"
-    ),
+    "loser-similarity-null": ("sweep_u_0.4.jsonl", 19, {"similarity": None}, 19, UNMATCHED_NULL),
+    "loser-similarity-missing": ("sweep_u_0.4.jsonl", 19, {"similarity": DELETE}, 19, UNMATCHED_NULL),
     "loser-matched_id": ("sweep_u_0.4.jsonl", 19, {"matched_id": 8}, 19, "stored matched_id 8 != re-derived 9"),
 }
 

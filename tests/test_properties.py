@@ -1,8 +1,8 @@
 """Property tests for the indexed active set, the calibration grid, the
 replay prediction kernel and the stance-to-instruction bins.
 
-The store answers deduplication queries from an index (one matvec over
-a matrix of trigram counts), the engine and the trace verifier update L
+The store answers deduplication queries from an index (one matvec per
+block of trigram counts), the engine and the trace verifier update L
 incrementally, and calibration evaluates its grid from per-case terms.
 Each property compares that fast path with the brute-force rule it
 replaces, bitwise.  Similarity itself is checked against a pure-Python
@@ -220,8 +220,8 @@ def test_self_query_multiplies_only_own_rows():
     assert dtypes == [(np.float32, np.float32)]  # short claims stay under the 2**48 bound
 
 
-# Row counts around the pairwise limit (8 rows, no matrix; 9, a matrix)
-# and the matrix's first growth (32 rows).
+# Row counts around the pairwise limit (8 rows, no block; 9, a block)
+# and the first block's first growth (32 rows).
 ROW_COUNTS = (0, 1, 7, 8, 9, 32, 33)
 # Two phrases and a paraphrase of each, so rows repeat often; a query may
 # also be the last, a claim of no row.
@@ -246,8 +246,8 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
     """_RowSet.nearest returns what a loop over its live records in id
     order finds (the first strictly greater similarity wins, so the
     lowest id among equals), with the same similarity bits; and a set
-    that has had at most 8 rows holds no matrix, while the 9th row
-    stacks the rows into a float32 matrix with room for 32, which grows
+    that has had at most 8 rows holds no block, while the 9th row
+    stacks the rows into one float32 block with room for 32, which grows
     fourfold when full."""
     texts = MemoryStore()  # only its per-text cache entries are used
     row_set = _RowSet()
@@ -273,13 +273,106 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
         assert found[0] is best and found[1].hex() == best_sim.hex()
 
     if adds <= 8:
-        assert row_set.counts is None and row_set.squares is None
+        assert row_set.blocks == []
     else:
         capacity = 8
         while capacity < adds:
             capacity *= 4
-        assert len(row_set.counts) == len(row_set.squares) == capacity
-        assert row_set.counts.dtype == np.float32
+        [(counts, squares)] = row_set.blocks
+        assert len(counts) == len(squares) == capacity
+        assert counts.dtype == np.float32
+
+
+# The row claims, and "a" * 5001 with a query "a" * 4097 against it: 4095**2
+# times 4999**2 is above 2**48, so that query multiplies every block in
+# float64 once the long row is in the set.
+BLOCK_CLAIMS = ROW_CLAIMS[:-1] + ("a" * 5001,)
+BLOCK_QUERIES = ROW_CLAIMS + ("a" * 4097,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block=st.sampled_from((3, 4, 16)),
+    pairwise_max=st.sampled_from((0, 2, _RowSet.PAIRWISE_MAX)),
+    claims=st.lists(st.integers(0, len(BLOCK_CLAIMS) - 1), min_size=1, max_size=60),
+    removals=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 63)), max_size=20),
+)
+# Ids 0, 3 and 6 repeat one claim; removing id 0 moves id 6, the last row
+# (block 2), into row 0 (block 0), so the lowest id among equals, 3, is in a
+# later block than the first row that is best.
+@example(block=3, pairwise_max=2, claims=[0, 1, 2, 0, 1, 2, 0], removals=[(6, 0)])
+# The long row is the only row of block 2.
+@example(block=3, pairwise_max=2, claims=[0, 1, 2, 3, 0, 1, 4], removals=[])
+def test_row_set_blocks_equal_a_loop_in_id_order(block, pairwise_max, claims, removals):
+    """With BLOCK patched small, a few dozen rows span several blocks:
+    after adds and swap-removes (each removal, after the add it names,
+    moves the last row, often from a later block, into the hole),
+    _RowSet.nearest returns what a loop over the live records in id
+    order finds, with the same similarity bits, for every query, the
+    float64 one included; each block holds its rows' counts and squares,
+    the search runs one matvec per block over its live rows, and a block
+    of BLOCK rows is never copied."""
+    texts = MemoryStore()  # only its per-text cache entries are used
+    with mock.patch.object(_RowSet, "BLOCK", block), mock.patch.object(_RowSet, "PAIRWISE_MAX", pairwise_max):
+        row_set = _RowSet()
+        live = []
+        most = 0  # the most rows the set has held
+        full = []  # the blocks of BLOCK rows, a prefix of the blocks
+        for record_id, claim in enumerate(claims):
+            record = ArgumentRecord(BLOCK_CLAIMS[claim], 1, 0.5, Role.OPPONENT, embedding=None, id=record_id)
+            row_set.add(record, texts._text(record.claim))
+            live.append(record)
+            most = max(most, len(live))
+            for after, pick in removals:
+                if after == record_id and live:
+                    row_set.remove(live.pop(pick % len(live)))
+            assert all(kept is now for kept, (now, _) in zip(full, row_set.blocks))
+            full = [counts for counts, _ in row_set.blocks if len(counts) == block]
+            assert len(full) >= len(row_set.blocks) - 1
+
+        n = len(live)
+        assert len(row_set.blocks) == (0 if most <= pairwise_max else -(-most // block))
+        for row, (counts, square) in enumerate(row_set.texts if row_set.blocks else ()):
+            block_counts, block_squares = row_set.blocks[row // block]
+            assert np.array_equal(block_counts[row % block], counts) and block_squares[row % block] == square
+        for query in BLOCK_QUERIES:
+            best, best_sim = None, -1.0
+            for record in sorted(live, key=lambda r: r.id):
+                sim = cosine_similarity(_counts(query), _counts(record.claim))
+                if sim > best_sim:
+                    best, best_sim = record, sim
+            with observed_matvecs() as (shapes, dtypes):
+                found = row_set.nearest(texts._text(query))
+            if best is None:
+                assert found is None
+                continue
+            assert found[0] is best and found[1].hex() == best_sim.hex()
+            if n > pairwise_max:
+                assert shapes == [(min(block, n - start), EMBED_DIM) for start in range(0, n, block)]
+                wide = oracle_square(query) * row_set.square_max >= 2**48
+                assert dtypes == [(np.float32, np.float64 if wide else np.float32)] * len(shapes)
+
+
+def test_a_row_set_of_2100_rows_copies_no_full_block():
+    """Unpatched: the first block grows to 1024 rows, and every later
+    1024 rows get a block of their own, so no block reaches 4 MiB (numpy's
+    huge-page size) and the blocks that hold 1024 rows are the same
+    arrays 1,076 rows later; the search still keeps the lowest id."""
+    texts = MemoryStore()  # only its per-text cache entries are used
+    row_set = _RowSet()
+    entries = [texts._text(claim) for claim in ROW_CLAIMS]
+    for record_id in range(2100):
+        claim = record_id % len(ROW_CLAIMS)
+        row_set.add(ArgumentRecord(ROW_CLAIMS[claim], 1, 0.5, Role.OPPONENT, embedding=None, id=record_id), entries[claim])
+        if record_id == 1023:
+            (first,) = row_set.blocks
+            assert first[0].shape == (1024, EMBED_DIM)
+    assert row_set.BLOCK == 1024
+    assert [counts.shape for counts, _ in row_set.blocks] == [(1024, EMBED_DIM)] * 3
+    assert all(counts.dtype == np.float32 and counts.nbytes == 2 * 2**20 for counts, _ in row_set.blocks)
+    assert row_set.blocks[0][0] is first[0] and row_set.blocks[0][1] is first[1]
+    found, similarity = row_set.nearest(entries[2])
+    assert (found.id, similarity) == (2, 1.0)
 
 
 @functools.lru_cache(maxsize=1024)  # long claims are looked up many times; callers only read
