@@ -13,11 +13,12 @@ proportion to the active set rather than to everything ever stored:
 
 - per polarity, two row sets, every active record and only the agent's
   own (self and seed) for the self pool, each with its records' cache
-  entries; a set of up to 8 rows is searched one dot product per row,
-  and a larger one holds the counts as the float32 rows of blocks of at
-  most 1024 rows (2 MiB), with each row's squared norm, so one exact
-  matvec per block finds the nearest record (see _RowSet); ties keep the
-  lowest id;
+  entries; a set that has held at most 8 rows is searched by one dot
+  product per row, and a larger one holds the counts as the float32 rows
+  of blocks of at most 1024 rows (2 MiB), with each row's squared norm,
+  and is searched by one np.dot (a matvec) per block; the best row of at
+  most 20 rows is picked in one Python pass, of more by numpy's argmax
+  (see _RowSet); ties keep the lowest id;
 - per polarity, the active records in (-strength, id) order, which
   ``rescale`` sorts again, so top-k retrieval is a slice;
 - the active records in id order;
@@ -26,16 +27,17 @@ proportion to the active set rather than to everything ever stored:
   record holds as its ``embedding``) and their squared norm |c|^2 as a
   float64 taken from the integer counts.
 
-A query q multiplies a row c in float32 while |q|^2 |c|^2 < 2**48, and
-the blocks of rows while |q|^2 * square_max < 2**48, square_max being the
-largest |c|^2 among a row set's rows.  A row's dot product with the query
+A search decides its precision once: the query q multiplies every row of
+a set in float32 while |q|^2 * square_max < 2**48, square_max being the
+largest |c|^2 among the set's rows.  A row's dot product with the query
 is a sum of products of non-negative integers, so each product and
 partial sum is at most q.c, which by Cauchy-Schwarz is at most |q||c| <
 2**24: an integer exact in float32, in any summation order, fused
-multiply-adds included.  Above the bound the query goes in as float64 and
-the product runs in float64.  Either way the dot products are the exact
-integers and each similarity has the bits of ``cosine_similarity``.
-(Counts stay exact in float32 for any text under 2**24 characters.)
+multiply-adds included.  At or above the bound the query goes in as
+float64 and every product runs in float64.  Either way the dot products
+are the exact integers and each similarity has the bits of
+``cosine_similarity``.  (Counts stay exact in float32 for any text under
+2**24 characters.)
 """
 
 from __future__ import annotations
@@ -70,12 +72,32 @@ class _RowSet:
     Each later BLOCK rows get a block of their own, so row r is row
     r % BLOCK of block r // BLOCK and is never copied once the first block
     holds BLOCK rows.  Blocks stay once made, whatever the set's size.
+
+    A search without a block takes one dot product per row, by the
+    query's ndarray.dot method; with blocks, one np.dot per block over its
+    live rows.  Up to SELECT_MAX rows the best row is picked in one Python
+    pass over the similarities; above it, by numpy's argmax.
     """
 
-    # A pair costs one numpy call and a matrix search about six: on pools
-    # of 6 to 40 rows, the matrix search took less time only above about
-    # this size.
+    # Per-search costs, measured in one process (2-vCPU VM, warm, best of
+    # 30 rounds of 50 queries against claims of seed-corpus words).  A
+    # pairwise search takes about 1.3 us plus 0.55 us a row (1 row 1.9 us,
+    # 4 rows 3.7, 8 rows 5.4; np.dot instead of the ndarray.dot method
+    # adds its dispatch, about 0.4 us a row), a block search about 3.2 to
+    # 3.6 us up to 8 rows.  But a block is made at the row after
+    # PAIRWISE_MAX, an allocation and a copy of every row, and most sets of
+    # a replay case (3 to 9 claims over two polarities) live only for a
+    # few searches: over the 2,000 cases of the replay benchmark, in one
+    # process (best of 15 rounds), judging took 105 us a case with 8 here,
+    # 114 with 4, and 109 with the search before it picked rows in Python.
+    # The simulate benchmark gains more with 4 (see ROADMAP item 10), but
+    # not enough to pay for replay's loss.
     PAIRWISE_MAX = 8
+    # Picking the best row in one Python pass (tolist, max, index, count)
+    # against numpy's multiply, sqrt, divide and argmax, per search: 9 rows
+    # 3.7 against 5.5 us, 16 rows 5.0 against 5.8, 20 rows 5.4 against
+    # 5.5, 24 rows 5.9 against 5.8, 32 rows 6.3 against 6.2.
+    SELECT_MAX = 20
     # Each growth copies the first block's rows into new pages, inside the
     # judgement of the claim that adds the row; growing fourfold copies
     # less often than doubling.
@@ -143,6 +165,23 @@ class _RowSet:
         if square == self.square_max:
             self.square_max = max((square for _, square in self.texts), default=0.0)
 
+    def _products(self, counts: np.ndarray) -> np.ndarray:
+        """The query counts' dot product with every row, by one matvec per
+        block over its live rows."""
+        n = len(self.records)
+        if n <= self.BLOCK:
+            return np.dot(self.blocks[0][0][:n], counts)
+        starts = range(0, n, self.BLOCK)
+        return np.concatenate([np.dot(block[: n - start], counts) for start, (block, _) in zip(starts, self.blocks)])
+
+    def _squares(self) -> np.ndarray:
+        """Every row's |c|^2, from the blocks."""
+        n = len(self.records)
+        if n <= self.BLOCK:
+            return self.blocks[0][1][:n]
+        starts = range(0, n, self.BLOCK)
+        return np.concatenate([squares[: n - start] for start, (_, squares) in zip(starts, self.blocks)])
+
     def nearest(self, query: tuple) -> Optional[tuple[ArgumentRecord, float]]:
         """The record whose counts are the most cosine-similar to the
         query's, the lowest id among equals, and that similarity; None
@@ -150,45 +189,41 @@ class _RowSet:
         |counts|^2).
 
         Every dot product of counts is exact (see the module docstring):
-        pair by pair, in float32 while the query's square times the row's
-        is below 2**48, else in float64; by one matvec per block over its
-        live rows, in float32 while the query's square times square_max is
-        below 2**48, else in float64.  math's and numpy's multiply, sqrt
-        and divide round as cosine_similarity's do, so each similarity
-        equals it bitwise.  Rows are not in id order, so a tie goes to the
-        lower id: pair by pair as it is met, and after the matvecs by
-        looking up the lowest id when more than one row holds the best
-        similarity.
+        all in float32 while the query's square times square_max is below
+        2**48, else all in float64, pair by pair without a block, else by
+        one matvec per block.  Each similarity is dot / sqrt(square *
+        row_square), and math's and numpy's multiply, sqrt and divide
+        round as cosine_similarity's do, so it equals that bitwise.  Rows
+        are not in id order, so a tie goes to the lower id: the first row
+        of the best similarity is the answer unless more rows hold it, and
+        then the lowest id among them is, in the Python pass and after
+        the argmax alike.
         """
         n = len(self.records)
         if not n:
             return None
         counts, square = query
-        if n <= self.PAIRWISE_MAX:
-            found = None
-            for record, (row, row_square) in zip(self.records, self.texts):
-                product = square * row_square
-                q = counts if product < _FLOAT32_EXACT else counts.astype(np.float64)
-                similarity = float(q @ row) / math.sqrt(product)
-                if found is None or similarity > found[1] or (similarity == found[1] and record.id < found[0].id):
-                    found = record, similarity
-            return found
         if square * self.square_max >= _FLOAT32_EXACT:
             counts = counts.astype(np.float64)
-        if n <= self.BLOCK:
-            block, squares = self.blocks[0]
-            dots, squares = block[:n] @ counts, squares[:n]
-        else:  # one matvec per block over its live rows, joined
-            starts = range(0, n, self.BLOCK)
-            live = [(block[: n - start], squares[: n - start]) for start, (block, squares) in zip(starts, self.blocks)]
-            dots = np.concatenate([block @ counts for block, _ in live])
-            squares = np.concatenate([squares for _, squares in live])
-        similarities = dots / np.sqrt(squares * square)
-        row = int(similarities.argmax())
-        best = similarities[row]
-        if np.count_nonzero(similarities == best) > 1:
-            row = min(np.flatnonzero(similarities == best), key=lambda r: self.records[r].id)
-        return self.records[row], float(best)
+        if not self.blocks:
+            similarities = [float(counts.dot(row)) / math.sqrt(square * row_square) for row, row_square in self.texts]
+        elif n <= self.SELECT_MAX:
+            dots = self._products(counts).tolist()
+            similarities = [dot / math.sqrt(square * row_square) for dot, (_, row_square) in zip(dots, self.texts)]
+        else:
+            similarities = np.multiply(self._squares(), square)
+            np.sqrt(similarities, out=similarities)
+            np.divide(self._products(counts), similarities, out=similarities)
+            row = int(similarities.argmax())
+            best = similarities.item(row)
+            if np.count_nonzero(similarities == best) > 1:
+                row = min(np.flatnonzero(similarities == best), key=lambda r: self.records[r].id)
+            return self.records[row], best
+        best = max(similarities)
+        row = similarities.index(best)
+        if similarities.count(best) > 1:
+            row = min((r for r, similarity in enumerate(similarities) if similarity == best), key=lambda r: self.records[r].id)
+        return self.records[row], best
 
 
 def _rank(record: ArgumentRecord) -> tuple:
@@ -260,7 +295,7 @@ class MemoryStore:
         text = self._texts.get(key)
         if text is None:
             counts = _bincount(key)
-            text = self._texts[key] = (counts.astype(np.float32), float(counts @ counts))
+            text = self._texts[key] = (counts.astype(np.float32), float(np.dot(counts, counts)))
             text[0].flags.writeable = False
         return text
 

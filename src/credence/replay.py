@@ -512,15 +512,30 @@ def _number(value, name: str) -> float:
 
 
 def case_from_dict(row: dict) -> ReplayCase:
+    """A case from one parsed JSONL line; a ContractError names the case
+    field, or the evidence item by its index, that is missing or wrong."""
     if not isinstance(row, dict):
         raise ContractError(f"case must be a JSON object, got {type(row).__name__}")
+    for name in ("participant", "group", "topic", "initial_likert"):
+        if name not in row:
+            raise ContractError(f"case has no {name!r} field")
+    items = row.get("evidence", [])
+    if not isinstance(items, list):
+        raise ContractError(f"case field 'evidence' must be a list, got {items!r}")
     evidence = []
-    for item in row.get("evidence", []):
-        if "text" in item:
-            if "claim" in item:
-                raise ContractError("evidence item carries both claim and text")
-            evidence.append(EvidenceItem(text=item["text"]))
-        else:
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ContractError(f"evidence[{index}] must be an object, got {item!r}")
+        try:
+            if "text" in item:
+                if "claim" in item:
+                    raise ContractError("item carries both claim and text")
+                evidence.append(EvidenceItem(text=item["text"]))
+                continue
+            if "claim" not in item:
+                raise ContractError("item has neither 'claim' nor 'text'")
+            if "polarity" not in item:
+                raise ContractError("item has no 'polarity' field")
             evidence.append(
                 EvidenceItem(
                     claim=item["claim"],
@@ -528,6 +543,8 @@ def case_from_dict(row: dict) -> ReplayCase:
                     strength=item.get("strength"),
                 )
             )
+        except ContractError as exc:
+            raise ContractError(f"evidence[{index}]: {exc}") from None
     final_likert = row.get("final_likert")
     return ReplayCase(
         participant=row["participant"],

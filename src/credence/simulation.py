@@ -25,7 +25,7 @@ from .engine import (
     refresh_belief,
     take_turn,
 )
-from .exceptions import ContractError
+from .exceptions import ConfigError, ContractError
 from .extraction import ExtractorPort, Message, ScriptedExtractor, parse_scripted_message
 from .judgement import CandidateArgument, ScorerPort
 
@@ -39,9 +39,15 @@ PROFILE_PRESETS = {"open": OPEN_MINDED, "stubborn": STUBBORN}
 
 
 def load_scripted_claims(text: str) -> list[CandidateArgument]:
-    """Parse a seed-corpus blob in the scripted-claim grammar."""
+    """Parse a seed-corpus blob in the scripted-claim grammar.  A CLAIM
+    line with a malformed or out-of-range strength hint, or blank text, is
+    a ConfigError that quotes the line, not a claim dropped in silence."""
+
+    def reject(warning: str) -> None:
+        raise ConfigError(f"seed corpus: {warning}")
+
     message = Message(text=text, author_role="seed_source", order=0)
-    return parse_scripted_message(message)
+    return parse_scripted_message(message, on_warning=reject)
 
 
 def make_agent(

@@ -16,7 +16,7 @@ import yaml
 import credence
 from credence import cli, engine, judgement, simulation
 from credence.cli import main
-from credence.config import DEFAULTS
+from credence.config import DEFAULTS, bundled_text
 from credence.exceptions import TraceVerificationError
 from credence.replay import EvidenceItem, ReplayCase, case_to_dict
 
@@ -280,6 +280,29 @@ def test_replay_reports_a_case_line_that_is_not_utf8(tmp_path, capsys):
     assert main(["replay", "--cases", str(cases), "--strict", "--out", str(tmp_path / "b")]) == 1
     err = capsys.readouterr().err
     assert "error: 1 malformed case lines (strict mode)" in err and "Traceback" not in err
+
+
+# A seed corpus line that the parser rejects -> the warning it gives.
+SEED_LINE_FAULTS = {
+    "bad-hint": ("CLAIM +0.88x: open budgets work", "malformed strength hint '0.88x'"),
+    "hint-above-one": ("CLAIM +1.90: open budgets work", "strength hint 1.9 outside [0, 1]"),
+    "blank-text": ("CLAIM -0.50:   ", "blank claim text"),
+}
+
+
+@pytest.mark.parametrize("line, warning", list(SEED_LINE_FAULTS.values()), ids=list(SEED_LINE_FAULTS))
+def test_a_malformed_seed_corpus_line_is_a_validation_error(tmp_path, capsys, line, warning):
+    """A seed_file line that does not parse stops sweep and debate with the
+    line quoted, instead of seeding from the other lines."""
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(bundled_text("seeds.txt") + line + "\n", encoding="utf-8")
+    for command in ("sweep", "debate"):
+        config = write_yaml(tmp_path / f"{command}.yaml", {command: {"seed_file": str(seeds)}})
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed corpus: {warning} in line {line.strip()!r}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["config", "seed_file", "opponent_file"])

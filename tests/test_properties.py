@@ -173,24 +173,29 @@ def test_indexed_resolve_matches_brute_force(ops, theta, theta_self):
 @contextlib.contextmanager
 def observed_matvecs():
     """Record the store's similarity products run inside the block: the
-    matvec `matrix @ query` and the pairwise `query @ row`, the query
-    being the counts of the store's cache entry for the claim (or their
-    float64 copy).  A query of this subclass records the shape and dtype
-    of the matrix or row it meets.  Yields the list of shapes and the
-    list of (matrix or row, query) dtypes."""
+    matvec `np.dot(matrix, query)` and the pairwise `query.dot(row)`, the
+    query being the counts of the store's cache entry for the claim (or
+    their float64 copy).  A query of this subclass records the shape and
+    dtype of the matrix or row it meets: np.dot hands it to its
+    __array_function__, and the pairwise product is its own dot method.
+    Yields the list of shapes and the list of (matrix or row, query)
+    dtypes."""
     shapes = []
     dtypes = []
 
     class Query(np.ndarray):
-        def __rmatmul__(self, matrix):
-            shapes.append(matrix.shape)
-            dtypes.append((matrix.dtype, self.dtype))
-            return matrix @ self.view(np.ndarray)
+        def __array_function__(self, func, types, args, kwargs):
+            plain = [arg.view(np.ndarray) if isinstance(arg, Query) else arg for arg in args]
+            if func is np.dot:
+                matrix, query = plain
+                shapes.append(matrix.shape)
+                dtypes.append((matrix.dtype, query.dtype))
+            return func(*plain, **kwargs)
 
-        def __matmul__(self, row):
+        def dot(self, row):
             shapes.append(row.shape)
             dtypes.append((row.dtype, self.dtype))
-            return self.view(np.ndarray) @ row
+            return self.view(np.ndarray).dot(row)
 
     text_of = MemoryStore._text
 
@@ -220,35 +225,61 @@ def test_self_query_multiplies_only_own_rows():
     assert dtypes == [(np.float32, np.float32)]  # short claims stay under the 2**48 bound
 
 
-# Row counts around the pairwise limit (8 rows, no block; 9, a block)
-# and the first block's first growth (32 rows).
-ROW_COUNTS = (0, 1, 7, 8, 9, 32, 33)
-# Two phrases and a paraphrase of each, so rows repeat often; a query may
-# also be the last, a claim of no row.
-ROW_CLAIMS = tuple(_claim(p, s, 0) for p in (0, 1) for s in (0, 1)) + ("an unrelated query",)
+# Row counts around the pairwise limit (PAIRWISE_MAX rows, no block; one
+# more, a block), the first block's first growth (GROWTH * PAIRWISE_MAX
+# rows) and the largest set whose best row is picked in Python (SELECT_MAX
+# rows; one more, by numpy's argmax).
+PAIRWISE_MAX, SELECT_MAX = _RowSet.PAIRWISE_MAX, _RowSet.SELECT_MAX
+FIRST_GROWTH = _RowSet.GROWTH * PAIRWISE_MAX
+ROW_COUNTS = tuple(
+    sorted(
+        {0, 1, 7, 8, 9, 32, 33}
+        | {PAIRWISE_MAX - 1, PAIRWISE_MAX, PAIRWISE_MAX + 1, FIRST_GROWTH, FIRST_GROWTH + 1}
+        | {SELECT_MAX - 1, SELECT_MAX, SELECT_MAX + 1}
+    )
+)
+# Two phrases and a paraphrase of each, so rows repeat often, and "a" *
+# 5001, which queried against itself multiplies in float64 (4999**4 is
+# above 2**48); a query may also be the last, a claim of no row.
+ROW_CLAIMS = tuple(_claim(p, s, 0) for p in (0, 1) for s in (0, 1)) + ("a" * 5001, "an unrelated query")
 MAX_REMOVALS = 6
+MAX_ADDS = max(ROW_COUNTS) + MAX_REMOVALS
+
+
+def repeat_behind(rows: int, claim: int = 0) -> list:
+    """Claims for rows + 1 adds in which ids 1 and rows hold claim, and no
+    other id does: removing id 0 moves id rows, the last row, into row 0,
+    ahead of id 1, its exact repeat, so the lowest id among the best is
+    not the first row that is best."""
+    return [1, claim] + [2 + i % 2 for i in range(rows - 2)] + [claim] + [0] * (MAX_ADDS - rows - 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.sampled_from(ROW_COUNTS),
-    claims=st.lists(st.integers(0, len(ROW_CLAIMS) - 2), min_size=33 + MAX_REMOVALS, max_size=33 + MAX_REMOVALS),
+    claims=st.lists(st.integers(0, len(ROW_CLAIMS) - 2), min_size=MAX_ADDS, max_size=MAX_ADDS),
     removals=st.lists(st.integers(0, 32), max_size=MAX_REMOVALS),
     query=st.integers(0, len(ROW_CLAIMS) - 1),
 )
-# Removing id 0 moves the last row, id 8, into row 0, ahead of id 1, an
-# exact repeat of it: the lowest id is not the first row that is best.
-# With 8 rows added the set has no matrix and searches pair by pair; with
-# 9 it searches its matrix.
-@example(rows=7, claims=[1, 0, 2, 3, 2, 3, 2, 0] + [0] * 31, removals=[0], query=0)
-@example(rows=8, claims=[1, 0, 2, 3, 2, 3, 2, 3, 0] + [0] * 30, removals=[0], query=0)
+# A tie behind the first best row on each side of each size boundary:
+# with PAIRWISE_MAX rows added the set has no block and searches pair by
+# pair; with one more it searches its block, and picks the best row in
+# Python up to SELECT_MAX live rows, by argmax above.
+@example(rows=PAIRWISE_MAX - 1, claims=repeat_behind(PAIRWISE_MAX - 1), removals=[0], query=0)
+@example(rows=PAIRWISE_MAX, claims=repeat_behind(PAIRWISE_MAX), removals=[0], query=0)
+@example(rows=SELECT_MAX, claims=repeat_behind(SELECT_MAX), removals=[0], query=0)
+@example(rows=SELECT_MAX + 1, claims=repeat_behind(SELECT_MAX + 1), removals=[0], query=0)
+# The same tie between two "a" * 5001 rows, queried in float64, pair by
+# pair and in Python after the block's matvec.
+@example(rows=PAIRWISE_MAX - 1, claims=repeat_behind(PAIRWISE_MAX - 1, 4), removals=[0], query=4)
+@example(rows=SELECT_MAX, claims=repeat_behind(SELECT_MAX, 4), removals=[0], query=4)
 def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query):
     """_RowSet.nearest returns what a loop over its live records in id
     order finds (the first strictly greater similarity wins, so the
     lowest id among equals), with the same similarity bits; and a set
-    that has had at most 8 rows holds no block, while the 9th row
-    stacks the rows into one float32 block with room for 32, which grows
-    fourfold when full."""
+    that has had at most PAIRWISE_MAX rows holds no block, while the next
+    row stacks the rows into one float32 block with room for four times
+    PAIRWISE_MAX, which grows fourfold when full."""
     texts = MemoryStore()  # only its per-text cache entries are used
     row_set = _RowSet()
     live = []
@@ -260,10 +291,10 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
     for pick in removals:
         row_set.remove(live.pop(pick % len(live)))
 
-    query_counts = trigram_counts(ROW_CLAIMS[query])
+    query_counts = _counts(ROW_CLAIMS[query])
     best, best_sim = None, -1.0
     for record in sorted(live, key=lambda r: r.id):
-        sim = cosine_similarity(query_counts, trigram_counts(record.claim))
+        sim = cosine_similarity(query_counts, _counts(record.claim))
         if sim > best_sim:
             best, best_sim = record, sim
     found = row_set.nearest(texts._text(ROW_CLAIMS[query]))
@@ -272,10 +303,10 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
     else:
         assert found[0] is best and found[1].hex() == best_sim.hex()
 
-    if adds <= 8:
+    if adds <= PAIRWISE_MAX:
         assert row_set.blocks == []
     else:
-        capacity = 8
+        capacity = PAIRWISE_MAX
         while capacity < adds:
             capacity *= 4
         [(counts, squares)] = row_set.blocks
@@ -283,10 +314,10 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
         assert counts.dtype == np.float32
 
 
-# The row claims, and "a" * 5001 with a query "a" * 4097 against it: 4095**2
-# times 4999**2 is above 2**48, so that query multiplies every block in
-# float64 once the long row is in the set.
-BLOCK_CLAIMS = ROW_CLAIMS[:-1] + ("a" * 5001,)
+# The row claims, "a" * 5001 last, with a query "a" * 4097 against it:
+# 4095**2 times 4999**2 is above 2**48, so that query multiplies every block
+# in float64 once the long row is in the set.
+BLOCK_CLAIMS = ROW_CLAIMS[:-1]
 BLOCK_QUERIES = ROW_CLAIMS + ("a" * 4097,)
 
 
@@ -516,11 +547,11 @@ def assert_oracle_nearest(store: MemoryStore, probe: str) -> None:
 def test_square_max_follows_the_active_rows():
     """square_max is the largest |c|^2 among the active rows: archiving
     the only 5001-character record brings it down to the next one's, and
-    archiving a shorter record leaves it.  The set is small, so a query
-    takes one dot product per row, each in float32 or float64 by its own
-    bound: a 4097-character query (|q| = 4095) multiplies "a" * 5001 (|c|
-    = 4999) in float64, since 4095 * 4999 > 2**24, and the shorter rows
-    in float32.  Once that record is gone a 5090-character query
+    archiving a shorter record leaves it.  The set has no block, so a
+    query takes one dot product per row, every one in the precision the
+    search chose from square_max: a 4097-character query (|q| = 4095)
+    multiplies every row in float64, since 4095 * 4999 > 2**24 for "a" *
+    5001 (|c| = 4999).  Once that record is gone a 5090-character query
     multiplies every row in float32 (|q|^2 * square_max < 2**48; with
     4999**2 it would not).  Both get the integer oracle's match and
     similarity bits."""
@@ -533,7 +564,7 @@ def test_square_max_follows_the_active_rows():
     with observed_matvecs() as (shapes, dtypes):
         assert_oracle_nearest(store, "a" * 4097)
     assert shapes == [(EMBED_DIM,)] * 4
-    assert dtypes == [(np.float32, np.float64)] + [(np.float32, np.float32)] * 3
+    assert dtypes == [(np.float32, np.float64)] * 4
     store.archive(store.records[0], archived_by=None)
     assert rows.square_max == oracle_square(claims[1])
     store.archive(store.records[2], archived_by=None)

@@ -435,6 +435,34 @@ def test_malformed_case_values_are_line_errors(tmp_path, line):
     assert [number for number, _ in errors] == [2]
 
 
+def _without(key):
+    row = _good_row()
+    del row[key]
+    return json.dumps(row)
+
+
+# A malformed case line -> the message load_cases_jsonl reports for it.
+CASE_LINE_MESSAGES = {
+    "participant-missing": (_without("participant"), "case has no 'participant' field"),
+    "evidence-null": (_with(("evidence",), None), "case field 'evidence' must be a list, got None"),
+    "evidence-item-string": (_with(("evidence", 0), "x"), "evidence[0] must be an object, got 'x'"),
+    "evidence-item-empty": (
+        _with(("evidence",), [{"claim": "x", "polarity": 1}, {"strength": 0.5}]),
+        "evidence[1]: item has neither 'claim' nor 'text'",
+    ),
+}
+
+
+@pytest.mark.parametrize("line, message", list(CASE_LINE_MESSAGES.values()), ids=list(CASE_LINE_MESSAGES))
+def test_a_malformed_case_line_names_its_field(tmp_path, line, message):
+    # Not a bare KeyError or TypeError text such as 'participant'.
+    path = tmp_path / "cases.jsonl"
+    path.write_text(json.dumps(_good_row()) + "\n" + line + "\n")
+    cases, errors = load_cases_jsonl(path)
+    assert len(cases) == 1
+    assert errors == [(2, message)]
+
+
 def test_integral_floats_load_as_ints():
     row = _good_row()
     row["initial_likert"], row["evidence"][0]["polarity"] = 3.0, -1.0
