@@ -18,7 +18,9 @@ proportion to the active set rather than to everything ever stored:
   of blocks of at most 1024 rows (2 MiB), with each row's squared norm,
   and is searched by one np.dot (a matvec) per block; the best row of at
   most 20 rows is picked in one Python pass, of more by numpy's argmax
-  (see _RowSet); ties keep the lowest id;
+  (see _RowSet); ties keep the lowest id; each set remembers its answer
+  to each query entry until its next add or remove, so a repeated query
+  on an unchanged set takes no product;
 - per polarity, the active records in (-strength, id) order, which
   ``rescale`` sorts again, so top-k retrieval is a slice;
 - the active records in id order;
@@ -38,6 +40,15 @@ float64 and every product runs in float64.  Either way the dot products
 are the exact integers and each similarity has the bits of
 ``cosine_similarity``.  (Counts stay exact in float32 for any text under
 2**24 characters.)
+
+A search's answer depends only on the set's live rows and the query, not
+on any strength, so a set's memo of answers is emptied by add and remove
+alone, and ``rescale`` leaves it valid.  An own turn quotes the strongest
+records, and its self claims mostly tie with them and are stored
+inactive, so the next turn searches the same claims against the same own
+rows.  In the benchmark workloads (seed 1) the memo answered 78% of the
+searches of dialogue_echo, 70% of dialogue_fresh, 66% of simulate and
+none of replay, whose cases each have a new store and repeat no claim.
 """
 
 from __future__ import annotations
@@ -77,6 +88,10 @@ class _RowSet:
     query's ndarray.dot method; with blocks, one np.dot per block over its
     live rows.  Up to SELECT_MAX rows the best row is picked in one Python
     pass over the similarities; above it, by numpy's argmax.
+
+    memo maps a query cache entry, by identity, to the answer nearest
+    returned for it; add and remove empty it.  It holds the entry, so no
+    other object takes the entry's id while it is remembered.
     """
 
     # Per-search costs, measured in one process (2-vCPU VM, warm, best of
@@ -117,21 +132,34 @@ class _RowSet:
         self.row_of: dict[int, int] = {}
         self.blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (float32 counts, float64 squares)
         self.square_max = 0.0
+        self.memo: dict[int, tuple] = {}  # id(query) -> (query, answer) since the last add or remove
 
     def add(self, record: ArgumentRecord, text: tuple) -> None:
         """Add an active record with its text's cache entry, (counts,
         |counts|^2)."""
+        self.memo.clear()
         n = len(self.records)
         if self.blocks or n == self.PAIRWISE_MAX:
             if not self.blocks:
-                for row, row_text in enumerate(self.texts):
-                    self._put(row, row_text)
+                self._stack()
             self._put(n, text)
         if text[1] > self.square_max:
             self.square_max = text[1]
         self.records.append(record)
         self.texts.append(text)
         self.row_of[record.id] = n
+
+    def _stack(self) -> None:
+        """Copy every row's counts and square into blocks, BLOCK rows to a
+        block, the first with room for GROWTH times PAIRWISE_MAX rows: one
+        slice assignment of counts and one of squares per block."""
+        for start in range(0, len(self.texts), self.BLOCK):
+            rows = self.texts[start : start + self.BLOCK]
+            capacity = min(self.GROWTH * self.PAIRWISE_MAX, self.BLOCK) if start == 0 else self.BLOCK
+            counts, squares = np.empty((capacity, EMBED_DIM), dtype=np.float32), np.empty(capacity)
+            counts[: len(rows)] = [row for row, _ in rows]
+            squares[: len(rows)] = [square for _, square in rows]
+            self.blocks.append((counts, squares))
 
     def _put(self, row: int, text: tuple) -> None:
         """Write a cache entry's counts and square into row, after the
@@ -150,6 +178,7 @@ class _RowSet:
         counts[offset], squares[offset] = text
 
     def remove(self, record: ArgumentRecord) -> None:
+        self.memo.clear()
         row = self.row_of.pop(record.id)
         last = len(self.records) - 1
         square = self.texts[row][1]
@@ -198,10 +227,25 @@ class _RowSet:
         of the best similarity is the answer unless more rows hold it, and
         then the lowest id among them is, in the Python pass and after
         the argmax alike.
+
+        A query entry searched before, with no add or remove since, gets
+        the remembered answer, without a product: the answer is a function
+        of the live rows and the query alone, and a cache entry never
+        changes.
         """
         n = len(self.records)
         if not n:
             return None
+        remembered = self.memo.get(id(query))
+        if remembered is not None:
+            return remembered[1]
+        answer = self._search(query)
+        self.memo[id(query)] = query, answer
+        return answer
+
+    def _search(self, query: tuple) -> tuple[ArgumentRecord, float]:
+        """nearest's answer, computed: at least one row."""
+        n = len(self.records)
         counts, square = query
         if square * self.square_max >= _FLOAT32_EXACT:
             counts = counts.astype(np.float64)

@@ -32,10 +32,12 @@ from credence.engine import (
     TRACE_SCHEMA,
     TraceEvent,
     compose_response,
+    ingest_candidate,
     process_message,
     read_trace,
     stance_to_instruction,
     store_from_trace,
+    take_turn,
     verify_trace,
     verify_trace_file,
     write_trace,
@@ -178,6 +180,9 @@ def observed_matvecs():
     their float64 copy).  A query of this subclass records the shape and
     dtype of the matrix or row it meets: np.dot hands it to its
     __array_function__, and the pairwise product is its own dot method.
+    Each of the store's cache entries gets one Query entry, made at its
+    first use inside the block, so a repeated claim is looked up as the
+    same entry, as it is unobserved, and a row set's memo answers it.
     Yields the list of shapes and the list of (matrix or row, query)
     dtypes."""
     shapes = []
@@ -198,10 +203,14 @@ def observed_matvecs():
             return self.view(np.ndarray).dot(row)
 
     text_of = MemoryStore._text
+    observed = {}  # id of a store's entry -> (that entry, its Query entry)
 
     def query_text(store, claim):
-        counts, square = text_of(store, claim)
-        return counts.view(Query), square
+        entry = text_of(store, claim)
+        if id(entry) not in observed:
+            counts, square = entry
+            observed[id(entry)] = entry, (counts.view(Query), square)
+        return observed[id(entry)][1]
 
     with mock.patch.object(MemoryStore, "_text", query_text):
         yield shapes, dtypes
@@ -404,6 +413,108 @@ def test_a_row_set_of_2100_rows_copies_no_full_block():
     assert row_set.blocks[0][0] is first[0] and row_set.blocks[0][1] is first[1]
     found, similarity = row_set.nearest(entries[2])
     assert (found.id, similarity) == (2, 1.0)
+
+
+row_set_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, len(ROW_CLAIMS) - 2)),
+        st.tuples(st.just("remove"), st.integers(0, 63)),
+        st.tuples(st.just("search"), st.integers(0, len(ROW_CLAIMS) - 1)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.sampled_from(ROW_COUNTS), steps=row_set_steps)
+# The remembered best row, id 0, is swap-removed (id 1 moves into its row)
+# and the same query repeats; then the query's exact repeat is added back.
+@example(rows=0, steps=[("add", 0), ("add", 1), ("search", 0), ("remove", 0), ("search", 0), ("add", 0), ("search", 0)])
+# The same with blocks, the best picked in Python and by argmax.
+@example(rows=PAIRWISE_MAX + 1, steps=[("search", 0), ("remove", 0), ("search", 0), ("search", 0)])
+@example(rows=SELECT_MAX + 1, steps=[("search", 0), ("remove", 0), ("search", 0), ("search", 0)])
+def test_repeated_row_set_searches_equal_a_loop_in_id_order(rows, steps):
+    """Searches interleaved with adds and swap-removes, the same query
+    entries repeating (a repeat on an unchanged set is answered from the
+    set's memo): every answer is what a loop over the live records in id
+    order finds, the lowest id among equals, with the same similarity
+    bits.  The set starts with rows adds, id i holding claim i % 4, so
+    searches run pair by pair, by block and by argmax."""
+    texts = MemoryStore()  # only its per-text cache entries are used
+    row_set = _RowSet()
+    live = []
+    for record_id, (step, arg) in enumerate([("add", i % 4) for i in range(rows)] + steps):
+        if step == "add":
+            record = ArgumentRecord(ROW_CLAIMS[arg], 1, 0.5, Role.OPPONENT, embedding=None, id=record_id)
+            row_set.add(record, texts._text(record.claim))
+            live.append(record)
+        elif step == "remove" and live:
+            row_set.remove(live.pop(arg % len(live)))
+        elif step == "search":
+            best, best_sim = None, -1.0
+            for record in sorted(live, key=lambda r: r.id):
+                sim = cosine_similarity(_counts(ROW_CLAIMS[arg]), _counts(record.claim))
+                if sim > best_sim:
+                    best, best_sim = record, sim
+            found = row_set.nearest(texts._text(ROW_CLAIMS[arg]))
+            if best is None:
+                assert found is None
+            else:
+                assert found[0] is best and found[1].hex() == best_sim.hex()
+
+
+@pytest.mark.parametrize("rows", (1, PAIRWISE_MAX, PAIRWISE_MAX + 1, SELECT_MAX + 1))
+def test_a_repeated_search_multiplies_only_after_the_set_changes(rows):
+    """A repeated query entry on a set with no add or remove since its
+    last search is answered without a product, pair by pair, by block and
+    by argmax alike; after an add, and after a remove, the same query
+    multiplies again, and its repeat does not."""
+    texts = MemoryStore()
+    row_set = _RowSet()
+    records = [ArgumentRecord(ROW_CLAIMS[i % 4], 1, 0.5, Role.OPPONENT, embedding=None, id=i) for i in range(rows + 1)]
+    for record in records[:rows]:
+        row_set.add(record, texts._text(record.claim))
+    with observed_matvecs() as (shapes, _):
+        query = texts._text(ROW_CLAIMS[1])
+        answer = row_set.nearest(query)
+        searched = len(shapes)
+        assert searched
+        assert row_set.nearest(query) is answer and len(shapes) == searched
+        for change in (lambda: row_set.add(records[rows], texts._text(records[rows].claim)), lambda: row_set.remove(records[1])):
+            change()
+            before = len(shapes)
+            answer = row_set.nearest(query)
+            assert len(shapes) > before
+            searched = len(shapes)
+            assert row_set.nearest(query) is answer and len(shapes) == searched
+
+
+def test_an_own_turn_quoting_the_same_records_makes_no_product():
+    """A short scripted dialogue: the agent's seeds, an opponent claim,
+    an own turn, the opponent's repeat and a second own turn.  Each own
+    turn quotes the same three seeds as self claims, which tie with them
+    and are stored inactive, so the self rows do not change between the
+    turns and the second turn's searches are answered from the memo."""
+    agent = make_agent("memo", DEFAULT_TOPIC, UAProfile(uptake=0.4, anchoring=0.2), theta=0.8, theta_self=0.5, k=3)
+    seeds = [
+        ("school lunches should be free for all pupils", 1, 0.875),
+        ("the tram extension will cut commute times", 1, 0.75),
+        ("the harbour dredging contract is overpriced", -1, 0.625),
+    ]
+    for claim, polarity, strength in seeds:
+        ingest_candidate(agent, CandidateArgument(claim, polarity, Role.SEED, strength))
+    opponent = Message(text="CLAIM -0.25: street lighting upgrades reduce burglaries", author_role="opponent", order=0)
+    process_message(agent, opponent)
+    with observed_matvecs() as (shapes, _):
+        first = take_turn(agent)
+        searched = len(shapes)
+        process_message(agent, Message(text=opponent.text, author_role="opponent", order=agent.next_order()))
+        before = len(shapes)
+        second = take_turn(agent)
+    quoted = [record for record in agent.memory.records if record.role == Role.SELF]
+    assert first == second and len(quoted) == 6
+    assert [(r.claim, r.active, r.archived_by) for r in quoted] == [(claim, False, i) for i, (claim, _, _) in enumerate(seeds)] * 2
+    assert searched and len(shapes) == before
 
 
 @functools.lru_cache(maxsize=1024)  # long claims are looked up many times; callers only read
