@@ -332,7 +332,8 @@ def _trace_events(path):
     decoded on its own as UTF-8, so bytes that are not UTF-8 fail with the
     number of their line; a byte-order mark is skipped at the start of the
     file only.  Each non-blank line, stripped, must hold exactly one JSON
-    value (else it fails with json.loads's message): an object with an
+    value (else it fails with json.loads's message, a value nested too deep
+    for json's parser included): an object with an
     integer seq, a string kind and an object payload; else
     TraceVerificationError.
     """
@@ -348,7 +349,7 @@ def _trace_events(path):
                     end = -1
                 if end != len(line):
                     row = json.loads(line)  # fails, with its own message (extra data, a byte-order mark)
-            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
                 raise TraceVerificationError(f"unreadable trace line {line_number}: {exc}") from exc
             if type(row) is dict:
                 seq, kind, payload = row.get("seq"), row.get("kind"), row.get("payload")

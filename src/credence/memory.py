@@ -15,8 +15,8 @@ proportion to the active set rather than to everything ever stored:
   own (self and seed) for the self pool, each with its records' cache
   entries; a set that has held at most 8 rows is searched by one dot
   product per row, and a larger one holds the counts as the float32 rows
-  of blocks of at most 1024 rows (2 MiB), with each row's squared norm,
-  and is searched by one np.dot (a matvec) per block; the best row of at
+  of blocks of 1024 rows (2 MiB), with each row's squared norm, and is
+  searched by one np.dot (a matvec) per block; the best row of at
   most 20 rows is picked in one Python pass, of more by numpy's argmax
   (see _RowSet); ties keep the lowest id; each set remembers its answer
   to each query entry until its next add or remove, so a repeated query
@@ -77,12 +77,13 @@ class _RowSet:
     Rows are unordered: removing a record moves the last row into its
     place, and removing the row that held square_max finds it again.  A
     set of up to PAIRWISE_MAX rows allocates nothing more; the row after
-    that copies every row's counts into a float32 block, and their
-    squares into a float64 array, with room for GROWTH times as many
-    rows, and a full first block grows by GROWTH again, up to BLOCK rows.
-    Each later BLOCK rows get a block of their own, so row r is row
-    r % BLOCK of block r // BLOCK and is never copied once the first block
-    holds BLOCK rows.  Blocks stay once made, whatever the set's size.
+    that writes every row's counts into a float32 block of BLOCK rows,
+    and their squares into a float64 array of BLOCK, and each later BLOCK
+    rows get a block of their own.  Row r is row r % BLOCK of block
+    r // BLOCK, and no block is ever copied or replaced: blocks stay once
+    made, whatever the set's size.  A block's pages that no row has
+    written cost no resident memory while transparent huge pages are on
+    madvise, since numpy asks for them only from 4 MiB.
 
     A search without a block takes one dot product per row, by the
     query's ndarray.dot method; with blocks, one np.dot per block over its
@@ -113,10 +114,6 @@ class _RowSet:
     # 3.7 against 5.5 us, 16 rows 5.0 against 5.8, 20 rows 5.4 against
     # 5.5, 24 rows 5.9 against 5.8, 32 rows 6.3 against 6.2.
     SELECT_MAX = 20
-    # Each growth copies the first block's rows into new pages, inside the
-    # judgement of the claim that adds the row; growing fourfold copies
-    # less often than doubling.
-    GROWTH = 4
     # 1024 rows of float32 counts are 2 MiB, half the size from which numpy
     # asks for transparent huge pages: a single 2048-row matrix got them,
     # for about 1 MiB more peak RSS on a 500-round dialogue of fresh
@@ -139,41 +136,23 @@ class _RowSet:
         |counts|^2)."""
         self.memo.clear()
         n = len(self.records)
-        if self.blocks or n == self.PAIRWISE_MAX:
-            if not self.blocks:
-                self._stack()
-            self._put(n, text)
         if text[1] > self.square_max:
             self.square_max = text[1]
         self.records.append(record)
         self.texts.append(text)
         self.row_of[record.id] = n
-
-    def _stack(self) -> None:
-        """Copy every row's counts and square into blocks, BLOCK rows to a
-        block, the first with room for GROWTH times PAIRWISE_MAX rows: one
-        slice assignment of counts and one of squares per block."""
-        for start in range(0, len(self.texts), self.BLOCK):
-            rows = self.texts[start : start + self.BLOCK]
-            capacity = min(self.GROWTH * self.PAIRWISE_MAX, self.BLOCK) if start == 0 else self.BLOCK
-            counts, squares = np.empty((capacity, EMBED_DIM), dtype=np.float32), np.empty(capacity)
-            counts[: len(rows)] = [row for row, _ in rows]
-            squares[: len(rows)] = [square for _, square in rows]
-            self.blocks.append((counts, squares))
+        if self.blocks:
+            self._put(n, text)
+        elif n == self.PAIRWISE_MAX:
+            for row, entry in enumerate(self.texts):
+                self._put(row, entry)
 
     def _put(self, row: int, text: tuple) -> None:
         """Write a cache entry's counts and square into row, after the
-        rows before it: the first row of a block makes the block, and a
-        row past a full first block grows it."""
+        rows before it: the first row of a block makes the block."""
         index, offset = divmod(row, self.BLOCK)
-        if index == len(self.blocks) or offset == len(self.blocks[index][1]):
-            capacity = min(self.GROWTH * max(offset, self.PAIRWISE_MAX, 1), self.BLOCK) if index == 0 else self.BLOCK
-            block = np.empty((capacity, EMBED_DIM), dtype=np.float32), np.empty(capacity)
-            if offset:  # the first block, full below BLOCK rows
-                block[0][:offset], block[1][:offset] = self.blocks[index]
-                self.blocks[index] = block
-            else:
-                self.blocks.append(block)
+        if index == len(self.blocks):
+            self.blocks.append((np.empty((self.BLOCK, EMBED_DIM), dtype=np.float32), np.empty(self.BLOCK)))
         counts, squares = self.blocks[index]
         counts[offset], squares[offset] = text
 

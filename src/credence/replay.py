@@ -558,10 +558,11 @@ def case_from_dict(row: dict) -> ReplayCase:
 
 
 def load_cases_jsonl(path) -> tuple[list[ReplayCase], list[tuple[int, str]]]:
-    """Load cases; malformed lines, bytes that are not UTF-8 included, are
-    returned as (line number, error).  Each line is decoded on its own, so
-    the other lines still load.  split_lines skips a byte-order mark at the
-    start of the file, as it does for a trace."""
+    """Load cases; malformed lines, bytes that are not UTF-8 and JSON nested
+    too deep to parse included, are returned as (line number, error).  Each
+    line is decoded on its own, so the other lines still load.  split_lines
+    skips a byte-order mark at the start of the file, as it does for a
+    trace."""
     cases = []
     errors = []
     with open(path, "rb") as handle:
@@ -570,7 +571,8 @@ def load_cases_jsonl(path) -> tuple[list[ReplayCase], list[tuple[int, str]]]:
                 line = raw.decode().strip()
                 if line:
                     cases.append(case_from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError, ContractError) as exc:  # UnicodeDecodeError is a ValueError
+            # UnicodeDecodeError is a ValueError; json raises RecursionError on a line nested too deep
+            except (ValueError, RecursionError, KeyError, TypeError, ContractError) as exc:
                 errors.append((line_number, str(exc)))
     return cases, errors
 

@@ -282,6 +282,21 @@ def test_replay_reports_a_case_line_that_is_not_utf8(tmp_path, capsys):
     assert "error: 1 malformed case lines (strict mode)" in err and "Traceback" not in err
 
 
+def test_replay_reports_a_case_line_nested_too_deep(tmp_path, capsys):
+    """A case line nested thousands deep makes json raise RecursionError:
+    it is a malformed line, and the valid case before it still loads."""
+    cases = Path(write_cases(tmp_path / "cases.jsonl", n=1))
+    with open(cases, "a") as handle:
+        handle.write("[" * 3000 + "\n")
+    assert main(["replay", "--cases", str(cases), "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err.startswith(f"{cases}:2: maximum recursion depth exceeded")
+    participants = [line.split(",")[0] for line in (tmp_path / "a" / "predictions.csv").read_text().splitlines()[1:]]
+    assert participants == ["p0"]
+    assert main(["replay", "--cases", str(cases), "--strict", "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert "error: 1 malformed case lines (strict mode)" in err and "Traceback" not in err
+
+
 # A seed corpus line that the parser rejects -> the warning it gives.
 SEED_LINE_FAULTS = {
     "bad-hint": ("CLAIM +0.88x: open budgets work", "malformed strength hint '0.88x'"),
@@ -413,6 +428,16 @@ def test_trace_verify_unreadable_trace(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("definitely not json\n")
     assert main(["trace-verify", str(bad)]) == 3
+
+
+def test_trace_verify_a_line_nested_too_deep_is_unreadable(tmp_path, capsys):
+    """json raises RecursionError, not ValueError, on a value nested
+    thousands deep: it is an unreadable line, not a crash."""
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 3000 + "\n")
+    assert main(["trace-verify", str(deep)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: unreadable trace line 1: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("kind, field", [("stored", "contribution"), ("updated", "L_after"), ("updated", "S_after")])

@@ -235,15 +235,13 @@ def test_self_query_multiplies_only_own_rows():
 
 
 # Row counts around the pairwise limit (PAIRWISE_MAX rows, no block; one
-# more, a block), the first block's first growth (GROWTH * PAIRWISE_MAX
-# rows) and the largest set whose best row is picked in Python (SELECT_MAX
-# rows; one more, by numpy's argmax).
+# more, a block of BLOCK rows) and the largest set whose best row is
+# picked in Python (SELECT_MAX rows; one more, by numpy's argmax).
 PAIRWISE_MAX, SELECT_MAX = _RowSet.PAIRWISE_MAX, _RowSet.SELECT_MAX
-FIRST_GROWTH = _RowSet.GROWTH * PAIRWISE_MAX
 ROW_COUNTS = tuple(
     sorted(
         {0, 1, 7, 8, 9, 32, 33}
-        | {PAIRWISE_MAX - 1, PAIRWISE_MAX, PAIRWISE_MAX + 1, FIRST_GROWTH, FIRST_GROWTH + 1}
+        | {PAIRWISE_MAX - 1, PAIRWISE_MAX, PAIRWISE_MAX + 1}
         | {SELECT_MAX - 1, SELECT_MAX, SELECT_MAX + 1}
     )
 )
@@ -287,8 +285,7 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
     order finds (the first strictly greater similarity wins, so the
     lowest id among equals), with the same similarity bits; and a set
     that has had at most PAIRWISE_MAX rows holds no block, while the next
-    row stacks the rows into one float32 block with room for four times
-    PAIRWISE_MAX, which grows fourfold when full."""
+    row writes the rows into one float32 block of BLOCK rows."""
     texts = MemoryStore()  # only its per-text cache entries are used
     row_set = _RowSet()
     live = []
@@ -315,11 +312,8 @@ def test_row_set_nearest_equals_a_loop_in_id_order(rows, claims, removals, query
     if adds <= PAIRWISE_MAX:
         assert row_set.blocks == []
     else:
-        capacity = PAIRWISE_MAX
-        while capacity < adds:
-            capacity *= 4
         [(counts, squares)] = row_set.blocks
-        assert len(counts) == len(squares) == capacity
+        assert len(counts) == len(squares) == _RowSet.BLOCK
         assert counts.dtype == np.float32
 
 
@@ -349,15 +343,16 @@ def test_row_set_blocks_equal_a_loop_in_id_order(block, pairwise_max, claims, re
     moves the last row, often from a later block, into the hole),
     _RowSet.nearest returns what a loop over the live records in id
     order finds, with the same similarity bits, for every query, the
-    float64 one included; each block holds its rows' counts and squares,
-    the search runs one matvec per block over its live rows, and a block
-    of BLOCK rows is never copied."""
+    float64 one included; each block holds BLOCK rows and its rows'
+    counts and squares, the search runs one matvec per block over its
+    live rows, and every block stays the same arrays from the add that
+    made it to the end of the run."""
     texts = MemoryStore()  # only its per-text cache entries are used
     with mock.patch.object(_RowSet, "BLOCK", block), mock.patch.object(_RowSet, "PAIRWISE_MAX", pairwise_max):
         row_set = _RowSet()
         live = []
         most = 0  # the most rows the set has held
-        full = []  # the blocks of BLOCK rows, a prefix of the blocks
+        made = []  # every block the set has made, in order
         for record_id, claim in enumerate(claims):
             record = ArgumentRecord(BLOCK_CLAIMS[claim], 1, 0.5, Role.OPPONENT, embedding=None, id=record_id)
             row_set.add(record, texts._text(record.claim))
@@ -366,9 +361,9 @@ def test_row_set_blocks_equal_a_loop_in_id_order(block, pairwise_max, claims, re
             for after, pick in removals:
                 if after == record_id and live:
                     row_set.remove(live.pop(pick % len(live)))
-            assert all(kept is now for kept, (now, _) in zip(full, row_set.blocks))
-            full = [counts for counts, _ in row_set.blocks if len(counts) == block]
-            assert len(full) >= len(row_set.blocks) - 1
+            assert len(row_set.blocks) >= len(made) and all(kept is now for kept, now in zip(made, row_set.blocks))
+            made += row_set.blocks[len(made) :]
+            assert all(len(counts) == len(squares) == block for counts, squares in row_set.blocks)
 
         n = len(live)
         assert len(row_set.blocks) == (0 if most <= pairwise_max else -(-most // block))
