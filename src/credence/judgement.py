@@ -11,6 +11,7 @@ Each candidate is judged alone (judge), in the order it arrives.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import sys
 import time
@@ -182,10 +183,13 @@ class ServiceClient:
         self.transport = transport or requests_transport
 
     def post(self, payload: dict, error_cls):
-        """POST through the transport, retrying only transport failures.
+        """POST through the transport, retrying only transport failures:
+        a connection error, an HTTP status >= 400, a timeout or a body
+        that is not JSON.
 
         Returns the decoded body of the first call that succeeds; judging
-        the body is the caller's job, so a malformed reply is not retried.
+        it is the caller's job, so a JSON body of the wrong shape is not
+        retried.
         Before retry i (from 0) it sleeps min(BACKOFF_CAP_S, BACKOFF_BASE_S
         * 2**i).  After ``retries + 1`` failed calls, raises ``error_cls``.
         """
@@ -214,11 +218,20 @@ class ServiceScorer(ServiceClient, ScorerPort):
 
 
 def requests_transport(url: str, payload: dict, timeout: float):
-    import requests
+    """POST payload as JSON through ``urllib.request`` and return the
+    decoded reply.  A connection error, an HTTP status >= 400, a timeout
+    or a body that is not JSON raises; urllib is imported at the first
+    call, so importing the package does not load it."""
+    import urllib.request
 
-    response = requests.post(url, json=payload, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
+    body = json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        error.close()  # it holds the open response, and ServiceClient.post keeps the error
+        raise
 
 
 def score_strength(candidate: CandidateArgument, topic: str, scorer: ScorerPort) -> float:

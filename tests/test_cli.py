@@ -1080,10 +1080,12 @@ def test_seed_does_not_carry_over_to_the_next_command(tmp_path):
     assert seeds == [11, DEFAULTS["sweep"]["rng_seed"]] and seeds[0] != seeds[1]
 
 
-def test_importing_the_package_and_cli_leaves_yaml_unloaded():
-    # PyYAML is imported only when a --config file is read.
+@pytest.mark.parametrize("module", ["yaml", "urllib.request"])
+def test_importing_the_package_and_cli_leaves_yaml_unloaded(module):
+    # PyYAML is imported only when a --config file is read, urllib.request
+    # only at an HTTP port's first request.
     env = {**os.environ, "PYTHONPATH": str(Path(credence.__file__).parents[1])}
-    code = "import sys, credence, credence.cli; print('yaml' in sys.modules)"
+    code = f"import sys, credence, credence.cli; print({module!r} in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert run.stdout == "False\n"
 

@@ -389,10 +389,10 @@ def test_row_set_blocks_equal_a_loop_in_id_order(block, pairwise_max, claims, re
 
 
 def test_a_row_set_of_2100_rows_copies_no_full_block():
-    """Unpatched: the first block grows to 1024 rows, and every later
-    1024 rows get a block of their own, so no block reaches 4 MiB (numpy's
-    huge-page size) and the blocks that hold 1024 rows are the same
-    arrays 1,076 rows later; the search still keeps the lowest id."""
+    """Unpatched: every block is allocated whole at 1024 rows, one per
+    1024 rows added, so no block reaches 4 MiB (numpy's huge-page size)
+    and the blocks that hold 1024 rows are the same arrays 1,076 rows
+    later; the search still keeps the lowest id."""
     texts = MemoryStore()  # only its per-text cache entries are used
     row_set = _RowSet()
     entries = [texts._text(claim) for claim in ROW_CLAIMS]
