@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import codecs
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from .core import (
 )
 from .exceptions import ConfigError, ContractError, TraceVerificationError
 from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, ingest_record, judge
+from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, check_candidate, ingest_record, judge
 from .memory import MemoryStore, RetrievalContext
 
 BIN_LABELS = (
@@ -101,11 +102,13 @@ class EngineConfig:
         check_ranges(self, ("k",))
 
 
-# One encoder, built here once, writes every trace line, as
-# json.dumps(row, ensure_ascii=False) would byte for byte; json.dumps and
+# A trace line is json.dumps(row, ensure_ascii=False) of its row
+# {"seq": ..., "kind": ..., "payload": ...}, byte for byte.  TraceEvent.to_json
+# writes the frame itself (seq as an int, kind by json's string encoder) and
+# only the payload goes through one encoder, built here once; json.dumps and
 # JSONEncoder.encode build a new encoder per call.  It skips the
 # circular-reference check: the engine builds every payload, and none
-# refers to itself.  One decoder reads every line.
+# refers to itself.  The reader calls one decoder's scanner on each line.
 _line_settings = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 if json.encoder.c_make_encoder is not None:
     _iterencode = json.encoder.c_make_encoder(
@@ -120,12 +123,13 @@ if json.encoder.c_make_encoder is not None:
         _line_settings.allow_nan,
     )
 
-    def _encode_line(row: dict) -> str:
-        return "".join(_iterencode(row, 0))
+    def _encode_payload(payload: dict) -> str:
+        return "".join(_iterencode(payload, 0))
 
 else:  # json without its C accelerator
-    _encode_line = _line_settings.encode
-_raw_decode = json.JSONDecoder().raw_decode
+    _encode_payload = _line_settings.encode
+_encode_kind = json.encoder.encode_basestring
+_scan_once = json.JSONDecoder().scan_once
 
 # How far a recorded contribution, L or S may sit from the value the trace
 # replays to.
@@ -141,7 +145,7 @@ class TraceEvent:
     payload: dict
 
     def to_json(self) -> str:
-        return _encode_line({"seq": self.seq, "kind": self.kind, "payload": self.payload})
+        return f'{{"seq": {self.seq:d}, "kind": {_encode_kind(self.kind)}, "payload": {_encode_payload(self.payload)}}}'
 
 
 @dataclass
@@ -318,11 +322,15 @@ def split_lines(chunks):
     A UTF-8 byte-order mark is dropped at the start of the first chunk,
     the file's start, and nowhere else.  A line may keep its LF; callers
     strip each line."""
-    bom = codecs.BOM_UTF8
-    for chunk in chunks:
-        if bom:
-            chunk, bom = chunk.removeprefix(bom), b""
-        yield from chunk.splitlines() if b"\r" in chunk else (chunk,)
+    chunks = iter(chunks)
+    first = next(chunks, None)
+    if first is None:
+        return
+    for chunk in itertools.chain((first.removeprefix(codecs.BOM_UTF8),), chunks):
+        if b"\r" in chunk:
+            yield from chunk.splitlines()
+        else:
+            yield chunk
 
 
 def _trace_events(path):
@@ -344,8 +352,8 @@ def _trace_events(path):
                 if not line:
                     continue
                 try:
-                    row, end = _raw_decode(line)
-                except ValueError:
+                    row, end = _scan_once(line, 0)
+                except (StopIteration, ValueError):  # no value at 0, or a malformed one
                     end = -1
                 if end != len(line):
                     row = json.loads(line)  # fails, with its own message (extra data, a byte-order mark)
@@ -395,6 +403,10 @@ def _check_header(event: TraceEvent) -> UAProfile:
     return profile
 
 
+# Each Role by its value: the replay's lookup, cheaper than a Role() call.
+_ROLES = {role.value: role for role in Role}
+
+
 class _Held(NamedTuple):
     """A stored record as the replay holds it, all record_contribution
     reads."""
@@ -420,7 +432,8 @@ def replay_trace(events):
     holds an int count >= 0.  A retrieved event holds ints k_plus, k_minus
     >= 0 summing to the header's k, and at most k distinct ids of active
     records.  A composed event holds the (bin, label) stance_to_instruction
-    gives for the replayed stance.
+    gives for the replayed stance.  A warning event holds a string message.
+    An event of any other kind fails.
 
     Each stored record's contribution is derived again as
     p*log1p(s*gamma(role)) from the header's (u, a), and a rescaled event
@@ -462,8 +475,11 @@ def replay_trace(events):
                     raise ContractError(f"id {record_id!r} is not the next id {next_id}")
                 if not isinstance(claim, str) or strength is None or type(kept) is not bool:
                     raise ContractError(f"record {record_id} needs a string claim, a strength and a boolean active flag")
-                role = Role(payload.get("role"))
-                CandidateArgument(claim, payload.get("polarity"), role, strength)
+                value = payload.get("role")
+                role = _ROLES.get(value) if type(value) is str else None
+                if role is None:
+                    role = Role(value)  # raises ValueError, with Enum's message
+                check_candidate(claim, payload.get("polarity"), strength)
                 for name, value in (("matched_id", matched_id), ("archived_id", archived_id)):
                     if value is not None and (type(value) is not int or value not in active):
                         raise ContractError(f"{name} {value!r} names no active record")
@@ -519,11 +535,12 @@ def replay_trace(events):
                     raise TraceVerificationError(
                         f"event {event.seq}: L_after {l_after} != replayed {expected}", seq=event.seq
                     )
-                if not abs(_field(event, "S_after") - stance_from_log_odds(expected)) <= TOLERANCE:
+                stance = stance_from_log_odds(expected)
+                if not abs(_field(event, "S_after") - stance) <= TOLERANCE:
                     raise TraceVerificationError(
                         f"event {event.seq}: S_after inconsistent with L_after", seq=event.seq
                     )
-                current = BeliefState.from_log_odds(expected)
+                current = BeliefState(expected, stance)
                 extended = expected
                 resum = False
             elif kind == "retrieved":
@@ -546,10 +563,15 @@ def replay_trace(events):
                 count = payload.get("count")
                 if type(count) is not int or count < 0:
                     raise ContractError(f"count {count!r} is not an int >= 0")
+            elif kind == "warning":
+                if not isinstance(payload.get("message"), str):
+                    raise ContractError(f"message {payload.get('message')!r} is not a string")
             elif kind == "header":
                 if seq is not None:
                     raise ContractError("is not the first event")
                 profile, k = _check_header(event), payload["k"]
+            else:
+                raise ContractError("is not an event kind of the trace format")
         except (ContractError, ConfigError, ValueError) as exc:  # Role() raises ValueError
             raise TraceVerificationError(f"event {event.seq}: {kind} {exc}", seq=event.seq) from None
         seq = event.seq
@@ -596,7 +618,7 @@ def store_from_trace(events) -> MemoryStore:
     for event, _ in replay_trace(events):
         payload = event.payload
         if event.kind == "stored":
-            claim, role = payload["claim"], Role(payload["role"])
+            claim, role = payload["claim"], _ROLES[payload["role"]]
             text = store._text(claim)
             record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, text[0])
             outcome = ingest_record(store, record, *thresholds, text)

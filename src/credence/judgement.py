@@ -36,6 +36,16 @@ BACKOFF_BASE_S = 0.1
 BACKOFF_CAP_S = 2.0
 
 
+def check_candidate(claim: str, polarity, strength_hint) -> None:
+    """Reject a blank claim, a polarity other than -1 or +1 and a strength
+    hint that is not None or a finite number in [0, 1]: the checks of
+    every candidate argument, and of every record a trace stores."""
+    if not claim.strip():
+        raise ContractError("candidate claim is empty")
+    check_polarity(polarity)
+    check_strength(strength_hint, "strength hint")
+
+
 @dataclass
 class CandidateArgument:
     claim: str
@@ -44,10 +54,7 @@ class CandidateArgument:
     strength_hint: Optional[float] = None
 
     def __post_init__(self):
-        if not self.claim.strip():
-            raise ContractError("candidate claim is empty")
-        check_polarity(self.polarity)
-        check_strength(self.strength_hint, "strength hint")
+        check_candidate(self.claim, self.polarity, self.strength_hint)
 
 
 @dataclass

@@ -806,6 +806,9 @@ APPENDED_EVENTS = {
         "rescaled", lambda rows: {"factor": -0.5, "ids": [0]}, "rescaled factor -0.5 is not a finite number >= 0"
     ),
     "rescaled-factor-str": ("rescaled", lambda rows: {"factor": "0.5", "ids": [0]}, "rescaled factor '0.5' is not a number"),
+    "warning-message-number": ("warning", lambda rows: {"message": 12345}, "warning message 12345 is not a string"),
+    "warning-message-missing": ("warning", lambda rows: {}, "warning message None is not a string"),
+    "unknown-kind": ("bogus", lambda rows: {}, "bogus is not an event kind of the trace format"),
 }
 
 

@@ -216,12 +216,19 @@ def _verified_trace(tmp_path):
         ("", "\t{}", "Extra data"),
         ("", "x", "Extra data"),
         ("\ufeff", "", "Unexpected UTF-8 BOM"),
+        # A None suffix: the prefix replaces the whole line, and the scanner
+        # finds no value at its start.
+        ("not json", None, "Expecting value"),
+        ("]", None, "Expecting value"),
+        (",", None, "Expecting value"),
+        ('"unterminated', None, "Unterminated string starting at"),
+        ('"\\q"', None, "Invalid \\escape"),
     ],
 )
 def test_read_trace_reports_unreadable_lines_as_json_loads_does(tmp_path, prefix, suffix, message):
     path, _ = _verified_trace(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines[1] = prefix + lines[1] + suffix
+    lines[1] = prefix if suffix is None else prefix + lines[1] + suffix
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(json.JSONDecodeError) as loads_error:
         json.loads(lines[1])
@@ -292,6 +299,7 @@ _JSON_VALUES = st.recursive(
         )
     ]
 )
+@example(rows=[(-(2**70), 'k "\\ \u2028 \x00', {})])
 def test_trace_lines_are_json_dumps_bytes(tmp_path_factory, rows):
     events = [TraceEvent(seq, kind, payload) for seq, kind, payload in rows]
     lines = [json.dumps({"seq": e.seq, "kind": e.kind, "payload": e.payload}, ensure_ascii=False) for e in events]
