@@ -198,6 +198,8 @@ def _pairing_profiles(pairing: str) -> dict:
 def cmd_debate(args) -> int:
     def build(cfg):
         section = cfg["debate"]
+        if not section["pairings"]:
+            raise ConfigError("debate pairings must be a non-empty list")
         debates = [
             (pairing, _from_section(DebateConfig, cfg, "debate", **_pairing_profiles(pairing)))
             for pairing in section["pairings"]

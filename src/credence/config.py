@@ -134,14 +134,14 @@ def load_config(path=None) -> dict:
 
     try:
         with open(path, encoding="utf-8") as handle:
-            loaded = yaml.safe_load(handle) or {}
+            loaded = yaml.safe_load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
-    if not isinstance(loaded, dict):
+    if not isinstance(loaded, (dict, type(None))):  # only an empty file or null means no overrides
         raise ConfigError(f"config root in {path} must be a mapping")
-    return _merge(DEFAULTS, loaded)
+    return _merge(DEFAULTS, loaded or {})
 
 
 def write_snapshot(config: dict, out_dir: Path) -> Path:

@@ -109,13 +109,44 @@ def check_strength(value, what: str) -> None:
 
 
 def left_sum(terms) -> float:
-    """Add the terms left to right from 0.0, the order update_incremental
-    extends.  Every float sum that reaches an output goes through here, not
+    """Add the terms left to right from 0.0, the order Fold extends.
+    Every float sum that reaches an output goes through here, not
     through builtin sum, which compensates rounding from Python 3.12 on."""
     total = 0.0
     for term in terms:
         total += term
     return total
+
+
+class Fold:
+    """The one fold of L: the active records' contributions by id, in id
+    order, and their left_sum.
+
+    A term under a new id extends the running sum; callers put new ids in
+    increasing order.  A replaced or deleted term leaves the sum stale,
+    and the next total folds every term again with left_sum.  Both give
+    the same bits, since extending left_sum's total by one term is the
+    left_sum with it."""
+
+    def __init__(self):
+        self.terms: dict[int, float] = {}
+        self._total = 0.0  # None while stale
+
+    def put(self, key: int, term: float) -> None:
+        """Hold term under key: a new key extends the sum, and a held key's
+        term is replaced, which leaves the sum stale."""
+        self._total = None if key in self.terms or self._total is None else self._total + term
+        self.terms[key] = term
+
+    def delete(self, key: int) -> None:
+        del self.terms[key]
+        self._total = None
+
+    def total(self) -> float:
+        """The left_sum of the held terms in id order."""
+        if self._total is None:
+            self._total = left_sum(self.terms.values())
+        return self._total
 
 
 def _checked_contribution(record, profile: UAProfile) -> float:

@@ -23,15 +23,13 @@ from typing import NamedTuple, Optional
 
 from .core import (
     BeliefState,
+    Fold,
     Role,
     UAProfile,
     check_strength,
-    compute_log_odds,
-    left_sum,
     number_in,
     record_contribution,
     stance_from_log_odds,
-    update_incremental,
 )
 from .exceptions import ConfigError, ContractError, TraceVerificationError
 from .extraction import ExtractorPort, Message
@@ -154,12 +152,13 @@ class AgentState:
     topic: str
     profile: UAProfile
     config: EngineConfig
-    memory: MemoryStore = field(default_factory=MemoryStore)
+    # A store passed in would hold records the trace never stored.
+    memory: MemoryStore = field(default_factory=MemoryStore, init=False)
     belief: BeliefState = field(default_factory=BeliefState.zero)
     trace: list = field(default_factory=list)
     last_order: int = -1
-    # (store, records folded, store revision) as of the last belief update.
-    folded: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # L's terms, which only what the trace records changes.
+    fold: Fold = field(default_factory=Fold, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Open the trace with its header: what a reader needs to re-derive
@@ -203,11 +202,14 @@ def ingest_candidates(agent: AgentState, candidates: list) -> list[ArgumentRecor
     """Judge and store candidates one at a time, in order; each emits its
     one stored event as soon as it is settled: the record, its
     contribution, and the deduplication outcome (the nearest active
-    record's similarity and id, and the record it archived)."""
-    config = agent.config
+    record's similarity and id, and the record it archived).  The fold
+    takes the contribution of an active record and drops the record it
+    archived."""
+    config, fold = agent.config, agent.fold
     records = []
     for candidate in candidates:
         record, outcome = judge(agent.memory, candidate, agent.topic, config.scorer, config.theta, config.theta_self)
+        contribution = record_contribution(record, agent.profile)
         agent.emit(
             "stored",
             id=record.id,
@@ -216,11 +218,15 @@ def ingest_candidates(agent: AgentState, candidates: list) -> list[ArgumentRecor
             strength=record.strength,
             role=record.role.value,
             active=record.active,
-            contribution=record_contribution(record, agent.profile),
+            contribution=contribution,
             similarity=outcome.similarity,
             matched_id=outcome.matched_id,
             archived_id=outcome.superseded.id if outcome.superseded is not None else None,
         )
+        if outcome.superseded is not None:
+            fold.delete(outcome.superseded.id)
+        if record.active:
+            fold.put(record.id, contribution)
         records.append(record)
     return records
 
@@ -232,26 +238,9 @@ def ingest_candidate(agent: AgentState, candidate: CandidateArgument) -> Argumen
 
 
 def refresh_belief(agent: AgentState) -> TraceEvent:
-    """Bring L up to date with the active set, with before/after in the trace.
-
-    While the store's revision is unchanged since the last update (no
-    record has been archived and no stored strength has changed),
-    the contributions of the records stored since then are added in id
-    order (update_incremental), which equals the batch fold bitwise.
-    Otherwise the whole active set is folded again.
-    """
+    """Set L to the fold's total, with before/after in the trace."""
     before = agent.belief
-    memory = agent.memory
-    folded = agent.folded
-    if folded is not None and folded[0] is memory and folded[2] == memory.revision:
-        state = before
-        for record in memory.records[folded[1] :]:
-            if record.active:
-                state = update_incremental(state, record, agent.profile)
-        agent.belief = state
-    else:
-        agent.belief = BeliefState.from_log_odds(compute_log_odds(memory.active_records(), agent.profile))
-    agent.folded = (memory, len(memory.records), memory.revision)
+    agent.belief = BeliefState.from_log_odds(agent.fold.total())
     return agent.emit(
         "updated",
         L_before=before.log_odds,
@@ -439,25 +428,23 @@ def replay_trace(events):
     p*log1p(s*gamma(role)) from the header's (u, a), and a rescaled event
     multiplies its active ids' strengths by its factor; a recorded
     contribution further than TOLERANCE from its derived value fails.  The
-    replayed L is the left_sum of the derived contributions of the active
-    records in id order: those stored since the last update are added to
-    the running sum, and the whole active set is folded again after an
-    archival or a rescale.  Both give the same L bitwise.  An updated
-    event's L and S must be within TOLERANCE of the replay's, and every
-    number read must be an int or float within float range (a NaN fails).
+    replayed L is the total of a core.Fold of the active records' derived
+    contributions, as the engine's own L is, so both fold L by the same
+    code.  An updated event's L and S must be within TOLERANCE of the
+    replay's, and every number read must be an int or float within float
+    range (a NaN fails).
 
     Only the active records' polarity, strength, role and derived
     contribution are kept, so memory grows with the active set, not with
     the trace.  Each deduplication decision (a record's active flag,
     similarity, matched_id and archived_id) is taken as recorded.
     """
-    active: dict[int, tuple] = {}  # id: (_Held, derived contribution), in id order
+    active: dict[int, _Held] = {}
+    fold = Fold()  # the active records' derived contributions
     profile = k = None  # the header's, set by the first event
     seq = None  # the previous event's
     next_id = 0
-    resum = False
     current = BeliefState.zero()
-    extended = 0.0  # current L plus the contributions stored since
     for event in events:
         kind, payload = event.kind, event.payload
         if seq is None and kind != "header":
@@ -498,10 +485,10 @@ def replay_trace(events):
                     raise ContractError(f"contribution {recorded!r} != re-derived {contribution!r}")
                 if archived_id is not None:
                     del active[archived_id]
-                    resum = True
+                    fold.delete(archived_id)
                 if kept:
-                    active[record_id] = held, contribution
-                    extended += contribution
+                    active[record_id] = held
+                    fold.put(record_id, contribution)
                 next_id += 1
             elif kind == "rescaled":
                 ids, factor = payload.get("ids"), _field(event, "factor")
@@ -516,13 +503,12 @@ def replay_trace(events):
                     raise ContractError(f"ids {ids!r} are not increasing ids of stored records")
                 for record_id in ids:
                     if record_id in active:  # an archived record's strength no longer counts
-                        held = active[record_id][0]
-                        held = held._replace(strength=held.strength * factor)
+                        held = active[record_id]
+                        active[record_id] = held = held._replace(strength=held.strength * factor)
                         check_strength(held.strength, f"strength of record {record_id}")
-                        active[record_id] = held, record_contribution(held, profile)
-                resum = True
+                        fold.put(record_id, record_contribution(held, profile))
             elif kind == "updated":
-                expected = left_sum(contribution for _, contribution in active.values()) if resum else extended
+                expected = fold.total()
                 # Written as `not ... <= TOLERANCE` so that a NaN fails.
                 l_before, l_after = _field(event, "L_before"), _field(event, "L_after")
                 if not abs(l_before - current.log_odds) <= TOLERANCE:
@@ -537,12 +523,8 @@ def replay_trace(events):
                     )
                 stance = stance_from_log_odds(expected)
                 if not abs(_field(event, "S_after") - stance) <= TOLERANCE:
-                    raise TraceVerificationError(
-                        f"event {event.seq}: S_after inconsistent with L_after", seq=event.seq
-                    )
+                    raise TraceVerificationError(f"event {event.seq}: S_after inconsistent with L_after", seq=event.seq)
                 current = BeliefState(expected, stance)
-                extended = expected
-                resum = False
             elif kind == "retrieved":
                 k_plus, k_minus, ids = map(payload.get, ("k_plus", "k_minus", "ids"))
                 if not (type(k_plus) is type(k_minus) is int and k_plus >= 0 and k_minus >= 0 and k_plus + k_minus == k):

@@ -8,8 +8,9 @@ never by stance.
 The store alone owns its active set: ``insert`` indexes an active record
 at once, and ``archive`` is the one way a stored record leaves it (a
 stored record's ``active`` flag cannot be set directly).
-The index makes deduplication, retrieval and the belief update cost in
-proportion to the active set rather than to everything ever stored:
+The index makes deduplication and retrieval cost in proportion to the
+active set rather than to everything ever stored (the belief update
+reads no store: the agent's core.Fold holds L's terms):
 
 - per polarity, two row sets, every active record and only the agent's
   own (self and seed) for the self pool, each with its records' cache
@@ -23,7 +24,6 @@ proportion to the active set rather than to everything ever stored:
   on an unchanged set takes no product;
 - per polarity, the active records in (-strength, id) order, which
   ``rescale`` sorts again, so top-k retrieval is a slice;
-- the active records in id order;
 - one entry per distinct claim text seen by this store, made once: the
   read-only float32 trigram counts (which ``embed`` returns and a judged
   record holds as its ``embedding``) and their squared norm |c|^2 as a
@@ -282,10 +282,6 @@ class _PolarityIndex:
 class MemoryStore:
     records: list[ArgumentRecord] = field(default_factory=list, init=False)  # filled by insert only
     insertion_counter: int = field(default=0, init=False)
-    # Bumped by archive and rescale, the only ways a running sum
-    # over the active set goes stale.
-    revision: int = field(default=0, init=False, compare=False)
-    _active: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _by_polarity: dict = field(
         default_factory=lambda: defaultdict(_PolarityIndex), init=False, repr=False, compare=False
     )
@@ -300,7 +296,6 @@ class MemoryStore:
         self.insertion_counter += 1
         self.records.append(record)
         if record.active:
-            self._active[record.id] = record
             self._by_polarity[record.polarity].add(record, text or self._text(record.claim))
         return record.id
 
@@ -325,13 +320,11 @@ class MemoryStore:
     def archive(self, record: ArgumentRecord, archived_by: Optional[int]) -> None:
         """Move an active record of this store to the archived partition;
         ContractError, and no change, for any other record."""
-        if self._active.get(record.id) is not record:
+        if not (record.active and record.id is not None and record.id < len(self) and self.records[record.id] is record):
             raise ContractError(f"record {record.id} is not an active record of this store")
-        del self._active[record.id]
         self._by_polarity[record.polarity].remove(record)
         record._active = False  # behind the property, which refuses a stored record
         record.archived_by = archived_by
-        self.revision += 1
 
     def rescale(self, records, factor: float) -> None:
         """Multiply each given record's strength, active or archived, by
@@ -339,7 +332,7 @@ class MemoryStore:
         stored in this store and every product is in [0, 1]."""
         records = list(records)
         for record in records:
-            if not (record.id is not None and record.id < len(self.records) and self.records[record.id] is record):
+            if not (record.id is not None and record.id < len(self) and self.records[record.id] is record):
                 raise ContractError(f"record {record.id} is not a record of this store")
         pairs = [(record, record.strength * factor) for record in records]
         for record, strength in pairs:
@@ -348,10 +341,10 @@ class MemoryStore:
             record.strength = strength
         for index in self._by_polarity.values():
             index.ranked.sort(key=_rank)
-        self.revision += 1
 
     def active_records(self) -> list[ArgumentRecord]:
-        return list(self._active.values())
+        """The active records in id order, by a scan of every stored one."""
+        return [record for record in self.records if record.active]
 
     def nearest(
         self, record: ArgumentRecord, own_only: bool = False, text: Optional[tuple] = None

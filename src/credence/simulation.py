@@ -14,7 +14,7 @@ import sys
 from dataclasses import astuple, dataclass, field
 from typing import Optional
 
-from .core import Role, UAProfile, left_sum, number_in, stance_from_log_odds
+from .core import Role, UAProfile, left_sum, number_in, record_contribution, stance_from_log_odds
 from .engine import (
     AgentState,
     EngineConfig,
@@ -103,7 +103,7 @@ def seed_agent(
     log1p and tanh are monotone; a property test checks the factor
     bitwise against the full scan on single-polarity pools.  The stance
     at a scale is that of the left_sum of the active seeds' terms in id
-    order, as refresh_belief folds them.  A target that is not a number
+    order, as the agent's fold sums them.  A target that is not a number
     in [-1, 1] raises ContractError before anything is stored."""
     _check_target(target)
     pool = seed_pool(seed_corpus, n, target)
@@ -164,6 +164,9 @@ def seed_agent(
                         scale, best = candidate, error
             agent.memory.rescale(seeds, scale)
             agent.emit("rescaled", factor=scale, ids=[r.id for r in seeds])
+            for record in seeds:
+                if record.id in agent.fold.terms:  # as replay_trace rescales the records it holds active
+                    agent.fold.put(record.id, record_contribution(record, agent.profile))
             if abs(stance_at(1.0) - target) > SEED_TOLERANCE:
                 agent.emit("warning", message=f"seeded stance missed target {target} beyond {SEED_TOLERANCE}")
     refresh_belief(agent)

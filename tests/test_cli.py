@@ -142,6 +142,13 @@ def test_readme_config_table_names_every_key():
 FAILING_RUNS = {
     "replay-zero-folds": ("replay", {"replay": {"folds": 0}}, "folds must be an integer >= 1"),
     "debate-unknown-pairing": ("debate", {"debate": {"pairings": ["open/nope"]}}, "unknown pairing"),
+    "debate-no-pairings": ("debate", {"debate": {"pairings": []}}, "debate pairings must be a non-empty list"),
+    # Only an empty file or a null root means no overrides; any other root
+    # that is not a mapping, a falsy one included, is rejected.
+    "sweep-root-empty-list": ("sweep", [], "config root in"),
+    "sweep-root-false": ("sweep", False, "config root in"),
+    "sweep-root-zero": ("sweep", 0, "config root in"),
+    "sweep-root-empty-string": ("sweep", "", "config root in"),
     "sweep-k-string": ("sweep", {"sweep": {"k": "5"}}, "config key 'sweep.k' must be an integer"),
     "sweep-theta-bool": ("sweep", {"sweep": {"theta": True}}, "config key 'sweep.theta' must be a finite number"),
     "sweep-rounds-bool": ("sweep", {"sweep": {"rounds": True}}, "config key 'sweep.rounds' must be an integer"),
@@ -176,7 +183,9 @@ FAILING_RUNS = {
 def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, command, payload, message):
     monkeypatch.delenv("CREDENCE_SCORER_URL", raising=False)
     cases = {"case_file": write_cases(tmp_path / "cases.jsonl", n=7)}  # read by the replay rows
-    config = write_yaml(tmp_path / "c.yaml", {**payload, "replay": {**cases, **payload.get("replay", {})}})
+    if isinstance(payload, dict):
+        payload = {**payload, "replay": {**cases, **payload.get("replay", {})}}
+    config = write_yaml(tmp_path / "c.yaml", payload)
     out = tmp_path / "o"
     assert main([command, "--config", config, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from credence import replay as replay_mod
 from credence.config import DEFAULT_TOPIC, bundled_text
-from credence.core import Role, UAProfile, compute_log_odds, stance_from_log_odds
+from credence.core import Fold, Role, UAProfile, compute_log_odds, left_sum, stance_from_log_odds
 from credence.engine import (
     BIN_LABELS,
     TRACE_SCHEMA,
@@ -922,13 +922,13 @@ def test_retrieve_matches_brute_force_sort(ops, k):
             if op[0] == "archive" and record.active:
                 store.archive(record, archived_by=None)
             elif op[0] in ("archive", "flip"):
-                before = flags(store), store.revision
+                before = flags(store)
                 with pytest.raises(ContractError):
                     if op[0] == "archive":
                         store.archive(record, archived_by=None)
                     else:
                         record.active = False
-                assert (flags(store), store.revision) == before
+                assert flags(store) == before
             elif op[0] == "rescale":
                 store.rescale([record], op[2])
             else:
@@ -1332,16 +1332,64 @@ def test_single_polarity_seed_scale_equals_the_full_scan(strengths, anchoring, t
         assert factor.hex() == reference.hex()
 
 
-def test_belief_drops_a_record_archived_from_outside():
+fold_terms = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-10.0, 10.0)
+fold_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 3), fold_terms),
+        st.tuples(st.just("replace"), st.integers(0, 50), fold_terms),
+        st.tuples(st.just("delete"), st.integers(0, 50), st.just(0.0)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=fold_steps, checks=st.lists(st.booleans(), min_size=40, max_size=40))
+def test_fold_total_is_the_left_sum_of_its_terms_in_id_order(steps, checks):
+    """Appends under increasing ids, replacements and deletions, in any
+    mix: after each step the fold's total has the bits of the left_sum of
+    the remaining terms in id order.  A second fold takes the same steps
+    but is read only now and then, so several changes reach one total."""
+    every, sometimes = Fold(), Fold()
+    terms: dict[int, float] = {}
+    next_id = 0
+    for (kind, number, term), check in zip(steps, checks):
+        if kind == "append":
+            next_id += number
+            key = next_id - 1
+        elif not terms:
+            continue
+        else:
+            key = sorted(terms)[number % len(terms)]
+        for fold in (every, sometimes):
+            if kind == "delete":
+                fold.delete(key)
+            else:
+                fold.put(key, term)
+        if kind == "delete":
+            del terms[key]
+        else:
+            terms[key] = term
+        expected = left_sum(terms[key] for key in sorted(terms)).hex()
+        assert every.total().hex() == expected and list(every.terms) == sorted(terms)
+        if check:
+            assert sometimes.total().hex() == expected
+    assert sometimes.total().hex() == left_sum(terms[key] for key in sorted(terms)).hex()
+
+
+def test_an_archive_outside_the_engine_leaves_l_as_the_trace_replays_it():
+    """Only what the trace records moves L: a record archived outside the
+    engine stays in the agent's fold, so after one more message the
+    trace's replay equals the agent's belief bitwise."""
     profile = UAProfile(uptake=0.7, anchoring=0.5)
     agent = make_agent("prop", DEFAULT_TOPIC, profile, theta=0.8, theta_self=0.5)
     text = "\n".join(f"CLAIM +0.{4 + i}: {_claim(i, 0, 0)}" for i in range(len(PHRASES)))
     process_message(agent, Message(text=text, author_role="opponent", order=agent.next_order()))
     agent.memory.archive(agent.memory.records[1], archived_by=None)  # archived outside the engine
     process_message(agent, Message(text=f"CLAIM -0.3: {_claim(0, 0, 1)}", author_role="opponent", order=agent.next_order()))
-    active = [r for r in agent.memory.records if r.active]
-    assert len(active) == len(PHRASES)
-    assert agent.belief.log_odds == compute_log_odds(active, profile)
+    assert len([r for r in agent.memory.records if r.active]) == len(PHRASES)
+    replayed = verify_trace(agent.trace)
+    assert [replayed.log_odds.hex(), replayed.stance.hex()] == [agent.belief.log_odds.hex(), agent.belief.stance.hex()]
 
 
 # A header whose seeds weigh anchoring 1.0.
