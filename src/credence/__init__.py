@@ -18,10 +18,8 @@ from .core import (
 )
 from .engine import (
     AgentState,
-    EngineConfig,
     TraceEvent,
     compose_response,
-    ingest_candidate,
     ingest_candidates,
     process_message,
     read_trace,

@@ -136,17 +136,21 @@ def _prologue(args, command: str, seed_key: str, build):
 
 
 def _build_port(ports: dict, name: str, local: str, local_cls, service_cls):
-    """The `ports.<name>` backend: `local` or an HTTP service, whose URL an
-    environment variable overrides."""
-    kind = ports[name]
+    """The `ports.<name>` backend: `local`, which reads no URL, or an HTTP
+    service, whose URL an environment variable overrides.  The URL a
+    service uses is written back into ports, so the snapshot records it."""
+    kind, key = ports[name], f"{name}_url"
     if kind == local:
+        if ports[key] is not None:
+            raise ConfigError(f"ports.{key} is set, but ports.{name}={local} reads no URL")
         return local_cls()
     if kind != "service":
         raise ConfigError(f"unknown {name} kind {kind!r}; use {local!r} or 'service'")
     variable = f"CREDENCE_{name.upper()}_URL"
-    url = os.environ.get(variable) or ports[f"{name}_url"]
+    url = os.environ.get(variable) or ports[key]
     if not url:
-        raise ConfigError(f"ports.{name}=service needs {name}_url or {variable}")
+        raise ConfigError(f"ports.{name}=service needs {key} or {variable}")
+    ports[key] = url
     return service_cls(url, timeout=ports["timeout"], retries=ports["retries"])
 
 
@@ -198,11 +202,14 @@ def _pairing_profiles(pairing: str) -> dict:
 def cmd_debate(args) -> int:
     def build(cfg):
         section = cfg["debate"]
-        if not section["pairings"]:
+        pairings = section["pairings"]
+        if not pairings:
             raise ConfigError("debate pairings must be a non-empty list")
+        if len(set(pairings)) < len(pairings):  # each pairing names its traces and rows
+            raise ConfigError(f"debate pairings {pairings!r} must be distinct")
         debates = [
             (pairing, _from_section(DebateConfig, cfg, "debate", **_pairing_profiles(pairing)))
-            for pairing in section["pairings"]
+            for pairing in pairings
         ]
         corpus = load_scripted_claims(config_mod.load_corpus_text(section["seed_file"], "seeds.txt"))
         for target in section["targets"]:

@@ -32,8 +32,8 @@ from .core import (
     stance_from_log_odds,
 )
 from .exceptions import ConfigError, ContractError, TraceVerificationError
-from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, check_candidate, ingest_record, judge
+from .extraction import ExtractorPort, Message, ScriptedExtractor
+from .judgement import ArgumentRecord, ScorerPort, check_candidate, ingest_record, judge
 from .memory import MemoryStore, RetrievalContext
 
 BIN_LABELS = (
@@ -75,8 +75,9 @@ def template_response(stance_instruction: str, retrieved: RetrievalContext) -> s
 
 def check_ranges(settings, counts: tuple) -> None:
     """Reject a theta or theta_self that is not a number in [0, 1] and a
-    named count that is not an integer >= 1 (a boolean is none):
-    EngineConfig's check, and the run configs'."""
+    named count that is not an integer >= 1 (a boolean is none): the check
+    an AgentState makes when it is built, a trace header's, and the run
+    configs'."""
     for name in ("theta", "theta_self"):
         if not number_in(getattr(settings, name), 0.0, 1.0):
             raise ContractError(f"{name} must be in [0, 1], got {getattr(settings, name)!r}")
@@ -86,18 +87,6 @@ def check_ranges(settings, counts: tuple) -> None:
             raise ContractError(f"{name} must be >= 1, got {value!r}")
         if type(value) is not int:
             raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-@dataclass
-class EngineConfig:
-    extractor: ExtractorPort
-    scorer: Optional[ScorerPort]  # None: every candidate must carry a strength hint
-    theta: float = 0.80
-    theta_self: float = 0.50
-    k: int = 5
-
-    def __post_init__(self):
-        check_ranges(self, ("k",))
 
 
 # A trace line is json.dumps(row, ensure_ascii=False) of its row
@@ -148,32 +137,43 @@ class TraceEvent:
 
 @dataclass
 class AgentState:
+    """An agent: what its trace header records, set by the caller, and the
+    state only the engine moves, from what the trace records."""
+
     agent_id: str
     topic: str
     profile: UAProfile
-    config: EngineConfig
-    # A store passed in would hold records the trace never stored.
+    theta: float = 0.80
+    theta_self: float = 0.50
+    k: int = 5
+    scorer: Optional[ScorerPort] = None  # None: every candidate must carry a strength hint
+    extractor: Optional[ExtractorPort] = None  # None: a ScriptedExtractor
+    # A store, belief, trace or order passed in would hold what the trace
+    # never recorded.
     memory: MemoryStore = field(default_factory=MemoryStore, init=False)
-    belief: BeliefState = field(default_factory=BeliefState.zero)
-    trace: list = field(default_factory=list)
-    last_order: int = -1
+    belief: BeliefState = field(default_factory=BeliefState.zero, init=False)
+    trace: list = field(default_factory=list, init=False)
+    last_order: int = field(default=-1, init=False)
     # L's terms, which only what the trace records changes.
     fold: Fold = field(default_factory=Fold, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Open the trace with its header: what a reader needs to re-derive
-        every contribution and to know the thresholds the run used."""
-        profile, config = self.profile, self.config
+        """Check theta, theta_self and k, then open the trace with its
+        header: what a reader needs to re-derive every contribution and to
+        know the thresholds the run used."""
+        check_ranges(self, ("k",))
+        if self.extractor is None:
+            self.extractor = ScriptedExtractor()
         self.emit(
             "header",
             schema=TRACE_SCHEMA,
             agent_id=self.agent_id,
             topic=self.topic,
-            uptake=profile.uptake,
-            anchoring=profile.anchoring,
-            theta=config.theta,
-            theta_self=config.theta_self,
-            k=config.k,
+            uptake=self.profile.uptake,
+            anchoring=self.profile.anchoring,
+            theta=self.theta,
+            theta_self=self.theta_self,
+            k=self.k,
         )
 
     def next_order(self) -> int:
@@ -205,10 +205,10 @@ def ingest_candidates(agent: AgentState, candidates: list) -> list[ArgumentRecor
     record's similarity and id, and the record it archived).  The fold
     takes the contribution of an active record and drops the record it
     archived."""
-    config, fold = agent.config, agent.fold
+    fold = agent.fold
     records = []
     for candidate in candidates:
-        record, outcome = judge(agent.memory, candidate, agent.topic, config.scorer, config.theta, config.theta_self)
+        record, outcome = judge(agent.memory, candidate, agent.topic, agent.scorer, agent.theta, agent.theta_self)
         contribution = record_contribution(record, agent.profile)
         agent.emit(
             "stored",
@@ -231,10 +231,15 @@ def ingest_candidates(agent: AgentState, candidates: list) -> list[ArgumentRecor
     return records
 
 
-def ingest_candidate(agent: AgentState, candidate: CandidateArgument) -> ArgumentRecord:
-    """ingest_candidates of one candidate."""
-    (record,) = ingest_candidates(agent, [candidate])
-    return record
+def rescale(agent: AgentState, records: list[ArgumentRecord], factor: float) -> None:
+    """Multiply the strengths of records of the agent's store by factor,
+    emit the rescaled event, and put again the re-derived term of each one
+    the fold holds, as replay_trace rescales the records it holds active."""
+    agent.memory.rescale(records, factor)
+    agent.emit("rescaled", factor=factor, ids=[r.id for r in records])
+    for record in records:
+        if record.id in agent.fold.terms:
+            agent.fold.put(record.id, record_contribution(record, agent.profile))
 
 
 def refresh_belief(agent: AgentState) -> TraceEvent:
@@ -259,7 +264,7 @@ def process_message(agent: AgentState, incoming: Message) -> list[TraceEvent]:
     start = len(agent.trace)
 
     warnings: list[str] = []
-    candidates = agent.config.extractor.extract(agent.topic, incoming, on_warning=warnings.append)
+    candidates = agent.extractor.extract(agent.topic, incoming, on_warning=warnings.append)
     for message in warnings:
         agent.emit("warning", message=message)
     agent.emit("extracted", count=len(candidates))
@@ -273,7 +278,7 @@ def process_message(agent: AgentState, incoming: Message) -> list[TraceEvent]:
 def compose_response(agent: AgentState) -> tuple[Message, list[TraceEvent]]:
     """Retrieve context, build the stance instruction, fill the template."""
     start = len(agent.trace)
-    retrieved = agent.memory.retrieve(agent.config.k)
+    retrieved = agent.memory.retrieve(agent.k)
     agent.emit(
         "retrieved",
         k_plus=retrieved.k_plus,

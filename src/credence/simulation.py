@@ -14,19 +14,10 @@ import sys
 from dataclasses import astuple, dataclass, field
 from typing import Optional
 
-from .core import Role, UAProfile, left_sum, number_in, record_contribution, stance_from_log_odds
-from .engine import (
-    AgentState,
-    EngineConfig,
-    check_ranges,
-    ingest_candidates,
-    process_message,
-    compose_response,
-    refresh_belief,
-    take_turn,
-)
+from .core import Role, UAProfile, left_sum, number_in, stance_from_log_odds
+from .engine import AgentState, check_ranges, ingest_candidates, process_message, refresh_belief, rescale, take_turn
 from .exceptions import ConfigError, ContractError
-from .extraction import ExtractorPort, Message, ScriptedExtractor, parse_scripted_message
+from .extraction import ExtractorPort, Message, parse_scripted_message
 from .judgement import CandidateArgument, ScorerPort
 
 # A seeded stance further than this from its target is reported.
@@ -50,27 +41,9 @@ def load_scripted_claims(text: str) -> list[CandidateArgument]:
     return parse_scripted_message(message, on_warning=reject)
 
 
-def make_agent(
-    agent_id: str,
-    topic: str,
-    profile: UAProfile,
-    theta: float,
-    theta_self: float,
-    k: int = 5,
-    *,
-    scorer: Optional[ScorerPort] = None,
-    extractor: Optional[ExtractorPort] = None,
-) -> AgentState:
-    """An agent that by default runs offline: a scripted extractor and no
-    scorer, since every scripted claim carries its strength hint."""
-    config = EngineConfig(
-        extractor=extractor or ScriptedExtractor(),
-        scorer=scorer,
-        theta=theta,
-        theta_self=theta_self,
-        k=k,
-    )
-    return AgentState(agent_id=agent_id, topic=topic, profile=profile, config=config)
+# The sweep and debate runs build their agents through this module name,
+# so a caller can patch it to watch them.
+make_agent = AgentState
 
 
 def seed_pool(seed_corpus: list[CandidateArgument], n: int, target: float) -> list[CandidateArgument]:
@@ -162,11 +135,7 @@ def seed_agent(
                     error = abs(stance_at(candidate) - target)
                     if error < best:
                         scale, best = candidate, error
-            agent.memory.rescale(seeds, scale)
-            agent.emit("rescaled", factor=scale, ids=[r.id for r in seeds])
-            for record in seeds:
-                if record.id in agent.fold.terms:  # as replay_trace rescales the records it holds active
-                    agent.fold.put(record.id, record_contribution(record, agent.profile))
+            rescale(agent, seeds, scale)
             if abs(stance_at(1.0) - target) > SEED_TOLERANCE:
                 agent.emit("warning", message=f"seeded stance missed target {target} beyond {SEED_TOLERANCE}")
     refresh_belief(agent)
@@ -213,6 +182,8 @@ class SweepConfig:
                 f"sweep grid {list(self.grid)!r} must be non-empty, and it, fixed_u and fixed_a finite numbers >= 0, "
                 f"got fixed_u {self.fixed_u!r} and fixed_a {self.fixed_a!r}"
             )
+        if len(set(self.grid)) < len(self.grid):  # each value names a run and its trace file
+            raise ContractError(f"sweep grid {list(self.grid)!r} must hold distinct values")
 
 
 def check_script_length(opponent_script: list[str], rounds: int) -> None:
@@ -318,8 +289,9 @@ def run_two_agent_debate(
     scorer: Optional[ScorerPort] = None,
     extractor: Optional[ExtractorPort] = None,
 ) -> DebateResult:
-    """Alternating-turn debate; pro speaks round 1.  Each turn is compose,
-    listener processes, then speaker self-feedback."""
+    """Alternating-turn debate; pro speaks round 1.  Each turn is the
+    speaker's take_turn (compose, then self-feedback), then the listener
+    processes the message."""
     ports = {"scorer": scorer, "extractor": extractor}
     pro_target, con_target = config.targets
     all_series = []
@@ -334,9 +306,8 @@ def run_two_agent_debate(
         series = [(pro.belief.stance, con.belief.stance)]
         for round_index in range(1, config.rounds + 1):
             speaker, listener = (pro, con) if round_index % 2 == 1 else (con, pro)
-            message, _ = compose_response(speaker)
-            process_message(listener, Message(text=message.text, author_role="opponent", order=listener.next_order()))
-            process_message(speaker, Message(text=message.text, author_role="self", order=speaker.next_order()))
+            text = take_turn(speaker)
+            process_message(listener, Message(text=text, author_role="opponent", order=listener.next_order()))
             series.append((pro.belief.stance, con.belief.stance))
         all_series.append(series)
         all_trials.append(TrialStances(*series[0], *series[-1]))  # (pro, con) initial, then final

@@ -158,6 +158,15 @@ FAILING_RUNS = {
     "sweep-theta-nan": ("sweep", {"sweep": {"theta": float("nan")}}, "config key 'sweep.theta' must be a finite number"),
     "sweep-k-zero": ("sweep", {"sweep": {"k": 0}}, "k must be >= 1"),
     "sweep-negative-grid-value": ("sweep", {"sweep": {"grid": [0.2, -0.1]}}, "sweep grid [0.2, -0.1] must be"),
+    # Each grid value and each pairing names its trace files, so a repeat
+    # would overwrite them.
+    "sweep-grid-repeated-value": ("sweep", {"sweep": {"grid": [0.2, 0.2]}}, "sweep grid [0.2, 0.2] must hold distinct values"),
+    "sweep-grid-equal-int-and-float": ("sweep", {"sweep": {"grid": [1, 1.0]}}, "sweep grid [1, 1.0] must hold distinct values"),
+    "debate-repeated-pairing": (
+        "debate",
+        {"debate": {"pairings": ["open/open", "open/open"]}},
+        "debate pairings ['open/open', 'open/open'] must be distinct",
+    ),
     "sweep-missing-seed-file": ("sweep", {"sweep": {"seed_file": "no-such-seed-file.txt"}}, "[Errno 2]"),
     "debate-one-target": ("debate", {"debate": {"targets": [0.5]}}, "a debate needs two seed targets"),
     "debate-target-out-of-range": ("debate", {"debate": {"targets": [1.5, -0.5]}}, "seed target 1.5 outside"),
@@ -171,6 +180,17 @@ FAILING_RUNS = {
     "replay-u-grid-negative": ("replay", {"replay": {"u_grid": [-0.5, 0.1]}}, "u grid [-0.5, 0.1] must be"),
     "replay-a-grid-negative": ("replay", {"replay": {"a_grid": [-0.5, 0.1]}}, "a grid [-0.5, 0.1] must be"),
     "ports-service-without-url": ("sweep", {"ports": {"scorer": "service"}}, "ports.scorer=service needs"),
+    # A URL that no port reads is refused, not ignored.
+    "ports-extractor-url-with-scripted": (
+        "sweep",
+        {"ports": {"extractor_url": "http://claims.invalid"}},
+        "ports.extractor_url is set, but ports.extractor=scripted reads no URL",
+    ),
+    "ports-scorer-url-with-builtin": (
+        "debate",
+        {"ports": {"scorer_url": "http://scores.invalid"}},
+        "ports.scorer_url is set, but ports.scorer=builtin reads no URL",
+    ),
     "ports-negative-retries": (
         "sweep",
         {"ports": {"scorer": "service", "scorer_url": "http://x.invalid", "retries": -1}},
@@ -190,6 +210,28 @@ def test_failed_command_writes_nothing(tmp_path, monkeypatch, capsys, command, p
     assert main([command, "--config", config, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("configured", [None, "http://configured.invalid"])
+def test_snapshot_records_the_url_a_service_port_used(tmp_path, monkeypatch, configured):
+    """CREDENCE_SCORER_URL overrides ports.scorer_url, and the snapshot
+    holds the URL the port used, so the snapshot alone reruns the command.
+    Every bundled claim carries a strength hint, so the scorer is never
+    called."""
+    calls = []
+    monkeypatch.setattr(judgement, "requests_transport", lambda url, payload, timeout: calls.append(url))
+    monkeypatch.setenv("CREDENCE_SCORER_URL", "http://from-env.invalid")
+    ports = {"scorer": "service", "scorer_url": configured}
+    config = write_yaml(tmp_path / "c.yaml", {"sweep": {"grid": [0.2], "rounds": 1}, "ports": ports})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+    snapshot = json.loads((out / "resolved_config.json").read_text())
+    assert snapshot["ports"]["scorer_url"] == "http://from-env.invalid"
+    assert calls == []
+    monkeypatch.delenv("CREDENCE_SCORER_URL")
+    rerun = tmp_path / "rerun"
+    assert main(["sweep", "--config", str(out / "resolved_config.json"), "--out", str(rerun)]) == 0
+    assert tree_bytes(rerun) == tree_bytes(out)
 
 
 def test_debate_outputs(tmp_path):

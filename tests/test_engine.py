@@ -9,13 +9,13 @@ from credence.core import BeliefState, Role, UAProfile
 from credence.engine import (
     TRACE_SCHEMA,
     AgentState,
-    EngineConfig,
     TraceEvent,
     compose_response,
-    ingest_candidate,
+    ingest_candidates,
     process_message,
     read_trace,
     refresh_belief,
+    rescale,
     stance_to_instruction,
     take_turn,
     template_response,
@@ -29,9 +29,7 @@ from credence.memory import RetrievalContext
 
 
 def make_agent(uptake=0.4, anchoring=0.2, k=5):
-    config = EngineConfig(extractor=ScriptedExtractor(), scorer=None, k=k)
-    profile = UAProfile(uptake=uptake, anchoring=anchoring)
-    return AgentState(agent_id="a", topic="the topic", profile=profile, config=config)
+    return AgentState(agent_id="a", topic="the topic", profile=UAProfile(uptake=uptake, anchoring=anchoring), k=k)
 
 
 @pytest.mark.parametrize(
@@ -47,9 +45,34 @@ def make_agent(uptake=0.4, anchoring=0.2, k=5):
     ],
 )
 def test_engine_config_checks_its_values_when_built(setting, message):
+    """The engine's settings, theta, theta_self and k, are AgentState's own
+    arguments, checked when the agent is built."""
     with pytest.raises(ContractError) as caught:
-        EngineConfig(extractor=ScriptedExtractor(), scorer=None, **setting)
+        AgentState("a", "the topic", UAProfile(uptake=0.4, anchoring=0.2), **setting)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("belief", BeliefState.from_log_odds(1.0)),
+        ("trace", []),
+        ("last_order", 3),
+        ("config", None),
+    ],
+)
+def test_agent_state_takes_no_state_the_trace_has_not_recorded(name, value):
+    """Only the engine sets an agent's belief, trace and order, so a
+    value passed in cannot make the agent's trace fail its own replay;
+    the thresholds and ports are AgentState's own arguments."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        AgentState("a", "the topic", UAProfile(uptake=0.4, anchoring=0.2), **{name: value})
+
+
+def test_agent_state_defaults_to_a_scripted_extractor_and_no_scorer():
+    agent = make_agent()
+    assert isinstance(agent.extractor, ScriptedExtractor) and agent.scorer is None
+    assert (agent.theta, agent.theta_self, agent.k) == (0.8, 0.5, 5)
 
 
 def test_stance_bins_cover_the_interval():
@@ -194,9 +217,26 @@ def test_read_trace_rejects_garbage(tmp_path):
 
 def test_seed_records_weighted_by_anchoring():
     agent = make_agent(uptake=0.0, anchoring=0.9)
-    ingest_candidate(agent, CandidateArgument(claim="founding reason", polarity=1, role=Role.SEED, strength_hint=0.5))
+    ingest_candidates(agent, [CandidateArgument(claim="founding reason", polarity=1, role=Role.SEED, strength_hint=0.5)])
     refresh_belief(agent)
     assert agent.belief.log_odds == pytest.approx(math.log1p(0.5 * 0.9))
+
+
+def test_rescale_moves_l_as_the_trace_replays_it_and_a_refused_one_records_nothing():
+    agent = make_agent(anchoring=0.7)
+    candidates = [CandidateArgument("one reason", 1, Role.SEED, 0.5), CandidateArgument("another worry", -1, Role.SEED, 0.25)]
+    records = ingest_candidates(agent, candidates)
+    refresh_belief(agent)
+    rescale(agent, records, 0.5)
+    refresh_belief(agent)
+    assert [r.strength for r in records] == [0.25, 0.125]
+    assert agent.trace[-2].payload == {"factor": 0.5, "ids": [0, 1]}
+    assert agent.belief.log_odds == math.log1p(0.25 * 0.7) - math.log1p(0.125 * 0.7)
+    assert verify_trace(agent.trace) == agent.belief
+    before = list(agent.trace)
+    with pytest.raises(ContractError, match="rescaled strength of record 0"):
+        rescale(agent, records, 5.0)
+    assert agent.trace == before and [r.strength for r in records] == [0.25, 0.125]
 
 
 def _verified_trace(tmp_path):
@@ -258,8 +298,7 @@ def test_read_trace_accepts_padded_and_crlf_lines(tmp_path, pad, newline):
 )
 def test_trace_text_round_trips_byte_identically(tmp_path_factory, claims):
     agent = make_agent()
-    for claim in claims:
-        ingest_candidate(agent, CandidateArgument(claim=claim, polarity=1, role=Role.OPPONENT, strength_hint=0.5))
+    ingest_candidates(agent, [CandidateArgument(claim=claim, polarity=1, role=Role.OPPONENT, strength_hint=0.5) for claim in claims])
     refresh_belief(agent)
     directory = tmp_path_factory.mktemp("trace")
     first, second = directory / "first.jsonl", directory / "second.jsonl"
@@ -335,7 +374,7 @@ def test_a_seed_is_never_archived_by_its_own_echo(strength):
     """The agent's own turn echoes its seed with the same strength, so the
     echo ties and the seed stays active: L does not move."""
     agent = make_agent(anchoring=0.7)
-    seed = ingest_candidate(agent, CandidateArgument("founding reason", 1, Role.SEED, strength))
+    (seed,) = ingest_candidates(agent, [CandidateArgument("founding reason", 1, Role.SEED, strength)])
     refresh_belief(agent)
     before = agent.belief.log_odds
     take_turn(agent)

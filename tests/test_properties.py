@@ -32,7 +32,7 @@ from credence.engine import (
     TRACE_SCHEMA,
     TraceEvent,
     compose_response,
-    ingest_candidate,
+    ingest_candidates,
     process_message,
     read_trace,
     stance_to_instruction,
@@ -496,8 +496,7 @@ def test_an_own_turn_quoting_the_same_records_makes_no_product():
         ("the tram extension will cut commute times", 1, 0.75),
         ("the harbour dredging contract is overpriced", -1, 0.625),
     ]
-    for claim, polarity, strength in seeds:
-        ingest_candidate(agent, CandidateArgument(claim, polarity, Role.SEED, strength))
+    ingest_candidates(agent, [CandidateArgument(claim, polarity, Role.SEED, strength) for claim, polarity, strength in seeds])
     opponent = Message(text="CLAIM -0.25: street lighting upgrades reduce burglaries", author_role="opponent", order=0)
     process_message(agent, opponent)
     with observed_matvecs() as (shapes, _):
