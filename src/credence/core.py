@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 from .exceptions import ConfigError, ContractError
 
@@ -100,6 +101,15 @@ def number_in(value, low, high) -> bool:
     """Whether value is an int or a float in [low, high]; a boolean and NaN
     are not."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and low <= value <= high
+
+
+def as_float(value) -> Optional[float]:
+    """An int or a float as a float; None for a boolean, any other type
+    and an integer beyond float range, which float() refuses."""
+    try:
+        return float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+    except OverflowError:
+        return None
 
 
 def check_strength(value, what: str) -> None:

@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
+from . import memory
 from .core import (
     BeliefState,
     Fold,
     Role,
     UAProfile,
+    as_float,
     check_strength,
     number_in,
     record_contribution,
@@ -278,7 +280,7 @@ def process_message(agent: AgentState, incoming: Message) -> list[TraceEvent]:
 def compose_response(agent: AgentState) -> tuple[Message, list[TraceEvent]]:
     """Retrieve context, build the stance instruction, fill the template."""
     start = len(agent.trace)
-    retrieved = agent.memory.retrieve(agent.k)
+    retrieved = memory.retrieve(agent.memory, agent.k)
     agent.emit(
         "retrieved",
         k_plus=retrieved.k_plus,
@@ -371,15 +373,12 @@ def read_trace(path) -> list[TraceEvent]:
 
 def _field(event: TraceEvent, key: str) -> float:
     """A number field of the payload that a trace reader reads, as a float
-    (a boolean is not a number, nor is an integer outside float range);
-    else TraceVerificationError."""
+    (see as_float); else TraceVerificationError."""
     value = event.payload.get(key)
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise TraceVerificationError(f"event {event.seq}: {event.kind} {key} {value!r} is not a number", seq=event.seq)
+    number = as_float(value)
+    if number is None:
+        raise TraceVerificationError(f"event {event.seq}: {event.kind} {key} {value!r} is not a number", seq=event.seq)
+    return number
 
 
 def _check_header(event: TraceEvent) -> UAProfile:
@@ -606,9 +605,8 @@ def store_from_trace(events) -> MemoryStore:
         payload = event.payload
         if event.kind == "stored":
             claim, role = payload["claim"], _ROLES[payload["role"]]
-            text = store._text(claim)
-            record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, text[0])
-            outcome = ingest_record(store, record, *thresholds, text)
+            record = ArgumentRecord(claim, payload["polarity"], payload["strength"], role, store.embed(claim))
+            outcome = ingest_record(store, record, *thresholds)
             derived = (
                 ("active", record.active),
                 ("similarity", outcome.similarity),

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Role, check_polarity, check_strength, number_in
+from .core import Role, as_float, check_polarity, check_strength, number_in
 from .exceptions import ContractError, ScoringBackendError
 
 EMBED_DIM = 512
@@ -218,10 +218,10 @@ class ServiceScorer(ServiceClient, ScorerPort):
 
     def score(self, topic: str, claim: str) -> float:
         body = self.post({"topic": topic, "claim": claim}, ScoringBackendError)
-        score = body.get("score") if isinstance(body, dict) else None
-        if isinstance(score, bool) or not isinstance(score, (int, float)):  # a string is not converted
+        score = as_float(body.get("score")) if isinstance(body, dict) else None  # a string is not converted
+        if score is None:
             raise ScoringBackendError(f"scoring service at {self.url} returned a malformed body {body!r}")
-        return float(score)
+        return score
 
 
 def requests_transport(url: str, payload: dict, timeout: float):
@@ -244,18 +244,25 @@ def requests_transport(url: str, payload: dict, timeout: float):
 def score_strength(candidate: CandidateArgument, topic: str, scorer: ScorerPort) -> float:
     """Score a candidate, clamping the scorer output to [0, 1].
 
-    A NaN or infinite score is a scorer failure, not a strength: clamping
-    would silently turn NaN into 0.0.
+    A NaN or infinite score, a boolean or an integer beyond float range
+    is a scorer failure, not a strength: clamping would silently turn NaN
+    into 0.0.
     """
-    raw = float(scorer.score(topic, candidate.claim))
-    if not math.isfinite(raw):
-        raise ScoringBackendError(f"scorer returned {raw!r} for claim {candidate.claim!r} on topic {topic!r}")
+    score = scorer.score(topic, candidate.claim)
+    # float() takes any numeric type a scorer may return, but of an int beyond
+    # float range it raises OverflowError, and of True it makes 1.0.
+    raw = as_float(score) if isinstance(score, int) else float(score)
+    if raw is None or not math.isfinite(raw):
+        raise ScoringBackendError(f"scorer returned {score!r} for claim {candidate.claim!r} on topic {topic!r}")
     return min(1.0, max(0.0, raw))
 
 
 @dataclass
 class ResolutionOutcome:
-    kept_new: bool
+    """What settling a record found: the similarity and id of its nearest
+    active record, and the record it superseded; the judged record's
+    active flag is the decision."""
+
     similarity: Optional[float] = None
     matched_id: Optional[int] = None
     superseded: Optional[ArgumentRecord] = None
@@ -265,31 +272,27 @@ def _settle(new: ArgumentRecord, nearest: Optional[tuple], threshold: float) -> 
     """Decide between new and its nearest active record, (record,
     similarity), or None when the pool is empty."""
     if nearest is None:
-        return ResolutionOutcome(kept_new=True)
+        return ResolutionOutcome()
     best, similarity = nearest
     if similarity < threshold:
-        return ResolutionOutcome(kept_new=True, similarity=similarity, matched_id=best.id)
+        return ResolutionOutcome(similarity=similarity, matched_id=best.id)
     if new.strength > best.strength:
-        return ResolutionOutcome(kept_new=True, similarity=similarity, matched_id=best.id, superseded=best)
+        return ResolutionOutcome(similarity=similarity, matched_id=best.id, superseded=best)
     # Ties keep the existing record.
     new.active = False
     new.archived_by = best.id
-    return ResolutionOutcome(kept_new=False, similarity=similarity, matched_id=best.id)
+    return ResolutionOutcome(similarity=similarity, matched_id=best.id)
 
 
-def ingest_record(
-    memory, record: ArgumentRecord, threshold: float, threshold_self: float, text: Optional[tuple] = None
-) -> ResolutionOutcome:
+def ingest_record(memory, record: ArgumentRecord, threshold: float, threshold_self: float) -> ResolutionOutcome:
     """The one search-and-settle rule: record is settled against its
     nearest active same-polarity record (a self record only against the
     agent's own, self and seed, at threshold_self), then stored, and the
-    record it supersedes is archived.  The store's cache entry of its
-    claim is looked up once, here unless the caller passes it as text,
-    and serves both the search and the insert."""
-    text = text or memory._text(record.claim)
+    record it supersedes is archived.  The store looks up the cache entry
+    of record's claim for the search and for the insert."""
     own_only = record.role == Role.SELF
-    outcome = _settle(record, memory.nearest(record, own_only, text), threshold_self if own_only else threshold)
-    record_id = memory.insert(record, text)
+    outcome = _settle(record, memory.nearest(record, own_only), threshold_self if own_only else threshold)
+    record_id = memory.insert(record)
     if outcome.superseded is not None:
         memory.archive(outcome.superseded, archived_by=record_id)
     return outcome
@@ -309,12 +312,11 @@ def judge(
         raise ContractError(f"no strength for claim {candidate.claim!r} and no scorer configured")
     else:
         strength = score_strength(candidate, topic, scorer)
-    text = memory._text(candidate.claim)  # the one cache lookup of this claim
     record = ArgumentRecord(
         claim=candidate.claim.strip(),
         polarity=candidate.polarity,
         strength=strength,
         role=candidate.role,
-        embedding=text[0],
+        embedding=memory.embed(candidate.claim),
     )
-    return record, ingest_record(memory, record, theta, theta_self, text)
+    return record, ingest_record(memory, record, theta, theta_self)

@@ -1,9 +1,9 @@
 """Structured argument store with an active/archived partition.
 
-Insertion order is the iteration order, ids come from a monotone
-counter, and archived records stay in the store for audit. Retrieval
-allocates context slots in proportion to the active pro/con composition,
-never by stance.
+Insertion order is the iteration order, a record's id is the number of
+records stored before it, and archived records stay in the store for
+audit.  Retrieval allocates context slots in proportion to the active
+pro/con composition, never by stance.
 
 The store alone owns its active set: ``insert`` indexes an active record
 at once, and ``archive`` is the one way a stored record leaves it (a
@@ -281,22 +281,20 @@ class _PolarityIndex:
 @dataclass
 class MemoryStore:
     records: list[ArgumentRecord] = field(default_factory=list, init=False)  # filled by insert only
-    insertion_counter: int = field(default=0, init=False)
     _by_polarity: dict = field(
         default_factory=lambda: defaultdict(_PolarityIndex), init=False, repr=False, compare=False
     )
     _texts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def insert(self, record: ArgumentRecord, text: Optional[tuple] = None) -> int:
-        """Store record under the next id; an active one is indexed with
-        text, its claim's cache entry, looked up here when not given."""
+    def insert(self, record: ArgumentRecord) -> int:
+        """Store record under the next id, the number of records stored
+        before it; an active one is indexed with its claim's cache entry."""
         if record.id is not None:
             raise ContractError(f"record already has id {record.id}")
-        record.id = self.insertion_counter
-        self.insertion_counter += 1
+        record.id = len(self.records)
         self.records.append(record)
         if record.active:
-            self._by_polarity[record.polarity].add(record, text or self._text(record.claim))
+            self._by_polarity[record.polarity].add(record, self._text(record.claim))
         return record.id
 
     def embed(self, claim: str) -> np.ndarray:
@@ -346,25 +344,19 @@ class MemoryStore:
         """The active records in id order, by a scan of every stored one."""
         return [record for record in self.records if record.active]
 
-    def nearest(
-        self, record: ArgumentRecord, own_only: bool = False, text: Optional[tuple] = None
-    ) -> Optional[tuple[ArgumentRecord, float]]:
+    def nearest(self, record: ArgumentRecord, own_only: bool = False) -> Optional[tuple[ArgumentRecord, float]]:
         """The active record of record's polarity (only the agent's own,
         self and seed, if own_only) most cosine-similar to record's claim,
-        by trigram counts, with the lowest id among equals, and that
-        similarity; None when there is none.  text is the claim's cache
-        entry, looked up here when not given."""
+        by the trigram counts of its cache entry, with the lowest id among
+        equals, and that similarity; None when there is none."""
         index = self._by_polarity[record.polarity]
-        return (index.own if own_only else index.every).nearest(text or self._text(record.claim))
+        return (index.own if own_only else index.every).nearest(self._text(record.claim))
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self):
         return iter(self.records)
-
-    def retrieve(self, k: int) -> "RetrievalContext":
-        return retrieve(self, k)
 
 
 @dataclass

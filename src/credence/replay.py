@@ -26,6 +26,7 @@ from .core import (
     STANCE_CLIP,
     Role,
     UAProfile,
+    as_float,
     check_polarity,
     check_strength,
     clip_stance,
@@ -505,10 +506,12 @@ def _integral(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A numeric field: strings and booleans are rejected, not converted."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ContractError(f"{name} {value!r} is not a number")
+    """A numeric field: strings, booleans and integers beyond float range
+    are rejected, not converted."""
+    number = as_float(value)
+    if number is None:
+        raise ContractError(f"{name} {value!r} is not a number")
+    return number
 
 
 def case_from_dict(row: dict) -> ReplayCase:

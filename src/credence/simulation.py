@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Optional
 
 from .core import Role, UAProfile, left_sum, number_in, stance_from_log_odds
@@ -200,12 +200,15 @@ def run_scripted_opponent_sweep(
     scorer: Optional[ScorerPort] = None,
     extractor: Optional[ExtractorPort] = None,
 ) -> list[tuple[SweepRun, AgentState]]:
-    """One seeded pro agent per grid value, against a fixed con script."""
+    """One seeded pro agent per grid value, against a fixed con script.
+    The grid passes SweepConfig's checks, as config.grid does, before any
+    agent is built."""
     if param not in ("u", "a"):
         raise ContractError(f"sweep parameter must be 'u' or 'a', got {param!r}")
+    config = replace(config, grid=grid)
     check_script_length(opponent_script, config.rounds)
     runs = []
-    for value in grid:
+    for value in config.grid:
         if param == "u":
             profile = UAProfile(uptake=value, anchoring=config.fixed_a)
         else:

@@ -696,8 +696,8 @@ def test_store_from_trace_equals_the_run_store_on_every_default_trace(default_ru
     for path, agent in default_runs.values():
         rebuilt = engine.store_from_trace(engine._trace_events(path))
         assert record_fields(rebuilt) == record_fields(agent.memory), path.name
-        assert rebuilt.insertion_counter == agent.memory.insertion_counter
-        assert sum(e.kind == "stored" for e in agent.trace) == agent.memory.insertion_counter
+        assert len(rebuilt) == len(agent.memory)
+        assert sum(e.kind == "stored" for e in agent.trace) == len(agent.memory)
         rescaled += sum(len(e.payload["ids"]) for e in agent.trace if e.kind == "rescaled")
     assert rescaled == 10 + 336
 
@@ -866,7 +866,7 @@ APPENDED_EVENTS = {
 @pytest.mark.parametrize("kind, payload, message", APPENDED_EVENTS.values(), ids=APPENDED_EVENTS.keys())
 def test_an_appended_event_fails_verify_and_rebuild(default_runs, tmp_path, capsys, kind, payload, message):
     trace, agent = default_runs["sweep_u_0.4.jsonl"]
-    assert agent.memory.insertion_counter == 100
+    assert len(agent.memory) == 100
     rows = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
     assert (rows[0]["kind"], rows[1]["payload"]["id"]) == ("header", 0)
     rows.append({"seq": len(rows), "kind": kind, "payload": payload(rows)})

@@ -66,7 +66,7 @@ def test_judge_takes_the_hint_else_the_scorer():
     hinted = CandidateArgument(claim=" parks need lights ", polarity=1, role=Role.OPPONENT, strength_hint=0.75)
     record, outcome = judge(store, hinted, "t", scorer, 0.8, 0.5)
     assert (record.strength, record.claim, scorer.calls) == (0.75, "parks need lights", 0)
-    assert outcome.kept_new and store.records == [record]
+    assert record.active and store.records == [record]
     unhinted = CandidateArgument(claim="bridges need paint", polarity=-1, role=Role.OPPONENT)
     record, _ = judge(store, unhinted, "t", scorer, 0.8, 0.5)
     assert (record.strength, scorer.calls) == (0.25, 1)
@@ -278,9 +278,21 @@ def test_score_strength_clamps():
     assert score_strength(candidate, "t", scorer) == 1.0
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        pytest.param(10**400, id="beyond-float-range"),
+        pytest.param(-(10**400), id="below-float-range"),
+        pytest.param(True, id="bool"),
+    ],
+)
 def test_score_strength_rejects_non_finite_scores(bad):
-    # Clamping would turn NaN into 0.0 and infinities into 0 or 1.
+    # Clamping would turn NaN into 0.0 and infinities into 0 or 1; float()
+    # of an integer beyond float range raises OverflowError, and of True
+    # gives 1.0.
     scorer = FixedScorer(bad)
     candidate = CandidateArgument(claim="c", polarity=1, role=Role.OPPONENT)
     with pytest.raises(ScoringBackendError):
@@ -292,8 +304,7 @@ def test_duplicate_keeps_existing_on_tie():
     existing = make_record("bike lanes cut traffic deaths", strength=0.6)
     ingest_record(store, existing, 0.8, 0.5)
     duplicate = make_record("bike lanes cut traffic deaths", strength=0.6)
-    outcome = ingest_record(store, duplicate, 0.8, 0.5)
-    assert not outcome.kept_new
+    ingest_record(store, duplicate, 0.8, 0.5)
     assert not duplicate.active
     assert duplicate.archived_by == existing.id
     assert existing.active
@@ -305,7 +316,7 @@ def test_stronger_duplicate_supersedes():
     ingest_record(store, weak, 0.8, 0.5)
     strong = make_record("bike lanes cut traffic deaths", strength=0.9)
     outcome = ingest_record(store, strong, 0.8, 0.5)
-    assert outcome.kept_new and outcome.superseded is weak
+    assert strong.active and outcome.superseded is weak
     assert not weak.active and weak.archived_by == strong.id
 
 
@@ -314,8 +325,8 @@ def test_opposite_polarity_never_conflicts():
     pro = make_record("bike lanes cut traffic deaths", polarity=1)
     ingest_record(store, pro, 0.8, 0.5)
     con = make_record("bike lanes cut traffic deaths", polarity=-1)
-    outcome = ingest_record(store, con, 0.8, 0.5)
-    assert outcome.kept_new and pro.active and con.active
+    ingest_record(store, con, 0.8, 0.5)
+    assert pro.active and con.active
 
 
 def test_below_threshold_coexists():
@@ -323,7 +334,7 @@ def test_below_threshold_coexists():
     ingest_record(store, make_record("bike lanes cut traffic deaths"), 0.8, 0.5)
     other = make_record("the stadium lease expires next year")
     outcome = ingest_record(store, other, 0.8, 0.5)
-    assert outcome.kept_new and outcome.similarity < 0.8
+    assert other.active and outcome.similarity < 0.8
 
 
 def test_self_pool_excludes_opponent_records():
@@ -331,9 +342,9 @@ def test_self_pool_excludes_opponent_records():
     opponent = make_record("transit fares should be frozen", role=Role.OPPONENT, strength=0.9)
     ingest_record(store, opponent, 0.8, 0.5)
     mine = make_record("transit fares should be frozen", role=Role.SELF, strength=0.2)
-    outcome = ingest_record(store, mine, 0.8, 0.5)
+    ingest_record(store, mine, 0.8, 0.5)
     # Identical text, but the self rule only inspects self/seed records.
-    assert outcome.kept_new and mine.active and opponent.active
+    assert mine.active and opponent.active
 
 
 def test_self_pool_includes_seeds():
@@ -341,8 +352,8 @@ def test_self_pool_includes_seeds():
     seed = make_record("transit fares should be frozen", role=Role.SEED, strength=0.9)
     ingest_record(store, seed, 0.8, 0.5)
     mine = make_record("transit fares should be frozen", role=Role.SELF, strength=0.2)
-    outcome = ingest_record(store, mine, 0.8, 0.5)
-    assert not outcome.kept_new and not mine.active
+    ingest_record(store, mine, 0.8, 0.5)
+    assert not mine.active
 
 
 def test_archived_records_never_reenter():
@@ -378,3 +389,4 @@ def test_random_streams_keep_polarity_partition():
             winner = store.records[record.archived_by]
             assert winner.polarity == record.polarity
             assert winner.strength >= record.strength
+

@@ -133,20 +133,20 @@ def ingest_and_check(store: MemoryStore, record: ArgumentRecord, theta: float, t
     outcome = ingest_record(store, record, theta, theta_self)
 
     if best is None:
-        assert outcome.kept_new and outcome.matched_id is None and outcome.similarity is None
+        assert record.active and outcome.matched_id is None and outcome.similarity is None
         expected.append((True, None))
     else:
         assert outcome.matched_id == best.id
         assert outcome.similarity.hex() == best_sim.hex()
         if best_sim < threshold:
-            assert outcome.kept_new and outcome.superseded is None
+            assert record.active and outcome.superseded is None
             expected.append((True, None))
         elif record.strength > best.strength:
-            assert outcome.kept_new and outcome.superseded is best
+            assert record.active and outcome.superseded is best
             expected[best.id] = (False, record.id)
             expected.append((True, None))
         else:
-            assert not outcome.kept_new
+            assert not record.active
             expected.append((False, best.id))
     assert flags(store) == expected
     return outcome
@@ -1151,15 +1151,16 @@ def test_store_from_trace_equals_the_live_store(profile, seedings, rounds, after
     agent = play_dialogue(profile, seedings, rounds)
     store, rebuilt = agent.memory, store_from_trace(agent.trace)
     assert record_fields(rebuilt) == record_fields(store)
-    assert rebuilt.insertion_counter == store.insertion_counter
+    assert len(rebuilt) == len(store)
     for op in after:
         if op[0] == "flip":
             continue
         _, phrase, swap, suffix, polarity, role, strength = op
         claim = _claim(phrase, swap, suffix)
-        original = ingest_and_check(store, make_record(claim, polarity, strength, role), theta, theta_self)
-        reloaded = ingest_and_check(rebuilt, make_record(claim, polarity, strength, role), theta, theta_self)
-        assert (original.kept_new, original.matched_id) == (reloaded.kept_new, reloaded.matched_id)
+        live, replayed = make_record(claim, polarity, strength, role), make_record(claim, polarity, strength, role)
+        original = ingest_and_check(store, live, theta, theta_self)
+        reloaded = ingest_and_check(rebuilt, replayed, theta, theta_self)
+        assert (live.active, original.matched_id) == (replayed.active, reloaded.matched_id)
         assert repr(original.similarity) == repr(reloaded.similarity)
     assert record_fields(rebuilt) == record_fields(store)
 

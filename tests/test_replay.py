@@ -415,6 +415,7 @@ BAD_CASE_LINES = {
     "final-stance-nan": _with(("final_stance",), float("nan")),
     "final-stance-string": _with(("final_stance",), "0.5"),
     "final-stance-bool": _with(("final_stance",), True),
+    "final-stance-beyond-float-range": _with(("final_stance",), 10**400),
     "evidence-null": _with(("evidence",), None),
     "claim-and-text": _with(("evidence", 0, "text"), "CLAIM +0.5: y"),
     "participant-null": _with(("participant",), None),

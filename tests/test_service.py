@@ -210,3 +210,19 @@ def test_sweep_with_an_extraction_service_equals_the_transport_in_process(serve,
     monkeypatch.setattr(judgement, "requests_transport", lambda url, payload, timeout: scripted_claims(payload))
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "in_process")]) == 0
     assert tree_bytes(tmp_path / "http") == tree_bytes(tmp_path / "in_process")
+
+
+def test_a_score_beyond_float_range_is_a_backend_error_without_a_retry(serve, delays, tmp_path, monkeypatch):
+    """{"score": 10**400} is a JSON number that float() refuses: the scorer
+    raises ScoringBackendError after one request, and replay exits 2."""
+    monkeypatch.delenv("CREDENCE_SCORER_URL", raising=False)
+    server = serve(lambda body: reply_json({"score": 10**400}))
+    with pytest.raises(ScoringBackendError, match="malformed body"):
+        ServiceScorer(server.url, timeout=TIMEOUT_S, retries=1).score("t", "a claim")
+    assert len(server.received) == 1 and delays == []
+    cases = tmp_path / "cases.jsonl"
+    case = ReplayCase("p0", "g0", "t0", 3, 4, evidence=[EvidenceItem("an unscored claim", 1)])
+    cases.write_text(json.dumps(case_to_dict(case)) + "\n")
+    config = write_yaml(tmp_path / "c.yaml", {"ports": {"scorer": "service", "scorer_url": server.url, "retries": 1}})
+    assert main(["replay", "--config", config, "--cases", str(cases), "--out", str(tmp_path / "out")]) == 2
+    assert len(server.received) == 2 and delays == []

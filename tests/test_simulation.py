@@ -108,6 +108,29 @@ def test_sweep_controls_must_be_finite_when_built(setting):
         SweepConfig(topic="t", **setting)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([0.2, 0.2], "must hold distinct values"),
+        ([1, 1.0], "must hold distinct values"),
+        ([], "must be non-empty"),
+        ([0.2, math.nan], "fixed_u and fixed_a finite numbers >= 0"),
+    ],
+    ids=["repeated-value", "equal-int-and-float", "empty", "nan"],
+)
+def test_a_sweep_runs_only_a_grid_its_config_would_accept(monkeypatch, grid, message):
+    """The grid given to a sweep gets SweepConfig's check, with its message,
+    before any agent is built."""
+    built = []
+    monkeypatch.setattr("credence.simulation.make_agent", lambda *args, **kwargs: built.append(args))
+    expected = re.escape(f"sweep grid {grid!r} ") + ".*" + re.escape(message)
+    with pytest.raises(ContractError, match=expected):
+        run_scripted_opponent_sweep(SweepConfig(topic="t", rounds=1), grid, "u", CORPUS, SCRIPT)
+    with pytest.raises(ContractError, match=expected):
+        SweepConfig(topic="t", grid=tuple(grid))
+    assert built == []
+
+
 def test_sweep_trajectory_shape_and_determinism():
     config = SweepConfig(topic="t", rounds=4)
     first = run_scripted_opponent_sweep(config, [0.2, 0.6], "u", CORPUS, SCRIPT)
