@@ -10,12 +10,16 @@ Each candidate is judged alone (judge), in the order it arrives.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
+from importlib import resources
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,11 +28,16 @@ from .core import Role, as_float, check_polarity, check_strength, number_in
 from .exceptions import ContractError, ScoringBackendError
 
 EMBED_DIM = 512
-# Entries the process-wide trigram memo takes before it stops growing.  The
-# largest vocabulary measured (the replay and dialogue benchmark inputs) has
-# about 13,200 distinct trigrams.  Measured with tracemalloc, a full memo
-# holds 1.56 MiB of ASCII trigrams or 1.60 MiB of CJK ones; twice the limit
-# would hold 3.25 MiB of either, room those inputs do not use.
+# Every trigram of a text made only of these 49 characters (space first)
+# has its bucket in the shipped table data/trigram_buckets.u16 (see
+# build_bucket_table); every other text's trigrams go through the memo.
+GRAM_ALPHABET = " !\"'(),-./0123456789:;?abcdefghijklmnopqrstuvwxyz"
+# Entries the process-wide trigram memo takes before it stops growing.  It
+# serves only text outside GRAM_ALPHABET: the benchmark inputs' ASCII
+# vocabulary (about 13,200 distinct trigrams) is read from the table and
+# never enters it.  Measured with tracemalloc, a full memo holds 1.56 MiB of
+# ASCII trigrams or 1.60 MiB of CJK ones; twice the limit would hold
+# 3.25 MiB of either.
 GRAM_MEMO_LIMIT = 1 << 14
 # Delay before the first retry of a service call; each later one doubles,
 # up to the cap.
@@ -36,12 +45,22 @@ BACKOFF_BASE_S = 0.1
 BACKOFF_CAP_S = 2.0
 
 
+def check_one_line(claim: str) -> None:
+    """Reject a claim holding a line boundary of str.splitlines (\\n, \\r,
+    \\v, \\f, \\x1c-\\x1e, \\x85, U+2028 or U+2029): an own turn quotes a
+    claim on one CLAIM line, which would parse back cut."""
+    if claim and claim.splitlines() != [claim]:
+        raise ContractError(f"claim {claim!r} holds a line separator")
+
+
 def check_candidate(claim: str, polarity, strength_hint) -> None:
-    """Reject a blank claim, a polarity other than -1 or +1 and a strength
-    hint that is not None or a finite number in [0, 1]: the checks of
-    every candidate argument, and of every record a trace stores."""
+    """Reject a blank claim, a claim holding a line separator, a polarity
+    other than -1 or +1 and a strength hint that is not None or a finite
+    number in [0, 1]: the checks of every candidate argument, and of every
+    record a trace stores."""
     if not claim.strip():
         raise ContractError("candidate claim is empty")
+    check_one_line(claim)
     check_polarity(polarity)
     check_strength(strength_hint, "strength hint")
 
@@ -87,23 +106,57 @@ def _set_active(record: ArgumentRecord, value: bool) -> None:
 ArgumentRecord.active = property(lambda record: record._active, _set_active)
 
 
+def _gram_bucket(gram: str) -> int:
+    """The bucket of a trigram (or of a text shorter than 3 characters):
+    the blake2b hash of its UTF-8 bytes, modulo EMBED_DIM."""
+    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % EMBED_DIM
+
+
+def build_bucket_table() -> bytes:
+    """The bytes of data/trigram_buckets.u16: the _gram_bucket of every
+    trigram over GRAM_ALPHABET, as a little-endian uint16 at index
+    i0 * 49**2 + i1 * 49 + i2, where i0, i1 and i2 are its characters'
+    positions in GRAM_ALPHABET (235,298 bytes).  Regenerate the file from
+    the root of a checkout with
+
+        PYTHONPATH=src python -c 'from credence.judgement import build_bucket_table as b; open("src/credence/data/trigram_buckets.u16", "wb").write(b())'
+    """
+    grams = map("".join, itertools.product(GRAM_ALPHABET, repeat=3))
+    return np.fromiter(map(_gram_bucket, grams), "<u2", len(GRAM_ALPHABET) ** 3).tobytes()
+
+
+@functools.cache
+def _bucket_table() -> np.ndarray:
+    """The shipped table as a read-only (49, 49, 49) uint16 array, read
+    at its first use, so a process that embeds no text never reads it."""
+    table = np.frombuffer(resources.files("credence.data").joinpath("trigram_buckets.u16").read_bytes(), "<u2")
+    return table.reshape((len(GRAM_ALPHABET),) * 3)
+
+
+# A text of at least 3 characters, all in GRAM_ALPHABET.
+_IN_ALPHABET = re.compile(f"[{re.escape(GRAM_ALPHABET)}]{{3,}}")
+# Position in GRAM_ALPHABET by ASCII code (0 outside it, never read).
+_CODES = np.zeros(128, np.intp)
+_CODES[list(GRAM_ALPHABET.encode("ascii"))] = range(len(GRAM_ALPHABET))
+
+
 class _GramBuckets(dict):
-    """Trigram -> bucket memo, keyed by the gram's characters: the triple
-    that zip(text, text[1:], text[2:]) yields, or (text,) for a text
-    shorter than 3 characters.  A hit builds no string; the builtin hash
-    of the key only finds the dict slot.  A miss joins the characters and
-    hashes the gram's UTF-8 bytes with blake2b, so no bucket depends on
-    the builtin hash, and keeps the key while the memo holds fewer than
-    GRAM_MEMO_LIMIT entries; nothing is evicted.  Values are the shared
-    ints of _BUCKETS.  A non-ASCII key is stored with the canonical
+    """Trigram -> bucket memo for text outside GRAM_ALPHABET, keyed by the
+    gram's characters: the triple that zip(text, text[1:], text[2:])
+    yields, or (text,) for a text shorter than 3 characters.  A hit builds
+    no string; the builtin hash of the key only finds the dict slot.  A
+    miss joins the characters and takes their _gram_bucket, so no bucket
+    depends on the builtin hash, and keeps the key while the memo holds
+    fewer than GRAM_MEMO_LIMIT entries; nothing is evicted.  Values are the
+    shared ints of _BUCKETS.  A non-ASCII key is stored with the canonical
     characters of _CHARS: iterating a string makes a new object for each
     character outside Latin-1, and one object per distinct character
     keeps a CJK entry about as small as an ASCII one."""
 
     def __missing__(self, chars: tuple) -> int:
         gram = "".join(chars)
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-        bucket = _BUCKETS[int.from_bytes(digest, "big") % EMBED_DIM]
+        bucket = _BUCKETS[_gram_bucket(gram)]
         if len(self) < GRAM_MEMO_LIMIT:
             if not gram.isascii():
                 chars = tuple(map(_CHARS.setdefault, chars, chars))
@@ -118,22 +171,32 @@ _GRAM_BUCKETS = _GramBuckets()
 
 def _bincount(text: str) -> np.ndarray:
     """Integer trigram counts of a stripped, lower-cased text; their total
-    is max(len(text) - 2, 1)."""
+    is max(len(text) - 2, 1).  A text of at least 3 characters, all in
+    GRAM_ALPHABET, takes its buckets from the shipped table; any other
+    text from _GRAM_BUCKETS."""
     if not text:
         raise ContractError("cannot embed an empty claim")
-    grams = zip(text, text[1:], text[2:]) if len(text) >= 3 else ((text,),)
-    buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, max(len(text) - 2, 1))
+    if _IN_ALPHABET.fullmatch(text):
+        codes = _CODES[np.frombuffer(text.encode("ascii"), np.uint8)]
+        buckets = _bucket_table()[codes[:-2], codes[1:-1], codes[2:]]
+    else:
+        grams = zip(text, text[1:], text[2:]) if len(text) >= 3 else ((text,),)
+        buckets = np.fromiter(map(_GRAM_BUCKETS.__getitem__, grams), np.intp, max(len(text) - 2, 1))
     return np.bincount(buckets, minlength=EMBED_DIM)
 
 
 def trigram_counts(claim: str) -> np.ndarray:
     """Hashed character-trigram counts of a claim, as a float64 vector.
 
-    Deterministic across processes: each distinct trigram is hashed
-    with blake2b once per process, through _GRAM_BUCKETS, whose keys the
-    builtin hash only places in the dict; no bucket depends on it.
-    The counts are small integers, so the vector is exact, and so is any
-    dot product of two count vectors, in any summation order.
+    Each trigram's bucket is the blake2b hash of its UTF-8 bytes modulo
+    EMBED_DIM, the same in every process.  A text of at least 3
+    characters, all in GRAM_ALPHABET, reads its buckets from the shipped
+    table, which build_bucket_table makes from that hash; any other text
+    hashes each distinct trigram once per process, through _GRAM_BUCKETS,
+    whose keys the builtin hash only places in the dict.  Both paths give
+    the same counts.  The counts are small integers, so the vector is
+    exact, and so is any dot product of two count vectors, in any
+    summation order.
     """
     return _bincount(claim.strip().lower()).astype(np.float64)
 

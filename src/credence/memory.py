@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import mmap
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -68,6 +69,8 @@ from .judgement import EMBED_DIM, ArgumentRecord, _bincount
 _OWN_ROLES = (Role.SELF, Role.SEED)
 # A float32 dot product of counts is exact while |q|^2 |c|^2 is below this.
 _FLOAT32_EXACT = 2.0**48
+# A private mapping where mmap takes flags (not on Windows).
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
 class _RowSet:
@@ -81,9 +84,10 @@ class _RowSet:
     and their squares into a float64 array of BLOCK, and each later BLOCK
     rows get a block of their own.  Row r is row r % BLOCK of block
     r // BLOCK, and no block is ever copied or replaced: blocks stay once
-    made, whatever the set's size.  A block's pages that no row has
-    written cost no resident memory while transparent huge pages are on
-    madvise, since numpy asks for them only from 4 MiB.
+    made, whatever the set's size.  A block's counts live in an anonymous
+    mmap of their own, not in numpy's allocation, so freeing a block
+    leaves glibc's dynamic mmap threshold where it was; its pages that no
+    row has written cost no resident memory.
 
     A search without a block takes one dot product per row, by the
     query's ndarray.dot method; with blocks, one np.dot per block over its
@@ -115,12 +119,13 @@ class _RowSet:
     # 5.5, 24 rows 5.9 against 5.8, 32 rows 6.3 against 6.2.
     SELECT_MAX = 20
     # 1024 rows of float32 counts are 2 MiB, half the size from which numpy
-    # asks for transparent huge pages: a single 2048-row matrix got them,
-    # for about 1 MiB more peak RSS on a 500-round dialogue of fresh
-    # claims.  On two BLAS threads a 1024-row matvec takes about as long
-    # as a 512-row one, and a third of a 2048-row one; but each matvec call
-    # has a fixed cost, so a set of 1025 to 2047 rows searches in up to
-    # about twice the time one matrix of its rows would take.
+    # asks for transparent huge pages: a single 2048-row numpy matrix got
+    # them, for about 1 MiB more peak RSS on a 500-round dialogue of fresh
+    # claims (a block's own mmap asks for none).  On two BLAS threads a
+    # 1024-row matvec takes about as long as a 512-row one, and a third of
+    # a 2048-row one; but each matvec call has a fixed cost, so a set of
+    # 1025 to 2047 rows searches in up to about twice the time one matrix
+    # of its rows would take.
     BLOCK = 1024
 
     def __init__(self):
@@ -152,7 +157,9 @@ class _RowSet:
         rows before it: the first row of a block makes the block."""
         index, offset = divmod(row, self.BLOCK)
         if index == len(self.blocks):
-            self.blocks.append((np.empty((self.BLOCK, EMBED_DIM), dtype=np.float32), np.empty(self.BLOCK)))
+            buffer = mmap.mmap(-1, self.BLOCK * EMBED_DIM * 4, **_PRIVATE)
+            counts = np.frombuffer(buffer, dtype=np.float32).reshape(self.BLOCK, EMBED_DIM)
+            self.blocks.append((counts, np.empty(self.BLOCK)))
         counts, squares = self.blocks[index]
         counts[offset], squares[offset] = text
 

@@ -37,7 +37,7 @@ from .core import (
 from .engine import split_lines
 from .exceptions import ContractError
 from .extraction import ExtractorPort, Message
-from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, judge
+from .judgement import ArgumentRecord, CandidateArgument, ScorerPort, check_one_line, judge
 from .memory import MemoryStore
 
 logger = logging.getLogger(__name__)
@@ -63,6 +63,7 @@ class EvidenceItem:
             return
         if not isinstance(self.claim, str) or not self.claim.strip():
             raise ContractError(f"pre-extracted item needs a claim, got {self!r}")
+        check_one_line(self.claim)
         check_polarity(self.polarity, "evidence polarity")
         check_strength(self.strength, "evidence strength")
 

@@ -316,6 +316,19 @@ def test_replay_strict_rejects_bad_lines(tmp_path):
     assert main(["replay", "--cases", cases, "--strict", "--out", str(tmp_path / "b")]) == 1
 
 
+def test_replay_strict_rejects_a_claim_holding_a_line_separator(tmp_path, capsys):
+    cases = write_cases(tmp_path / "cases.jsonl", n=3)
+    with open(cases) as handle:
+        row = json.loads(handle.readline())
+    row["evidence"][0] = {"claim": "parks\vneed lights", "polarity": 1, "strength": 0.5}
+    with open(cases, "a") as handle:
+        handle.write(json.dumps(row) + "\n")
+    assert main(["replay", "--cases", cases, "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err.startswith(f"{cases}:4: evidence[0]: claim 'parks\\x0bneed lights' holds a line separator")
+    assert main(["replay", "--cases", cases, "--strict", "--out", str(tmp_path / "b")]) == 1
+    assert "error: 1 malformed case lines (strict mode)" in capsys.readouterr().err
+
+
 def test_replay_reports_a_case_line_that_is_not_utf8(tmp_path, capsys):
     """Each case line is decoded on its own: a line with a byte that is not
     UTF-8 is a malformed line, and the others still load."""
@@ -788,6 +801,15 @@ def test_a_bad_stored_or_resolved_field_fails_verify_and_rebuild(
     assert capsys.readouterr().err == f"verification failed: event {reported}: {message}\n"
     with pytest.raises(TraceVerificationError, match=re.escape(f"event {reported}: {message}")):
         engine.store_from_trace(engine._trace_events(bad))
+
+
+def test_a_stored_claim_holding_a_line_separator_fails_verify(default_sweep_trace, tmp_path, capsys):
+    trace, _ = default_sweep_trace
+    bad = edited_trace(trace, tmp_path, 1, {"claim": "parks\u2029need lights"})
+    capsys.readouterr()
+    assert main(["trace-verify", str(bad)]) == 3
+    message = "event 1: stored claim 'parks\\u2029need lights' holds a line separator"
+    assert capsys.readouterr().err == f"verification failed: {message}\n"
 
 
 # Edits of the default sweep_u_0.4.jsonl's other events: (seq edited,

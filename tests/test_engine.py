@@ -286,14 +286,16 @@ def test_read_trace_accepts_padded_and_crlf_lines(tmp_path, pad, newline):
     assert verify_trace(read_trace(path)) == expected
 
 
+# A claim holds no line separator (check_candidate refuses one); the
+# codec's escapes of separators in other strings are the next test's.
 @settings(max_examples=60, deadline=None)
-@given(claims=st.lists(st.text(min_size=1).filter(str.strip), min_size=1, max_size=5))
+@given(claims=st.lists(st.text(min_size=1).filter(lambda t: t.strip() and t.splitlines() == [t]), min_size=1, max_size=5))
 @example(
     claims=[
         'say "no" \\ then \x00\x1f\x7f',
         "na\u00efve caf\u00e9 \u2615 \u65e5\u672c",
-        "line\nbreak\r\ttab",
-        "sep \x85\u2028\ufeff end",
+        "line\tbreak\ttab",
+        "sep \x1f\ufeff end",
     ]
 )
 def test_trace_text_round_trips_byte_identically(tmp_path_factory, claims):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from credence import judgement
 from credence.core import Role
+from credence.engine import template_response
 from credence.exceptions import ContractError, ExtractionBackendError
 from credence.extraction import (
     CLAIM_LINE,
@@ -14,6 +15,8 @@ from credence.extraction import (
     ServiceExtractor,
     parse_scripted_message,
 )
+from credence.judgement import CandidateArgument, check_candidate, judge
+from credence.memory import MemoryStore, RetrievalContext
 
 
 def msg(text, author="opponent", order=0):
@@ -86,6 +89,28 @@ def test_claim_lines_parse_as_the_oracle_reads_them(text):
     assert [(c.polarity, c.strength_hint, c.claim) for c in candidates] == expected
 
 
+@given(claim=st.text(), polarity=st.sampled_from([-1, 1]), strength=st.floats(0.0, 1.0))
+@example(claim=" a claim \xa0", polarity=1, strength=0.5)
+@example(claim="CLAIM +0.5: x : y", polarity=-1, strength=5e-324)
+@example(claim="foo\u2028bar", polarity=1, strength=0.5)
+@example(claim="foo\x1fbar", polarity=1, strength=1.0)
+def test_every_accepted_claim_survives_its_own_quote(claim, polarity, strength):
+    """A claim check_candidate accepts, judged into a store, is quoted by
+    template_response and parsed back as the record's (claim, polarity,
+    strength); check_candidate refuses only a blank claim or one holding a
+    line boundary of str.splitlines."""
+    try:
+        check_candidate(claim, polarity, strength)
+    except ContractError:
+        assert not claim.strip() or claim.splitlines() != [claim]
+        return
+    candidate = CandidateArgument(claim=claim, polarity=polarity, role=Role.OPPONENT, strength_hint=strength)
+    record, _ = judge(MemoryStore(), candidate, "t", None, 0.8, 0.5)
+    text = template_response("argue for the proposition", RetrievalContext([record], 1, 0))
+    parsed = parse_scripted_message(msg(text, author="self"))
+    assert [(c.claim, c.polarity, c.strength_hint) for c in parsed] == [(record.claim, polarity, record.strength)]
+
+
 def test_author_role_maps_to_record_role():
     assert parse_scripted_message(msg("CLAIM +0.1: x", author="self"))[0].role == Role.SELF
     assert parse_scripted_message(msg("CLAIM +0.1: x", author="seed_source"))[0].role == Role.SEED
@@ -109,6 +134,14 @@ def test_service_extractor_success_and_filtering():
     candidates = extractor.extract("topic", msg("anything"), warnings.append)
     assert [c.claim for c in candidates] == ["good"]
     assert warnings == [f"dropped malformed extraction item {item!r}" for item in items[1:]]
+
+
+def test_service_extractor_drops_a_claim_holding_a_line_separator():
+    items = [{"claim": "parks\u2028need lights", "polarity": 1}, {"claim": "kept", "polarity": -1}]
+    warnings = []
+    extractor = ServiceExtractor("http://x.invalid", transport=lambda u, p, t: items)
+    assert [c.claim for c in extractor.extract("topic", msg("anything"), warnings.append)] == ["kept"]
+    assert warnings == [f"dropped malformed extraction item {items[0]!r}"]
 
 
 def test_service_extractor_exhausts_retries(monkeypatch):

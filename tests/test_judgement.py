@@ -21,6 +21,8 @@ from credence.judgement import (
     CandidateArgument,
     ScorerPort,
     ServiceScorer,
+    build_bucket_table,
+    check_candidate,
     cosine_similarity,
     embed_claim,
     ingest_record,
@@ -58,6 +60,24 @@ def test_candidate_validation():
     for hint in (float("nan"), float("inf"), -0.1, 1.7, "0.5", True):
         with pytest.raises(ContractError):
             CandidateArgument(claim="x", polarity=1, role=Role.SELF, strength_hint=hint)
+
+
+# The line boundaries of str.splitlines.
+LINE_SEPARATORS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_line_separators_are_the_line_boundaries_of_splitlines():
+    every = "".join(map(chr, range(0x110000)))
+    assert {line[-1] for line in every.splitlines(keepends=True)[:-1]} == set(LINE_SEPARATORS)
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS)
+def test_a_claim_holding_a_line_separator_is_refused(separator):
+    for claim in (f"parks{separator}need lights", f"parks need lights{separator}", f"{separator}parks"):
+        with pytest.raises(ContractError, match="holds a line separator"):
+            check_candidate(claim, 1, 0.5)
+        with pytest.raises(ContractError, match="holds a line separator"):
+            CandidateArgument(claim=claim, polarity=1, role=Role.OPPONENT)
 
 
 def test_judge_takes_the_hint_else_the_scorer():
@@ -188,6 +208,85 @@ def test_a_cjk_memo_holds_one_object_per_character():
     chars = [char for key in memo for char in key]
     assert len(memo) > 1000 and ("日本",) in memo
     assert len({id(char) for char in chars}) == len(set(chars))
+
+
+def test_the_shipped_bucket_table_is_a_regeneration_from_blake2b():
+    table = (Path(judgement.__file__).parent / "data" / "trigram_buckets.u16").read_bytes()
+    assert len(table) == 2 * 49**3 == 235_298
+    assert table == build_bucket_table()
+    alphabet = judgement.GRAM_ALPHABET
+    assert len(set(alphabet)) == 49 and alphabet[0] == " " and alphabet.isascii() and alphabet == alphabet.lower()
+    index = alphabet.index
+    for gram in ("   ", "abc", "zzz", "?a!", 'it"'):
+        offset = 2 * (index(gram[0]) * 49**2 + index(gram[1]) * 49 + index(gram[2]))
+        assert int.from_bytes(table[offset : offset + 2], "little") == _gram_bucket(gram)
+
+
+def _oracle_counts(claim):
+    text = claim.strip().lower()
+    grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
+    vec = np.zeros(512)
+    for gram in grams:
+        vec[_gram_bucket(gram)] += 1.0
+    return vec
+
+
+_OUTSIDE = st.sampled_from(["\t", "#", "é", "日"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.text(judgement.GRAM_ALPHABET, min_size=1, max_size=200),
+    outside=st.none() | st.tuples(_OUTSIDE, st.sampled_from(["start", "middle", "end"])),
+)
+@example(text="ab", outside=None)
+@example(text="abc", outside=None)
+@example(text="a ", outside=None)
+@example(text="a b", outside=None)
+@example(text="ab", outside=("#", "middle"))
+@example(text="ab", outside=("é", "end"))
+@example(text="ab", outside=("\t", "start"))
+def test_table_counts_equal_the_per_gram_oracle(text, outside):
+    """A text made of GRAM_ALPHABET reads the table, one holding another
+    character goes through the memo; both give the oracle's counts
+    bytewise.  A text of 3 or more alphabet characters leaves the memo
+    as it was."""
+    if outside is not None:
+        char, where = outside
+        at = {"start": 0, "middle": len(text) // 2, "end": len(text)}[where]
+        text = text[:at] + char + text[at:]
+    if not text.strip():
+        return
+    memo = judgement._GramBuckets()
+    with mock.patch.object(judgement, "_GRAM_BUCKETS", memo):
+        counts = trigram_counts(text)
+    assert counts.tobytes() == _oracle_counts(text).tobytes()
+    if outside is None and len(text.strip()) >= 3:
+        assert not memo
+
+
+_VERIFY_SCRIPT = """
+import sys
+import credence
+from credence import judgement
+from credence.engine import verify_trace_file
+verify_trace_file(sys.argv[1])
+print(judgement._bucket_table.cache_info().currsize)
+"""
+
+
+def test_trace_verify_does_not_read_the_bucket_table(tmp_path):
+    """A default sweep trace (golden) verifies without the table, which is
+    read at the first embedding, not at import."""
+    from credence.cli import main
+
+    assert main(["sweep", "--out", str(tmp_path / "sweep")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(judgement.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _VERIFY_SCRIPT, str(tmp_path / "sweep" / "traces" / "sweep_u_0.4.jsonl")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert run.stdout == "0\n"
 
 
 def test_similar_texts_score_higher():

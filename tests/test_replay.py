@@ -464,6 +464,14 @@ def test_a_malformed_case_line_names_its_field(tmp_path, line, message):
     assert errors == [(2, message)]
 
 
+def test_a_case_claim_holding_a_line_separator_is_a_line_error(tmp_path):
+    path = tmp_path / "cases.jsonl"
+    path.write_text(json.dumps(_good_row()) + "\n" + _with(("evidence", 0, "claim"), "x\u2028y") + "\n")
+    cases, errors = load_cases_jsonl(path)
+    assert len(cases) == 1
+    assert errors == [(2, "evidence[0]: claim 'x\\u2028y' holds a line separator")]
+
+
 def test_integral_floats_load_as_ints():
     row = _good_row()
     row["initial_likert"], row["evidence"][0]["polarity"] = 3.0, -1.0
